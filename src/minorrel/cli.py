@@ -119,7 +119,6 @@ def cmd_fiber_type(args):
         a_max=args.a_max,
         e_max=args.e_max,
         seed=args.seed,
-        dominant_only_offtype=args.dominant_only,
         cap=_cap(args),
     )
     for (a, b), count in sorted(table.items()):
@@ -203,7 +202,6 @@ def build_parser():
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--a-max", dest="a_max", type=int, default=3)
     p.add_argument("--e-max", dest="e_max", type=int, default=3)
-    p.add_argument("--dominant-only", action="store_true")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_fiber_type)
 

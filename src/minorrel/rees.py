@@ -6,13 +6,18 @@ T_w -> w*t.  Components are indexed by (a, e) = (x-degree, T-degree), and
 reported with the T-grading scaled by 2, i.e. as bidegree (a, 2e), so the
 fiber-type condition reads: minimal generators only in (0, 2d) and (d, 2).
 
-Everything is computed per torus-weight block; for vanishing checks in a
-given bidegree it suffices to look at dominant target weights only, since a
-nonzero GL x GL representation has a nonzero dominant weight space.
+Everything is computed per torus-weight block.  Permuting rows and columns
+of the matrix maps minors to signed minors and permanents to permanents,
+over the integers, so each count is constant on S_m x S_n orbits of
+weights: only the dominant weight of each orbit is eliminated, weighted by
+the orbit size.  The shifted kernels it needs may sit at non-dominant
+weights; they are computed on demand.
 """
 
 import random
+from collections import Counter
 from itertools import combinations_with_replacement
+from math import factorial
 
 from . import modlinalg
 from .modlinalg import (
@@ -29,9 +34,7 @@ def _wsub(w, delta):
     """Componentwise difference of weights, or None if any entry goes negative."""
     rows = tuple(a - b for a, b in zip(w[0], delta[0]))
     cols = tuple(a - b for a, b in zip(w[1], delta[1]))
-    if min(rows, default=0) < 0 or min(cols, default=0) < 0 or any(
-        x < 0 for x in rows + cols
-    ):
+    if any(x < 0 for x in rows + cols):
         return None
     return rows, cols
 
@@ -40,6 +43,16 @@ def _is_dominant(w):
     return all(a >= b for a, b in zip(w[0], w[0][1:])) and all(
         a >= b for a, b in zip(w[1], w[1][1:])
     )
+
+
+def _orbit_size(w):
+    """Size of the S_m x S_n orbit of the weight w = (row sums, column sums)."""
+    size = 1
+    for part in w:
+        size *= factorial(len(part))
+        for mult in Counter(part).values():
+            size //= factorial(mult)
+    return size
 
 
 class ReesEngine:
@@ -71,6 +84,8 @@ class ReesEngine:
         key = (a, e)
         if key not in self._sources:
             buckets = {}
+            monos = _monomials_of_degree(self.ctx.num_vars, a)
+            xs = [(xexp, x_weight(self.ctx, xexp)) for xexp in monos]
             for ms in combinations_with_replacement(range(len(self.gens)), e):
                 w_ms = None
                 for k in ms:
@@ -79,8 +94,7 @@ class ReesEngine:
                         tuple(x + y for x, y in zip(w_ms[0], gw[0])),
                         tuple(x + y for x, y in zip(w_ms[1], gw[1])),
                     )
-                for xexp in _monomials_of_degree(self.ctx.num_vars, a):
-                    xw = x_weight(self.ctx, xexp)
+                for xexp, xw in xs:
                     if w_ms is None:
                         w = xw
                     else:
@@ -116,60 +130,60 @@ class ReesEngine:
         self._kernels[key] = vectors
         return vectors
 
-    def min_gens(self, a, e, dominant_only=False):
-        """Minimal generator count of J in bidegree (a, e).
+    def min_gens(self, a, e):
+        """Minimal generator count of J in bidegree (a, e), from dominant weights."""
+        return sum(
+            _orbit_size(w) * self._min_gens_at(a, e, w)
+            for w in self.sources(a, e)
+            if _is_dominant(w)
+        )
 
-        dominant_only restricts to dominant target weights; the count is then
-        an upper bound for the dominant part, zero iff the full component has
-        no minimal generators.
-        """
-        target_weights = list(self.sources(a, e))
-        if dominant_only:
-            target_weights = [w for w in target_weights if _is_dominant(w)]
-        total = 0
-        for w in target_weights:
-            kw = self.kernel_block(a, e, w)
-            if not kw:
-                continue
-            members = self.sources(a, e)[w]
-            col = {s: i for i, s in enumerate(members)}
-            shifted = []
-            if a >= 1:
-                for v_idx in range(self.ctx.num_x):
-                    w2 = _wsub(w, self.var_weights[v_idx])
-                    if w2 is None:
-                        continue
-                    for vec in self.kernel_block(a - 1, e, w2):
-                        row = {}
-                        for (xexp, ms), c in vec.items():
-                            xs = list(xexp)
-                            xs[v_idx] += 1
-                            idx = col[(tuple(xs), ms)]
-                            row[idx] = (row.get(idx, 0) + c) % self.p
-                        row = {i: v for i, v in row.items() if v}
-                        if row:
-                            shifted.append(row)
-            if e >= 1:
-                for k in range(len(self.gens)):
-                    w2 = _wsub(w, self.gen_weights[k])
-                    if w2 is None:
-                        continue
-                    for vec in self.kernel_block(a, e - 1, w2):
-                        row = {}
-                        for (xexp, ms), c in vec.items():
-                            idx = col[(xexp, tuple(sorted(ms + (k,))))]
-                            row[idx] = (row.get(idx, 0) + c) % self.p
-                        row = {i: v for i, v in row.items() if v}
-                        if row:
-                            shifted.append(row)
-            total += len(kw) - rank_mod(shifted, self.p)
-        return total
+    def _min_gens_at(self, a, e, w):
+        """Minimal generator count of J in bidegree (a, e) at the weight w."""
+        kw = self.kernel_block(a, e, w)
+        if not kw:
+            return 0
+        members = self.sources(a, e)[w]
+        col = {s: i for i, s in enumerate(members)}
+        shifted = []
+        if a >= 1:
+            for v_idx in range(self.ctx.num_x):
+                w2 = _wsub(w, self.var_weights[v_idx])
+                if w2 is None:
+                    continue
+                for vec in self.kernel_block(a - 1, e, w2):
+                    row = {}
+                    for (xexp, ms), c in vec.items():
+                        xs = list(xexp)
+                        xs[v_idx] += 1
+                        idx = col[(tuple(xs), ms)]
+                        row[idx] = (row.get(idx, 0) + c) % self.p
+                    row = {i: v for i, v in row.items() if v}
+                    if row:
+                        shifted.append(row)
+        if e >= 1:
+            for k in range(len(self.gens)):
+                w2 = _wsub(w, self.gen_weights[k])
+                if w2 is None:
+                    continue
+                for vec in self.kernel_block(a, e - 1, w2):
+                    row = {}
+                    for (xexp, ms), c in vec.items():
+                        idx = col[(xexp, tuple(sorted(ms + (k,))))]
+                        row[idx] = (row.get(idx, 0) + c) % self.p
+                    row = {i: v for i, v in row.items() if v}
+                    if row:
+                        shifted.append(row)
+        return len(kw) - rank_mod(shifted, self.p)
 
 
 def _two_engines(ctx, seed, variant, cap):
     rng = random.Random(seed)
     p1, p2 = rng.sample(modlinalg.PRIMES, 2)
-    return ReesEngine(ctx, p1, variant, cap), ReesEngine(ctx, p2, variant, cap)
+    e1, e2 = ReesEngine(ctx, p1, variant, cap), ReesEngine(ctx, p2, variant, cap)
+    # the source bases and the rational products do not depend on the prime
+    e2._sources, e2.products = e1._sources, e1.products
+    return e1, e2
 
 
 def rees_ideal(ctx, a_max=3, e_max=3, seed=0, variant="minors", cap=DEFAULT_NONZERO_CAP):
@@ -198,30 +212,25 @@ def fiber_type_check(
     e_max=3,
     seed=0,
     variant="minors",
-    dominant_only_offtype=False,
     cap=DEFAULT_NONZERO_CAP,
 ):
     """Decide fiber type on a bidegree window.
 
     Fiber type: every minimal generator of J lies in bidegree (0, 2d) (a fiber
     relation, i.e. a defining relation of the minor variety) or (d, 2) (a
-    syzygy of the quadrics).  With dominant_only_offtype, the disallowed
-    bidegrees (a >= 1, e >= 2) are checked on dominant weight blocks only,
-    which decides their vanishing at a fraction of the cost.
+    syzygy of the quadrics).
     """
     e1, e2 = _two_engines(ctx, seed, variant, cap)
     table = {}
     fiber = True
     for a in range(0, a_max + 1):
         for e in range(1, e_max + 1):
-            offtype = a >= 1 and e >= 2
-            dom = dominant_only_offtype and offtype
-            c1 = e1.min_gens(a, e, dominant_only=dom)
-            c2 = e2.min_gens(a, e, dominant_only=dom)
+            c1 = e1.min_gens(a, e)
+            c2 = e2.min_gens(a, e)
             if c1 != c2:
                 raise ArithmeticError(f"modular Rees counts disagree at {(a, e)}")
             if c1:
                 table[(a, 2 * e)] = c1
-                if offtype:
+                if a >= 1 and e >= 2:
                     fiber = False
     return fiber, table

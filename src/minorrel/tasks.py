@@ -207,13 +207,11 @@ def _run_fiber_type(task):
     p = task.params
     m, n = p["m"], p["n"]
     a_max, e_max = p.get("a_max", 3), p.get("e_max", 3)
-    dom = p.get("dominant_only", False)
     fiber, table = fiber_type_check(
         RingContext(m, n),
         a_max=a_max,
         e_max=e_max,
         seed=task.seed,
-        dominant_only_offtype=dom,
     )
     predicted = {"fiber_type": True}
     witnessed = {"fiber_type": fiber}
@@ -331,7 +329,7 @@ def suite_tasks(profile="quick", seed=0):
         ]
     if profile == "long":
         tasks += [
-            mk("que-7.1", m=5, n=3, a_max=3, e_max=3, dominant_only=True),
+            mk("que-7.1", m=5, n=3, a_max=3, e_max=3),
         ]
     return tasks
 

@@ -211,9 +211,7 @@ def test_criterion_11_fiber_type_small_sizes():
     reason="long-running case; set MINORREL_PROFILE=long to enable",
 )
 def test_criterion_11_fiber_type_5x3_long_profile():
-    fiber, table = fiber_type_check(
-        RingContext(5, 3), a_max=3, e_max=3, dominant_only_offtype=True
-    )
+    fiber, table = fiber_type_check(RingContext(5, 3), a_max=3, e_max=3)
     assert fiber, table
 
 

@@ -87,6 +87,15 @@ def test_fiber_type_subcommand(capsys):
     assert main(["fiber-type", "--m", "2", "--n", "3"]) == 0
     out = capsys.readouterr().out
     assert "fiber type: True" in out
+    # every count is orbit-weighted and exact, so there is no dominant-only mode
+    assert main(["fiber-type", "--m", "2", "--n", "3", "--dominant-only"]) == 2
+    capsys.readouterr()
+
+
+def test_rees_subcommand(capsys):
+    assert main(["rees", "--m", "3", "--n", "3"]) == 0
+    out = capsys.readouterr().out
+    assert "bidegree (1,2): 16" in out
 
 
 def test_suite_quick_profile(capsys):

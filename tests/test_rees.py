@@ -34,17 +34,32 @@ def test_fiber_type_small_cases():
         assert fiber
 
 
-def test_dominant_only_vanishing_agrees_with_full_count():
-    # on disallowed bidegrees the dominant-weight count vanishes iff the full
-    # component does
+def test_orbit_weighted_count_matches_full_weight_sum():
+    # oracle: eliminate every weight block, not only the dominant ones; the
+    # per-weight count must be constant on each S_m x S_n orbit, and the sum
+    # over all weights must equal the orbit-weighted dominant count
     from minorrel.modlinalg import PRIMES
 
-    engine = ReesEngine(RingContext(2, 3), PRIMES[0])
-    for a in (1, 2):
-        for e in (2, 3):
-            full = engine.min_gens(a, e)
-            dom = engine.min_gens(a, e, dominant_only=True)
-            assert (full == 0) == (dom == 0)
+    cases = [
+        (2, 3, "minors", 2, 3, {(1, 1): 2}),
+        (2, 4, "minors", 2, 2, {(0, 2): 1, (1, 1): 8}),
+        (2, 3, "permanents", 1, 2, {(0, 2): 45, (1, 1): 52}),
+        (3, 3, "permanents", 1, 2, {(0, 2): 180, (1, 1): 160}),
+    ]
+    for m, n, variant, a_max, e_max, expected in cases:
+        engine = ReesEngine(RingContext(m, n), PRIMES[0], variant)
+        counts = {}
+        for a in range(a_max + 1):
+            for e in range(1, e_max + 1):
+                at = {w: engine._min_gens_at(a, e, w) for w in engine.sources(a, e)}
+                for (rows, cols), c in at.items():
+                    dom = (tuple(sorted(rows, reverse=True)), tuple(sorted(cols, reverse=True)))
+                    assert at[dom] == c, (m, n, variant, a, e, rows, cols)
+                full = sum(at.values())
+                assert engine.min_gens(a, e) == full, (m, n, variant, a, e)
+                if full:
+                    counts[(a, e)] = full
+        assert counts == expected, (m, n, variant)
 
 
 def test_syzygy_bidegrees_match_koszul_shift():

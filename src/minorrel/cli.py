@@ -4,7 +4,8 @@ Subcommands: decompose, verify, koszul, rees, fiber-type, suite.  Exit codes:
 0 all comparisons pass, 1 any fail, 2 usage or capacity error.  The results
 directory for cached json reports comes from --results-dir or the
 MINORREL_RESULTS_DIR environment variable; a key=value config file can
-override the sparse-matrix capacity cap and the modular prime list.
+override the sparse-matrix capacity cap and the modular prime list (at least
+two distinct primes, each at least 2^16 and below 2^64).
 """
 
 import argparse
@@ -19,7 +20,7 @@ from .rees import fiber_type_check, rees_ideal
 from .report import emit, format_bicharacter
 from .symfunc import bivariate_wedge_power
 from .tasks import RESULTS_DIR_ENV, VerificationTask, run, run_suite, suite_tasks
-from .witness import koszul_h1_blocks, koszul_h1_dim
+from .witness import koszul_h1_blocks
 from .modlinalg import CapacityError
 
 
@@ -36,19 +37,42 @@ def load_config(path):
     return cfg
 
 
+def _is_prime(n):
+    """Miller-Rabin with the first twelve prime bases: exact for n < 2^64."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2:
+        return False
+    for b in bases:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in bases:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def apply_config(cfg):
     if "primes" in cfg:
         primes = tuple(int(p) for p in cfg["primes"].split(","))
-        if len(primes) < 2:
-            raise ValueError("need at least two primes")
+        if len(primes) < 2 or len(set(primes)) < len(primes):
+            raise ValueError("need at least two distinct primes")
+        for p in primes:
+            if not (2**16 <= p < 2**64 and _is_prime(p)):
+                raise ValueError(f"{p} is not a prime in [2^16, 2^64)")
         modlinalg.PRIMES = primes
     if "cap" in cfg:
         modlinalg.DEFAULT_NONZERO_CAP = int(cfg["cap"])
     return cfg
-
-
-def _cap(args):
-    return getattr(args, "cap", None) or modlinalg.DEFAULT_NONZERO_CAP
 
 
 def cmd_decompose(args):
@@ -78,9 +102,7 @@ def cmd_verify(args):
         value = getattr(args, key, None)
         if value is not None:
             params[key] = value
-    if args.variant:
-        params["variant"] = args.variant
-    task = VerificationTask(args.statement, params, rank_method=args.rank, seed=args.seed)
+    task = VerificationTask(args.statement, params, seed=args.seed)
     report = run(task, results_dir=args.results_dir)
     print(emit(report, args.format), end="")
     if report.verdict == "pass":
@@ -92,7 +114,7 @@ def cmd_verify(args):
 
 def cmd_koszul(args):
     ctx = RingContext(args.m, args.n)
-    blocks = koszul_h1_blocks(ctx, args.variant, args.d, seed=args.seed, cap=_cap(args))
+    blocks = koszul_h1_blocks(ctx, args.variant, args.d, seed=args.seed)
     total = sum(blocks.values())
     print(f"H1 dimension at degree {args.d} ({args.variant}, {args.m}x{args.n}): {total}")
     if args.verbose:
@@ -104,7 +126,7 @@ def cmd_koszul(args):
 
 def cmd_rees(args):
     ctx = RingContext(args.m, args.n)
-    table = rees_ideal(ctx, a_max=args.a_max, e_max=args.e_max, seed=args.seed, cap=_cap(args))
+    table = rees_ideal(ctx, a_max=args.a_max, e_max=args.e_max, seed=args.seed)
     if not table:
         print("no minimal generators in the window")
     for (a, b), count in table:
@@ -119,7 +141,6 @@ def cmd_fiber_type(args):
         a_max=args.a_max,
         e_max=args.e_max,
         seed=args.seed,
-        cap=_cap(args),
     )
     for (a, b), count in sorted(table.items()):
         print(f"bidegree ({a},{b}): {count}")
@@ -129,7 +150,7 @@ def cmd_fiber_type(args):
 
 def cmd_suite(args):
     tasks = suite_tasks(args.profile, seed=args.seed)
-    reports = run_suite(tasks, results_dir=args.results_dir, workers=args.workers)
+    reports = run_suite(tasks, results_dir=args.results_dir)
     failed = 0
     skipped = 0
     for report in reports:
@@ -174,8 +195,6 @@ def build_parser():
     p.add_argument("--n", type=int)
     p.add_argument("--dmax", dest="d_max", type=int)
     p.add_argument("--r", type=int)
-    p.add_argument("--variant", choices=["minors", "permanents"])
-    p.add_argument("--rank", choices=["exact", "modular"], default="modular")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=["table", "json"], default="table")
     p.set_defaults(fn=cmd_verify)
@@ -208,7 +227,6 @@ def build_parser():
     p = sub.add_parser("suite", help="run the default verification suite")
     p.add_argument("--profile", choices=["quick", "full", "long"], default="quick")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(fn=cmd_suite)
 
     return parser

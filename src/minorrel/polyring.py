@@ -3,7 +3,8 @@
 A ring context fixes the m x n matrix of variables x[i,j] (row-major,
 1-based in all rendered output) plus an optional block of auxiliary
 variables appended after the x-block.  Polynomials are sparse maps from
-exponent tuples to rational coefficients.
+exponent tuples to integer coefficients; everything built here (minors,
+permanents, their products) is integral, so no denominators arise.
 """
 
 from dataclasses import dataclass, field
@@ -48,12 +49,14 @@ class RingContext:
 
 
 def poly(ctx, terms):
-    """Normalize a term dict into a Poly value (drop zeros, exact coefficients)."""
+    """Normalize a term dict into a Poly value (drop zeros, integer coefficients)."""
     out = {}
     for exp, c in terms.items():
         c = Fraction(c)
+        if c.denominator != 1:
+            raise ValueError(f"non-integral coefficient {c}")
         if c:
-            out[tuple(exp)] = c
+            out[tuple(exp)] = c.numerator
     return out
 
 
@@ -79,10 +82,7 @@ def poly_add(ctx, f, g):
 
 
 def poly_scale(f, c):
-    c = Fraction(c)
-    if not c:
-        return {}
-    return {exp: v * c for exp, v in f.items()}
+    return poly(None, {exp: v * c for exp, v in f.items()})
 
 
 def poly_mul(ctx, f, g):

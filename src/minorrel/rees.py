@@ -11,32 +11,27 @@ of the matrix maps minors to signed minors and permanents to permanents,
 over the integers, so each count is constant on S_m x S_n orbits of
 weights: only the dominant weight of each orbit is eliminated, weighted by
 the orbit size.  The shifted kernels it needs may sit at non-dominant
-weights; they are computed on demand.
+weights; they are computed on demand.  The source bases and the integer
+products do not depend on the prime and are shared by the engines of both
+primes.
 """
 
-import random
 from collections import Counter
 from itertools import combinations_with_replacement
 from math import factorial
 
-from . import modlinalg
-from .modlinalg import (
-    DEFAULT_NONZERO_CAP,
-    guard_nonzeros,
-    nullspace_mod,
-    rank_mod,
-)
+from .modlinalg import guard_nonzeros, nullspace_mod, rank_mod
 from .polyring import monomial, poly_mul, x_weight
-from .witness import _modval, _monomials_of_degree, generators_for
-
-
-def _wsub(w, delta):
-    """Componentwise difference of weights, or None if any entry goes negative."""
-    rows = tuple(a - b for a, b in zip(w[0], delta[0]))
-    cols = tuple(a - b for a, b in zip(w[1], delta[1]))
-    if any(x < 0 for x in rows + cols):
-        return None
-    return rows, cols
+from .witness import (
+    _monomials_of_degree,
+    _shifted_rows,
+    _wadd,
+    _weights_of,
+    _wsub,
+    generators_for,
+    resolve_cap,
+    two_primes,
+)
 
 
 def _is_dominant(w):
@@ -56,20 +51,24 @@ def _orbit_size(w):
 
 
 class ReesEngine:
-    """Per-prime bigraded kernel computations for one ring context."""
+    """Per-prime bigraded kernel computations for one ring context.
 
-    def __init__(self, ctx, prime, variant="minors", cap=DEFAULT_NONZERO_CAP):
+    sources and products may be dicts shared with the engine of another
+    prime; they are filled on first use.
+    """
+
+    def __init__(self, ctx, prime, variant="minors", cap=None, sources=None, products=None):
         self.ctx = ctx
         self.p = prime
-        self.cap = cap
+        self.cap = resolve_cap(cap)
         self.gens = generators_for(ctx, variant)
-        self.gen_weights = [x_weight(ctx, next(iter(g))) for g in self.gens]
+        self.gen_weights = _weights_of(ctx, self.gens)
         self.var_weights = [
             x_weight(ctx, tuple(1 if i == v else 0 for i in range(ctx.num_vars)))
             for v in range(ctx.num_x)
         ]
-        self.products = {(): monomial(ctx, [])}
-        self._sources = {}  # (a, e) -> dict weight -> list of (xexp, ms)
+        self.products = {(): monomial(ctx, [])} if products is None else products
+        self._sources = {} if sources is None else sources  # (a, e) -> weight -> [(xexp, ms)]
         self._kernels = {}  # (a, e, weight) -> list of vectors {source: coeff}
 
     def _product(self, ms):
@@ -87,22 +86,11 @@ class ReesEngine:
             monos = _monomials_of_degree(self.ctx.num_vars, a)
             xs = [(xexp, x_weight(self.ctx, xexp)) for xexp in monos]
             for ms in combinations_with_replacement(range(len(self.gens)), e):
-                w_ms = None
+                w_ms = ((0,) * self.ctx.m, (0,) * self.ctx.n)
                 for k in ms:
-                    gw = self.gen_weights[k]
-                    w_ms = gw if w_ms is None else (
-                        tuple(x + y for x, y in zip(w_ms[0], gw[0])),
-                        tuple(x + y for x, y in zip(w_ms[1], gw[1])),
-                    )
+                    w_ms = _wadd(w_ms, self.gen_weights[k])
                 for xexp, xw in xs:
-                    if w_ms is None:
-                        w = xw
-                    else:
-                        w = (
-                            tuple(x + y for x, y in zip(w_ms[0], xw[0])),
-                            tuple(x + y for x, y in zip(w_ms[1], xw[1])),
-                        )
-                    buckets.setdefault(w, []).append((xexp, ms))
+                    buckets.setdefault(_wadd(w_ms, xw), []).append((xexp, ms))
             self._sources[key] = buckets
         return self._sources[key]
 
@@ -115,14 +103,12 @@ class ReesEngine:
         if not members:
             self._kernels[key] = []
             return []
-        cols = {s: i for i, s in enumerate(members)}
         rows = {}
         nnz = 0
-        for xexp, ms in members:
-            f = self._product(ms)
-            for exp, c in f.items():
+        for i, (xexp, ms) in enumerate(members):
+            for exp, c in self._product(ms).items():
                 full = tuple(x + y for x, y in zip(exp, xexp))
-                rows.setdefault(full, {})[cols[(xexp, ms)]] = _modval(c, self.p)
+                rows.setdefault(full, {})[i] = c
                 nnz += 1
         guard_nonzeros(nnz, f"rees kernel ({a},{e})", self.cap)
         null = nullspace_mod(list(rows.values()), len(members), self.p)
@@ -143,94 +129,58 @@ class ReesEngine:
         kw = self.kernel_block(a, e, w)
         if not kw:
             return 0
-        members = self.sources(a, e)[w]
-        col = {s: i for i, s in enumerate(members)}
+        col = {s: i for i, s in enumerate(self.sources(a, e)[w])}
         shifted = []
         if a >= 1:
-            for v_idx in range(self.ctx.num_x):
-                w2 = _wsub(w, self.var_weights[v_idx])
-                if w2 is None:
-                    continue
-                for vec in self.kernel_block(a - 1, e, w2):
-                    row = {}
-                    for (xexp, ms), c in vec.items():
-                        xs = list(xexp)
-                        xs[v_idx] += 1
-                        idx = col[(tuple(xs), ms)]
-                        row[idx] = (row.get(idx, 0) + c) % self.p
-                    row = {i: v for i, v in row.items() if v}
-                    if row:
-                        shifted.append(row)
+            # x_v * J(a-1, e)
+            for v, vw in enumerate(self.var_weights):
+                w2 = _wsub(w, vw)
+                if w2 is not None:
+                    shifted += _shifted_rows(
+                        self.kernel_block(a - 1, e, w2),
+                        lambda s: (s[0][:v] + (s[0][v] + 1,) + s[0][v + 1:], s[1]),
+                        col,
+                    )
         if e >= 1:
-            for k in range(len(self.gens)):
-                w2 = _wsub(w, self.gen_weights[k])
-                if w2 is None:
-                    continue
-                for vec in self.kernel_block(a, e - 1, w2):
-                    row = {}
-                    for (xexp, ms), c in vec.items():
-                        idx = col[(xexp, tuple(sorted(ms + (k,))))]
-                        row[idx] = (row.get(idx, 0) + c) % self.p
-                    row = {i: v for i, v in row.items() if v}
-                    if row:
-                        shifted.append(row)
+            # T_k * J(a, e-1)
+            for k, gw in enumerate(self.gen_weights):
+                w2 = _wsub(w, gw)
+                if w2 is not None:
+                    shifted += _shifted_rows(
+                        self.kernel_block(a, e - 1, w2),
+                        lambda s: (s[0], tuple(sorted(s[1] + (k,)))),
+                        col,
+                    )
         return len(kw) - rank_mod(shifted, self.p)
 
 
-def _two_engines(ctx, seed, variant, cap):
-    rng = random.Random(seed)
-    p1, p2 = rng.sample(modlinalg.PRIMES, 2)
-    e1, e2 = ReesEngine(ctx, p1, variant, cap), ReesEngine(ctx, p2, variant, cap)
-    # the source bases and the rational products do not depend on the prime
-    e2._sources, e2.products = e1._sources, e1.products
-    return e1, e2
-
-
-def rees_ideal(ctx, a_max=3, e_max=3, seed=0, variant="minors", cap=DEFAULT_NONZERO_CAP):
+def rees_ideal(ctx, a_max=3, e_max=3, seed=0, variant="minors", cap=None):
     """Minimal generators of the Rees ideal J by bidegree.
 
     Returns a sorted list of ((a, 2e), count) with count > 0, over the window
     a <= a_max, e <= e_max (e >= 1; the component (a, 0) is zero since the
     x-variables are algebraically independent).
     """
-    e1, e2 = _two_engines(ctx, seed, variant, cap)
-    out = []
-    for a in range(0, a_max + 1):
-        for e in range(1, e_max + 1):
-            c1 = e1.min_gens(a, e)
-            c2 = e2.min_gens(a, e)
-            if c1 != c2:
-                raise ArithmeticError(f"modular Rees counts disagree at {(a, e)}")
-            if c1:
-                out.append(((a, 2 * e), c1))
-    return sorted(out)
+    sources, products = {}, {(): monomial(ctx, [])}
+
+    def compute(p):
+        engine = ReesEngine(ctx, p, variant, cap, sources, products)
+        counts = [
+            ((a, 2 * e), engine.min_gens(a, e))
+            for a in range(a_max + 1)
+            for e in range(1, e_max + 1)
+        ]
+        return [(bideg, c) for bideg, c in counts if c]
+
+    return two_primes(seed, compute)
 
 
-def fiber_type_check(
-    ctx,
-    a_max=3,
-    e_max=3,
-    seed=0,
-    variant="minors",
-    cap=DEFAULT_NONZERO_CAP,
-):
+def fiber_type_check(ctx, a_max=3, e_max=3, seed=0, variant="minors", cap=None):
     """Decide fiber type on a bidegree window.
 
     Fiber type: every minimal generator of J lies in bidegree (0, 2d) (a fiber
     relation, i.e. a defining relation of the minor variety) or (d, 2) (a
-    syzygy of the quadrics).
+    syzygy of the quadrics).  Returns (fiber, {(a, 2e): count}).
     """
-    e1, e2 = _two_engines(ctx, seed, variant, cap)
-    table = {}
-    fiber = True
-    for a in range(0, a_max + 1):
-        for e in range(1, e_max + 1):
-            c1 = e1.min_gens(a, e)
-            c2 = e2.min_gens(a, e)
-            if c1 != c2:
-                raise ArithmeticError(f"modular Rees counts disagree at {(a, e)}")
-            if c1:
-                table[(a, 2 * e)] = c1
-                if a >= 1 and e >= 2:
-                    fiber = False
-    return fiber, table
+    table = dict(rees_ideal(ctx, a_max, e_max, seed, variant, cap))
+    return not any(a >= 1 and b >= 4 for a, b in table), table

@@ -11,12 +11,11 @@ import hashlib
 import json
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import birep, bott
 from .birep import dim_at, predicted_character
-from .modlinalg import CapacityError, DEFAULT_NONZERO_CAP
+from .modlinalg import CapacityError
 from .polyring import RingContext
 from .rees import fiber_type_check
 from .report import VerificationReport, format_bicharacter, parse_report, emit
@@ -34,14 +33,12 @@ RESULTS_DIR_ENV = "MINORREL_RESULTS_DIR"
 class VerificationTask:
     statement: str
     params: dict = field(default_factory=dict)
-    rank_method: str = "modular"
     seed: int = 0
 
     def as_dict(self):
         return {
             "statement": self.statement,
             "params": dict(sorted(self.params.items())),
-            "rank_method": self.rank_method,
             "seed": self.seed,
         }
 
@@ -334,9 +331,6 @@ def suite_tasks(profile="quick", seed=0):
     return tasks
 
 
-def run_suite(tasks, results_dir=None, workers=1):
-    """Run tasks (concurrently when workers > 1); report writing is serialized."""
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda t: run(t, results_dir), tasks))
+def run_suite(tasks, results_dir=None):
+    """Run tasks one after the other."""
     return [run(t, results_dir) for t in tasks]

@@ -4,21 +4,17 @@ and presentations of the Veronese filtration quotients.
 Everything is computed per torus-weight block: each minor/permanent (and
 each generator used below) is homogeneous for the torus of GL(V1) x GL(V2),
 so kernel and rank computations split into many small independent blocks.
-Ranks run modulo two seeded primes (with required agreement) or exactly.
+A weight is the pair (row sums, column sums).  Products and matrices are
+built once over the integers; kernels and ranks run modulo two seeded primes
+through `two_primes`, which requires the two results to agree.
 """
 
-from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+import random
+from itertools import combinations, combinations_with_replacement, permutations
 from math import factorial
 
 from . import modlinalg
-from .modlinalg import (
-    DEFAULT_NONZERO_CAP,
-    CapacityError,
-    guard_nonzeros,
-    nullspace_mod,
-    rank_mod,
-)
+from .modlinalg import guard_nonzeros, nullspace_mod, rank_mod
 from .polyring import (
     minors_basis,
     monomial,
@@ -27,14 +23,19 @@ from .polyring import (
     x_weight,
 )
 
-import random
+
+def two_primes(seed, compute):
+    """compute(p) at the two primes the seed draws; the results must agree."""
+    p1, p2 = random.Random(seed).sample(modlinalg.PRIMES, 2)
+    r1, r2 = compute(p1), compute(p2)
+    if r1 != r2:
+        raise ArithmeticError(f"results disagree at primes {p1} and {p2}: {r1} vs {r2}")
+    return r1
 
 
-def _modval(c, p):
-    c = Fraction(c)
-    if c.denominator == 1:
-        return c.numerator % p
-    return c.numerator % p * pow(c.denominator % p, p - 2, p) % p
+def resolve_cap(cap):
+    """The nonzero cap to apply: cap, or the configured default if it is None."""
+    return modlinalg.DEFAULT_NONZERO_CAP if cap is None else cap
 
 
 def generators_for(ctx, variant):
@@ -45,120 +46,123 @@ def generators_for(ctx, variant):
     raise ValueError(f"unknown variant {variant!r}")
 
 
-def _gen_weight(ctx, g, tag):
-    """Common torus weight of all monomials of g; zero polys get a tag weight."""
-    if not g:
-        return ("zero", tag)
-    weights = {x_weight(ctx, exp) for exp in g}
-    if len(weights) != 1:
-        raise ValueError("generator is not weight-homogeneous")
-    return ("wt",) + weights.pop()
+def _weights_of(ctx, gens):
+    """Torus weight of each generator; all its monomials share it."""
+    return [x_weight(ctx, next(iter(g))) for g in gens]
 
 
-def _add_weights(w1, w2):
-    if w1[0] == "zero" or w2[0] == "zero":
-        return ("zero", (w1, w2))
-    return ("wt", tuple(a + b for a, b in zip(w1[1], w2[1])), tuple(
-        a + b for a, b in zip(w1[2], w2[2])
-    ))
+def _wadd(w, delta):
+    """Componentwise sum of weights."""
+    return (
+        tuple(a + b for a, b in zip(w[0], delta[0])),
+        tuple(a + b for a, b in zip(w[1], delta[1])),
+    )
+
+
+def _wsub(w, delta):
+    """Componentwise difference of weights, or None if any entry goes negative."""
+    rows = tuple(a - b for a, b in zip(w[0], delta[0]))
+    cols = tuple(a - b for a, b in zip(w[1], delta[1]))
+    if any(x < 0 for x in rows + cols):
+        return None
+    return rows, cols
+
+
+def _multiset_product(gens, ms, cache):
+    """Product of the generators indexed by the sorted tuple ms, memoised.
+
+    cache[()] holds the unit: the constant 1 with the zero exponent of the
+    generators' length (a shorter one would truncate every product).
+    poly_mul does not read its ring context, so none is needed here.
+    """
+    if ms not in cache:
+        cache[ms] = poly_mul(None, _multiset_product(gens, ms[:-1], cache), gens[ms[-1]])
+    return cache[ms]
+
+
+def _shifted_rows(vectors, shift, col):
+    """Lower-degree kernel vectors moved up by shift, as sparse rows.
+
+    shift maps a source key of the vectors to a source key one degree up,
+    and col numbers those keys (growing for keys it has not seen).  Entries
+    are summed over the integers; rank_mod reduces them and drops zeros.
+    """
+    rows = []
+    for vec in vectors:
+        row = {}
+        for key, c in vec.items():
+            idx = col.setdefault(shift(key), len(col))
+            row[idx] = row.get(idx, 0) + c
+        rows.append(row)
+    return rows
 
 
 class _KernelPipeline:
-    """Per-prime state for graded kernel / minimal generator computations.
+    """Graded kernel and minimal generators of Sym(gens) -> polynomials.
 
-    Source basis elements are multisets of generator indices; kernels are
-    stored per degree as lists of sparse vectors keyed by multiset.
+    Source basis elements are multisets of generator indices, grouped into
+    blocks by weight.  The products do not depend on the prime and are built
+    once; the kernels are computed per prime.
     """
 
-    def __init__(self, ctx, gens, prime, cap=DEFAULT_NONZERO_CAP):
-        self.ctx = ctx
+    def __init__(self, gens, weights, nvars):
         self.gens = gens
-        self.p = prime
-        self.cap = cap
-        self.weights = [_gen_weight(ctx, g, i) for i, g in enumerate(gens)]
-        self.products = {(): monomial(ctx, [])}
-        self.kernels = {0: []}
-
-    def _product(self, ms):
-        if ms not in self.products:
-            prev = self._product(ms[:-1])
-            self.products[ms] = poly_mul(self.ctx, prev, self.gens[ms[-1]])
-        return self.products[ms]
+        self.weights = weights
+        self.products = {(): {(0,) * nvars: 1}}
 
     def _blocks(self, d):
         blocks = {}
         for ms in combinations_with_replacement(range(len(self.gens)), d):
             w = self.weights[ms[0]]
             for k in ms[1:]:
-                w = _add_weights(w, self.weights[k])
+                w = _wadd(w, self.weights[k])
             blocks.setdefault(w, []).append(ms)
         return blocks
 
-    def kernel(self, d):
-        """Kernel vectors of Sym^d(source) -> polynomials, mod p."""
-        if d in self.kernels:
-            return self.kernels[d]
+    def kernel(self, d, p, cap):
+        """Kernel vectors of Sym^d(gens) -> polynomials mod p, keyed by multiset."""
         vectors = []
         nnz = 0
         for members in self._blocks(d).values():
             # transposed orientation: rows indexed by monomials, columns by
             # multisets, so nullspace vectors live on the multisets
-            cols = {ms: i for i, ms in enumerate(members)}
             rows = {}
-            for ms in members:
-                for exp, c in self._product(ms).items():
-                    rows.setdefault(exp, {})[cols[ms]] = _modval(c, self.p)
+            for i, ms in enumerate(members):
+                for exp, c in _multiset_product(self.gens, ms, self.products).items():
+                    rows.setdefault(exp, {})[i] = c
                     nnz += 1
-            guard_nonzeros(nnz, "kernel matrix", self.cap)
-            for vec in nullspace_mod(list(rows.values()), len(members), self.p):
+            guard_nonzeros(nnz, "kernel matrix", cap)
+            for vec in nullspace_mod(list(rows.values()), len(members), p):
                 vectors.append({members[i]: v for i, v in vec.items()})
-        self.kernels[d] = vectors
         return vectors
 
-    def min_gens(self, d):
-        """dim ker_d minus the rank of (generators * ker_{d-1}) inside it."""
-        kd = len(self.kernel(d))
-        prev = self.kernel(d - 1)
-        if not prev:
-            return kd
-        index = {}
-        shifted = []
-        for vec in prev:
+    def dims(self, d_max, p, cap):
+        """{d: (dim ker_d, dim ker_d minus the rank of gens * ker_{d-1})}, mod p."""
+        out = {}
+        prev = []
+        for d in range(1, d_max + 1):
+            kd = self.kernel(d, p, cap)
+            col = {}
+            shifted = []
             for k in range(len(self.gens)):
-                row = {}
-                for ms, c in vec.items():
-                    key = tuple(sorted(ms + (k,)))
-                    idx = index.setdefault(key, len(index))
-                    row[idx] = (row.get(idx, 0) + c) % self.p
-                row = {i: v for i, v in row.items() if v}
-                if row:
-                    shifted.append(row)
-        return kd - rank_mod(shifted, self.p)
+                shifted += _shifted_rows(prev, lambda ms: tuple(sorted(ms + (k,))), col)
+            out[d] = (len(kd), len(kd) - rank_mod(shifted, p))
+            prev = kd
+        return out
 
 
-def presentation_dims(ctx, gens, d_max, seed=0, cap=DEFAULT_NONZERO_CAP):
+def presentation_dims(gens, weights, nvars, d_max, seed=0, cap=None):
     """Graded kernel and minimal-generator dimensions of Sym(gens) -> ring.
 
-    Returns {d: (kernel_dim, min_gen_dim)} for 1 <= d <= d_max.  The whole
-    pipeline runs modulo two seeded primes and the results must agree.
+    gens are polynomials in nvars variables with the given torus weights.
+    Returns {d: (kernel_dim, min_gen_dim)} for 1 <= d <= d_max.
     """
-    rng = random.Random(seed)
-    p1, p2 = rng.sample(modlinalg.PRIMES, 2)
-    results = []
-    for p in (p1, p2):
-        pipe = _KernelPipeline(ctx, gens, p, cap)
-        res = {}
-        for d in range(1, d_max + 1):
-            res[d] = (len(pipe.kernel(d)), pipe.min_gens(d))
-        results.append(res)
-    if results[0] != results[1]:
-        raise ArithmeticError(
-            f"modular pipelines disagree (primes {p1}, {p2}): {results}"
-        )
-    return results[0]
+    pipe = _KernelPipeline(gens, weights, nvars)
+    cap = resolve_cap(cap)
+    return two_primes(seed, lambda p: pipe.dims(d_max, p, cap))
 
 
-def relation_dims(ctx, variant, d_max, seed=0, cap=DEFAULT_NONZERO_CAP):
+def relation_dims(ctx, variant, d_max, seed=0, cap=None):
     """Relations between the 2x2 minors (or permanents) of the generic matrix.
 
     For each degree d: the kernel dimension of Sym^d(W) -> S_{2d} and the
@@ -167,7 +171,7 @@ def relation_dims(ctx, variant, d_max, seed=0, cap=DEFAULT_NONZERO_CAP):
     if d_max < 2:
         raise ValueError("d_max must be >= 2")
     gens = generators_for(ctx, variant)
-    return presentation_dims(ctx, gens, d_max, seed=seed, cap=cap)
+    return presentation_dims(gens, _weights_of(ctx, gens), ctx.num_vars, d_max, seed, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -186,85 +190,75 @@ def _monomials_of_degree(nvars, d):
         yield tuple(exp)
 
 
-def koszul_h1_blocks(ctx, variant, d, seed=0, cap=DEFAULT_NONZERO_CAP):
+def koszul_h1_blocks(ctx, variant, d, seed=0, cap=None):
     """Weight-resolved H_1 dims of the Koszul complex of W in total degree d.
 
     Returns {weight: dim} where weight = (row sums, column sums); the total
-    H_1 dimension is the sum of all values.  Runs mod two seeded primes.
+    H_1 dimension is the sum of all values.  The boundary matrices are built
+    once over the integers and ranked mod two seeded primes.
     """
     if d < 2:
         raise ValueError("degree must be >= 2")
+    cap = resolve_cap(cap)
     gens = generators_for(ctx, variant)
     N = len(gens)
-    gw = [_gen_weight(ctx, g, i) for i, g in enumerate(gens)]
-    rng = random.Random(seed)
-    primes = rng.sample(modlinalg.PRIMES, 2)
-    per_prime = []
-    for p in primes:
-        # basis of W (x) S_{d-2}: (k, monomial); group by weight
-        blocks = {}
-        for k in range(N):
-            for exp in _monomials_of_degree(ctx.num_vars, d - 2):
-                w = _add_weights(gw[k], ("wt",) + x_weight(ctx, exp))
-                blocks.setdefault(w, []).append((k, exp))
-        # boundary d1 images: w_k * x^exp, a polynomial of degree d
-        rank1 = {}
-        nnz = 0
-        for w, members in blocks.items():
-            colmap = {}
-            rows1 = []
-            for k, exp in members:
-                row = {}
-                for e2, c in gens[k].items():
-                    key = tuple(a + b for a, b in zip(e2, exp))
-                    idx = colmap.setdefault(key, len(colmap))
-                    row[idx] = _modval(c, p)
-                nnz += len(row)
-                rows1.append(row)
-            guard_nonzeros(nnz, "Koszul d1 matrix", cap)
-            rank1[w] = rank_mod(rows1, p)
-        # boundary d2 images: for k<l and x^m of degree d-4:
-        #   (k, w_l * m) with +coeffs and (l, w_k * m) with -coeffs
+    gw = _weights_of(ctx, gens)
+    # basis of W (x) S_{d-2}: (k, monomial); group by weight
+    blocks = {}
+    for k in range(N):
+        for exp in _monomials_of_degree(ctx.num_vars, d - 2):
+            blocks.setdefault(_wadd(gw[k], x_weight(ctx, exp)), []).append((k, exp))
+    # boundary d1 images: w_k * x^exp, a polynomial of degree d
+    d1rows = {}
+    nnz = 0
+    for w, members in blocks.items():
+        colmap = {}
+        rows = d1rows[w] = []
+        for k, exp in members:
+            row = {}
+            for e2, c in gens[k].items():
+                key = tuple(a + b for a, b in zip(e2, exp))
+                row[colmap.setdefault(key, len(colmap))] = c
+            nnz += len(row)
+            rows.append(row)
+        guard_nonzeros(nnz, "Koszul d1 matrix", cap)
+    # boundary d2 images: for k<l and x^m of degree d-4:
+    #   (k, w_l * m) with +coeffs and (l, w_k * m) with -coeffs
+    d2rows = {}
+    if d >= 4:
         pair_index = {w: {kv: i for i, kv in enumerate(members)} for w, members in blocks.items()}
-        rank2 = {w: 0 for w in blocks}
-        if d >= 4:
-            d2rows = {w: [] for w in blocks}
-            nnz2 = 0
-            for k in range(N):
-                for l in range(k + 1, N):
-                    w_kl = _add_weights(gw[k], gw[l])
-                    for mexp in _monomials_of_degree(ctx.num_vars, d - 4):
-                        w = _add_weights(w_kl, ("wt",) + x_weight(ctx, mexp))
-                        idx = pair_index.get(w)
-                        if idx is None:
-                            continue
-                        row = {}
-                        for e2, c in gens[l].items():
-                            key = (k, tuple(a + b for a, b in zip(e2, mexp)))
-                            row[idx[key]] = (row.get(idx[key], 0) + int(c)) % p
-                        for e2, c in gens[k].items():
-                            key = (l, tuple(a + b for a, b in zip(e2, mexp)))
-                            row[idx[key]] = (row.get(idx[key], 0) - int(c)) % p
-                        row = {i: v for i, v in row.items() if v}
-                        nnz2 += len(row)
-                        if row:
-                            d2rows[w].append(row)
-            guard_nonzeros(nnz2, "Koszul d2 matrix", cap)
-            for w, rows in d2rows.items():
-                if rows:
-                    rank2[w] = rank_mod(rows, p)
+        nnz2 = 0
+        for k in range(N):
+            for l in range(k + 1, N):
+                w_kl = _wadd(gw[k], gw[l])
+                for mexp in _monomials_of_degree(ctx.num_vars, d - 4):
+                    w = _wadd(w_kl, x_weight(ctx, mexp))
+                    idx = pair_index.get(w)
+                    if idx is None:
+                        continue
+                    row = {}
+                    for e2, c in gens[l].items():
+                        row[idx[(k, tuple(a + b for a, b in zip(e2, mexp)))]] = c
+                    for e2, c in gens[k].items():
+                        row[idx[(l, tuple(a + b for a, b in zip(e2, mexp)))]] = -c
+                    nnz2 += len(row)
+                    d2rows.setdefault(w, []).append(row)
+        guard_nonzeros(nnz2, "Koszul d2 matrix", cap)
+
+    def compute(p):
         result = {}
         for w, members in blocks.items():
-            h1 = len(members) - rank1[w] - rank2[w]
+            h1 = len(members) - rank_mod(d1rows[w], p)
+            if w in d2rows:
+                h1 -= rank_mod(d2rows[w], p)
             if h1:
-                result[(w[1], w[2])] = h1
-        per_prime.append(result)
-    if per_prime[0] != per_prime[1]:
-        raise ArithmeticError(f"modular Koszul results disagree: {per_prime}")
-    return per_prime[0]
+                result[w] = h1
+        return result
+
+    return two_primes(seed, compute)
 
 
-def koszul_h1_dim(ctx, variant, d, seed=0, cap=DEFAULT_NONZERO_CAP):
+def koszul_h1_dim(ctx, variant, d, seed=0, cap=None):
     """Total dimension of the first Koszul homology of W in degree d."""
     return sum(koszul_h1_blocks(ctx, variant, d, seed=seed, cap=cap).values())
 
@@ -304,8 +298,6 @@ def _wedge_power_generators(ctx, c):
     for rows in combinations(range(1, ctx.m + 1), D):
         for cols in combinations(range(1, ctx.n + 1), D):
             terms = {}
-            from itertools import permutations
-
             for perm in permutations(range(D)):
                 sign = 1
                 for a in range(D):
@@ -370,16 +362,11 @@ def filtration_generator_space(ctx, variant, c):
     raise ValueError(f"unknown variant {variant!r}")
 
 
-def _span_rows_mod(polys, colmap, p):
-    rows = []
-    for f in polys:
-        row = {}
-        for exp, cval in f.items():
-            idx = colmap.setdefault(exp, len(colmap))
-            row[idx] = int(cval) % p
-        row = {i: v for i, v in row.items() if v}
-        if row:
-            rows.append(row)
+def _span_rows(polys, what, cap):
+    """Integer coefficient rows of polys over one monomial numbering."""
+    colmap = {}
+    rows = [{colmap.setdefault(exp, len(colmap)): c for exp, c in f.items()} for f in polys]
+    guard_nonzeros(sum(map(len, rows)), what, cap)
     return rows
 
 
@@ -389,23 +376,13 @@ def _module_component(ctx, variant, r, D, cache, gens):
     for c in range(0, min(r, D) + 1):
         gspace = filtration_generator_space(ctx, variant, c)
         for ms in combinations_with_replacement(range(len(gens)), D - c):
-            prod = _multiset_product(ctx, gens, ms, cache)
+            prod = _multiset_product(gens, ms, cache)
             for g in gspace:
                 out.append(poly_mul(ctx, g, prod))
     return out
 
 
-def _multiset_product(ctx, gens, ms, cache):
-    if ms in cache:
-        return cache[ms]
-    if not ms:
-        cache[ms] = monomial(ctx, [])
-    else:
-        cache[ms] = poly_mul(ctx, _multiset_product(ctx, gens, ms[:-1], cache), gens[ms[-1]])
-    return cache[ms]
-
-
-def veronese_presentation_dims(ctx, variant, r, d_max, seed=0, cap=DEFAULT_NONZERO_CAP):
+def veronese_presentation_dims(ctx, variant, r, d_max, seed=0, cap=None):
     """Generator and first-relation dimensions of M_r/M_{r-1} by degree.
 
     Returns {"generators": {D: dim}, "relations": {D: dim}} for D <= d_max.
@@ -414,99 +391,76 @@ def veronese_presentation_dims(ctx, variant, r, d_max, seed=0, cap=DEFAULT_NONZE
     """
     if r < 1:
         raise ValueError("need r >= 1")
+    cap = resolve_cap(cap)
     gens = generators_for(ctx, variant)
-    rng = random.Random(seed)
-    primes = rng.sample(modlinalg.PRIMES, 2)
-    per_prime = []
-    for p in primes:
-        cache = {}
-        spans = {}
+    cache = {(): monomial(ctx, [])}
+    spans = {}
+    prev = []
+    for D in range(0, d_max + 1):
+        mr = _module_component(ctx, variant, r, D, cache, gens)
+        sub = _module_component(ctx, variant, r - 1, D, cache, gens)
+        sub += [poly_mul(ctx, w, f) for w in gens for f in prev]
+        spans[D] = (
+            _span_rows(mr, f"veronese M_r deg {D}", cap),
+            _span_rows(sub, f"veronese submodule deg {D}", cap),
+        )
+        prev = mr
+    matrices = _veronese_relation_matrices(ctx, variant, r, d_max, gens, cache, cap)
 
-        def span_rank(polys, tag):
-            colmap = {}
-            rows = _span_rows_mod(polys, colmap, p)
-            guard_nonzeros(sum(len(rw) for rw in rows), f"veronese {tag}", cap)
-            return rank_mod(rows, p)
+    def compute(p):
+        return {
+            "generators": {D: rank_mod(mr, p) - rank_mod(sub, p) for D, (mr, sub) in spans.items()},
+            "relations": _veronese_relations(matrices, len(gens), p),
+        }
 
-        gen_dims = {}
-        for D in range(0, d_max + 1):
-            mr = _module_component(ctx, variant, r, D, cache, gens)
-            mr1 = _module_component(ctx, variant, r - 1, D, cache, gens)
-            sub = list(mr1)
-            if D >= 1:
-                prev = _module_component(ctx, variant, r, D - 1, cache, gens)
-                for w in gens:
-                    sub.extend(poly_mul(ctx, w, f) for f in prev)
-            dim_mr = span_rank(mr, f"M_r deg {D}")
-            dim_sub = span_rank(sub, f"submodule deg {D}")
-            gen_dims[D] = dim_mr - dim_sub
-        rel_dims = _veronese_relations(ctx, variant, r, d_max, gens, cache, p, cap)
-        per_prime.append({"generators": gen_dims, "relations": rel_dims})
-    if per_prime[0] != per_prime[1]:
-        raise ArithmeticError(f"modular veronese results disagree: {per_prime}")
-    return per_prime[0]
+    return two_primes(seed, compute)
 
 
-def _veronese_relations(ctx, variant, r, d_max, gens, cache, p, cap):
-    """Minimal generators, by degree, of the presentation kernel of M_r/M_{r-1}."""
+def _veronese_relation_matrices(ctx, variant, r, d_max, gens, cache, cap):
+    """Integer matrices of the presentation G_r (x) R -> M_r/M_{r-1}, by degree.
+
+    For each D: the source pairs (generator index, multiset of quadrics) and
+    the matrix with one row per monomial; the columns after the source carry
+    the spanning vectors of M_{r-1,D}, so kernels are taken modulo it.
+    """
     gspace = filtration_generator_space(ctx, variant, r)
-    kernels = {}
-    rel = {}
+    out = {}
     for D in range(r, d_max + 1):
-        e = D - r
-        # source basis: (generator index, multiset of the quadric basis)
         source = [
             (gi, ms)
             for gi in range(len(gspace))
-            for ms in combinations_with_replacement(range(len(gens)), e)
+            for ms in combinations_with_replacement(range(len(gens)), D - r)
         ]
-        colmap = {}
-        ncols = len(source)
-        col_of = {s: i for i, s in enumerate(source)}
+        polys = [poly_mul(ctx, gspace[gi], _multiset_product(gens, ms, cache)) for gi, ms in source]
+        polys += _module_component(ctx, variant, r - 1, D, cache, gens)
         rows = {}
-        nnz = 0
-        for s in source:
-            gi, ms = s
-            f = poly_mul(ctx, gspace[gi], _multiset_product(ctx, gens, ms, cache))
-            for exp, cval in f.items():
-                rows.setdefault(exp, {})[col_of[s]] = int(cval) % p
-                nnz += 1
-        # quotient by M_{r-1,D}: extra columns carrying its spanning vectors
-        sub = _module_component(ctx, variant, r - 1, D, cache, gens)
-        extra_start = ncols
-        for f in sub:
-            ci = extra_start
-            extra_start += 1
-            for exp, cval in f.items():
-                rows.setdefault(exp, {})[ci] = int(cval) % p
-                nnz += 1
-        guard_nonzeros(nnz, f"veronese relations deg {D}", cap)
-        null = nullspace_mod(list(rows.values()), extra_start, p)
-        projected = []
-        for vec in null:
-            v = {i: c for i, c in vec.items() if i < ncols}
-            if v:
-                projected.append(v)
-        z_dim = rank_mod(projected, p)
-        kernels[D] = (projected, col_of, source)
-        if D == r:
-            rel[D] = z_dim
-            continue
-        prev_vectors, prev_col_of, prev_source = kernels[D - 1]
-        # lift the spanning set of Z_{D-1}, multiply by each quadric, re-index
-        shifted = []
-        for vec in prev_vectors:
-            for k in range(len(gens)):
-                row = {}
-                for ci, cval in vec.items():
-                    gi, ms = prev_source[ci]
-                    key = (gi, tuple(sorted(ms + (k,))))
-                    idx = col_of[key]
-                    row[idx] = (row.get(idx, 0) + cval) % p
-                row = {i: v for i, v in row.items() if v}
-                if row:
-                    shifted.append(row)
-        rel[D] = z_dim - rank_mod(shifted, p)
+        for i, f in enumerate(polys):
+            for exp, c in f.items():
+                rows.setdefault(exp, {})[i] = c
+        guard_nonzeros(sum(map(len, polys)), f"veronese relations deg {D}", cap)
+        out[D] = (source, list(rows.values()), len(polys))
+    return out
+
+
+def _veronese_relations(matrices, n_gens, p):
+    """Minimal generators, by degree, of the presentation kernel mod p."""
+    rel = {}
+    prev = None
+    for D, (source, rows, ncols) in matrices.items():
+        # kernel vectors projected onto the source columns
+        null = nullspace_mod(rows, ncols, p)
+        z = [{i: c for i, c in vec.items() if i < len(source)} for vec in null]
+        rel[D] = rank_mod(z, p)
+        if prev is not None:
+            # the spanning set of Z_{D-1} times each quadric, re-indexed
+            prev_z, prev_source = prev
+            col = {s: i for i, s in enumerate(source)}
+            shifted = []
+            for k in range(n_gens):
+                shift = lambda i: (prev_source[i][0], tuple(sorted(prev_source[i][1] + (k,))))
+                shifted += _shifted_rows(prev_z, shift, col)
+            rel[D] -= rank_mod(shifted, p)
+        prev = z, source
     return rel
 
 
@@ -563,92 +517,16 @@ def subspace_parameterization(m, n):
     return images, weights, nvars, ys
 
 
-def subspace_variety_gens(m, n, d_max=None, seed=0, cap=DEFAULT_NONZERO_CAP):
+
+def subspace_variety_gens(m, n, d_max=None, seed=0, cap=None):
     """Minimal generator counts, by degree, of the ideal of the subspace variety.
 
-    Computes the kernel of the parameterization pullback degree by degree and
-    subtracts the span of shifted lower-degree kernel elements.
+    The presentation pipeline applied to the parameterization pullback:
+    the kernel degree by degree, minus the span of shifted lower-degree
+    kernel elements.
     """
     if d_max is None:
         d_max = m + 1
-    images, weights, nvars, ys = subspace_parameterization(m, n)
-    rng = random.Random(seed)
-    primes = rng.sample(modlinalg.PRIMES, 2)
-    per_prime = []
-    for p in primes:
-        res = _subspace_pipeline(images, weights, d_max, p, cap)
-        per_prime.append(res)
-    if per_prime[0] != per_prime[1]:
-        raise ArithmeticError(f"modular subspace results disagree: {per_prime}")
-    return per_prime[0]
-
-
-def _subspace_pipeline(images, weights, d_max, p, cap):
-    N = len(images)
-    products = {(): {(): 1}}
-
-    def product(ms):
-        if ms not in products:
-            prev = product(ms[:-1])
-            g = images[ms[-1]]
-            out = {}
-            for e1, c1 in prev.items():
-                for e2, c2 in g.items():
-                    if e1 == ():
-                        exp = e2
-                    else:
-                        exp = tuple(a + b for a, b in zip(e1, e2))
-                    out[exp] = (out.get(exp, 0) + c1 * c2) % p
-            products[ms] = {k: v for k, v in out.items() if v}
-        return products[ms]
-
-    def ms_weight(ms):
-        rw = None
-        cw = None
-        for k in ms:
-            r2, c2 = weights[k]
-            if rw is None:
-                rw, cw = list(r2), list(c2)
-            else:
-                rw = [a + b for a, b in zip(rw, r2)]
-                cw = [a + b for a, b in zip(cw, c2)]
-        return (tuple(rw), tuple(cw))
-
-    kernels = {0: []}
-    result = {}
-    for d in range(1, d_max + 1):
-        blocks = {}
-        for ms in combinations_with_replacement(range(N), d):
-            blocks.setdefault(ms_weight(ms), []).append(ms)
-        vectors = []
-        nnz = 0
-        for members in blocks.values():
-            cols = {ms: i for i, ms in enumerate(members)}
-            rows = {}
-            for ms in members:
-                f = product(ms)
-                for exp, c in f.items():
-                    rows.setdefault(exp, {})[cols[ms]] = c
-                    nnz += 1
-            guard_nonzeros(nnz, "subspace kernel", cap)
-            for vec in nullspace_mod(list(rows.values()), len(members), p):
-                vectors.append({members[i]: v for i, v in vec.items()})
-        kernels[d] = vectors
-        prev = kernels[d - 1]
-        if not prev:
-            result[d] = len(vectors)
-            continue
-        index = {}
-        shifted = []
-        for vec in prev:
-            for k in range(N):
-                row = {}
-                for ms, c in vec.items():
-                    key = tuple(sorted(ms + (k,)))
-                    idx = index.setdefault(key, len(index))
-                    row[idx] = (row.get(idx, 0) + c) % p
-                row = {i: v for i, v in row.items() if v}
-                if row:
-                    shifted.append(row)
-        result[d] = len(vectors) - rank_mod(shifted, p)
-    return {d: v for d, v in result.items()}
+    images, weights, nvars, _ = subspace_parameterization(m, n)
+    dims = presentation_dims(images, weights, nvars, d_max, seed, cap)
+    return {d: min_gens for d, (_, min_gens) in dims.items()}

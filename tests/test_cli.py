@@ -123,3 +123,43 @@ def test_config_file(tmp_path):
 def test_config_requires_two_primes():
     with pytest.raises(ValueError):
         apply_config({"primes": "7"})
+
+
+def _config(tmp_path, text):
+    path = tmp_path / "cfg"
+    path.write_text(text)
+    return str(path)
+
+
+@pytest.fixture
+def restore_config(monkeypatch):
+    # apply_config rewrites these module settings; put them back afterwards
+    monkeypatch.setattr(modlinalg, "PRIMES", modlinalg.PRIMES)
+    monkeypatch.setattr(modlinalg, "DEFAULT_NONZERO_CAP", modlinalg.DEFAULT_NONZERO_CAP)
+
+
+def test_config_cap_applies_to_verify_and_suite(tmp_path, capsys, restore_config):
+    cfg = _config(tmp_path, "cap = 10\n")
+    verify = ["verify", "thm-1.1", "--m", "2", "--n", "4", "--dmax", "2"]
+    assert main(["--config", cfg] + verify) == 2
+    assert "skipped-capacity" in capsys.readouterr().out
+    assert main(["--config", cfg, "suite", "--profile", "quick"]) == 2
+    capsys.readouterr()
+
+
+def test_config_rejects_bad_primes(tmp_path, capsys, restore_config):
+    verify = ["verify", "thm-1.1", "--m", "2", "--n", "4", "--dmax", "2"]
+    for primes in ("7, 7", "4, 6", "1000003, 1000003", "65521, 1000003", "1000003, 1000001"):
+        cfg = _config(tmp_path, f"primes = {primes}\n")
+        assert main(["--config", cfg] + verify) == 2, primes
+        assert "error:" in capsys.readouterr().err
+    assert main(["--config", _config(tmp_path, "primes = 1000003, 999983\n")] + verify) == 0
+    capsys.readouterr()
+
+
+def test_removed_flags_are_usage_errors(capsys):
+    verify = ["verify", "thm-1.1", "--m", "2", "--n", "4", "--dmax", "2"]
+    assert main(verify + ["--rank", "exact"]) == 2
+    assert main(verify + ["--variant", "minors"]) == 2
+    assert main(["suite", "--workers", "2"]) == 2
+    capsys.readouterr()

@@ -12,7 +12,9 @@ from minorrel.polyring import (
     permanents_basis,
     poly_add,
     poly_degree,
+    poly,
     poly_mul,
+    poly_scale,
     poly_text,
     span_dimension,
     x_var,
@@ -134,3 +136,15 @@ def test_span_dimension_rejects_mixed_degrees():
     ctx = RingContext(2, 2)
     with pytest.raises(ValueError):
         span_dimension([minors_basis(ctx)[0], x_var(ctx, 1, 1)])
+
+
+def test_coefficients_are_integers():
+    ctx = RingContext(2, 2)
+    f = poly(ctx, {(1, 0, 0, 1): Fraction(6, 3), (0, 1, 1, 0): -1, (2, 0, 0, 0): 0})
+    assert f == {(1, 0, 0, 1): 2, (0, 1, 1, 0): -1}
+    assert all(type(c) is int for c in f.values())
+    assert poly_scale(f, -3) == {(1, 0, 0, 1): -6, (0, 1, 1, 0): 3}
+    with pytest.raises(ValueError):
+        poly(ctx, {(1, 0, 0, 1): Fraction(1, 2)})
+    with pytest.raises(ValueError):
+        poly_scale(f, Fraction(1, 3))

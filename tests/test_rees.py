@@ -67,7 +67,6 @@ def test_syzygy_bidegrees_match_koszul_shift():
     from minorrel.modlinalg import PRIMES
 
     engine = ReesEngine(RingContext(2, 4), PRIMES[1])
-    k = engine.kernel_block
     # total kernel dimension at (a, 1) equals the syzygy space dimension
     total = sum(len(engine.kernel_block(1, 1, w)) for w in engine.sources(1, 1))
     assert total == 8  # all syzygies here are minimal (none in lower bidegree)

@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
 from minorrel.birep import dim_at, predicted_character
+from minorrel.modlinalg import PRIMES
 from minorrel.polyring import RingContext
 from minorrel.witness import (
     filtration_generator_space,
@@ -9,6 +12,7 @@ from minorrel.witness import (
     relation_dims,
     subspace_parameterization,
     subspace_variety_gens,
+    two_primes,
     veronese_presentation_dims,
 )
 
@@ -108,3 +112,11 @@ def test_subspace_generators_match_wedge_character():
 def test_subspace_degenerate_single_row():
     # with one row every parameterized tensor vanishes, so all of degree one dies
     assert subspace_variety_gens(1, 3) == {1: 6, 2: 0}
+
+
+def test_two_primes_requires_agreement():
+    p1, p2 = random.Random(3).sample(PRIMES, 2)
+    assert two_primes(3, lambda p: p % 2) == 1
+    with pytest.raises(ArithmeticError) as exc:
+        two_primes(3, lambda p: p)
+    assert str(p1) in str(exc.value) and str(p2) in str(exc.value)

@@ -9,16 +9,7 @@ verifier checks against witness computations.
 
 from dataclasses import dataclass, field
 
-from .partitions import (
-    canon,
-    conjugate,
-    contains,
-    dim_schur,
-    in_M_r,
-    is_horizontal_strip,
-    kostka,
-    partitions_of,
-)
+from .partitions import canon, conjugate, dim_schur, in_M_r, kostka, partitions_of
 from .symfunc import plethysm_schur, schur_multiply
 
 
@@ -41,21 +32,6 @@ class BiRep:
         for k, v in other.terms.items():
             out[k] = out.get(k, 0) + v
         return BiRep(out)
-
-    def __iter__(self):
-        return iter(sorted(self.terms.items()))
-
-    def is_zero(self):
-        return not self.terms
-
-    def bidegree_slice(self, d, e):
-        return BiRep(
-            {k: v for k, v in self.terms.items() if sum(k[0]) == d and sum(k[1]) == e}
-        )
-
-    def total_degree_slice(self, d):
-        """Terms whose symmetric bi-degree is (d,d) in the halved grading."""
-        return self.bidegree_slice(d, d)
 
 
 def transpose_duality(P):
@@ -203,28 +179,6 @@ def _strip_extensions(lam, k):
 
     rec(0, k, [])
     return out
-
-
-def gr_components_univariate(lam, cap):
-    """Graded components of the principal-filtration quotient attached to lam.
-
-    Returns a dict t -> sorted list of mu with mu/lam a horizontal strip,
-    mu_1 = lam_1 and sum of the lower rows equal to t, for t <= cap.
-    """
-    lam = canon(lam)
-    table = {t: [] for t in range(cap + 1)}
-    for k in range(0, cap + 1):
-        for mu in _strip_extensions(lam, k):
-            first = mu[0] if mu else 0
-            lam1 = lam[0] if lam else 0
-            if first != lam1:
-                continue
-            t = sum(mu[1:])
-            if t <= cap:
-                table[t].append(mu)
-    for t in table:
-        table[t] = sorted(set(table[t]), reverse=True)
-    return table
 
 
 def gr_components_bivariate(lam, mu, cap):

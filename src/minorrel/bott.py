@@ -9,7 +9,7 @@ cohomology group (or none).
 
 from .birep import BiRep
 from .partitions import canon, partitions_of
-from .symfunc import DEFAULT_DEGREE_CAP, conjugate, plethysm_schur, schur_multiply
+from .symfunc import conjugate, plethysm_schur, schur_multiply
 
 
 def bott_weight(w):
@@ -55,7 +55,7 @@ def _kunneth(table1, table2):
     return out
 
 
-def _xi1_factors(u, cap):
+def _xi1_factors(u):
     """Summands of wedge^u(xi_1): pairs (V1-side character, R_2-side partition list).
 
     xi_1 = wedge^2(V1) (x) wedge^2(R_2) pulled back from the second factor.
@@ -63,32 +63,32 @@ def _xi1_factors(u, cap):
     as a dict on V1, right_terms = S_alpha'(S_11 R_2) as a dict of partitions.
     """
     for alpha in partitions_of(u):
-        left = plethysm_schur(alpha, (1, 1), cap=cap)
-        right = plethysm_schur(conjugate(alpha), (1, 1), cap=cap)
+        left = plethysm_schur(alpha, (1, 1))
+        right = plethysm_schur(conjugate(alpha), (1, 1))
         yield left, right
 
 
-def _xi2_factors(v, cap):
+def _xi2_factors(v):
     """Summands of wedge^v(xi_2): (R_1-side dict, R_2-side dict, Q_2 twist v).
 
     xi_2 = wedge^2(R_1) (x) (R_2 (x) Q_2), so the second factor contributes
     Q_2^v (x) S_beta'(R_2).
     """
     for beta in partitions_of(v):
-        left = plethysm_schur(beta, (1, 1), cap=cap)
+        left = plethysm_schur(beta, (1, 1))
         right = {conjugate(beta): 1}
         yield left, right
 
 
-def _wedge_xi_summands(u, v, m, n, cap):
+def _wedge_xi_summands(u, v):
     """Composition factors of L^0 (x) wedge^u(xi_1) (x) wedge^v(xi_2).
 
     Yields (trivial V1 character dict, R_1 partition dict, R_2 partition dict,
     Q_2 extra twist).  The trivial factor is a genuine GL(V1) representation
     not affected by cohomology.
     """
-    for a_left, a_right in _xi1_factors(u, cap):
-        for b_left, b_right in _xi2_factors(v, cap):
+    for a_left, a_right in _xi1_factors(u):
+        for b_left, b_right in _xi2_factors(v):
             # R_2 side combines S_alpha'(S_11 R_2) with S_beta'(R_2)
             r2 = {}
             for lam1, c1 in a_right.items():
@@ -98,7 +98,7 @@ def _wedge_xi_summands(u, v, m, n, cap):
             yield a_left, b_left, r2, v
 
 
-def verify_lemma_4_4(u, v, j, r, m, n, cap=DEFAULT_DEGREE_CAP):
+def verify_lemma_4_4(u, v, j, r, m, n):
     """Check H^j(X, L^{2r} (x) wedge^u(xi_1) (x) wedge^v(xi_2)) = 0.
 
     X = P(V1) x P(V2).  Expands both wedge powers by Cauchy/plethysm, applies
@@ -106,7 +106,7 @@ def verify_lemma_4_4(u, v, j, r, m, n, cap=DEFAULT_DEGREE_CAP):
     """
     if u < 0 or v < 0 or j < 1 or r < 1:
         raise ValueError("need u,v >= 0 and j,r >= 1")
-    for _triv, r1_terms, r2_terms, twist in _wedge_xi_summands(u, v, m, n, cap):
+    for _triv, r1_terms, r2_terms, twist in _wedge_xi_summands(u, v):
         for lam in r1_terms:
             if len(lam) > m - 1:
                 continue
@@ -123,7 +123,7 @@ def verify_lemma_4_4(u, v, j, r, m, n, cap=DEFAULT_DEGREE_CAP):
     return True
 
 
-def tor_geometric(i, r, m, n, cap=DEFAULT_DEGREE_CAP):
+def tor_geometric(i, r, m, n):
     """Upper bound for Tor_i of the r-th filtration quotient, graded by degree.
 
     Uses the identity Tor_i(N_r)_{r+i+j} = H^j(X, wedge^{i+j}(xi) (x) L^{2r})
@@ -141,7 +141,7 @@ def tor_geometric(i, r, m, n, cap=DEFAULT_DEGREE_CAP):
         acc = {}
         for u in range(0, k + 1):
             v = k - u
-            for triv, r1_terms, r2_terms, twist in _wedge_xi_summands(u, v, m, n, cap):
+            for triv, r1_terms, r2_terms, twist in _wedge_xi_summands(u, v):
                 for lam, c_lam in r1_terms.items():
                     if len(lam) > m - 1:
                         continue

@@ -21,7 +21,6 @@ from .report import emit, format_bicharacter
 from .symfunc import bivariate_wedge_power
 from .tasks import RESULTS_DIR_ENV, VerificationTask, run, run_suite, suite_tasks
 from .witness import koszul_h1_blocks
-from .modlinalg import CapacityError
 
 
 def load_config(path):
@@ -78,8 +77,7 @@ def apply_config(cfg):
 def cmd_decompose(args):
     if args.what == "a":
         ch = character_A(args.d, args.variant)
-        terms = dict(ch.terms) if hasattr(ch, "terms") else dict(ch)
-        print(f"A_{args.d} ({args.variant}): {format_bicharacter(terms)}")
+        print(f"A_{args.d} ({args.variant}): {format_bicharacter(ch.terms)}")
     elif args.what == "wedge":
         if args.variant == "minors":
             W = {(((1, 1)), ((1, 1))): 1}
@@ -98,7 +96,7 @@ def cmd_decompose(args):
 
 def cmd_verify(args):
     params = {}
-    for key in ("m", "n", "d_max", "r", "a_max", "e_max"):
+    for key in ("m", "n", "d_max", "r"):
         value = getattr(args, key, None)
         if value is not None:
             params[key] = value
@@ -242,7 +240,7 @@ def main(argv=None):
         if args.config:
             apply_config(load_config(args.config))
         return args.fn(args)
-    except CapacityError as exc:
+    except modlinalg.CapacityError as exc:
         print(f"capacity exceeded: {exc}", file=sys.stderr)
         return 2
     except (KeyError, ValueError) as exc:

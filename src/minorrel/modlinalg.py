@@ -1,16 +1,11 @@
-"""Sparse exact and modular linear algebra with auditable rank certificates.
+"""Sparse linear algebra modulo a prime, and the feasibility guard.
 
-Matrices are lists of sparse rows (dict column -> coefficient).  The default
-rank method reduces modulo two distinct primes drawn from a fixed public
-list by a recorded seed and requires agreement; the exact method runs
-fraction-free Gaussian elimination over the rationals.
+Matrices are lists of sparse rows (dict column -> integer coefficient).
+Ranks and kernels are taken modulo one prime; witness.two_primes runs them
+at two primes drawn from PRIMES and requires agreement.
 """
 
-import random
-from dataclasses import dataclass
-from fractions import Fraction
-
-# fixed public list of 31-bit primes used by the modular rank oracle
+# fixed public list of 31-bit primes for the two-prime rank checks
 PRIMES = (
     2147483647,
     2147483629,
@@ -29,25 +24,9 @@ class CapacityError(Exception):
     """A computation would exceed the configured feasibility guard."""
 
 
-def guard_nonzeros(count, what, cap=DEFAULT_NONZERO_CAP):
+def guard_nonzeros(count, what, cap):
     if count > cap:
         raise CapacityError(f"{what}: {count} nonzeros exceeds cap {cap}")
-
-
-@dataclass(frozen=True)
-class RankCertificate:
-    value: int
-    method: str  # "exact" or "modular"
-    primes: tuple = ()
-    seed: int = 0
-
-    def as_dict(self):
-        return {
-            "rank": self.value,
-            "method": self.method,
-            "primes": list(self.primes),
-            "seed": self.seed,
-        }
 
 
 def _reduce_mod(rows, p):
@@ -55,14 +34,7 @@ def _reduce_mod(rows, p):
     for row in rows:
         new = {}
         for c, v in row.items():
-            if isinstance(v, Fraction):
-                num = v.numerator % p
-                den = v.denominator % p
-                if den == 0:
-                    raise ZeroDivisionError(f"prime {p} divides a denominator")
-                val = num * pow(den, p - 2, p) % p
-            else:
-                val = v % p
+            val = v % p
             if val:
                 new[c] = val
         if new:
@@ -123,46 +95,3 @@ def nullspace_mod(rows, ncols, p):
                 vec[c] = (-v) % p
         basis.append(vec)
     return basis
-
-
-def rank_exact(rows):
-    """Exact rank over the rationals by sparse Gaussian elimination."""
-    pivots = {}
-    for row in rows:
-        row = {c: Fraction(v) for c, v in row.items() if v}
-        while row:
-            c = min(row)
-            if c in pivots:
-                coef = row.pop(c)
-                for cc, vv in pivots[c].items():
-                    if cc == c:
-                        continue
-                    row[cc] = row.get(cc, 0) - coef * vv
-                    if not row[cc]:
-                        del row[cc]
-            else:
-                inv = 1 / row[c]
-                row = {cc: vv * inv for cc, vv in row.items()}
-                pivots[c] = row
-                break
-    return len(pivots)
-
-
-def rank(rows, method="modular", seed=0):
-    """Rank with a certificate.
-
-    Modular method: two distinct primes chosen by the seed from the public
-    list; ranks must agree or an ArithmeticError is raised.
-    """
-    rows = [r for r in rows if r]
-    if method == "exact":
-        return RankCertificate(rank_exact(rows), "exact")
-    if method != "modular":
-        raise ValueError(f"unknown rank method {method!r}")
-    rng = random.Random(seed)
-    p1, p2 = rng.sample(PRIMES, 2)
-    r1 = rank_mod(rows, p1)
-    r2 = rank_mod(rows, p2)
-    if r1 != r2:
-        raise ArithmeticError(f"modular ranks disagree: {r1} (p={p1}) vs {r2} (p={p2})")
-    return RankCertificate(r1, "modular", (p1, p2), seed)

@@ -8,8 +8,6 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
 
-Partition = tuple
-
 
 def canon(parts):
     """Canonicalize a sequence into a partition tuple.
@@ -36,10 +34,6 @@ def parse_partition(text):
     return canon(int(p) for p in text.split(","))
 
 
-def format_partition(lam):
-    return ",".join(str(p) for p in lam) if lam else "0"
-
-
 def conjugate(lam):
     """Transpose of the Young diagram."""
     if not lam:
@@ -50,17 +44,6 @@ def conjugate(lam):
 def contains(mu, lam):
     """True iff the diagram of mu contains the diagram of lam."""
     return all(m >= l for m, l in zip_longest(mu, lam, fillvalue=0))
-
-
-def is_horizontal_strip(mu, lam):
-    """True iff mu/lam is a horizontal strip: mu_i >= lam_i >= mu_{i+1}."""
-    for i in range(max(len(mu), len(lam))):
-        mi = mu[i] if i < len(mu) else 0
-        li = lam[i] if i < len(lam) else 0
-        mnext = mu[i + 1] if i + 1 < len(mu) else 0
-        if not (mi >= li >= mnext):
-            return False
-    return True
 
 
 def partitions_of(n, max_parts=None, max_part=None):
@@ -109,22 +92,6 @@ def dim_schur(lam, n):
             num *= Fraction(n + j - i, hooks[i][j])
     assert num.denominator == 1
     return int(num)
-
-
-def weyl_dim_weight(w):
-    """Weyl dimension formula for an arbitrary integer weight sequence.
-
-    For dominant weights this is dim S_w(C^len(w)); for arbitrary sequences it
-    equals the signed Euler characteristic produced by the dotted Weyl action
-    (zero when the shifted weight has a repeated entry).
-    """
-    n = len(w)
-    val = Fraction(1)
-    for i in range(n):
-        for j in range(i + 1, n):
-            val *= Fraction(w[i] - w[j] + j - i, j - i)
-    assert val.denominator == 1
-    return int(val)
 
 
 def in_M_r(lam, r):

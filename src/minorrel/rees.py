@@ -65,7 +65,7 @@ class ReesEngine:
         self.gen_weights = _weights_of(ctx, self.gens)
         self.var_weights = [
             x_weight(ctx, tuple(1 if i == v else 0 for i in range(ctx.num_vars)))
-            for v in range(ctx.num_x)
+            for v in range(ctx.num_vars)
         ]
         self.products = {(): monomial(ctx, [])} if products is None else products
         self._sources = {} if sources is None else sources  # (a, e) -> weight -> [(xexp, ms)]

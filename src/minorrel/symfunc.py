@@ -1,10 +1,11 @@
-"""Symmetric function arithmetic: Schur products, Pieri, power sums, plethysm.
+"""Symmetric function arithmetic: Schur products, power sums, plethysm.
 
 Elements are represented by :class:`SymFunc`, a finite linear combination of
 basis elements indexed by partitions.  The Littlewood-Richardson rule is
-implemented by direct enumeration of LR skew tableaux; an independent
-brute-force oracle (expansion of Schur polynomials in finitely many
-variables) lives in the test suite.
+implemented by direct enumeration of LR skew tableaux; independent oracles
+(expansion of Schur polynomials in finitely many variables, the Pieri rule)
+live in the test suite.  Plethysm and wedge powers refuse outputs above
+DEFAULT_DEGREE_CAP with a CapacityError.
 
 Bivariate characters (for pairs of groups acting on a tensor product) are
 plain dicts mapping (lam, mu) to an integer multiplicity; the wrapper class
@@ -17,23 +18,13 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .partitions import (
-    canon,
-    conjugate,
-    contains,
-    is_horizontal_strip,
-    partitions_of,
-)
+from .modlinalg import CapacityError
+from .partitions import canon, conjugate, contains, partitions_of
 
 SCHUR = "schur"
 POWER = "power_sum"
-MONOMIAL = "monomial"
 
 DEFAULT_DEGREE_CAP = 16
-
-
-class DegreeCapExceeded(Exception):
-    """Raised when a plethysm or wedge-power call would exceed the degree cap."""
 
 
 @dataclass(frozen=True)
@@ -53,28 +44,12 @@ class SymFunc:
             out[k] = out.get(k, 0) + v
         return SymFunc(self.basis, out)
 
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        return SymFunc(self.basis, {k: v * c for k, v in self.terms.items()})
-
     def degree(self):
         return max((sum(k) for k in self.terms), default=0)
 
-    def homogeneous_slice(self, d):
-        return SymFunc(self.basis, {k: v for k, v in self.terms.items() if sum(k) == d})
 
-    def is_zero(self):
-        return not self.terms
-
-
-def schur(lam, coeff=1):
-    return SymFunc(SCHUR, {canon(lam): Fraction(coeff)})
-
-
-def power(rho, coeff=1):
-    return SymFunc(POWER, {canon(rho): Fraction(coeff)})
+def schur(lam):
+    return SymFunc(SCHUR, {canon(lam): 1})
 
 
 # ---------------------------------------------------------------------------
@@ -166,21 +141,6 @@ def symfunc_multiply(f, g):
                     out[nu] = out.get(nu, 0) + c1 * c2 * c
         return SymFunc(SCHUR, out)
     raise ValueError(f"cannot multiply in basis {f.basis}")
-
-
-def pieri(lam, d, kind="row"):
-    """Pieri rule: s_lam * h_d for kind "row", s_lam * e_d for kind "column"."""
-    lam = canon(lam)
-    if kind == "column":
-        res = pieri(conjugate(lam), d, "row")
-        return SymFunc(SCHUR, {conjugate(k): v for k, v in res.terms.items()})
-    if kind != "row":
-        raise ValueError(f"unknown Pieri kind {kind!r}")
-    out = {}
-    for mu in partitions_of(sum(lam) + d, max_parts=len(lam) + 1):
-        if is_horizontal_strip(mu, lam):
-            out[mu] = Fraction(1)
-    return SymFunc(SCHUR, out)
 
 
 # ---------------------------------------------------------------------------
@@ -282,13 +242,15 @@ def from_power_basis(f):
 # Plethysm
 
 
-def plethysm(f, g, cap=DEFAULT_DEGREE_CAP):
+def plethysm(f, g):
     """Plethysm f o g via power-sum substitution p_k o g = g(p_m -> p_{km})."""
     if f.basis != SCHUR or g.basis != SCHUR:
         raise ValueError("plethysm expects schur-basis inputs")
     out_deg = f.degree() * g.degree()
-    if out_deg > cap:
-        raise DegreeCapExceeded(f"plethysm output degree {out_deg} exceeds cap {cap}")
+    if out_deg > DEFAULT_DEGREE_CAP:
+        raise CapacityError(
+            f"plethysm output degree {out_deg} exceeds cap {DEFAULT_DEGREE_CAP}"
+        )
     gp = to_power_basis(g)
     fp = to_power_basis(f)
     acc = {}
@@ -320,27 +282,17 @@ def plethysm(f, g, cap=DEFAULT_DEGREE_CAP):
 
 
 @lru_cache(maxsize=None)
-def plethysm_schur(outer, inner, cap=DEFAULT_DEGREE_CAP):
+def plethysm_schur(outer, inner):
     """Cached s_outer o s_inner as a dict mapping partition -> integer."""
-    res = plethysm(schur(outer), schur(inner), cap=cap)
+    res = plethysm(schur(outer), schur(inner))
     return {k: int(v) for k, v in res.terms.items()}
 
 
 # ---------------------------------------------------------------------------
-# Bivariate characters: Cauchy expansions and exterior powers
+# Bivariate characters: exterior powers
 #
 # A bivariate character is a dict {(lam, mu): multiplicity}; it stands for
 # the direct sum of S_lam(V1) (x) S_mu(V2) with the given multiplicities.
-
-
-def cauchy_sym(d):
-    """Degree-d piece of Sym(V1 (x) V2): sum of S_lam (x) S_lam over lam |- d."""
-    return {(lam, lam): 1 for lam in partitions_of(d)}
-
-
-def cauchy_wedge(d):
-    """Degree-d piece of the exterior algebra on V1 (x) V2."""
-    return {(lam, conjugate(lam)): 1 for lam in partitions_of(d)}
 
 
 def _bi_tensor(a, b):
@@ -357,12 +309,12 @@ def _bi_tensor(a, b):
     return out
 
 
-def _wedge_of_summand(lam, mu, t, cap):
+def _wedge_of_summand(lam, mu, t):
     """Exterior power Λ^t of the single summand S_lam (x) S_mu."""
     out = {}
     for nu in partitions_of(t):
-        left = plethysm_schur(nu, lam, cap=cap)
-        right = plethysm_schur(conjugate(nu), mu, cap=cap)
+        left = plethysm_schur(nu, lam)
+        right = plethysm_schur(conjugate(nu), mu)
         for a, ca in left.items():
             for b, cb in right.items():
                 key = (a, b)
@@ -370,7 +322,7 @@ def _wedge_of_summand(lam, mu, t, cap):
     return out
 
 
-def bivariate_wedge_power(U, k, cap=DEFAULT_DEGREE_CAP):
+def bivariate_wedge_power(U, k):
     """Exterior power Λ^k of a bivariate character U = {(lam, mu): mult}.
 
     Direct sums expand binomially; each irreducible summand contributes
@@ -379,8 +331,10 @@ def bivariate_wedge_power(U, k, cap=DEFAULT_DEGREE_CAP):
     if any(c < 0 for c in U.values()):
         raise ValueError("expected nonnegative multiplicities")
     maxdeg = max((max(sum(l), sum(m)) for l, m in U), default=0)
-    if k * maxdeg > cap:
-        raise DegreeCapExceeded(f"wedge power output degree {k * maxdeg} exceeds cap {cap}")
+    if k * maxdeg > DEFAULT_DEGREE_CAP:
+        raise CapacityError(
+            f"wedge power output degree {k * maxdeg} exceeds cap {DEFAULT_DEGREE_CAP}"
+        )
     summands = []
     for key, mult in sorted(U.items()):
         summands.extend([key] * mult)
@@ -392,7 +346,7 @@ def bivariate_wedge_power(U, k, cap=DEFAULT_DEGREE_CAP):
                 if t == 0:
                     piece = {((), ()): 1}
                 else:
-                    piece = _wedge_of_summand(lam, mu, t, cap)
+                    piece = _wedge_of_summand(lam, mu, t)
                 tgt = new.setdefault(j + t, {})
                 for key, c in _bi_tensor(char, piece).items():
                     tgt[key] = tgt.get(key, 0) + c

@@ -4,7 +4,8 @@ Each statement id resolves to a runner that computes a prediction through the
 character engine and a witness through linear algebra, Bott cohomology, or
 elimination, then compares the two exactly.  Capacity overruns surface as the
 verdict "skipped-capacity", never as a silent pass.  Reports can be cached in
-a results directory under content-addressed filenames.
+a results directory under filenames hashed from the task and the configured
+primes and nonzero cap; a capacity skip is never cached.
 """
 
 import hashlib
@@ -13,9 +14,8 @@ import os
 import time
 from dataclasses import dataclass, field
 
-from . import birep, bott
+from . import bott, modlinalg
 from .birep import dim_at, predicted_character
-from .modlinalg import CapacityError
 from .polyring import RingContext
 from .rees import fiber_type_check
 from .report import VerificationReport, format_bicharacter, parse_report, emit
@@ -43,13 +43,14 @@ class VerificationTask:
         }
 
     def cache_name(self):
-        blob = json.dumps(self.as_dict(), sort_keys=True).encode()
+        """File name from the task and the configured primes and cap."""
+        key = dict(
+            self.as_dict(),
+            primes=list(modlinalg.PRIMES),
+            cap=modlinalg.DEFAULT_NONZERO_CAP,
+        )
+        blob = json.dumps(key, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:24] + ".json"
-
-
-def _char_key(terms):
-    """Stable string form of a bivariate character for report comparison."""
-    return format_bicharacter(terms)
 
 
 def _run_thm_tor(task):
@@ -101,9 +102,8 @@ def _run_lem_4_3(task):
                         if len(pair[0]) <= m and len(pair[1]) <= n
                     }
                     geo = bott.lemma_4_3_character(r, d, m, n)
-                    geo_terms = dict(geo.terms) if hasattr(geo, "terms") else dict(geo)
-                    predicted[key] = _char_key(stated)
-                    witnessed[key] = _char_key(geo_terms)
+                    predicted[key] = format_bicharacter(stated)
+                    witnessed[key] = format_bicharacter(geo.terms)
     return predicted, witnessed, []
 
 
@@ -169,8 +169,8 @@ def _run_eq_tor1(task):
     for d, ch in geo.items():
         for pair, mult in ch.terms.items():
             geo_terms[pair] = geo_terms.get(pair, 0) + mult
-    predicted = {"character": _char_key(stated_terms)}
-    witnessed = {"character": _char_key(geo_terms)}
+    predicted = {"character": format_bicharacter(stated_terms)}
+    witnessed = {"character": format_bicharacter(geo_terms)}
     return predicted, witnessed, []
 
 
@@ -259,7 +259,7 @@ def validate(task):
             f"{task.statement}: size ({m},{n}) outside envelope ({m_cap},{n_cap})"
         )
     for key in ("d_max", "r", "a_max", "e_max"):
-        if p.get(key, 0) > max(d_cap, 6):
+        if p.get(key, 0) > d_cap:
             raise ValueError(f"{task.statement}: {key}={p[key]} outside envelope")
 
 
@@ -281,7 +281,7 @@ def run(task, results_dir=None):
         verdict = "pass" if predicted == {
             k: witnessed.get(k) for k in predicted
         } else "fail"
-    except CapacityError as exc:
+    except modlinalg.CapacityError as exc:
         predicted, witnessed, certificates = {}, {"capacity": str(exc)}, []
         verdict = "skipped-capacity"
     elapsed = time.perf_counter() - t0
@@ -293,7 +293,7 @@ def run(task, results_dir=None):
         verdict=verdict,
         timings={"total_s": round(elapsed, 3)},
     )
-    if cache_path:
+    if cache_path and verdict != "skipped-capacity":
         with open(cache_path, "w") as fh:
             fh.write(emit(report, "json"))
     return report

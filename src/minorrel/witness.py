@@ -258,11 +258,6 @@ def koszul_h1_blocks(ctx, variant, d, seed=0, cap=None):
     return two_primes(seed, compute)
 
 
-def koszul_h1_dim(ctx, variant, d, seed=0, cap=None):
-    """Total dimension of the first Koszul homology of W in degree d."""
-    return sum(koszul_h1_blocks(ctx, variant, d, seed=seed, cap=cap).values())
-
-
 # ---------------------------------------------------------------------------
 # The Veronese filtration quotients M_r / M_{r-1}
 

@@ -1,11 +1,11 @@
 """Buchberger's algorithm with lex, graded reverse lex, and block orders.
 
-Polynomials are the sparse exponent-dict values of the polyring module.
-Used for small elimination cross-checks; the degreewise linear algebra in
-the witness module remains the primary route for dimension counts.
+Polynomials are the sparse exponent-dict values of minorrel.polyring.
+A test-side oracle: small elimination cross-checks of the degreewise linear
+algebra in minorrel.witness, which is the route the package itself takes.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 

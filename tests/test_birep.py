@@ -6,7 +6,6 @@ from minorrel.birep import (
     character_from_weight_dims,
     dim_at,
     gr_components_bivariate,
-    gr_components_univariate,
     gr_labels,
     predicted_character,
     transpose_duality,
@@ -109,14 +108,6 @@ def test_koszul_character_low_degrees():
 def test_unknown_statement_raises():
     with pytest.raises(KeyError):
         predicted_character("thm-9.9", 2)
-
-
-def test_gr_components_univariate_single_row():
-    table = gr_components_univariate((3,), 6)
-    # a single-row label generates everything with the same first part
-    for t, labels in table.items():
-        for lab in labels:
-            assert lab[0] == 3
 
 
 def test_gr_components_bivariate_eight_labels():

@@ -10,7 +10,8 @@ from minorrel.bott import (
     tor_geometric,
     verify_lemma_4_4,
 )
-from minorrel.partitions import dim_schur, partitions_of, weyl_dim_weight
+from minorrel.partitions import dim_schur, partitions_of
+from oracles import weyl_dim_weight
 
 
 def test_bott_weight_dichotomy_and_euler_characteristic():

@@ -163,3 +163,33 @@ def test_removed_flags_are_usage_errors(capsys):
     assert main(verify + ["--variant", "minors"]) == 2
     assert main(["suite", "--workers", "2"]) == 2
     capsys.readouterr()
+
+
+def test_degree_cap_is_a_capacity_skip(capsys):
+    # inside the size envelope, but the Bott route needs a plethysm of degree 18
+    assert main(["verify", "eq-tor1-Nr", "--m", "5", "--n", "5", "--r", "1"]) == 2
+    out = capsys.readouterr().out
+    assert "verdict: skipped-capacity" in out
+    assert "degree 18 exceeds cap 16" in out
+
+
+def test_envelope_degree_bound_applies(capsys):
+    # the eq-tor1-Nr envelope allows r <= 3
+    assert main(["verify", "eq-tor1-Nr", "--m", "3", "--n", "3", "--r", "4"]) == 2
+    assert "outside envelope" in capsys.readouterr().err
+
+
+def test_cache_key_covers_primes(tmp_path, restore_config):
+    task = VerificationTask("thm-1.1", {"m": 2, "n": 4, "d_max": 2})
+    first = run(task, results_dir=str(tmp_path))
+    apply_config({"primes": "1000003, 999983"})
+    second = run(task, results_dir=str(tmp_path))
+    assert len(os.listdir(tmp_path)) == 2
+    assert second.task == first.task == task.as_dict()
+
+
+def test_capacity_skip_is_not_cached(tmp_path, restore_config):
+    apply_config({"cap": "10"})
+    report = run(VerificationTask("thm-1.1", {"m": 2, "n": 4, "d_max": 2}), str(tmp_path))
+    assert report.verdict == "skipped-capacity"
+    assert os.listdir(tmp_path) == []

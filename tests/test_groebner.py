@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from minorrel.groebner import (
+from groebner import (
     GroebnerBasis,
     basis_polys,
     block_key,

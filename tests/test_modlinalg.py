@@ -3,16 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from minorrel.modlinalg import (
-    CapacityError,
-    PRIMES,
-    RankCertificate,
-    guard_nonzeros,
-    nullspace_mod,
-    rank,
-    rank_exact,
-    rank_mod,
-)
+from minorrel.modlinalg import CapacityError, PRIMES, guard_nonzeros, nullspace_mod, rank_mod
+from minorrel.witness import two_primes
+from oracles import rank_exact
 
 
 def random_sparse_rows(rng, nrows, ncols, density=0.3):
@@ -21,7 +14,7 @@ def random_sparse_rows(rng, nrows, ncols, density=0.3):
         row = {}
         for j in range(ncols):
             if rng.random() < density:
-                row[j] = Fraction(rng.randint(-5, 5))
+                row[j] = rng.randint(-5, 5)
         rows.append({j: c for j, c in row.items() if c})
     return rows
 
@@ -62,31 +55,30 @@ def test_nullspace_of_zero_matrix_is_full():
     assert len(null) == 4
 
 
+def _ranks_with_primes(rows, seed):
+    """Rank by the two-prime driver, and the primes it ran at."""
+    used = []
+
+    def rank_at(p):
+        used.append(p)
+        return rank_mod(rows, p)
+
+    return two_primes(seed, rank_at), used
+
+
 def test_two_prime_rank_certificate():
     rng = random.Random(3)
     rows = random_sparse_rows(rng, 6, 6)
-    cert = rank(rows, method="modular", seed=5)
-    assert isinstance(cert, RankCertificate)
-    assert cert.method == "modular"
-    assert len(cert.primes) == 2
-    assert all(p in PRIMES for p in cert.primes)
-    assert cert.value == rank_exact(rows)
-    assert cert.as_dict()["rank"] == cert.value
-
-
-def test_exact_method_certificate():
-    cert = rank([{0: 1}, {0: 2}], method="exact")
-    assert cert.value == 1
-    assert cert.method == "exact"
-    assert cert.primes == ()
+    value, primes = _ranks_with_primes(rows, 5)
+    assert len(set(primes)) == 2
+    assert all(p in PRIMES for p in primes)
+    assert value == rank_exact(rows)
 
 
 def test_deterministic_given_seed():
     rng = random.Random(1)
     rows = random_sparse_rows(rng, 5, 5)
-    c1 = rank(rows, method="modular", seed=42)
-    c2 = rank(rows, method="modular", seed=42)
-    assert c1 == c2
+    assert _ranks_with_primes(rows, 42) == _ranks_with_primes(rows, 42)
 
 
 def test_capacity_guard():

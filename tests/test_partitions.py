@@ -7,15 +7,13 @@ from minorrel.partitions import (
     conjugate,
     contains,
     dim_schur,
-    format_partition,
     hook_lengths,
     in_M_r,
-    is_horizontal_strip,
     kostka,
     parse_partition,
     partitions_of,
-    weyl_dim_weight,
 )
+from oracles import is_horizontal_strip, weyl_dim_weight
 
 
 def ssyt_count(lam, n):
@@ -46,7 +44,7 @@ def ssyt_count(lam, n):
 
 def test_parse_format_round_trip():
     for text in ["0", "1", "3,1,1", "2,2"]:
-        assert format_partition(parse_partition(text)) == text
+        assert (",".join(map(str, parse_partition(text))) or "0") == text
 
 
 def test_canon_rejects_increasing():

@@ -8,13 +8,13 @@ from minorrel.polyring import RingContext
 from minorrel.witness import (
     filtration_generator_space,
     koszul_h1_blocks,
-    koszul_h1_dim,
     relation_dims,
     subspace_parameterization,
     subspace_variety_gens,
     two_primes,
     veronese_presentation_dims,
 )
+from oracles import span_dimension
 
 
 def test_relation_dims_2x4_minors():
@@ -50,7 +50,7 @@ def test_relation_dims_requires_degree_two():
 
 def test_koszul_h1_matches_character_predictions():
     for d in (2, 3, 4, 5):
-        witnessed = koszul_h1_dim(RingContext(3, 3), "minors", d)
+        witnessed = sum(koszul_h1_blocks(RingContext(3, 3), "minors", d).values())
         assert witnessed == dim_at(predicted_character("thm-3.1", d), 3, 3)
 
 
@@ -63,7 +63,7 @@ def test_koszul_h1_blocks_are_weight_graded():
 
 def test_koszul_h1_permanents_vanishing_bound():
     # the permanent variant vanishes from degree n + 3 on
-    assert koszul_h1_dim(RingContext(3, 3), "permanents", 6) == 0
+    assert sum(koszul_h1_blocks(RingContext(3, 3), "permanents", 6).values()) == 0
 
 
 def test_filtration_generator_space_dimensions():
@@ -71,8 +71,6 @@ def test_filtration_generator_space_dimensions():
     assert len(filtration_generator_space(ctx, "minors", 0)) == 1
     g1 = filtration_generator_space(ctx, "minors", 1)
     # Sym^2 ⊗ Sym^2 at (3,3) spans 36 dimensions in degree 2
-    from minorrel.polyring import span_dimension
-
     assert span_dimension(g1) == 36
 
 

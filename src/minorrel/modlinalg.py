@@ -1,9 +1,11 @@
 """Sparse linear algebra modulo a prime, and the feasibility guard.
 
 Matrices are lists of sparse rows (dict column -> integer coefficient).
-Ranks and kernels are taken modulo one prime; witness.two_primes runs them
+Ranks and kernels are taken modulo one prime; two_primes runs a computation
 at two primes drawn from PRIMES and requires agreement.
 """
+
+import random
 
 # fixed public list of 31-bit primes for the two-prime rank checks
 PRIMES = (
@@ -22,6 +24,20 @@ DEFAULT_NONZERO_CAP = 2_000_000
 
 class CapacityError(Exception):
     """A computation would exceed the configured feasibility guard."""
+
+
+def two_primes(seed, compute):
+    """compute(p) at the two primes the seed draws; the results must agree."""
+    p1, p2 = random.Random(seed).sample(PRIMES, 2)
+    r1, r2 = compute(p1), compute(p2)
+    if r1 != r2:
+        raise ArithmeticError(f"results disagree at primes {p1} and {p2}: {r1} vs {r2}")
+    return r1
+
+
+def resolve_cap(cap):
+    """The nonzero cap to apply: cap, or the configured default if it is None."""
+    return DEFAULT_NONZERO_CAP if cap is None else cap
 
 
 def guard_nonzeros(count, what, cap):

@@ -1,37 +1,71 @@
-"""Bigraded defining ideal of the Rees algebra of the 2x2-minor ideal.
+"""The graded-kernel engine, and the bigraded defining ideal of the Rees algebra.
+
+`GradedKernel` computes, at one prime, the graded kernel of a linear map
+from a weight-graded source to polynomials, and its minimal generators.  A
+source element is a pair (f, ms): a factor f times the product of the
+generators indexed by the sorted multiset ms.  The engine is parameterised
+by the factors of each grade, the image of a source element, the shift maps
+from lower grades, and optionally a subspace, per grade and weight, to take
+the kernel modulo.  Its instances are the relation ideals and the subspace
+variety (the base class, one unit factor), the Veronese presentation (in
+`witness`) and the Rees ideal (`ReesEngine`, below).
+
+Everything is computed per torus-weight block; a weight is the pair (row
+sums, column sums).  Permuting rows and columns of the matrix maps each
+source basis to itself up to sign, over the integers, so each per-weight
+count is constant on S_m x S_n orbits of weights: only the dominant weight
+of each orbit is eliminated, weighted by the orbit size.  The shifted
+kernels it needs may sit at non-dominant weights; they are computed on
+demand.  The source bases and the integer products do not depend on the
+prime and are shared by the engines of both primes.
 
 The Rees algebra is presented by T-variables (one per quadric generator)
 over the matrix-entry ring; the defining ideal J is the bigraded kernel of
 T_w -> w*t.  Components are indexed by (a, e) = (x-degree, T-degree), and
 reported with the T-grading scaled by 2, i.e. as bidegree (a, 2e), so the
 fiber-type condition reads: minimal generators only in (0, 2d) and (d, 2).
-
-Everything is computed per torus-weight block.  Permuting rows and columns
-of the matrix maps minors to signed minors and permanents to permanents,
-over the integers, so each count is constant on S_m x S_n orbits of
-weights: only the dominant weight of each orbit is eliminated, weighted by
-the orbit size.  The shifted kernels it needs may sit at non-dominant
-weights; they are computed on demand.  The source bases and the integer
-products do not depend on the prime and are shared by the engines of both
-primes.
 """
 
 from collections import Counter
 from itertools import combinations_with_replacement
 from math import factorial
 
-from .modlinalg import guard_nonzeros, nullspace_mod, rank_mod
-from .polyring import monomial, poly_mul, x_weight
-from .witness import (
-    _monomials_of_degree,
-    _shifted_rows,
-    _wadd,
-    _weights_of,
-    _wsub,
-    generators_for,
-    resolve_cap,
-    two_primes,
-)
+from .modlinalg import guard_nonzeros, nullspace_mod, rank_mod, resolve_cap, two_primes
+from .polyring import minors_basis, permanents_basis, poly_mul, x_weight
+
+
+def generators_for(ctx, variant):
+    if variant == "minors":
+        return minors_basis(ctx)
+    if variant == "permanents":
+        return permanents_basis(ctx)
+    raise ValueError(f"unknown variant {variant!r}")
+
+
+def _weights_of(ctx, gens):
+    """Torus weight of each generator; all its monomials share it."""
+    return [x_weight(ctx, next(iter(g))) for g in gens]
+
+
+def _zero_weight(ctx):
+    return (0,) * ctx.m, (0,) * ctx.n
+
+
+def _wadd(w, delta):
+    """Componentwise sum of weights."""
+    return (
+        tuple(a + b for a, b in zip(w[0], delta[0])),
+        tuple(a + b for a, b in zip(w[1], delta[1])),
+    )
+
+
+def _wsub(w, delta):
+    """Componentwise difference of weights, or None if any entry goes negative."""
+    rows = tuple(a - b for a, b in zip(w[0], delta[0]))
+    cols = tuple(a - b for a, b in zip(w[1], delta[1]))
+    if any(x < 0 for x in rows + cols):
+        return None
+    return rows, cols
 
 
 def _is_dominant(w):
@@ -50,108 +84,201 @@ def _orbit_size(w):
     return size
 
 
-class ReesEngine:
-    """Per-prime bigraded kernel computations for one ring context.
+def _monomials_of_degree(nvars, d):
+    """Exponent tuples of total degree d."""
+    if d == 0:
+        yield (0,) * nvars
+        return
+    for split in combinations_with_replacement(range(nvars), d):
+        exp = [0] * nvars
+        for i in split:
+            exp[i] += 1
+        yield tuple(exp)
 
-    sources and products may be dicts shared with the engine of another
-    prime; they are filled on first use.
+
+def _multiset_product(gens, ms, cache):
+    """Product of the generators indexed by the sorted tuple ms, memoised.
+
+    cache[()] holds the unit: the constant 1 with the zero exponent of the
+    generators' length (a shorter one would truncate every product).
+    poly_mul does not read its ring context, so none is needed here.
+    """
+    if ms not in cache:
+        cache[ms] = poly_mul(None, _multiset_product(gens, ms[:-1], cache), gens[ms[-1]])
+    return cache[ms]
+
+
+def _shifted_rows(vectors, shift, col):
+    """Lower-grade kernel vectors moved up by shift, as sparse rows.
+
+    shift maps a source key of the vectors to a source key one grade up,
+    and col numbers those keys.  Entries are summed over the integers;
+    rank_mod reduces them and drops zeros.
+    """
+    rows = []
+    for vec in vectors:
+        row = {}
+        for key, c in vec.items():
+            idx = col[shift(key)]
+            row[idx] = row.get(idx, 0) + c
+        rows.append(row)
+    return rows
+
+
+def shared_state(nvars):
+    """Prime-independent state for engines of either prime: sources, products."""
+    return {}, {(): {(0,) * nvars: 1}}
+
+
+class GradedKernel:
+    """Per-prime graded kernel and minimal generators of a map to polynomials.
+
+    The base class is the relations instance: the kernel of Sym(gens) ->
+    polynomials graded by degree, with one unit factor and the
+    multiplications by the generators as shifts.  Subclasses override
+    `factors`, `image`, `shifts` and `modulo`.  shared comes from
+    `shared_state` and may be passed to the engine of another prime.
     """
 
-    def __init__(self, ctx, prime, variant="minors", cap=None, sources=None, products=None):
-        self.ctx = ctx
+    def __init__(self, gens, weights, zero, prime, cap, shared):
+        self.gens, self.weights, self.zero = gens, weights, zero
         self.p = prime
         self.cap = resolve_cap(cap)
-        self.gens = generators_for(ctx, variant)
-        self.gen_weights = _weights_of(ctx, self.gens)
-        self.var_weights = [
-            x_weight(ctx, tuple(1 if i == v else 0 for i in range(ctx.num_vars)))
-            for v in range(ctx.num_vars)
+        self._sources, self.products = shared
+        self._kernels = {}  # (grade, weight) -> kernel vectors {source: coeff}
+
+    def factors(self, d):
+        """[(factor, weight)] of the grade, and the size of the multisets."""
+        return [(None, self.zero)], d
+
+    def image(self, source):
+        return _multiset_product(self.gens, source[1], self.products)
+
+    def shifts(self, d):
+        """[(lower grade, weight added, source map)] into the grade."""
+        return self._generator_shifts(d - 1) if d > 1 else []
+
+    def modulo(self, grade, w):
+        """Polynomials of the grade and weight to take the kernel modulo."""
+        return []
+
+    def _generator_shifts(self, lower):
+        return [
+            (lower, gw, lambda s, k=k: (s[0], tuple(sorted(s[1] + (k,)))))
+            for k, gw in enumerate(self.weights)
         ]
-        self.products = {(): monomial(ctx, [])} if products is None else products
-        self._sources = {} if sources is None else sources  # (a, e) -> weight -> [(xexp, ms)]
-        self._kernels = {}  # (a, e, weight) -> list of vectors {source: coeff}
 
-    def _product(self, ms):
-        if ms not in self.products:
-            self.products[ms] = poly_mul(
-                self.ctx, self._product(ms[:-1]), self.gens[ms[-1]]
-            )
-        return self.products[ms]
-
-    def sources(self, a, e):
-        """All source basis elements of bidegree (a, e), bucketed by weight."""
-        key = (a, e)
-        if key not in self._sources:
-            buckets = {}
-            monos = _monomials_of_degree(self.ctx.num_vars, a)
-            xs = [(xexp, x_weight(self.ctx, xexp)) for xexp in monos]
+    def sources(self, grade):
+        """Source basis of the grade, bucketed by weight."""
+        if grade not in self._sources:
+            factors, e = self.factors(grade)
+            by_ms = {}
             for ms in combinations_with_replacement(range(len(self.gens)), e):
-                w_ms = ((0,) * self.ctx.m, (0,) * self.ctx.n)
+                w = self.zero
                 for k in ms:
-                    w_ms = _wadd(w_ms, self.gen_weights[k])
-                for xexp, xw in xs:
-                    buckets.setdefault(_wadd(w_ms, xw), []).append((xexp, ms))
-            self._sources[key] = buckets
-        return self._sources[key]
+                    w = _wadd(w, self.weights[k])
+                by_ms.setdefault(w, []).append(ms)
+            buckets = {}
+            for f, fw in factors:
+                for w, group in by_ms.items():
+                    buckets.setdefault(_wadd(fw, w), []).extend((f, ms) for ms in group)
+            self._sources[grade] = buckets
+        return self._sources[grade]
 
-    def kernel_block(self, a, e, w):
-        """Kernel vectors of the block of weight w in bidegree (a, e)."""
-        key = (a, e, w)
+    def kernel_block(self, grade, w):
+        """Kernel vectors of the block of weight w in the grade, modulo `modulo`."""
+        key = (grade, w)
         if key in self._kernels:
             return self._kernels[key]
-        members = self.sources(a, e).get(w, [])
-        if not members:
-            self._kernels[key] = []
-            return []
-        rows = {}
-        nnz = 0
-        for i, (xexp, ms) in enumerate(members):
-            for exp, c in self._product(ms).items():
-                full = tuple(x + y for x, y in zip(exp, xexp))
-                rows.setdefault(full, {})[i] = c
-                nnz += 1
-        guard_nonzeros(nnz, f"rees kernel ({a},{e})", self.cap)
-        null = nullspace_mod(list(rows.values()), len(members), self.p)
-        vectors = [{members[i]: v for i, v in vec.items()} for vec in null]
+        members = self.sources(grade).get(w, [])
+        vectors = []
+        if members:
+            # one row per monomial, one column per polynomial; the subspace
+            # comes first, so a kernel vector whose free column lies in it is
+            # zero on the sources, and the rest project to a basis
+            polys = self.modulo(grade, w) + [self.image(s) for s in members]
+            skip = len(polys) - len(members)
+            rows = {}
+            nnz = 0
+            for i, f in enumerate(polys):
+                nnz += len(f)
+                for exp, c in f.items():
+                    rows.setdefault(exp, {})[i] = c
+            guard_nonzeros(nnz, f"kernel block {grade} at weight {w}", self.cap)
+            for vec in nullspace_mod(list(rows.values()), len(polys), self.p):
+                vec = {members[i - skip]: c for i, c in vec.items() if i >= skip}
+                if vec:
+                    vectors.append(vec)
         self._kernels[key] = vectors
         return vectors
 
-    def min_gens(self, a, e):
-        """Minimal generator count of J in bidegree (a, e), from dominant weights."""
-        return sum(
-            _orbit_size(w) * self._min_gens_at(a, e, w)
-            for w in self.sources(a, e)
-            if _is_dominant(w)
-        )
-
-    def _min_gens_at(self, a, e, w):
-        """Minimal generator count of J in bidegree (a, e) at the weight w."""
-        kw = self.kernel_block(a, e, w)
+    def _min_gens_at(self, grade, w):
+        """Kernel dimension at (grade, w) minus the rank of the shifted lower kernels."""
+        kw = self.kernel_block(grade, w)
         if not kw:
             return 0
-        col = {s: i for i, s in enumerate(self.sources(a, e)[w])}
+        col = {s: i for i, s in enumerate(self.sources(grade)[w])}
         shifted = []
-        if a >= 1:
-            # x_v * J(a-1, e)
-            for v, vw in enumerate(self.var_weights):
-                w2 = _wsub(w, vw)
-                if w2 is not None:
-                    shifted += _shifted_rows(
-                        self.kernel_block(a - 1, e, w2),
-                        lambda s: (s[0][:v] + (s[0][v] + 1,) + s[0][v + 1:], s[1]),
-                        col,
-                    )
-        if e >= 1:
-            # T_k * J(a, e-1)
-            for k, gw in enumerate(self.gen_weights):
-                w2 = _wsub(w, gw)
-                if w2 is not None:
-                    shifted += _shifted_rows(
-                        self.kernel_block(a, e - 1, w2),
-                        lambda s: (s[0], tuple(sorted(s[1] + (k,)))),
-                        col,
-                    )
+        for lower, delta, shift in self.shifts(grade):
+            w2 = _wsub(w, delta)
+            if w2 is not None:
+                shifted += _shifted_rows(self.kernel_block(lower, w2), shift, col)
         return len(kw) - rank_mod(shifted, self.p)
+
+    def count(self, grade, at):
+        """Sum of at(grade, w) over all weights, from the dominant ones."""
+        return sum(
+            _orbit_size(w) * at(grade, w) for w in self.sources(grade) if _is_dominant(w)
+        )
+
+    def min_gens(self, grade):
+        """Minimal generator count in the grade."""
+        return self.count(grade, self._min_gens_at)
+
+    def kernel_dim(self, grade):
+        """Kernel dimension in the grade."""
+        return self.count(grade, lambda g, w: len(self.kernel_block(g, w)))
+
+
+class ReesEngine(GradedKernel):
+    """The Rees instance: sources x^a T^ms of bidegree (a, e) = (|a|, |ms|).
+
+    The two engine methods are bound on this class too, so that its calls
+    can be told apart from other instances' (perfbench traces them here).
+    """
+
+    kernel_block = GradedKernel.kernel_block
+    min_gens = GradedKernel.min_gens
+
+    def __init__(self, ctx, prime, variant="minors", cap=None, shared=None):
+        gens = generators_for(ctx, variant)
+        shared = shared_state(ctx.num_vars) if shared is None else shared
+        super().__init__(gens, _weights_of(ctx, gens), _zero_weight(ctx), prime, cap, shared)
+        self.ctx = ctx
+        self.var_weights = [
+            x_weight(ctx, tuple(int(i == v) for i in range(ctx.num_vars)))
+            for v in range(ctx.num_vars)
+        ]
+
+    def factors(self, grade):
+        a, e = grade
+        monos = _monomials_of_degree(self.ctx.num_vars, a)
+        return [(x, x_weight(self.ctx, x)) for x in monos], e
+
+    def image(self, source):
+        xexp, ms = source
+        prod = _multiset_product(self.gens, ms, self.products)
+        return {tuple(a + b for a, b in zip(exp, xexp)): c for exp, c in prod.items()}
+
+    def shifts(self, grade):
+        a, e = grade
+        out = self._generator_shifts((a, e - 1)) if e >= 1 else []
+        if a >= 1:  # x_v * J(a-1, e)
+            out += [
+                ((a - 1, e), vw, lambda s, v=v: (s[0][:v] + (s[0][v] + 1,) + s[0][v + 1:], s[1]))
+                for v, vw in enumerate(self.var_weights)
+            ]
+        return out
 
 
 def rees_ideal(ctx, a_max=3, e_max=3, seed=0, variant="minors", cap=None):
@@ -161,12 +288,12 @@ def rees_ideal(ctx, a_max=3, e_max=3, seed=0, variant="minors", cap=None):
     a <= a_max, e <= e_max (e >= 1; the component (a, 0) is zero since the
     x-variables are algebraically independent).
     """
-    sources, products = {}, {(): monomial(ctx, [])}
+    shared = shared_state(ctx.num_vars)
 
     def compute(p):
-        engine = ReesEngine(ctx, p, variant, cap, sources, products)
+        engine = ReesEngine(ctx, p, variant, cap, shared)
         counts = [
-            ((a, 2 * e), engine.min_gens(a, e))
+            ((a, 2 * e), engine.min_gens((a, e)))
             for a in range(a_max + 1)
             for e in range(1, e_max + 1)
         ]

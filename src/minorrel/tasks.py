@@ -4,8 +4,9 @@ Each statement id resolves to a runner that computes a prediction through the
 character engine and a witness through linear algebra, Bott cohomology, or
 elimination, then compares the two exactly.  Capacity overruns surface as the
 verdict "skipped-capacity", never as a silent pass.  Reports can be cached in
-a results directory under filenames hashed from the task and the configured
-primes and nonzero cap; a capacity skip is never cached.
+a results directory under filenames hashed from the task, the configured
+primes and nonzero cap, and the package source; a capacity skip is never
+cached.
 """
 
 import hashlib
@@ -13,6 +14,8 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
+from pathlib import Path
 
 from . import bott, modlinalg
 from .birep import dim_at, predicted_character
@@ -29,6 +32,15 @@ from .witness import (
 RESULTS_DIR_ENV = "MINORREL_RESULTS_DIR"
 
 
+@lru_cache(maxsize=None)
+def source_digest():
+    """sha256 over the package's modules, names and bytes in name order."""
+    h = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        h.update(path.name.encode() + b"\0" + path.read_bytes())
+    return h.hexdigest()
+
+
 @dataclass(frozen=True)
 class VerificationTask:
     statement: str
@@ -43,11 +55,12 @@ class VerificationTask:
         }
 
     def cache_name(self):
-        """File name from the task and the configured primes and cap."""
+        """File name from the task, the configured primes and cap, and the code."""
         key = dict(
             self.as_dict(),
             primes=list(modlinalg.PRIMES),
             cap=modlinalg.DEFAULT_NONZERO_CAP,
+            source=source_digest(),
         )
         blob = json.dumps(key, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:24] + ".json"
@@ -323,10 +336,14 @@ def suite_tasks(profile="quick", seed=0):
             mk("sec-6-Tbar", m=3, n=3),
             mk("que-7.1", m=2, n=4),
             mk("que-7.1", m=3, n=3),
+            mk("thm-1.1", m=4, n=4, d_max=4),
         ]
     if profile == "long":
         tasks += [
             mk("que-7.1", m=5, n=3, a_max=3, e_max=3),
+            mk("thm-1.1", m=4, n=4, d_max=5),
+            mk("thm-1.1", m=4, n=5, d_max=4),
+            mk("thm-5.1", m=3, n=3),
         ]
     return tasks
 

@@ -4,162 +4,45 @@ and presentations of the Veronese filtration quotients.
 Everything is computed per torus-weight block: each minor/permanent (and
 each generator used below) is homogeneous for the torus of GL(V1) x GL(V2),
 so kernel and rank computations split into many small independent blocks.
-A weight is the pair (row sums, column sums).  Products and matrices are
-built once over the integers; kernels and ranks run modulo two seeded primes
-through `two_primes`, which requires the two results to agree.
+A weight is the pair (row sums, column sums).  The relation ideals, the
+subspace variety and the Veronese relations are instances of the graded
+kernel engine in `rees`.  Products and matrices are built once over the
+integers; kernels and ranks run modulo two seeded primes through
+`two_primes`, which requires the two results to agree.
 """
 
-import random
 from itertools import combinations, combinations_with_replacement, permutations
 from math import factorial
 
-from . import modlinalg
-from .modlinalg import guard_nonzeros, nullspace_mod, rank_mod
-from .polyring import (
-    minors_basis,
-    monomial,
-    permanents_basis,
-    poly_mul,
-    x_weight,
+from .modlinalg import guard_nonzeros, rank_mod, resolve_cap, two_primes
+from .polyring import monomial, poly_mul, x_weight
+from .rees import (
+    GradedKernel,
+    _monomials_of_degree,
+    _multiset_product,
+    _wadd,
+    _weights_of,
+    _zero_weight,
+    generators_for,
+    shared_state,
 )
 
 
-def two_primes(seed, compute):
-    """compute(p) at the two primes the seed draws; the results must agree."""
-    p1, p2 = random.Random(seed).sample(modlinalg.PRIMES, 2)
-    r1, r2 = compute(p1), compute(p2)
-    if r1 != r2:
-        raise ArithmeticError(f"results disagree at primes {p1} and {p2}: {r1} vs {r2}")
-    return r1
+def presentation_dims(engines, d_max, seed=0):
+    """{d: (kernel_dim, min_gen_dim)} for 1 <= d <= d_max; engines(p) is the engine at p."""
+
+    def compute(p):
+        engine = engines(p)
+        return {d: (engine.kernel_dim(d), engine.min_gens(d)) for d in range(1, d_max + 1)}
+
+    return two_primes(seed, compute)
 
 
-def resolve_cap(cap):
-    """The nonzero cap to apply: cap, or the configured default if it is None."""
-    return modlinalg.DEFAULT_NONZERO_CAP if cap is None else cap
-
-
-def generators_for(ctx, variant):
-    if variant == "minors":
-        return minors_basis(ctx)
-    if variant == "permanents":
-        return permanents_basis(ctx)
-    raise ValueError(f"unknown variant {variant!r}")
-
-
-def _weights_of(ctx, gens):
-    """Torus weight of each generator; all its monomials share it."""
-    return [x_weight(ctx, next(iter(g))) for g in gens]
-
-
-def _wadd(w, delta):
-    """Componentwise sum of weights."""
-    return (
-        tuple(a + b for a, b in zip(w[0], delta[0])),
-        tuple(a + b for a, b in zip(w[1], delta[1])),
-    )
-
-
-def _wsub(w, delta):
-    """Componentwise difference of weights, or None if any entry goes negative."""
-    rows = tuple(a - b for a, b in zip(w[0], delta[0]))
-    cols = tuple(a - b for a, b in zip(w[1], delta[1]))
-    if any(x < 0 for x in rows + cols):
-        return None
-    return rows, cols
-
-
-def _multiset_product(gens, ms, cache):
-    """Product of the generators indexed by the sorted tuple ms, memoised.
-
-    cache[()] holds the unit: the constant 1 with the zero exponent of the
-    generators' length (a shorter one would truncate every product).
-    poly_mul does not read its ring context, so none is needed here.
-    """
-    if ms not in cache:
-        cache[ms] = poly_mul(None, _multiset_product(gens, ms[:-1], cache), gens[ms[-1]])
-    return cache[ms]
-
-
-def _shifted_rows(vectors, shift, col):
-    """Lower-degree kernel vectors moved up by shift, as sparse rows.
-
-    shift maps a source key of the vectors to a source key one degree up,
-    and col numbers those keys (growing for keys it has not seen).  Entries
-    are summed over the integers; rank_mod reduces them and drops zeros.
-    """
-    rows = []
-    for vec in vectors:
-        row = {}
-        for key, c in vec.items():
-            idx = col.setdefault(shift(key), len(col))
-            row[idx] = row.get(idx, 0) + c
-        rows.append(row)
-    return rows
-
-
-class _KernelPipeline:
-    """Graded kernel and minimal generators of Sym(gens) -> polynomials.
-
-    Source basis elements are multisets of generator indices, grouped into
-    blocks by weight.  The products do not depend on the prime and are built
-    once; the kernels are computed per prime.
-    """
-
-    def __init__(self, gens, weights, nvars):
-        self.gens = gens
-        self.weights = weights
-        self.products = {(): {(0,) * nvars: 1}}
-
-    def _blocks(self, d):
-        blocks = {}
-        for ms in combinations_with_replacement(range(len(self.gens)), d):
-            w = self.weights[ms[0]]
-            for k in ms[1:]:
-                w = _wadd(w, self.weights[k])
-            blocks.setdefault(w, []).append(ms)
-        return blocks
-
-    def kernel(self, d, p, cap):
-        """Kernel vectors of Sym^d(gens) -> polynomials mod p, keyed by multiset."""
-        vectors = []
-        nnz = 0
-        for members in self._blocks(d).values():
-            # transposed orientation: rows indexed by monomials, columns by
-            # multisets, so nullspace vectors live on the multisets
-            rows = {}
-            for i, ms in enumerate(members):
-                for exp, c in _multiset_product(self.gens, ms, self.products).items():
-                    rows.setdefault(exp, {})[i] = c
-                    nnz += 1
-            guard_nonzeros(nnz, "kernel matrix", cap)
-            for vec in nullspace_mod(list(rows.values()), len(members), p):
-                vectors.append({members[i]: v for i, v in vec.items()})
-        return vectors
-
-    def dims(self, d_max, p, cap):
-        """{d: (dim ker_d, dim ker_d minus the rank of gens * ker_{d-1})}, mod p."""
-        out = {}
-        prev = []
-        for d in range(1, d_max + 1):
-            kd = self.kernel(d, p, cap)
-            col = {}
-            shifted = []
-            for k in range(len(self.gens)):
-                shifted += _shifted_rows(prev, lambda ms: tuple(sorted(ms + (k,))), col)
-            out[d] = (len(kd), len(kd) - rank_mod(shifted, p))
-            prev = kd
-        return out
-
-
-def presentation_dims(gens, weights, nvars, d_max, seed=0, cap=None):
-    """Graded kernel and minimal-generator dimensions of Sym(gens) -> ring.
-
-    gens are polynomials in nvars variables with the given torus weights.
-    Returns {d: (kernel_dim, min_gen_dim)} for 1 <= d <= d_max.
-    """
-    pipe = _KernelPipeline(gens, weights, nvars)
-    cap = resolve_cap(cap)
-    return two_primes(seed, lambda p: pipe.dims(d_max, p, cap))
+def relation_engines(ctx, variant, cap=None):
+    """Engine of each prime for Sym(W) -> polynomials, W the minors or permanents."""
+    gens = generators_for(ctx, variant)
+    weights, zero, shared = _weights_of(ctx, gens), _zero_weight(ctx), shared_state(ctx.num_vars)
+    return lambda p: GradedKernel(gens, weights, zero, p, cap, shared)
 
 
 def relation_dims(ctx, variant, d_max, seed=0, cap=None):
@@ -170,24 +53,11 @@ def relation_dims(ctx, variant, d_max, seed=0, cap=None):
     """
     if d_max < 2:
         raise ValueError("d_max must be >= 2")
-    gens = generators_for(ctx, variant)
-    return presentation_dims(gens, _weights_of(ctx, gens), ctx.num_vars, d_max, seed, cap)
+    return presentation_dims(relation_engines(ctx, variant, cap), d_max, seed)
 
 
 # ---------------------------------------------------------------------------
 # Koszul homology H_1 of the quadric space W (or its permanent analogue)
-
-
-def _monomials_of_degree(nvars, d):
-    """Exponent tuples of total degree d."""
-    if d == 0:
-        yield (0,) * nvars
-        return
-    for split in combinations_with_replacement(range(nvars), d):
-        exp = [0] * nvars
-        for i in split:
-            exp[i] += 1
-        yield tuple(exp)
 
 
 def koszul_h1_blocks(ctx, variant, d, seed=0, cap=None):
@@ -265,25 +135,17 @@ def koszul_h1_blocks(ctx, variant, d, seed=0, cap=None):
 def _sym_power_generators(ctx, c):
     """Basis of Sym^{2c}V1 (x) Sym^{2c}V2 inside the degree-2c polynomials.
 
-    Indexed by pairs (alpha, beta) of exponent vectors of size 2c on the rows
-    and columns; the vector is sum over matrices A with row sums alpha and
-    column sums beta of (2c)!/prod(A!) x^A.
+    One vector per weight (alpha, beta) of degree 2c: the sum over the
+    matrices A with row sums alpha and column sums beta of (2c)!/prod(A!) x^A.
     """
     D = 2 * c
-    out = []
-    for alpha in _compositions(D, ctx.m):
-        for beta in _compositions(D, ctx.n):
-            terms = {}
-            for A in _matrices_with_margins(alpha, beta):
-                coeff = factorial(D)
-                exp = [0] * ctx.num_vars
-                for i in range(ctx.m):
-                    for j in range(ctx.n):
-                        coeff //= factorial(A[i][j])
-                        exp[ctx.x_index(i + 1, j + 1)] = A[i][j]
-                terms[tuple(exp)] = coeff
-            out.append(terms)
-    return out
+    out = {}
+    for exp in _monomials_of_degree(ctx.num_vars, D):
+        coeff = factorial(D)
+        for e in exp:
+            coeff //= factorial(e)
+        out.setdefault(x_weight(ctx, exp), {})[exp] = coeff
+    return list(out.values())
 
 
 def _wedge_power_generators(ctx, c):
@@ -308,42 +170,6 @@ def _wedge_power_generators(ctx, c):
             if terms:
                 out.append(terms)
     return out
-
-
-def _compositions(total, parts):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-def _matrices_with_margins(alpha, beta):
-    """Nonnegative integer matrices with given row and column sums."""
-    m, n = len(alpha), len(beta)
-
-    def rec(i, remaining_cols):
-        if i == m:
-            if all(x == 0 for x in remaining_cols):
-                yield []
-            return
-        for row in _rows_with_sum(alpha[i], remaining_cols):
-            new_cols = tuple(c - r for c, r in zip(remaining_cols, row))
-            for rest in rec(i + 1, new_cols):
-                yield [row] + rest
-
-    yield from rec(0, tuple(beta))
-
-
-def _rows_with_sum(total, caps):
-    if len(caps) == 1:
-        if total <= caps[0]:
-            yield (total,)
-        return
-    for first in range(min(total, caps[0]) + 1):
-        for rest in _rows_with_sum(total - first, caps[1:]):
-            yield (first,) + rest
 
 
 def filtration_generator_space(ctx, variant, c):
@@ -377,6 +203,61 @@ def _module_component(ctx, variant, r, D, cache, gens):
     return out
 
 
+class _VeroneseRelations(GradedKernel):
+    """The Veronese instance: the kernel of G_r (x) R -> M_r/M_{r-1}.
+
+    Sources of degree D are pairs (index into the generator space G_r,
+    multiset of D - r quadrics); lower[D] holds the spanning polynomials of
+    M_{r-1,D} by weight, and the kernel is taken modulo them.
+    """
+
+    def __init__(self, ctx, r, gspace, gens, lower, prime, cap, shared):
+        super().__init__(gens, _weights_of(ctx, gens), _zero_weight(ctx), prime, cap, shared)
+        self.ctx, self.r, self.gspace, self.lower = ctx, r, gspace, lower
+
+    def factors(self, D):
+        weights = [x_weight(self.ctx, next(iter(g))) for g in self.gspace]
+        return list(enumerate(weights)), D - self.r
+
+    def image(self, source):
+        gi, ms = source
+        return poly_mul(self.ctx, self.gspace[gi], _multiset_product(self.gens, ms, self.products))
+
+    def shifts(self, D):
+        return self._generator_shifts(D - 1) if D > self.r else []
+
+    def modulo(self, D, w):
+        return self.lower[D].get(w, [])
+
+
+def veronese_parts(ctx, variant, r, d_max, cap=None):
+    """What veronese_presentation_dims needs, built once for both primes.
+
+    Returns {D: (rows of M_{r,D}, rows of M_{r-1,D} + W*M_{r,D-1})} for
+    D <= d_max, and engines(p), the engine at p of the presentation
+    G_r (x) R -> M_r/M_{r-1}.
+    """
+    cap = resolve_cap(cap)
+    gens = generators_for(ctx, variant)
+    shared = shared_state(ctx.num_vars)
+    spans, lower = {}, {}
+    prev = []
+    for D in range(0, d_max + 1):
+        mr = _module_component(ctx, variant, r, D, shared[1], gens)
+        sub = _module_component(ctx, variant, r - 1, D, shared[1], gens)
+        lower[D] = {}
+        for f in sub:
+            lower[D].setdefault(x_weight(ctx, next(iter(f))), []).append(f)
+        sub += [poly_mul(ctx, w, f) for w in gens for f in prev]
+        spans[D] = (
+            _span_rows(mr, f"veronese M_r deg {D}", cap),
+            _span_rows(sub, f"veronese submodule deg {D}", cap),
+        )
+        prev = mr
+    gspace = filtration_generator_space(ctx, variant, r)
+    return spans, lambda p: _VeroneseRelations(ctx, r, gspace, gens, lower, p, cap, shared)
+
+
 def veronese_presentation_dims(ctx, variant, r, d_max, seed=0, cap=None):
     """Generator and first-relation dimensions of M_r/M_{r-1} by degree.
 
@@ -386,77 +267,16 @@ def veronese_presentation_dims(ctx, variant, r, d_max, seed=0, cap=None):
     """
     if r < 1:
         raise ValueError("need r >= 1")
-    cap = resolve_cap(cap)
-    gens = generators_for(ctx, variant)
-    cache = {(): monomial(ctx, [])}
-    spans = {}
-    prev = []
-    for D in range(0, d_max + 1):
-        mr = _module_component(ctx, variant, r, D, cache, gens)
-        sub = _module_component(ctx, variant, r - 1, D, cache, gens)
-        sub += [poly_mul(ctx, w, f) for w in gens for f in prev]
-        spans[D] = (
-            _span_rows(mr, f"veronese M_r deg {D}", cap),
-            _span_rows(sub, f"veronese submodule deg {D}", cap),
-        )
-        prev = mr
-    matrices = _veronese_relation_matrices(ctx, variant, r, d_max, gens, cache, cap)
+    spans, engines = veronese_parts(ctx, variant, r, d_max, cap)
 
     def compute(p):
+        engine = engines(p)
         return {
             "generators": {D: rank_mod(mr, p) - rank_mod(sub, p) for D, (mr, sub) in spans.items()},
-            "relations": _veronese_relations(matrices, len(gens), p),
+            "relations": {D: engine.min_gens(D) for D in range(r, d_max + 1)},
         }
 
     return two_primes(seed, compute)
-
-
-def _veronese_relation_matrices(ctx, variant, r, d_max, gens, cache, cap):
-    """Integer matrices of the presentation G_r (x) R -> M_r/M_{r-1}, by degree.
-
-    For each D: the source pairs (generator index, multiset of quadrics) and
-    the matrix with one row per monomial; the columns after the source carry
-    the spanning vectors of M_{r-1,D}, so kernels are taken modulo it.
-    """
-    gspace = filtration_generator_space(ctx, variant, r)
-    out = {}
-    for D in range(r, d_max + 1):
-        source = [
-            (gi, ms)
-            for gi in range(len(gspace))
-            for ms in combinations_with_replacement(range(len(gens)), D - r)
-        ]
-        polys = [poly_mul(ctx, gspace[gi], _multiset_product(gens, ms, cache)) for gi, ms in source]
-        polys += _module_component(ctx, variant, r - 1, D, cache, gens)
-        rows = {}
-        for i, f in enumerate(polys):
-            for exp, c in f.items():
-                rows.setdefault(exp, {})[i] = c
-        guard_nonzeros(sum(map(len, polys)), f"veronese relations deg {D}", cap)
-        out[D] = (source, list(rows.values()), len(polys))
-    return out
-
-
-def _veronese_relations(matrices, n_gens, p):
-    """Minimal generators, by degree, of the presentation kernel mod p."""
-    rel = {}
-    prev = None
-    for D, (source, rows, ncols) in matrices.items():
-        # kernel vectors projected onto the source columns
-        null = nullspace_mod(rows, ncols, p)
-        z = [{i: c for i, c in vec.items() if i < len(source)} for vec in null]
-        rel[D] = rank_mod(z, p)
-        if prev is not None:
-            # the spanning set of Z_{D-1} times each quadric, re-indexed
-            prev_z, prev_source = prev
-            col = {s: i for i, s in enumerate(source)}
-            shifted = []
-            for k in range(n_gens):
-                shift = lambda i: (prev_source[i][0], tuple(sorted(prev_source[i][1] + (k,))))
-                shifted += _shifted_rows(prev_z, shift, col)
-            rel[D] -= rank_mod(shifted, p)
-        prev = z, source
-    return rel
 
 
 # ---------------------------------------------------------------------------
@@ -513,15 +333,21 @@ def subspace_parameterization(m, n):
 
 
 
+def subspace_engines(m, n, cap=None):
+    """Engine of each prime for the pullback along the parameterization."""
+    images, weights, nvars, _ = subspace_parameterization(m, n)
+    shared = shared_state(nvars)
+    return lambda p: GradedKernel(images, weights, ((0,) * m, (0,) * n), p, cap, shared)
+
+
 def subspace_variety_gens(m, n, d_max=None, seed=0, cap=None):
     """Minimal generator counts, by degree, of the ideal of the subspace variety.
 
-    The presentation pipeline applied to the parameterization pullback:
-    the kernel degree by degree, minus the span of shifted lower-degree
-    kernel elements.
+    The graded-kernel engine applied to the parameterization pullback: the
+    kernel degree by degree, minus the span of shifted lower-degree kernel
+    elements.
     """
     if d_max is None:
         d_max = m + 1
-    images, weights, nvars, _ = subspace_parameterization(m, n)
-    dims = presentation_dims(images, weights, nvars, d_max, seed, cap)
+    dims = presentation_dims(subspace_engines(m, n, cap), d_max, seed)
     return {d: min_gens for d, (_, min_gens) in dims.items()}

@@ -193,3 +193,13 @@ def test_capacity_skip_is_not_cached(tmp_path, restore_config):
     report = run(VerificationTask("thm-1.1", {"m": 2, "n": 4, "d_max": 2}), str(tmp_path))
     assert report.verdict == "skipped-capacity"
     assert os.listdir(tmp_path) == []
+
+
+def test_cache_key_covers_source(monkeypatch):
+    from minorrel import tasks
+
+    task = VerificationTask("thm-1.1", {"m": 2, "n": 4, "d_max": 2})
+    name = task.cache_name()
+    assert task.cache_name() == name
+    monkeypatch.setattr(tasks, "source_digest", lambda: "0" * 64)
+    assert task.cache_name() != name

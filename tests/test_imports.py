@@ -32,3 +32,27 @@ def test_package_has_no_unused_imports():
         for path in sorted(PACKAGE.glob("*.py"))
     }
     assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def test_layer_functions_stay_where_the_tracer_wraps_them():
+    # perfbench wraps ReesEngine's methods on the class, and rank_mod and
+    # poly_mul in every package module other than their own that binds them
+    import importlib
+    import pkgutil
+
+    import minorrel
+    from minorrel.rees import ReesEngine
+
+    assert {"kernel_block", "min_gens"} <= set(ReesEngine.__dict__)
+    modules = [
+        importlib.import_module(f"minorrel.{info.name}")
+        for info in pkgutil.iter_modules(minorrel.__path__)
+    ]
+    for owner, name in (("modlinalg", "rank_mod"), ("polyring", "poly_mul")):
+        fn = getattr(importlib.import_module(f"minorrel.{owner}"), name)
+        binders = [
+            mod.__name__
+            for mod in modules
+            if mod.__name__ != f"minorrel.{owner}" and getattr(mod, name, None) is fn
+        ]
+        assert binders == ["minorrel.rees", "minorrel.witness"], name

@@ -1,6 +1,12 @@
 from minorrel.polyring import RingContext
 from minorrel.rees import ReesEngine, fiber_type_check, rees_ideal
-from minorrel.witness import koszul_h1_blocks, relation_dims
+from minorrel.witness import (
+    koszul_h1_blocks,
+    relation_dims,
+    relation_engines,
+    subspace_engines,
+    veronese_parts,
+)
 
 
 def test_principal_ideal_has_no_relations():
@@ -34,12 +40,33 @@ def test_fiber_type_small_cases():
         assert fiber
 
 
+def _full_weight_counts(engine, grades):
+    """Minimal generator counts by grade, eliminating every weight block.
+
+    Each per-weight count (and kernel dimension) must be constant on its
+    S_m x S_n orbit, and the sums over all weights must equal the engine's
+    orbit-weighted counts over the dominant weights.
+    """
+    counts = {}
+    for grade in grades:
+        at = {w: engine._min_gens_at(grade, w) for w in engine.sources(grade)}
+        dims = {w: len(engine.kernel_block(grade, w)) for w in at}
+        for (rows, cols), c in at.items():
+            dom = (tuple(sorted(rows, reverse=True)), tuple(sorted(cols, reverse=True)))
+            assert (at[dom], dims[dom]) == (c, dims[(rows, cols)]), (grade, rows, cols)
+        full = sum(at.values())
+        assert engine.min_gens(grade) == full, grade
+        assert engine.kernel_dim(grade) == sum(dims.values()), grade
+        if full:
+            counts[grade] = full
+    return counts
+
+
 def test_orbit_weighted_count_matches_full_weight_sum():
-    # oracle: eliminate every weight block, not only the dominant ones; the
-    # per-weight count must be constant on each S_m x S_n orbit, and the sum
-    # over all weights must equal the orbit-weighted dominant count
+    # oracle: eliminate every weight block, not only the dominant ones
     from minorrel.modlinalg import PRIMES
 
+    p = PRIMES[0]
     cases = [
         (2, 3, "minors", 2, 3, {(1, 1): 2}),
         (2, 4, "minors", 2, 2, {(0, 2): 1, (1, 1): 8}),
@@ -47,19 +74,20 @@ def test_orbit_weighted_count_matches_full_weight_sum():
         (3, 3, "permanents", 1, 2, {(0, 2): 180, (1, 1): 160}),
     ]
     for m, n, variant, a_max, e_max, expected in cases:
-        engine = ReesEngine(RingContext(m, n), PRIMES[0], variant)
-        counts = {}
-        for a in range(a_max + 1):
-            for e in range(1, e_max + 1):
-                at = {w: engine._min_gens_at(a, e, w) for w in engine.sources(a, e)}
-                for (rows, cols), c in at.items():
-                    dom = (tuple(sorted(rows, reverse=True)), tuple(sorted(cols, reverse=True)))
-                    assert at[dom] == c, (m, n, variant, a, e, rows, cols)
-                full = sum(at.values())
-                assert engine.min_gens(a, e) == full, (m, n, variant, a, e)
-                if full:
-                    counts[(a, e)] = full
-        assert counts == expected, (m, n, variant)
+        engine = ReesEngine(RingContext(m, n), p, variant)
+        grades = [(a, e) for a in range(a_max + 1) for e in range(1, e_max + 1)]
+        assert _full_weight_counts(engine, grades) == expected, (m, n, variant)
+    # the other instances of the engine: relations, subspace variety, Veronese
+    others = [
+        (relation_engines(RingContext(2, 4), "minors"), [2, 3], {2: 1}),
+        (relation_engines(RingContext(3, 3), "minors"), [2, 3], {}),
+        (relation_engines(RingContext(2, 3), "permanents"), [2, 3], {2: 45, 3: 10}),
+        (subspace_engines(2, 3), [1, 2, 3], {2: 66}),
+        (veronese_parts(RingContext(2, 3), "minors", 1, 3)[1], [1, 2, 3], {2: 9}),
+        (veronese_parts(RingContext(3, 3), "minors", 1, 2)[1], [1, 2], {2: 99}),
+    ]
+    for engines, grades, expected in others:
+        assert _full_weight_counts(engines(p), grades) == expected, expected
 
 
 def test_syzygy_bidegrees_match_koszul_shift():
@@ -68,5 +96,5 @@ def test_syzygy_bidegrees_match_koszul_shift():
 
     engine = ReesEngine(RingContext(2, 4), PRIMES[1])
     # total kernel dimension at (a, 1) equals the syzygy space dimension
-    total = sum(len(engine.kernel_block(1, 1, w)) for w in engine.sources(1, 1))
+    total = sum(len(engine.kernel_block((1, 1), w)) for w in engine.sources((1, 1)))
     assert total == 8  # all syzygies here are minimal (none in lower bidegree)

@@ -112,12 +112,12 @@ def _sec_6_U(m):
     """Character of wedge^m V1 (x) wedge^m(V1 (x) Sym^2 V2)."""
     out = {}
     for nu in partitions_of(m):
-        left = schur_multiply((1,) * m, nu).terms
+        left = schur_multiply((1,) * m, nu)
         right = plethysm_schur(conjugate(nu), (2,))
         for lam, cl in left.items():
             for mu, cr in right.items():
                 key = (lam, mu)
-                out[key] = out.get(key, 0) + int(cl) * cr
+                out[key] = out.get(key, 0) + cl * cr
     return BiRep(out)
 
 

@@ -93,8 +93,8 @@ def _wedge_xi_summands(u, v):
             r2 = {}
             for lam1, c1 in a_right.items():
                 for lam2, c2 in b_right.items():
-                    for mu, c in schur_multiply(lam1, lam2).terms.items():
-                        r2[mu] = r2.get(mu, 0) + c1 * c2 * int(c)
+                    for mu, c in schur_multiply(lam1, lam2).items():
+                        r2[mu] = r2.get(mu, 0) + c1 * c2 * c
             yield a_left, b_left, r2, v
 
 
@@ -162,13 +162,13 @@ def tor_geometric(i, r, m, n):
                             continue
                         # fold in the trivial GL(V1) factor S_triv(wedge^2 V1)
                         for gam, c_gam in triv.items():
-                            for w1f, c_f in schur_multiply(gam, w1).terms.items():
+                            for w1f, c_f in schur_multiply(gam, w1).items():
                                 if len(w1f) > m:
                                     continue
                                 key = (w1f, canon(w2))
                                 acc[key] = (
                                     acc.get(key, 0)
-                                    + c_lam * c_mu * c_gam * int(c_f)
+                                    + c_lam * c_mu * c_gam * c_f
                                 )
         if acc:
             out[r + i + j] = BiRep(acc)

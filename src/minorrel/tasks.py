@@ -105,13 +105,13 @@ def _run_lem_4_3(task):
     witnessed = {}
     for r in range(1, r_max + 1):
         for d in range(0, d_cap + 1):
+            full = predicted_character("lem-4.3", d, r=r).terms
             for m in range(2, size + 1):
                 for n in range(m, size + 1):
                     key = f"r{r}_d{d}_{m}x{n}"
-                    stated = predicted_character("lem-4.3", d, r=r)
                     stated = {
                         pair: mult
-                        for pair, mult in stated.terms.items()
+                        for pair, mult in full.items()
                         if len(pair[0]) <= m and len(pair[1]) <= n
                     }
                     geo = bott.lemma_4_3_character(r, d, m, n)
@@ -345,6 +345,7 @@ def suite_tasks(profile="quick", seed=0):
             mk("thm-1.1", m=4, n=5, d_max=4),
             mk("thm-5.1", m=3, n=3),
         ]
+        tasks += [mk("eq-tor1-Nr", m=5, n=5, r=r) for r in (1, 2, 3)]
     return tasks
 
 

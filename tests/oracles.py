@@ -3,14 +3,20 @@
 None of this is reached from the minorrel command line; each function is a
 second route to a quantity the package computes another way: exact rank
 over the rationals (against modular rank), the Weyl dimension formula
-(against Bott's algorithm), the Pieri rule (against Littlewood-Richardson)
-and span dimensions of explicit polynomials.
+(against Bott's algorithm), the Pieri rule (against Littlewood-Richardson),
+plethysm through the power-sum basis (against Jacobi-Trudi) and span
+dimensions of explicit polynomials.
+
+Symmetric functions are dicts mapping a partition to its coefficient, in
+the Schur basis unless a name says power sums.
 """
 
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
+from math import factorial
 
-from minorrel.partitions import canon, conjugate, partitions_of
-from minorrel.symfunc import SCHUR, SymFunc
+from minorrel.partitions import canon, conjugate, contains, partitions_of
 
 
 def rank_exact(rows):
@@ -74,12 +80,126 @@ def pieri(lam, d, kind="row"):
     """Pieri rule: s_lam * h_d for kind "row", s_lam * e_d for kind "column"."""
     lam = canon(lam)
     if kind == "column":
-        res = pieri(conjugate(lam), d, "row")
-        return SymFunc(SCHUR, {conjugate(k): v for k, v in res.terms.items()})
+        return {conjugate(k): v for k, v in pieri(conjugate(lam), d, "row").items()}
     if kind != "row":
         raise ValueError(f"unknown Pieri kind {kind!r}")
+    return {
+        mu: 1
+        for mu in partitions_of(sum(lam) + d, max_parts=len(lam) + 1)
+        if is_horizontal_strip(mu, lam)
+    }
+
+
+# ---------------------------------------------------------------------------
+# Plethysm through the power-sum basis (Murnaghan-Nakayama)
+
+
+def _border_strip_height(lam, nu):
+    """Height of the border strip lam/nu, or None if it is not one.
+
+    A border strip is a connected skew shape containing no 2x2 square:
+    consecutive occupied rows must overlap in exactly one column.
+    """
+    if not contains(lam, nu):
+        return None
+    rows = []
+    for i in range(len(lam)):
+        lo = nu[i] if i < len(nu) else 0
+        if lam[i] > lo:
+            rows.append((i, lo, lam[i] - 1))
+    if not rows:
+        return None
+    for (i1, a1, _b1), (i2, _a2, b2) in zip(rows, rows[1:]):
+        if i2 != i1 + 1 or b2 != a1:
+            return None
+    return len(rows) - 1
+
+
+def _border_strips(lam, length):
+    """All (nu, height) with lam/nu a border strip of the given length."""
+    rest = sum(lam) - length
+    if rest < 0 or not lam:
+        return []
+    out = []
+    for nu in partitions_of(rest, max_parts=len(lam), max_part=lam[0]):
+        h = _border_strip_height(lam, nu)
+        if h is not None:
+            out.append((nu, h))
+    return out
+
+
+@lru_cache(maxsize=None)
+def sn_character(lam, rho):
+    """Symmetric group character chi^lam(rho) via Murnaghan-Nakayama."""
+    lam, rho = canon(lam), canon(rho)
+    if sum(lam) != sum(rho):
+        raise ValueError("size mismatch")
+    if not rho:
+        return 1
+    total = 0
+    for nu, height in _border_strips(lam, rho[0]):
+        total += (-1) ** height * sn_character(nu, rho[1:])
+    return total
+
+
+def z_rho(rho):
+    """Order of the centralizer of a permutation of cycle type rho."""
+    z = 1
+    for part, m in Counter(rho).items():
+        z *= part**m * factorial(m)
+    return z
+
+
+def _nonzero(f):
+    return {k: v for k, v in f.items() if v}
+
+
+def to_power_basis(f):
+    """Schur basis -> power-sum basis: s_lam = sum_rho chi^lam(rho) / z_rho p_rho."""
     out = {}
-    for mu in partitions_of(sum(lam) + d, max_parts=len(lam) + 1):
-        if is_horizontal_strip(mu, lam):
-            out[mu] = Fraction(1)
-    return SymFunc(SCHUR, out)
+    for lam, c in f.items():
+        for rho in partitions_of(sum(lam)):
+            out[rho] = out.get(rho, 0) + c * Fraction(sn_character(lam, rho), z_rho(rho))
+    return _nonzero(out)
+
+
+def from_power_basis(f):
+    """Power-sum basis -> Schur basis: p_rho = sum_lam chi^lam(rho) s_lam."""
+    out = {}
+    for rho, c in f.items():
+        for lam in partitions_of(sum(rho)):
+            out[lam] = out.get(lam, 0) + c * sn_character(lam, rho)
+    return _nonzero(out)
+
+
+def _power_multiply(f, g):
+    out = {}
+    for r1, c1 in f.items():
+        for r2, c2 in g.items():
+            key = tuple(sorted(r1 + r2, reverse=True))
+            out[key] = out.get(key, 0) + c1 * c2
+    return out
+
+
+@lru_cache(maxsize=None)
+def plethysm_power_sum(outer, inner):
+    """s_outer[s_inner] by power-sum substitution p_k[g] = g(p_m -> p_{km}).
+
+    Works for any inner.  Returns a dict partition -> int, and raises
+    ArithmeticError unless every coefficient is a nonnegative integer, as
+    the plethysm of two Schur functions must be.
+    """
+    gp = to_power_basis({canon(inner): 1})
+    acc = {}
+    for sigma, c in to_power_basis({canon(outer): 1}).items():
+        term = {(): 1}
+        for k in sigma:
+            subbed = {tuple(k * m for m in rho): v for rho, v in gp.items()}
+            term = _power_multiply(term, subbed)
+        for rho, v in term.items():
+            acc[rho] = acc.get(rho, 0) + c * v
+    result = from_power_basis(acc)
+    for lam, v in result.items():
+        if v.denominator != 1 or v < 0:
+            raise ArithmeticError(f"plethysm gave coefficient {v} at {lam}")
+    return {lam: int(v) for lam, v in result.items()}

@@ -72,6 +72,8 @@ def test_decompose_subcommands(capsys):
     assert "S[2,2]⊠S[2,2]" in out
     assert main(["decompose", "wedge", "--k", "2"]) == 0
     capsys.readouterr()
+    assert main(["decompose", "wedge", "--k", "-1"]) == 2
+    assert "error: need k >= 0" in capsys.readouterr().err
     assert main(["decompose", "gr", "--lam", "1,1,1", "--mu", "2,1", "--d", "8"]) == 0
     out = capsys.readouterr().out
     assert len(out.strip().splitlines()) == 8
@@ -165,12 +167,10 @@ def test_removed_flags_are_usage_errors(capsys):
     capsys.readouterr()
 
 
-def test_degree_cap_is_a_capacity_skip(capsys):
-    # inside the size envelope, but the Bott route needs a plethysm of degree 18
-    assert main(["verify", "eq-tor1-Nr", "--m", "5", "--n", "5", "--r", "1"]) == 2
-    out = capsys.readouterr().out
-    assert "verdict: skipped-capacity" in out
-    assert "degree 18 exceeds cap 16" in out
+def test_eq_tor1_at_5x5_passes(capsys):
+    # the Bott route needs plethysms of output degree 18 here
+    assert main(["verify", "eq-tor1-Nr", "--m", "5", "--n", "5", "--r", "1"]) == 0
+    assert "verdict: pass" in capsys.readouterr().out
 
 
 def test_envelope_degree_bound_applies(capsys):

@@ -35,8 +35,9 @@ def test_package_has_no_unused_imports():
 
 
 def test_layer_functions_stay_where_the_tracer_wraps_them():
-    # perfbench wraps ReesEngine's methods on the class, and rank_mod and
-    # poly_mul in every package module other than their own that binds them
+    # perfbench wraps ReesEngine's methods on the class, and rank_mod,
+    # poly_mul, schur_multiply and plethysm_schur in every package module
+    # other than their own that binds them
     import importlib
     import pkgutil
 
@@ -56,3 +57,7 @@ def test_layer_functions_stay_where_the_tracer_wraps_them():
             if mod.__name__ != f"minorrel.{owner}" and getattr(mod, name, None) is fn
         ]
         assert binders == ["minorrel.rees", "minorrel.witness"], name
+    for name in ("schur_multiply", "plethysm_schur"):
+        fn = getattr(importlib.import_module("minorrel.symfunc"), name)
+        binders = {mod.__name__ for mod in modules if getattr(mod, name, None) is fn}
+        assert {"minorrel.birep", "minorrel.bott"} <= binders, name

@@ -16,7 +16,7 @@ from . import modlinalg
 from .birep import character_A, gr_components_bivariate, gr_labels
 from .partitions import parse_partition
 from .polyring import RingContext
-from .rees import fiber_type_check, rees_ideal
+from .rees import _orbit_size, fiber_type_check, orbit_total, rees_ideal
 from .report import emit, format_bicharacter
 from .symfunc import bivariate_wedge_power
 from .tasks import RESULTS_DIR_ENV, VerificationTask, run, run_suite, suite_tasks
@@ -113,12 +113,11 @@ def cmd_verify(args):
 def cmd_koszul(args):
     ctx = RingContext(args.m, args.n)
     blocks = koszul_h1_blocks(ctx, args.variant, args.d, seed=args.seed)
-    total = sum(blocks.values())
+    total = orbit_total(blocks)
     print(f"H1 dimension at degree {args.d} ({args.variant}, {args.m}x{args.n}): {total}")
     if args.verbose:
         for w, dim in sorted(blocks.items()):
-            if dim:
-                print(f"  weight {w}: {dim}")
+            print(f"  weight {w}: dim {dim}, orbit size {_orbit_size(w)}")
     return 0
 
 

@@ -84,6 +84,15 @@ def _orbit_size(w):
     return size
 
 
+def orbit_total(dims):
+    """The sum over all weights of a count given at the dominant ones.
+
+    dims maps dominant weights to the count there; each is weighted by the
+    size of its S_m x S_n orbit.
+    """
+    return sum(_orbit_size(w) * c for w, c in dims.items())
+
+
 def _monomials_of_degree(nvars, d):
     """Exponent tuples of total degree d."""
     if d == 0:
@@ -227,9 +236,7 @@ class GradedKernel:
 
     def count(self, grade, at):
         """Sum of at(grade, w) over all weights, from the dominant ones."""
-        return sum(
-            _orbit_size(w) * at(grade, w) for w in self.sources(grade) if _is_dominant(w)
-        )
+        return orbit_total({w: at(grade, w) for w in self.sources(grade) if _is_dominant(w)})
 
     def min_gens(self, grade):
         """Minimal generator count in the grade."""

@@ -20,7 +20,7 @@ from pathlib import Path
 from . import bott, modlinalg
 from .birep import dim_at, predicted_character
 from .polyring import RingContext
-from .rees import fiber_type_check
+from .rees import fiber_type_check, orbit_total
 from .report import VerificationReport, format_bicharacter, parse_report, emit
 from .witness import (
     koszul_h1_blocks,
@@ -93,7 +93,7 @@ def _run_thm_koszul(task):
         ch = predicted_character(name, d)
         predicted[f"degree_{d}"] = dim_at(ch, m, n)
         blocks = koszul_h1_blocks(RingContext(m, n), variant, d, seed=task.seed)
-        witnessed[f"degree_{d}"] = sum(blocks.values())
+        witnessed[f"degree_{d}"] = orbit_total(blocks)
     return predicted, witnessed, []
 
 
@@ -337,6 +337,8 @@ def suite_tasks(profile="quick", seed=0):
             mk("que-7.1", m=2, n=4),
             mk("que-7.1", m=3, n=3),
             mk("thm-1.1", m=4, n=4, d_max=4),
+            mk("thm-3.1", m=3, n=4, d_max=7),
+            mk("thm-3.2", m=3, n=4, d_max=7),
         ]
     if profile == "long":
         tasks += [

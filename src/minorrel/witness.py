@@ -6,9 +6,12 @@ each generator used below) is homogeneous for the torus of GL(V1) x GL(V2),
 so kernel and rank computations split into many small independent blocks.
 A weight is the pair (row sums, column sums).  The relation ideals, the
 subspace variety and the Veronese relations are instances of the graded
-kernel engine in `rees`.  Products and matrices are built once over the
-integers; kernels and ranks run modulo two seeded primes through
-`two_primes`, which requires the two results to agree.
+kernel engine in `rees`.  Koszul homology is a pair of ranks per block,
+built and ranked only at dominant weights and keyed by them: each per-weight
+dimension is constant on S_m x S_n orbits, and `rees.orbit_total` gives the
+total.  Products and matrices are built once over the integers; kernels and
+ranks run modulo two seeded primes through `two_primes`, which requires the
+two results to agree.
 """
 
 from itertools import combinations, combinations_with_replacement, permutations
@@ -18,10 +21,12 @@ from .modlinalg import guard_nonzeros, rank_mod, resolve_cap, two_primes
 from .polyring import monomial, poly_mul, x_weight
 from .rees import (
     GradedKernel,
+    _is_dominant,
     _monomials_of_degree,
     _multiset_product,
     _wadd,
     _weights_of,
+    _wsub,
     _zero_weight,
     generators_for,
     shared_state,
@@ -60,67 +65,85 @@ def relation_dims(ctx, variant, d_max, seed=0, cap=None):
 # Koszul homology H_1 of the quadric space W (or its permanent analogue)
 
 
-def koszul_h1_blocks(ctx, variant, d, seed=0, cap=None):
-    """Weight-resolved H_1 dims of the Koszul complex of W in total degree d.
+def _group(items, key):
+    """{key(x): [x, ...]} in the order of items."""
+    out = {}
+    for x in items:
+        out.setdefault(key(x), []).append(x)
+    return out
 
-    Returns {weight: dim} where weight = (row sums, column sums); the total
-    H_1 dimension is the sum of all values.  The boundary matrices are built
-    once over the integers and ranked mod two seeded primes.
+
+def _fits(w, groups):
+    """(w - delta, members) for each delta of groups that w - delta stays nonnegative."""
+    for delta, members in groups.items():
+        rest = _wsub(w, delta)
+        if rest is not None:
+            yield rest, members
+
+
+def koszul_h1_blocks(ctx, variant, d, seed=0, cap=None):
+    """H_1 of the Koszul complex of W in total degree d, at dominant weights.
+
+    Returns {weight: dim} over the dominant weights (row sums and column sums
+    both non-increasing) where H_1 is nonzero.  Permuting rows and columns
+    maps the bases of W (x) S_{d-2} and W^W (x) S_{d-4} to themselves up to
+    sign, so H_1 at any weight equals H_1 at the dominant weight of its
+    orbit, and `rees.orbit_total` of the result is the total dimension.
+    Only dominant blocks are built: their boundary matrices once over the
+    integers, ranked mod two seeded primes.
     """
     if d < 2:
         raise ValueError("degree must be >= 2")
     cap = resolve_cap(cap)
     gens = generators_for(ctx, variant)
-    N = len(gens)
     gw = _weights_of(ctx, gens)
-    # basis of W (x) S_{d-2}: (k, monomial); group by weight
-    blocks = {}
-    for k in range(N):
-        for exp in _monomials_of_degree(ctx.num_vars, d - 2):
-            blocks.setdefault(_wadd(gw[k], x_weight(ctx, exp)), []).append((k, exp))
-    # boundary d1 images: w_k * x^exp, a polynomial of degree d
-    d1rows = {}
-    nnz = 0
-    for w, members in blocks.items():
-        colmap = {}
-        rows = d1rows[w] = []
-        for k, exp in members:
-            row = {}
-            for e2, c in gens[k].items():
-                key = tuple(a + b for a, b in zip(e2, exp))
-                row[colmap.setdefault(key, len(colmap))] = c
-            nnz += len(row)
-            rows.append(row)
-        guard_nonzeros(nnz, "Koszul d1 matrix", cap)
-    # boundary d2 images: for k<l and x^m of degree d-4:
-    #   (k, w_l * m) with +coeffs and (l, w_k * m) with -coeffs
-    d2rows = {}
-    if d >= 4:
-        pair_index = {w: {kv: i for i, kv in enumerate(members)} for w, members in blocks.items()}
-        nnz2 = 0
-        for k in range(N):
-            for l in range(k + 1, N):
-                w_kl = _wadd(gw[k], gw[l])
-                for mexp in _monomials_of_degree(ctx.num_vars, d - 4):
-                    w = _wadd(w_kl, x_weight(ctx, mexp))
-                    idx = pair_index.get(w)
-                    if idx is None:
-                        continue
+    # monomials of degree d-2 and d-4, generators and pairs k < l, by weight
+    weight = lambda x: x_weight(ctx, x)
+    mono2 = _group(_monomials_of_degree(ctx.num_vars, d - 2), weight)
+    mono4 = _group(_monomials_of_degree(ctx.num_vars, d - 4), weight) if d >= 4 else {}
+    gens_at = _group(range(len(gens)), gw.__getitem__)
+    pairs_at = _group(combinations(range(len(gens)), 2), lambda kl: _wadd(gw[kl[0]], gw[kl[1]]))
+    weights = {_wadd(wk, wm) for wk in gens_at for wm in mono2}
+    blocks = []
+    nnz1 = nnz2 = 0
+    for w in sorted(filter(_is_dominant, weights)):
+        # basis of W (x) S_{d-2} at w: (k, x^a) with wt(k) + wt(a) = w
+        basis = [
+            (k, exp) for rest, ks in _fits(w, gens_at) for k in ks for exp in mono2.get(rest, ())
+        ]
+        # d1: (k, x^a) -> w_k x^a, one column per monomial of degree d
+        mono_col = {}
+        d1 = [
+            {
+                mono_col.setdefault(tuple(a + b for a, b in zip(e2, exp)), len(mono_col)): c
+                for e2, c in gens[k].items()
+            }
+            for k, exp in basis
+        ]
+        # d2: e_k ^ e_l (x) x^b -> (k, w_l x^b) - (l, w_k x^b), for k < l
+        col = {kx: i for i, kx in enumerate(basis)}
+        d2 = []
+        for rest, kls in _fits(w, pairs_at):
+            for mexp in mono4.get(rest, ()):
+                for k, l in kls:
                     row = {}
                     for e2, c in gens[l].items():
-                        row[idx[(k, tuple(a + b for a, b in zip(e2, mexp)))]] = c
+                        row[col[(k, tuple(a + b for a, b in zip(e2, mexp)))]] = c
                     for e2, c in gens[k].items():
-                        row[idx[(l, tuple(a + b for a, b in zip(e2, mexp)))]] = -c
-                    nnz2 += len(row)
-                    d2rows.setdefault(w, []).append(row)
+                        row[col[(l, tuple(a + b for a, b in zip(e2, mexp)))]] = -c
+                    d2.append(row)
+        nnz1 += sum(map(len, d1))
+        nnz2 += sum(map(len, d2))
+        guard_nonzeros(nnz1, "Koszul d1 matrix", cap)
         guard_nonzeros(nnz2, "Koszul d2 matrix", cap)
+        blocks.append((w, len(basis), d1, d2))
 
     def compute(p):
         result = {}
-        for w, members in blocks.items():
-            h1 = len(members) - rank_mod(d1rows[w], p)
-            if w in d2rows:
-                h1 -= rank_mod(d2rows[w], p)
+        for w, size, d1, d2 in blocks:
+            h1 = size - rank_mod(d1, p)
+            if d2:
+                h1 -= rank_mod(d2, p)
             if h1:
                 result[w] = h1
         return result

@@ -4,8 +4,9 @@ None of this is reached from the minorrel command line; each function is a
 second route to a quantity the package computes another way: exact rank
 over the rationals (against modular rank), the Weyl dimension formula
 (against Bott's algorithm), the Pieri rule (against Littlewood-Richardson),
-plethysm through the power-sum basis (against Jacobi-Trudi) and span
-dimensions of explicit polynomials.
+plethysm through the power-sum basis (against Jacobi-Trudi), span
+dimensions of explicit polynomials, and Koszul homology at every torus
+weight (against the dominant weights alone).
 
 Symmetric functions are dicts mapping a partition to its coefficient, in
 the Schur basis unless a name says power sums.
@@ -16,7 +17,10 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
+from minorrel.modlinalg import rank_mod
 from minorrel.partitions import canon, conjugate, contains, partitions_of
+from minorrel.polyring import x_weight
+from minorrel.rees import _monomials_of_degree, _wadd, _weights_of, generators_for
 
 
 def rank_exact(rows):
@@ -203,3 +207,59 @@ def plethysm_power_sum(outer, inner):
         if v.denominator != 1 or v < 0:
             raise ArithmeticError(f"plethysm gave coefficient {v} at {lam}")
     return {lam: int(v) for lam, v in result.items()}
+
+
+# ---------------------------------------------------------------------------
+# Koszul homology at every torus weight
+
+
+def koszul_h1_full_weight(ctx, variant, d, p):
+    """{weight: dim H_1} of the Koszul complex of W in degree d, at one prime.
+
+    Builds and ranks the block of every weight, dominant or not; weights
+    where H_1 vanishes are left out.
+    """
+    gens = generators_for(ctx, variant)
+    N = len(gens)
+    gw = _weights_of(ctx, gens)
+    # basis of W (x) S_{d-2}: (k, monomial); group by weight
+    blocks = {}
+    for k in range(N):
+        for exp in _monomials_of_degree(ctx.num_vars, d - 2):
+            blocks.setdefault(_wadd(gw[k], x_weight(ctx, exp)), []).append((k, exp))
+    # boundary d1 images: w_k * x^exp, a polynomial of degree d
+    d1rows = {}
+    for w, members in blocks.items():
+        colmap = {}
+        rows = d1rows[w] = []
+        for k, exp in members:
+            row = {}
+            for e2, c in gens[k].items():
+                key = tuple(a + b for a, b in zip(e2, exp))
+                row[colmap.setdefault(key, len(colmap))] = c
+            rows.append(row)
+    # boundary d2 images: for k<l and x^m of degree d-4:
+    #   (k, w_l * m) with +coeffs and (l, w_k * m) with -coeffs
+    d2rows = {}
+    if d >= 4:
+        pair_index = {w: {kv: i for i, kv in enumerate(members)} for w, members in blocks.items()}
+        for k in range(N):
+            for l in range(k + 1, N):
+                w_kl = _wadd(gw[k], gw[l])
+                for mexp in _monomials_of_degree(ctx.num_vars, d - 4):
+                    w = _wadd(w_kl, x_weight(ctx, mexp))
+                    idx = pair_index.get(w)
+                    if idx is None:
+                        continue
+                    row = {}
+                    for e2, c in gens[l].items():
+                        row[idx[(k, tuple(a + b for a, b in zip(e2, mexp)))]] = c
+                    for e2, c in gens[k].items():
+                        row[idx[(l, tuple(a + b for a, b in zip(e2, mexp)))]] = -c
+                    d2rows.setdefault(w, []).append(row)
+    result = {}
+    for w, members in blocks.items():
+        h1 = len(members) - rank_mod(d1rows[w], p) - rank_mod(d2rows.get(w, []), p)
+        if h1:
+            result[w] = h1
+    return result

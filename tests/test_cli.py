@@ -85,6 +85,20 @@ def test_koszul_subcommand(capsys):
     assert "16" in out
 
 
+def test_koszul_verbose_lists_dominant_weights(capsys):
+    assert main(["koszul", "--m", "3", "--n", "3", "--d", "3", "--verbose"]) == 0
+    head, *lines = capsys.readouterr().out.strip().splitlines()
+    assert head.endswith(": 16")
+    assert lines == [
+        "  weight ((1, 1, 1), (1, 1, 1)): dim 4, orbit size 1",
+        "  weight ((1, 1, 1), (2, 1, 0)): dim 1, orbit size 6",
+        "  weight ((2, 1, 0), (1, 1, 1)): dim 1, orbit size 6",
+    ]
+    # the orbit-weighted sum of the listed dims is the printed total
+    pairs = [line.split(": dim ")[1].split(", orbit size ") for line in lines]
+    assert sum(int(dim) * int(size) for dim, size in pairs) == 16
+
+
 def test_fiber_type_subcommand(capsys):
     assert main(["fiber-type", "--m", "2", "--n", "3"]) == 0
     out = capsys.readouterr().out

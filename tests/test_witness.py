@@ -1,10 +1,12 @@
 import random
+from itertools import permutations
 
 import pytest
 
 from minorrel.birep import dim_at, predicted_character
 from minorrel.modlinalg import PRIMES
 from minorrel.polyring import RingContext
+from minorrel.rees import _is_dominant, orbit_total
 from minorrel.witness import (
     filtration_generator_space,
     koszul_h1_blocks,
@@ -14,7 +16,7 @@ from minorrel.witness import (
     two_primes,
     veronese_presentation_dims,
 )
-from oracles import span_dimension
+from oracles import koszul_h1_full_weight, span_dimension
 
 
 def test_relation_dims_2x4_minors():
@@ -50,20 +52,45 @@ def test_relation_dims_requires_degree_two():
 
 def test_koszul_h1_matches_character_predictions():
     for d in (2, 3, 4, 5):
-        witnessed = sum(koszul_h1_blocks(RingContext(3, 3), "minors", d).values())
+        witnessed = orbit_total(koszul_h1_blocks(RingContext(3, 3), "minors", d))
         assert witnessed == dim_at(predicted_character("thm-3.1", d), 3, 3)
 
 
 def test_koszul_h1_blocks_are_weight_graded():
     blocks = koszul_h1_blocks(RingContext(3, 3), "minors", 3)
-    assert sum(blocks.values()) == 16
+    assert orbit_total(blocks) == 16
     for (roww, colw), dim in blocks.items():
         assert sum(roww) == sum(colw) == 3
+        assert _is_dominant((roww, colw))
 
 
 def test_koszul_h1_permanents_vanishing_bound():
     # the permanent variant vanishes from degree n + 3 on
-    assert sum(koszul_h1_blocks(RingContext(3, 3), "permanents", 6).values()) == 0
+    assert orbit_total(koszul_h1_blocks(RingContext(3, 3), "permanents", 6)) == 0
+
+
+def test_koszul_h1_dominant_weights_match_full_weight_oracle():
+    # oracle: rank the block of every weight at one prime; H_1 at each weight
+    # equals H_1 at its dominant representative, and the orbit sizes add up
+    cases = [
+        (3, 3, "minors", 5),
+        (3, 3, "permanents", 5),
+        (2, 4, "minors", 4),
+        (3, 4, "minors", 4),
+    ]
+    for m, n, variant, d_max in cases:
+        ctx = RingContext(m, n)
+        for d in range(2, d_max + 1):
+            full = koszul_h1_full_weight(ctx, variant, d, PRIMES[0])
+            blocks = koszul_h1_blocks(ctx, variant, d)
+            orbits = {
+                (rows, cols): dim
+                for (roww, colw), dim in blocks.items()
+                for rows in set(permutations(roww))
+                for cols in set(permutations(colw))
+            }
+            assert full == orbits, (m, n, variant, d)
+            assert orbit_total(blocks) == sum(full.values()), (m, n, variant, d)
 
 
 def test_filtration_generator_space_dimensions():

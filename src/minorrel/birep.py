@@ -121,21 +121,19 @@ def _sec_6_U(m):
     return BiRep(out)
 
 
-# canonical variant of each stored statement; requesting the other variant
-# applies transpose duality
 _REGISTRY = {
-    "thm-1.1": (_thm_1_1, "minors"),
-    "thm-1.2": (lambda j: transpose_duality(_thm_1_1(j)), "permanents"),
-    "thm-3.1": (_thm_3_1, "minors"),
-    "thm-3.2": (lambda d: transpose_duality(_thm_3_1(d)), "permanents"),
-    "lem-4.3": (_lem_4_3, "minors"),
-    "eq-tor1-Nr": (_eq_tor1_Nr, "minors"),
-    "sec-6-Tbar": (_sec_6_Tbar, "permanents"),
-    "sec-6-U": (_sec_6_U, "permanents"),
+    "thm-1.1": _thm_1_1,
+    "thm-1.2": lambda j: transpose_duality(_thm_1_1(j)),
+    "thm-3.1": _thm_3_1,
+    "thm-3.2": lambda d: transpose_duality(_thm_3_1(d)),
+    "lem-4.3": _lem_4_3,
+    "eq-tor1-Nr": _eq_tor1_Nr,
+    "sec-6-Tbar": _sec_6_Tbar,
+    "sec-6-U": _sec_6_U,
 }
 
 
-def predicted_character(name, j, variant=None, r=None):
+def predicted_character(name, j, r=None):
     """Stated character of the named statement in degree/parameter j.
 
     For "lem-4.3" j is the strip size d and the filtration index r is required.
@@ -143,18 +141,11 @@ def predicted_character(name, j, variant=None, r=None):
     """
     if name not in _REGISTRY:
         raise KeyError(f"unknown theorem-id {name!r}")
-    fn, canonical = _REGISTRY[name]
     if name == "lem-4.3":
         if r is None:
             raise ValueError("lem-4.3 requires the filtration index r")
-        out = fn(j, r)
-    else:
-        out = fn(j)
-    if variant is None or variant == canonical:
-        return out
-    if variant in ("minors", "permanents"):
-        return transpose_duality(out)
-    raise ValueError(f"unknown variant {variant!r}")
+        return _REGISTRY[name](j, r)
+    return _REGISTRY[name](j)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ Subcommands: decompose, verify, koszul, rees, fiber-type, suite.  Exit codes:
 0 all comparisons pass, 1 any fail, 2 usage or capacity error.  The results
 directory for cached json reports comes from --results-dir or the
 MINORREL_RESULTS_DIR environment variable; a key=value config file can
-override the sparse-matrix capacity cap and the modular prime list (at least
-two distinct primes, each at least 2^16 and below 2^64).
+override the sparse-matrix capacity cap (an integer at least 1) and the
+modular prime list (at least two distinct primes, each at least 2^16 and
+below 2^64).
 """
 
 import argparse
@@ -70,7 +71,10 @@ def apply_config(cfg):
                 raise ValueError(f"{p} is not a prime in [2^16, 2^64)")
         modlinalg.PRIMES = primes
     if "cap" in cfg:
-        modlinalg.DEFAULT_NONZERO_CAP = int(cfg["cap"])
+        cap = int(cfg["cap"])
+        if cap < 1:
+            raise ValueError(f"cap must be at least 1, not {cap}")
+        modlinalg.NONZERO_CAP = cap
     return cfg
 
 

@@ -19,7 +19,7 @@ PRIMES = (
     2147483497,
 )
 
-DEFAULT_NONZERO_CAP = 2_000_000
+NONZERO_CAP = 2_000_000
 
 
 class CapacityError(Exception):
@@ -35,14 +35,10 @@ def two_primes(seed, compute):
     return r1
 
 
-def resolve_cap(cap):
-    """The nonzero cap to apply: cap, or the configured default if it is None."""
-    return DEFAULT_NONZERO_CAP if cap is None else cap
-
-
-def guard_nonzeros(count, what, cap):
-    if count > cap:
-        raise CapacityError(f"{what}: {count} nonzeros exceeds cap {cap}")
+def guard_nonzeros(count, what):
+    """Raise CapacityError if count exceeds NONZERO_CAP as configured now."""
+    if count > NONZERO_CAP:
+        raise CapacityError(f"{what}: {count} nonzeros exceeds cap {NONZERO_CAP}")
 
 
 def _reduce_mod(rows, p):

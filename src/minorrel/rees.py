@@ -1,6 +1,6 @@
 """The graded-kernel engine, and the bigraded defining ideal of the Rees algebra.
 
-`GradedKernel` computes, at one prime, the graded kernel of a linear map
+`GradedKernel` computes, modulo a prime, the graded kernel of a linear map
 from a weight-graded source to polynomials, and its minimal generators.  A
 source element is a pair (f, ms): a factor f times the product of the
 generators indexed by the sorted multiset ms.  The engine is parameterised
@@ -16,8 +16,9 @@ source basis to itself up to sign, over the integers, so each per-weight
 count is constant on S_m x S_n orbits of weights: only the dominant weight
 of each orbit is eliminated, weighted by the orbit size.  The shifted
 kernels it needs may sit at non-dominant weights; they are computed on
-demand.  The source bases and the integer products do not depend on the
-prime and are shared by the engines of both primes.
+demand.  One engine object serves an instance: it is built once over the
+integers, where its source bases and generator products live, and `at(p)`
+runs it at the prime p, dropping the kernels of any previous prime.
 
 The Rees algebra is presented by T-variables (one per quadric generator)
 over the matrix-entry ring; the defining ideal J is the bigraded kernel of
@@ -30,7 +31,7 @@ from collections import Counter
 from itertools import combinations_with_replacement
 from math import factorial
 
-from .modlinalg import guard_nonzeros, nullspace_mod, rank_mod, resolve_cap, two_primes
+from .modlinalg import guard_nonzeros, nullspace_mod, rank_mod, two_primes
 from .polyring import minors_basis, permanents_basis, poly_mul, x_weight
 
 
@@ -47,12 +48,15 @@ def _weights_of(ctx, gens):
     return [x_weight(ctx, next(iter(g))) for g in gens]
 
 
-def _zero_weight(ctx):
-    return (0,) * ctx.m, (0,) * ctx.n
+_ZERO = ((), ())  # the zero weight of every size, for engines without generators too
 
 
 def _wadd(w, delta):
     """Componentwise sum of weights."""
+    if w is _ZERO:
+        return delta
+    if delta is _ZERO:
+        return w
     return (
         tuple(a + b for a, b in zip(w[0], delta[0])),
         tuple(a + b for a, b in zip(w[1], delta[1])),
@@ -105,18 +109,6 @@ def _monomials_of_degree(nvars, d):
         yield tuple(exp)
 
 
-def _multiset_product(gens, ms, cache):
-    """Product of the generators indexed by the sorted tuple ms, memoised.
-
-    cache[()] holds the unit: the constant 1 with the zero exponent of the
-    generators' length (a shorter one would truncate every product).
-    poly_mul does not read its ring context, so none is needed here.
-    """
-    if ms not in cache:
-        cache[ms] = poly_mul(None, _multiset_product(gens, ms[:-1], cache), gens[ms[-1]])
-    return cache[ms]
-
-
 def _shifted_rows(vectors, shift, col):
     """Lower-grade kernel vectors moved up by shift, as sparse rows.
 
@@ -134,34 +126,45 @@ def _shifted_rows(vectors, shift, col):
     return rows
 
 
-def shared_state(nvars):
-    """Prime-independent state for engines of either prime: sources, products."""
-    return {}, {(): {(0,) * nvars: 1}}
-
-
 class GradedKernel:
-    """Per-prime graded kernel and minimal generators of a map to polynomials.
+    """Graded kernel and minimal generators of a map to polynomials.
 
     The base class is the relations instance: the kernel of Sym(gens) ->
     polynomials graded by degree, with one unit factor and the
     multiplications by the generators as shifts.  Subclasses override
-    `factors`, `image`, `shifts` and `modulo`.  shared comes from
-    `shared_state` and may be passed to the engine of another prime.
+    `factors`, `image`, `shifts` and `modulo`.  gens are polynomials in
+    nvars variables, of torus weights `weights`.  Call `at(p)` before
+    asking for a kernel.
     """
 
-    def __init__(self, gens, weights, zero, prime, cap, shared):
-        self.gens, self.weights, self.zero = gens, weights, zero
-        self.p = prime
-        self.cap = resolve_cap(cap)
-        self._sources, self.products = shared
+    def __init__(self, gens, weights, nvars):
+        self.gens, self.weights = gens, weights
+        self._sources = {}  # grade -> {weight: [source]}
+        # multiset -> product of its generators; the unit's exponent has all
+        # nvars entries, since poly_mul would truncate products to a shorter one
+        self.products = {(): {(0,) * nvars: 1}}
+
+    def at(self, p):
+        """This engine at the prime p; the kernels of the previous prime are dropped."""
+        self.p = p
         self._kernels = {}  # (grade, weight) -> kernel vectors {source: coeff}
+        return self
+
+    def product(self, ms):
+        """Product of the generators indexed by the sorted tuple ms, memoised.
+
+        poly_mul does not read its ring context, so none is passed.
+        """
+        if ms not in self.products:
+            self.products[ms] = poly_mul(None, self.product(ms[:-1]), self.gens[ms[-1]])
+        return self.products[ms]
 
     def factors(self, d):
         """[(factor, weight)] of the grade, and the size of the multisets."""
-        return [(None, self.zero)], d
+        return [(None, _ZERO)], d
 
     def image(self, source):
-        return _multiset_product(self.gens, source[1], self.products)
+        return self.product(source[1])
 
     def shifts(self, d):
         """[(lower grade, weight added, source map)] into the grade."""
@@ -183,7 +186,7 @@ class GradedKernel:
             factors, e = self.factors(grade)
             by_ms = {}
             for ms in combinations_with_replacement(range(len(self.gens)), e):
-                w = self.zero
+                w = _ZERO
                 for k in ms:
                     w = _wadd(w, self.weights[k])
                 by_ms.setdefault(w, []).append(ms)
@@ -213,7 +216,7 @@ class GradedKernel:
                 nnz += len(f)
                 for exp, c in f.items():
                     rows.setdefault(exp, {})[i] = c
-            guard_nonzeros(nnz, f"kernel block {grade} at weight {w}", self.cap)
+            guard_nonzeros(nnz, f"kernel block {grade} at weight {w}")
             for vec in nullspace_mod(list(rows.values()), len(polys), self.p):
                 vec = {members[i - skip]: c for i, c in vec.items() if i >= skip}
                 if vec:
@@ -257,10 +260,9 @@ class ReesEngine(GradedKernel):
     kernel_block = GradedKernel.kernel_block
     min_gens = GradedKernel.min_gens
 
-    def __init__(self, ctx, prime, variant="minors", cap=None, shared=None):
+    def __init__(self, ctx, variant="minors"):
         gens = generators_for(ctx, variant)
-        shared = shared_state(ctx.num_vars) if shared is None else shared
-        super().__init__(gens, _weights_of(ctx, gens), _zero_weight(ctx), prime, cap, shared)
+        super().__init__(gens, _weights_of(ctx, gens), ctx.num_vars)
         self.ctx = ctx
         self.var_weights = [
             x_weight(ctx, tuple(int(i == v) for i in range(ctx.num_vars)))
@@ -274,8 +276,7 @@ class ReesEngine(GradedKernel):
 
     def image(self, source):
         xexp, ms = source
-        prod = _multiset_product(self.gens, ms, self.products)
-        return {tuple(a + b for a, b in zip(exp, xexp)): c for exp, c in prod.items()}
+        return {tuple(a + b for a, b in zip(exp, xexp)): c for exp, c in self.product(ms).items()}
 
     def shifts(self, grade):
         a, e = grade
@@ -288,17 +289,17 @@ class ReesEngine(GradedKernel):
         return out
 
 
-def rees_ideal(ctx, a_max=3, e_max=3, seed=0, variant="minors", cap=None):
+def rees_ideal(ctx, a_max=3, e_max=3, seed=0, variant="minors"):
     """Minimal generators of the Rees ideal J by bidegree.
 
     Returns a sorted list of ((a, 2e), count) with count > 0, over the window
     a <= a_max, e <= e_max (e >= 1; the component (a, 0) is zero since the
     x-variables are algebraically independent).
     """
-    shared = shared_state(ctx.num_vars)
+    engine = ReesEngine(ctx, variant)
 
     def compute(p):
-        engine = ReesEngine(ctx, p, variant, cap, shared)
+        engine.at(p)
         counts = [
             ((a, 2 * e), engine.min_gens((a, e)))
             for a in range(a_max + 1)
@@ -309,12 +310,12 @@ def rees_ideal(ctx, a_max=3, e_max=3, seed=0, variant="minors", cap=None):
     return two_primes(seed, compute)
 
 
-def fiber_type_check(ctx, a_max=3, e_max=3, seed=0, variant="minors", cap=None):
+def fiber_type_check(ctx, a_max=3, e_max=3, seed=0, variant="minors"):
     """Decide fiber type on a bidegree window.
 
     Fiber type: every minimal generator of J lies in bidegree (0, 2d) (a fiber
     relation, i.e. a defining relation of the minor variety) or (d, 2) (a
     syzygy of the quadrics).  Returns (fiber, {(a, 2e): count}).
     """
-    table = dict(rees_ideal(ctx, a_max, e_max, seed, variant, cap))
+    table = dict(rees_ideal(ctx, a_max, e_max, seed, variant))
     return not any(a >= 1 and b >= 4 for a, b in table), table

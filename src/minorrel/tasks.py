@@ -59,7 +59,7 @@ class VerificationTask:
         key = dict(
             self.as_dict(),
             primes=list(modlinalg.PRIMES),
-            cap=modlinalg.DEFAULT_NONZERO_CAP,
+            cap=modlinalg.NONZERO_CAP,
             source=source_digest(),
         )
         blob = json.dumps(key, sort_keys=True).encode()
@@ -145,9 +145,7 @@ def _run_thm_4_1(task):
     p = task.params
     m, n, r = p["m"], p["n"], p.get("r", 1)
     d_max = p.get("d_max", r + 1)
-    out = veronese_presentation_dims(
-        RingContext(m, n), "minors", r, d_max, seed=task.seed
-    )
+    out = veronese_presentation_dims(RingContext(m, n), r, d_max, seed=task.seed)
     gen_degrees = sorted(d for d, v in out["generators"].items() if v)
     rel_degrees = sorted(d for d, v in out["relations"].items() if v)
     bound = dim_at(predicted_character("eq-tor1-Nr", r), m, n)

@@ -6,51 +6,48 @@ each generator used below) is homogeneous for the torus of GL(V1) x GL(V2),
 so kernel and rank computations split into many small independent blocks.
 A weight is the pair (row sums, column sums).  The relation ideals, the
 subspace variety and the Veronese relations are instances of the graded
-kernel engine in `rees`.  Koszul homology is a pair of ranks per block,
-built and ranked only at dominant weights and keyed by them: each per-weight
-dimension is constant on S_m x S_n orbits, and `rees.orbit_total` gives the
-total.  Products and matrices are built once over the integers; kernels and
-ranks run modulo two seeded primes through `two_primes`, which requires the
-two results to agree.
+kernel engine in `rees`: one engine per instance, built once over the
+integers and run at each prime by `engine.at(p)`.  Koszul homology is a pair
+of ranks per block, built and ranked only at dominant weights and keyed by
+them: each per-weight dimension is constant on S_m x S_n orbits, and
+`rees.orbit_total` gives the total.  Products and matrices are built once
+over the integers; kernels and ranks run modulo two seeded primes through
+`two_primes`, which requires the two results to agree.
 """
 
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement
 from math import factorial
 
-from .modlinalg import guard_nonzeros, rank_mod, resolve_cap, two_primes
-from .polyring import monomial, poly_mul, x_weight
+from .modlinalg import guard_nonzeros, rank_mod, two_primes
+from .polyring import minors_basis, monomial, poly_mul, x_weight
 from .rees import (
     GradedKernel,
     _is_dominant,
     _monomials_of_degree,
-    _multiset_product,
     _wadd,
     _weights_of,
     _wsub,
-    _zero_weight,
     generators_for,
-    shared_state,
 )
 
 
-def presentation_dims(engines, d_max, seed=0):
-    """{d: (kernel_dim, min_gen_dim)} for 1 <= d <= d_max; engines(p) is the engine at p."""
+def presentation_dims(engine, d_max, seed=0):
+    """{d: (kernel_dim, min_gen_dim)} for 1 <= d <= d_max, from the engine at two primes."""
 
     def compute(p):
-        engine = engines(p)
+        engine.at(p)
         return {d: (engine.kernel_dim(d), engine.min_gens(d)) for d in range(1, d_max + 1)}
 
     return two_primes(seed, compute)
 
 
-def relation_engines(ctx, variant, cap=None):
-    """Engine of each prime for Sym(W) -> polynomials, W the minors or permanents."""
+def relation_engine(ctx, variant):
+    """The engine of Sym(W) -> polynomials, W the minors or permanents."""
     gens = generators_for(ctx, variant)
-    weights, zero, shared = _weights_of(ctx, gens), _zero_weight(ctx), shared_state(ctx.num_vars)
-    return lambda p: GradedKernel(gens, weights, zero, p, cap, shared)
+    return GradedKernel(gens, _weights_of(ctx, gens), ctx.num_vars)
 
 
-def relation_dims(ctx, variant, d_max, seed=0, cap=None):
+def relation_dims(ctx, variant, d_max, seed=0):
     """Relations between the 2x2 minors (or permanents) of the generic matrix.
 
     For each degree d: the kernel dimension of Sym^d(W) -> S_{2d} and the
@@ -58,7 +55,7 @@ def relation_dims(ctx, variant, d_max, seed=0, cap=None):
     """
     if d_max < 2:
         raise ValueError("d_max must be >= 2")
-    return presentation_dims(relation_engines(ctx, variant, cap), d_max, seed)
+    return presentation_dims(relation_engine(ctx, variant), d_max, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +78,7 @@ def _fits(w, groups):
             yield rest, members
 
 
-def koszul_h1_blocks(ctx, variant, d, seed=0, cap=None):
+def koszul_h1_blocks(ctx, variant, d, seed=0):
     """H_1 of the Koszul complex of W in total degree d, at dominant weights.
 
     Returns {weight: dim} over the dominant weights (row sums and column sums
@@ -94,7 +91,6 @@ def koszul_h1_blocks(ctx, variant, d, seed=0, cap=None):
     """
     if d < 2:
         raise ValueError("degree must be >= 2")
-    cap = resolve_cap(cap)
     gens = generators_for(ctx, variant)
     gw = _weights_of(ctx, gens)
     # monomials of degree d-2 and d-4, generators and pairs k < l, by weight
@@ -134,8 +130,8 @@ def koszul_h1_blocks(ctx, variant, d, seed=0, cap=None):
                     d2.append(row)
         nnz1 += sum(map(len, d1))
         nnz2 += sum(map(len, d2))
-        guard_nonzeros(nnz1, "Koszul d1 matrix", cap)
-        guard_nonzeros(nnz2, "Koszul d2 matrix", cap)
+        guard_nonzeros(nnz1, "Koszul d1 matrix")
+        guard_nonzeros(nnz2, "Koszul d2 matrix")
         blocks.append((w, len(basis), d1, d2))
 
     def compute(p):
@@ -171,59 +167,19 @@ def _sym_power_generators(ctx, c):
     return list(out.values())
 
 
-def _wedge_power_generators(ctx, c):
-    """Spanning set of wedge^{2c}V1 (x) wedge^{2c}V2: the 2c x 2c minors."""
-    D = 2 * c
-    out = []
-    for rows in combinations(range(1, ctx.m + 1), D):
-        for cols in combinations(range(1, ctx.n + 1), D):
-            terms = {}
-            for perm in permutations(range(D)):
-                sign = 1
-                for a in range(D):
-                    for b in range(a + 1, D):
-                        if perm[a] > perm[b]:
-                            sign = -sign
-                exp = [0] * ctx.num_vars
-                for a in range(D):
-                    exp[ctx.x_index(rows[a], cols[perm[a]])] += 1
-                key = tuple(exp)
-                terms[key] = terms.get(key, 0) + sign
-            terms = {k: v for k, v in terms.items() if v}
-            if terms:
-                out.append(terms)
-    return out
-
-
-def filtration_generator_space(ctx, variant, c):
+def filtration_generator_space(ctx, c):
     """Generator space of the c-th filtration step as explicit polynomials."""
     if c == 0:
         return [monomial(ctx, [])]
-    if variant == "minors":
-        return _sym_power_generators(ctx, c)
-    if variant == "permanents":
-        return _wedge_power_generators(ctx, c)
-    raise ValueError(f"unknown variant {variant!r}")
+    return _sym_power_generators(ctx, c)
 
 
-def _span_rows(polys, what, cap):
+def _span_rows(polys, what):
     """Integer coefficient rows of polys over one monomial numbering."""
     colmap = {}
     rows = [{colmap.setdefault(exp, len(colmap)): c for exp, c in f.items()} for f in polys]
-    guard_nonzeros(sum(map(len, rows)), what, cap)
+    guard_nonzeros(sum(map(len, rows)), what)
     return rows
-
-
-def _module_component(ctx, variant, r, D, cache, gens):
-    """Spanning polynomials of the degree-D piece of M_r (degree 2D in x)."""
-    out = []
-    for c in range(0, min(r, D) + 1):
-        gspace = filtration_generator_space(ctx, variant, c)
-        for ms in combinations_with_replacement(range(len(gens)), D - c):
-            prod = _multiset_product(gens, ms, cache)
-            for g in gspace:
-                out.append(poly_mul(ctx, g, prod))
-    return out
 
 
 class _VeroneseRelations(GradedKernel):
@@ -234,9 +190,12 @@ class _VeroneseRelations(GradedKernel):
     M_{r-1,D} by weight, and the kernel is taken modulo them.
     """
 
-    def __init__(self, ctx, r, gspace, gens, lower, prime, cap, shared):
-        super().__init__(gens, _weights_of(ctx, gens), _zero_weight(ctx), prime, cap, shared)
-        self.ctx, self.r, self.gspace, self.lower = ctx, r, gspace, lower
+    def __init__(self, ctx, r):
+        gens = minors_basis(ctx)
+        super().__init__(gens, _weights_of(ctx, gens), ctx.num_vars)
+        self.ctx, self.r = ctx, r
+        self.gspace = filtration_generator_space(ctx, r)
+        self.lower = {}
 
     def factors(self, D):
         weights = [x_weight(self.ctx, next(iter(g))) for g in self.gspace]
@@ -244,7 +203,7 @@ class _VeroneseRelations(GradedKernel):
 
     def image(self, source):
         gi, ms = source
-        return poly_mul(self.ctx, self.gspace[gi], _multiset_product(self.gens, ms, self.products))
+        return poly_mul(self.ctx, self.gspace[gi], self.product(ms))
 
     def shifts(self, D):
         return self._generator_shifts(D - 1) if D > self.r else []
@@ -252,37 +211,44 @@ class _VeroneseRelations(GradedKernel):
     def modulo(self, D, w):
         return self.lower[D].get(w, [])
 
+    def module_component(self, r, D):
+        """Spanning polynomials of the degree-D piece of M_r (degree 2D in x)."""
+        out = []
+        for c in range(0, min(r, D) + 1):
+            gspace = filtration_generator_space(self.ctx, c)
+            for ms in combinations_with_replacement(range(len(self.gens)), D - c):
+                prod = self.product(ms)
+                for g in gspace:
+                    out.append(poly_mul(self.ctx, g, prod))
+        return out
 
-def veronese_parts(ctx, variant, r, d_max, cap=None):
-    """What veronese_presentation_dims needs, built once for both primes.
+
+def veronese_parts(ctx, r, d_max):
+    """What veronese_presentation_dims needs, built once over the integers.
 
     Returns {D: (rows of M_{r,D}, rows of M_{r-1,D} + W*M_{r,D-1})} for
-    D <= d_max, and engines(p), the engine at p of the presentation
-    G_r (x) R -> M_r/M_{r-1}.
+    D <= d_max, and the engine of the presentation G_r (x) R -> M_r/M_{r-1}.
     """
-    cap = resolve_cap(cap)
-    gens = generators_for(ctx, variant)
-    shared = shared_state(ctx.num_vars)
-    spans, lower = {}, {}
+    engine = _VeroneseRelations(ctx, r)
+    spans = {}
     prev = []
     for D in range(0, d_max + 1):
-        mr = _module_component(ctx, variant, r, D, shared[1], gens)
-        sub = _module_component(ctx, variant, r - 1, D, shared[1], gens)
-        lower[D] = {}
+        mr = engine.module_component(r, D)
+        sub = engine.module_component(r - 1, D)
+        lower = engine.lower[D] = {}
         for f in sub:
-            lower[D].setdefault(x_weight(ctx, next(iter(f))), []).append(f)
-        sub += [poly_mul(ctx, w, f) for w in gens for f in prev]
+            lower.setdefault(x_weight(ctx, next(iter(f))), []).append(f)
+        sub += [poly_mul(ctx, w, f) for w in engine.gens for f in prev]
         spans[D] = (
-            _span_rows(mr, f"veronese M_r deg {D}", cap),
-            _span_rows(sub, f"veronese submodule deg {D}", cap),
+            _span_rows(mr, f"veronese M_r deg {D}"),
+            _span_rows(sub, f"veronese submodule deg {D}"),
         )
         prev = mr
-    gspace = filtration_generator_space(ctx, variant, r)
-    return spans, lambda p: _VeroneseRelations(ctx, r, gspace, gens, lower, p, cap, shared)
+    return spans, engine
 
 
-def veronese_presentation_dims(ctx, variant, r, d_max, seed=0, cap=None):
-    """Generator and first-relation dimensions of M_r/M_{r-1} by degree.
+def veronese_presentation_dims(ctx, r, d_max, seed=0):
+    """Generator and first-relation dimensions of M_r/M_{r-1} by degree, for the minors.
 
     Returns {"generators": {D: dim}, "relations": {D: dim}} for D <= d_max.
     Generators: dim M_{r,D} - dim(M_{r-1,D} + W*M_{r,D-1}).  Relations: the
@@ -290,10 +256,10 @@ def veronese_presentation_dims(ctx, variant, r, d_max, seed=0, cap=None):
     """
     if r < 1:
         raise ValueError("need r >= 1")
-    spans, engines = veronese_parts(ctx, variant, r, d_max, cap)
+    spans, engine = veronese_parts(ctx, r, d_max)
 
     def compute(p):
-        engine = engines(p)
+        engine.at(p)
         return {
             "generators": {D: rank_mod(mr, p) - rank_mod(sub, p) for D, (mr, sub) in spans.items()},
             "relations": {D: engine.min_gens(D) for D in range(r, d_max + 1)},
@@ -355,15 +321,13 @@ def subspace_parameterization(m, n):
     return images, weights, nvars, ys
 
 
-
-def subspace_engines(m, n, cap=None):
-    """Engine of each prime for the pullback along the parameterization."""
+def subspace_engine(m, n):
+    """The engine of the pullback along the parameterization."""
     images, weights, nvars, _ = subspace_parameterization(m, n)
-    shared = shared_state(nvars)
-    return lambda p: GradedKernel(images, weights, ((0,) * m, (0,) * n), p, cap, shared)
+    return GradedKernel(images, weights, nvars)
 
 
-def subspace_variety_gens(m, n, d_max=None, seed=0, cap=None):
+def subspace_variety_gens(m, n, d_max=None, seed=0):
     """Minimal generator counts, by degree, of the ideal of the subspace variety.
 
     The graded-kernel engine applied to the parameterization pullback: the
@@ -372,5 +336,5 @@ def subspace_variety_gens(m, n, d_max=None, seed=0, cap=None):
     """
     if d_max is None:
         d_max = m + 1
-    dims = presentation_dims(subspace_engines(m, n, cap), d_max, seed)
+    dims = presentation_dims(subspace_engine(m, n), d_max, seed)
     return {d: min_gens for d, (_, min_gens) in dims.items()}

@@ -168,7 +168,7 @@ def test_criterion_07_cohomology_vanishing_sweep():
 
 def test_criterion_08_veronese_layer_presentation_3x3():
     with timed(600):
-        out = veronese_presentation_dims(RingContext(3, 3), "minors", 1, 2)
+        out = veronese_presentation_dims(RingContext(3, 3), 1, 2)
     assert [d for d, v in out["generators"].items() if v] == [1]
     assert [d for d, v in out["relations"].items() if v] == [2]
     bound = dim_at(predicted_character("eq-tor1-Nr", 1), 3, 3)
@@ -189,10 +189,7 @@ def test_criterion_09_filtration_layer_character_identity():
                             if len(pair[0]) <= m and len(pair[1]) <= n
                         }
                         geo = lemma_4_3_character(r, d, m, n)
-                        geo_terms = (
-                            dict(geo.terms) if hasattr(geo, "terms") else dict(geo)
-                        )
-                        assert geo_terms == stated, (r, d, m, n)
+                        assert geo.terms == stated, (r, d, m, n)
 
 
 def test_criterion_10_subspace_variety_generators():

@@ -103,8 +103,7 @@ def test_lemma_4_3_character_matches_enumeration():
                         if len(pair[0]) <= m and len(pair[1]) <= n
                     }
                     geo = lemma_4_3_character(r, d, m, n)
-                    geo_terms = dict(geo.terms) if hasattr(geo, "terms") else dict(geo)
-                    assert geo_terms == stated, (r, d, m, n)
+                    assert geo.terms == stated, (r, d, m, n)
 
 
 def test_tor_geometric_respects_size_truncation():

@@ -126,14 +126,14 @@ def test_config_file(tmp_path):
     cfg = load_config(str(cfg_file))
     assert cfg == {"cap": "500000", "primes": "1000003, 999983"}
     old_primes = modlinalg.PRIMES
-    old_cap = modlinalg.DEFAULT_NONZERO_CAP
+    old_cap = modlinalg.NONZERO_CAP
     try:
         apply_config(cfg)
         assert modlinalg.PRIMES == (1000003, 999983)
-        assert modlinalg.DEFAULT_NONZERO_CAP == 500000
+        assert modlinalg.NONZERO_CAP == 500000
     finally:
         modlinalg.PRIMES = old_primes
-        modlinalg.DEFAULT_NONZERO_CAP = old_cap
+        modlinalg.NONZERO_CAP = old_cap
 
 
 def test_config_requires_two_primes():
@@ -151,7 +151,7 @@ def _config(tmp_path, text):
 def restore_config(monkeypatch):
     # apply_config rewrites these module settings; put them back afterwards
     monkeypatch.setattr(modlinalg, "PRIMES", modlinalg.PRIMES)
-    monkeypatch.setattr(modlinalg, "DEFAULT_NONZERO_CAP", modlinalg.DEFAULT_NONZERO_CAP)
+    monkeypatch.setattr(modlinalg, "NONZERO_CAP", modlinalg.NONZERO_CAP)
 
 
 def test_config_cap_applies_to_verify_and_suite(tmp_path, capsys, restore_config):
@@ -170,6 +170,17 @@ def test_config_rejects_bad_primes(tmp_path, capsys, restore_config):
         assert main(["--config", cfg] + verify) == 2, primes
         assert "error:" in capsys.readouterr().err
     assert main(["--config", _config(tmp_path, "primes = 1000003, 999983\n")] + verify) == 0
+    capsys.readouterr()
+
+
+def test_config_rejects_bad_cap(tmp_path, capsys, restore_config):
+    verify = ["verify", "thm-1.1", "--m", "2", "--n", "4", "--dmax", "2"]
+    for cap in ("0", "-5", "1.5", "ten"):
+        assert main(["--config", _config(tmp_path, f"cap = {cap}\n")] + verify) == 2, cap
+        assert "error:" in capsys.readouterr().err
+    assert main(["--config", _config(tmp_path, "cap = 1\n")] + verify) == 2
+    assert "skipped-capacity" in capsys.readouterr().out
+    assert main(["--config", _config(tmp_path, "cap = 1000000\n")] + verify) == 0
     capsys.readouterr()
 
 

@@ -83,5 +83,5 @@ def test_deterministic_given_seed():
 
 def test_capacity_guard():
     with pytest.raises(CapacityError):
-        guard_nonzeros(10**9, "stress test", 10**6)
-    guard_nonzeros(10, "small", 10**6)
+        guard_nonzeros(10**9, "stress test")
+    guard_nonzeros(10, "small")

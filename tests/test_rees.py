@@ -3,8 +3,8 @@ from minorrel.rees import ReesEngine, fiber_type_check, orbit_total, rees_ideal
 from minorrel.witness import (
     koszul_h1_blocks,
     relation_dims,
-    relation_engines,
-    subspace_engines,
+    relation_engine,
+    subspace_engine,
     veronese_parts,
 )
 
@@ -74,27 +74,27 @@ def test_orbit_weighted_count_matches_full_weight_sum():
         (3, 3, "permanents", 1, 2, {(0, 2): 180, (1, 1): 160}),
     ]
     for m, n, variant, a_max, e_max, expected in cases:
-        engine = ReesEngine(RingContext(m, n), p, variant)
+        engine = ReesEngine(RingContext(m, n), variant).at(p)
         grades = [(a, e) for a in range(a_max + 1) for e in range(1, e_max + 1)]
         assert _full_weight_counts(engine, grades) == expected, (m, n, variant)
     # the other instances of the engine: relations, subspace variety, Veronese
     others = [
-        (relation_engines(RingContext(2, 4), "minors"), [2, 3], {2: 1}),
-        (relation_engines(RingContext(3, 3), "minors"), [2, 3], {}),
-        (relation_engines(RingContext(2, 3), "permanents"), [2, 3], {2: 45, 3: 10}),
-        (subspace_engines(2, 3), [1, 2, 3], {2: 66}),
-        (veronese_parts(RingContext(2, 3), "minors", 1, 3)[1], [1, 2, 3], {2: 9}),
-        (veronese_parts(RingContext(3, 3), "minors", 1, 2)[1], [1, 2], {2: 99}),
+        (relation_engine(RingContext(2, 4), "minors"), [2, 3], {2: 1}),
+        (relation_engine(RingContext(3, 3), "minors"), [2, 3], {}),
+        (relation_engine(RingContext(2, 3), "permanents"), [2, 3], {2: 45, 3: 10}),
+        (subspace_engine(2, 3), [1, 2, 3], {2: 66}),
+        (veronese_parts(RingContext(2, 3), 1, 3)[1], [1, 2, 3], {2: 9}),
+        (veronese_parts(RingContext(3, 3), 1, 2)[1], [1, 2], {2: 99}),
     ]
-    for engines, grades, expected in others:
-        assert _full_weight_counts(engines(p), grades) == expected, expected
+    for engine, grades, expected in others:
+        assert _full_weight_counts(engine.at(p), grades) == expected, expected
 
 
 def test_syzygy_bidegrees_match_koszul_shift():
     # J in bidegree (d, 2) consists of syzygies of the quadrics in degree d + 2
     from minorrel.modlinalg import PRIMES
 
-    engine = ReesEngine(RingContext(2, 4), PRIMES[1])
+    engine = ReesEngine(RingContext(2, 4)).at(PRIMES[1])
     # total kernel dimension at (a, 1) equals the syzygy space dimension
     total = sum(len(engine.kernel_block((1, 1), w)) for w in engine.sources((1, 1)))
     assert total == 8  # all syzygies here are minimal (none in lower bidegree)

@@ -4,9 +4,10 @@ from itertools import permutations
 import pytest
 
 from minorrel.birep import dim_at, predicted_character
-from minorrel.modlinalg import PRIMES
+from minorrel import modlinalg
+from minorrel.modlinalg import PRIMES, CapacityError
 from minorrel.polyring import RingContext
-from minorrel.rees import _is_dominant, orbit_total
+from minorrel.rees import _is_dominant, orbit_total, rees_ideal
 from minorrel.witness import (
     filtration_generator_space,
     koszul_h1_blocks,
@@ -95,14 +96,14 @@ def test_koszul_h1_dominant_weights_match_full_weight_oracle():
 
 def test_filtration_generator_space_dimensions():
     ctx = RingContext(3, 3)
-    assert len(filtration_generator_space(ctx, "minors", 0)) == 1
-    g1 = filtration_generator_space(ctx, "minors", 1)
+    assert len(filtration_generator_space(ctx, 0)) == 1
+    g1 = filtration_generator_space(ctx, 1)
     # Sym^2 ⊗ Sym^2 at (3,3) spans 36 dimensions in degree 2
     assert span_dimension(g1) == 36
 
 
 def test_veronese_presentation_r1_3x3():
-    out = veronese_presentation_dims(RingContext(3, 3), "minors", 1, 2)
+    out = veronese_presentation_dims(RingContext(3, 3), 1, 2)
     assert out["generators"] == {0: 0, 1: 36, 2: 0}
     assert out["relations"] == {1: 0, 2: 99}
     bound = dim_at(predicted_character("eq-tor1-Nr", 1), 3, 3)
@@ -110,7 +111,7 @@ def test_veronese_presentation_r1_3x3():
 
 
 def test_veronese_presentation_r1_2x3():
-    out = veronese_presentation_dims(RingContext(2, 3), "minors", 1, 2)
+    out = veronese_presentation_dims(RingContext(2, 3), 1, 2)
     gen_degrees = [d for d, v in out["generators"].items() if v]
     assert gen_degrees == [1]
     bound = dim_at(predicted_character("eq-tor1-Nr", 1), 2, 3)
@@ -145,3 +146,18 @@ def test_two_primes_requires_agreement():
     with pytest.raises(ArithmeticError) as exc:
         two_primes(3, lambda p: p)
     assert str(p1) in str(exc.value) and str(p2) in str(exc.value)
+
+
+def test_configured_cap_reaches_every_guard(monkeypatch):
+    # the guards read modlinalg.NONZERO_CAP when they run, as a config file sets it
+    monkeypatch.setattr(modlinalg, "NONZERO_CAP", 10)
+    witnesses = [
+        (lambda: relation_dims(RingContext(2, 4), "minors", 2), "kernel block"),
+        (lambda: koszul_h1_blocks(RingContext(3, 3), "minors", 3), "Koszul"),
+        (lambda: veronese_presentation_dims(RingContext(2, 3), 1, 2), "veronese"),
+        (lambda: subspace_variety_gens(2, 3), "kernel block"),
+        (lambda: rees_ideal(RingContext(2, 3)), "kernel block"),
+    ]
+    for witness, guard in witnesses:
+        with pytest.raises(CapacityError, match=guard):
+            witness()

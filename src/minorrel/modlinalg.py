@@ -54,10 +54,16 @@ def _reduce_mod(rows, p):
     return out
 
 
-def _eliminate_mod(rows, p):
-    """Row-reduce sparse rows mod p; returns (rank, reduced pivot rows)."""
+def _eliminate_mod(rows, p, stop=None):
+    """Row-reduce sparse rows mod p; returns (rank, reduced pivot rows).
+
+    With stop, no further row is taken once the rank reaches stop, so the
+    rank returned is min(rank, stop).
+    """
     pivots = {}  # col -> row dict with that pivot, pivot value 1
     for row in rows:
+        if len(pivots) == stop:
+            break
         row = dict(row)
         while row:
             c = min(row)
@@ -77,8 +83,9 @@ def _eliminate_mod(rows, p):
     return len(pivots), pivots
 
 
-def rank_mod(rows, p):
-    return _eliminate_mod(_reduce_mod(rows, p), p)[0]
+def rank_mod(rows, p, stop=None):
+    """Rank of the rows mod p, or stop if the rank reaches it first."""
+    return _eliminate_mod(_reduce_mod(rows, p), p, stop)[0]
 
 
 def nullspace_mod(rows, ncols, p):

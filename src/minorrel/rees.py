@@ -109,6 +109,23 @@ def _monomials_of_degree(nvars, d):
         yield tuple(exp)
 
 
+def _weighted_multisets(weights, e):
+    """(ms, weight of ms) for each sorted multiset ms of size e over range(len(weights)).
+
+    They come in the order of combinations_with_replacement.  A depth-first
+    stack carries the weight of each prefix, so each multiset costs one
+    addition.
+    """
+    stack = [((), _ZERO)]
+    while stack:
+        ms, w = stack.pop()
+        if len(ms) == e:
+            yield ms, w
+            continue
+        for k in range(len(weights) - 1, (ms[-1] if ms else 0) - 1, -1):
+            stack.append((ms + (k,), _wadd(w, weights[k])))
+
+
 def _shifted_rows(vectors, shift, col):
     """Lower-grade kernel vectors moved up by shift, as sparse rows.
 
@@ -185,10 +202,7 @@ class GradedKernel:
         if grade not in self._sources:
             factors, e = self.factors(grade)
             by_ms = {}
-            for ms in combinations_with_replacement(range(len(self.gens)), e):
-                w = _ZERO
-                for k in ms:
-                    w = _wadd(w, self.weights[k])
+            for ms, w in _weighted_multisets(self.weights, e):
                 by_ms.setdefault(w, []).append(ms)
             buckets = {}
             for f, fw in factors:
@@ -235,7 +249,8 @@ class GradedKernel:
             w2 = _wsub(w, delta)
             if w2 is not None:
                 shifted += _shifted_rows(self.kernel_block(lower, w2), shift, col)
-        return len(kw) - rank_mod(shifted, self.p)
+        # the shifted rows lie in the kernel, so their rank stops at len(kw)
+        return len(kw) - rank_mod(shifted, self.p, stop=len(kw))
 
     def count(self, grade, at):
         """Sum of at(grade, w) over all weights, from the dominant ones."""

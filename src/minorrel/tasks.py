@@ -265,6 +265,8 @@ def validate(task):
     m_cap, n_cap, d_cap = _ENVELOPES[task.statement]
     p = task.params
     m, n = p.get("m", 2), p.get("n", 2)
+    if min(m, n) < 2:
+        raise ValueError(f"{task.statement}: size ({m},{n}) has no 2x2 minors")
     if min(m, n) > min(m_cap, n_cap) or max(m, n) > max(m_cap, n_cap):
         raise ValueError(
             f"{task.statement}: size ({m},{n}) outside envelope ({m_cap},{n_cap})"
@@ -341,6 +343,7 @@ def suite_tasks(profile="quick", seed=0):
     if profile == "long":
         tasks += [
             mk("que-7.1", m=5, n=3, a_max=3, e_max=3),
+            mk("que-7.1", m=4, n=4, a_max=2, e_max=3),
             mk("thm-1.1", m=4, n=4, d_max=5),
             mk("thm-1.1", m=4, n=5, d_max=4),
             mk("thm-5.1", m=3, n=3),

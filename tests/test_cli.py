@@ -36,6 +36,13 @@ def test_verify_exit_codes(capsys):
     capsys.readouterr()
 
 
+def test_verify_rejects_size_without_minors(capsys):
+    # a matrix with one row or column has no 2x2 minors: a usage error, not a failed theorem
+    for m, n in [("1", "3"), ("3", "1")]:
+        assert main(["verify", "thm-4.1", "--m", m, "--n", n, "--r", "1"]) == 2
+        assert "has no 2x2 minors" in capsys.readouterr().err
+
+
 def test_verify_json_output(capsys):
     code = main(
         ["verify", "thm-1.1", "--m", "2", "--n", "4", "--dmax", "2", "--format", "json"]

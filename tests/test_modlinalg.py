@@ -27,6 +27,22 @@ def test_rank_mod_matches_exact_on_random_matrices():
         assert rank_mod(rows, p) == rank_exact(rows)
 
 
+def test_rank_mod_stop_is_min_of_rank_and_stop():
+    rng = random.Random(13)
+    p = PRIMES[2]
+    matrices = [random_sparse_rows(rng, nrows, 8, 0.4) for nrows in (3, 6, 10, 14)]
+    # rank 3 is reached at the third of six rows; the rest are combinations
+    base = random_sparse_rows(rng, 3, 8, 0.6)
+    extra = [{j: 2 * base[0].get(j, 0) - base[2].get(j, 0) for j in range(8)}, base[1]]
+    matrices.append(base + extra + [{}])
+    assert rank_mod(matrices[-1], p) == rank_mod(base, p) == 3
+    for rows in matrices:
+        rank = rank_mod(rows, p)
+        assert rank_mod(rows, p, stop=None) == rank
+        for k in (0, 1, rank - 1, rank, rank + 3):
+            assert rank_mod(rows, p, stop=k) == min(rank, k), (rank, k)
+
+
 def test_rank_exact_with_fractions():
     rows = [{0: Fraction(1, 2), 1: Fraction(1, 3)}, {0: Fraction(3, 2), 1: Fraction(2)}]
     assert rank_exact(rows) == 2

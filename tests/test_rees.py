@@ -1,5 +1,13 @@
 from minorrel.polyring import RingContext
-from minorrel.rees import ReesEngine, fiber_type_check, orbit_total, rees_ideal
+from minorrel.modlinalg import rank_mod
+from minorrel.rees import (
+    ReesEngine,
+    _shifted_rows,
+    _wsub,
+    fiber_type_check,
+    orbit_total,
+    rees_ideal,
+)
 from minorrel.witness import (
     koszul_h1_blocks,
     relation_dims,
@@ -40,6 +48,21 @@ def test_fiber_type_small_cases():
         assert fiber
 
 
+def _min_gens_full_rank(engine, grade, w):
+    """Kernel dimension at (grade, w) minus the full rank of the shifted lower kernels.
+
+    The engine's own step stops ranking at the kernel dimension; this one
+    ranks every shifted row, so it checks that early exit too.
+    """
+    col = {s: i for i, s in enumerate(engine.sources(grade)[w])}
+    shifted = []
+    for lower, delta, shift in engine.shifts(grade):
+        w2 = _wsub(w, delta)
+        if w2 is not None:
+            shifted += _shifted_rows(engine.kernel_block(lower, w2), shift, col)
+    return len(engine.kernel_block(grade, w)) - rank_mod(shifted, engine.p)
+
+
 def _full_weight_counts(engine, grades):
     """Minimal generator counts by grade, eliminating every weight block.
 
@@ -49,7 +72,7 @@ def _full_weight_counts(engine, grades):
     """
     counts = {}
     for grade in grades:
-        at = {w: engine._min_gens_at(grade, w) for w in engine.sources(grade)}
+        at = {w: _min_gens_full_rank(engine, grade, w) for w in engine.sources(grade)}
         dims = {w: len(engine.kernel_block(grade, w)) for w in at}
         for (rows, cols), c in at.items():
             dom = (tuple(sorted(rows, reverse=True)), tuple(sorted(cols, reverse=True)))

@@ -264,6 +264,11 @@ class GradedKernel:
         """Kernel dimension in the grade."""
         return self.count(grade, lambda g, w: len(self.kernel_block(g, w)))
 
+    def image_dim(self, grade):
+        """Dimension of the image of the grade's sources (modulo `modulo`)."""
+        at = lambda g, w: len(self.sources(g)[w]) - len(self.kernel_block(g, w))
+        return self.count(grade, at)
+
 
 class ReesEngine(GradedKernel):
     """The Rees instance: sources x^a T^ms of bidegree (a, e) = (|a|, |ms|).

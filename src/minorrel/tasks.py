@@ -188,12 +188,13 @@ def _run_eq_tor1(task):
 def _run_sec_6_Tbar(task):
     """Inductive-step presentation functor vs permanent relation witnesses."""
     p = task.params
-    m, n = p["m"], p["n"]
+    m, n, d_max = p["m"], p["n"], p.get("d_max", 3)
+    degrees = range(2, d_max + 1)
     predicted = {}
-    for d in (2, 3):
+    for d in degrees:
         predicted[f"degree_{d}"] = dim_at(predicted_character("sec-6-Tbar", d), m, n)
-    dims = relation_dims(RingContext(m, n), "permanents", 3, seed=task.seed)
-    witnessed = {f"degree_{d}": dims[d][1] for d in (2, 3)}
+    dims = relation_dims(RingContext(m, n), "permanents", d_max, seed=task.seed)
+    witnessed = {f"degree_{d}": dims[d][1] for d in degrees}
     return predicted, witnessed, []
 
 
@@ -227,43 +228,34 @@ def _run_fiber_type(task):
     return predicted, witnessed, []
 
 
-_RUNNERS = {
-    "thm-1.1": _run_thm_tor,
-    "thm-1.2": _run_thm_tor,
-    "thm-3.1": _run_thm_koszul,
-    "thm-3.2": _run_thm_koszul,
-    "lem-4.3": _run_lem_4_3,
-    "lem-4.4": _run_lem_4_4,
-    "thm-4.1": _run_thm_4_1,
-    "eq-tor1-Nr": _run_eq_tor1,
-    "sec-6-Tbar": _run_sec_6_Tbar,
-    "sec-6-U": _run_subspace,
-    "thm-5.1": _run_subspace,
-    "que-7.1": _run_fiber_type,
-}
-
-# feasibility envelopes: max (m, n, degree-like bound)
-_ENVELOPES = {
-    "thm-1.1": (4, 5, 6),
-    "thm-1.2": (4, 5, 6),
-    "thm-3.1": (3, 4, 7),
-    "thm-3.2": (3, 4, 7),
-    "lem-4.3": (5, 5, 6),
-    "lem-4.4": (5, 5, 6),
-    "thm-4.1": (3, 4, 4),
-    "eq-tor1-Nr": (5, 5, 3),
-    "sec-6-Tbar": (3, 3, 3),
-    "thm-5.1": (3, 4, 4),
-    "sec-6-U": (3, 4, 4),
-    "que-7.1": (5, 4, 4),
+# statement -> (runner, feasibility envelope max (m, n, degree-like bound),
+# the params the runner reads)
+_SIZE_DEGREE = ("m", "n", "d_max")
+_STATEMENTS = {
+    "thm-1.1": (_run_thm_tor, (4, 5, 6), _SIZE_DEGREE),
+    "thm-1.2": (_run_thm_tor, (4, 5, 6), _SIZE_DEGREE),
+    "thm-3.1": (_run_thm_koszul, (3, 4, 7), _SIZE_DEGREE),
+    "thm-3.2": (_run_thm_koszul, (3, 4, 7), _SIZE_DEGREE),
+    "lem-4.3": (_run_lem_4_3, (5, 5, 6), ("r_max", "d_max", "size")),
+    "lem-4.4": (_run_lem_4_4, (5, 5, 6), ("j_max", "r_max", "size")),
+    "thm-4.1": (_run_thm_4_1, (3, 4, 4), ("m", "n", "r", "d_max")),
+    "eq-tor1-Nr": (_run_eq_tor1, (5, 5, 3), ("m", "n", "r")),
+    "sec-6-Tbar": (_run_sec_6_Tbar, (3, 3, 3), _SIZE_DEGREE),
+    "sec-6-U": (_run_subspace, (3, 4, 4), _SIZE_DEGREE),
+    "thm-5.1": (_run_subspace, (3, 4, 4), _SIZE_DEGREE),
+    "que-7.1": (_run_fiber_type, (5, 4, 4), ("m", "n", "a_max", "e_max")),
 }
 
 
 def validate(task):
-    if task.statement not in _RUNNERS:
+    """Reject an unknown statement, a param its runner does not read, or a size off its envelope."""
+    if task.statement not in _STATEMENTS:
         raise KeyError(f"unknown statement id {task.statement!r}")
-    m_cap, n_cap, d_cap = _ENVELOPES[task.statement]
+    _, (m_cap, n_cap, d_cap), reads = _STATEMENTS[task.statement]
     p = task.params
+    for key in p:
+        if key not in reads:
+            raise ValueError(f"{task.statement}: takes no {key} (it reads {', '.join(reads)})")
     m, n = p.get("m", 2), p.get("n", 2)
     if min(m, n) < 2:
         raise ValueError(f"{task.statement}: size ({m},{n}) has no 2x2 minors")
@@ -290,7 +282,7 @@ def run(task, results_dir=None):
                 return parse_report(fh.read())
     t0 = time.perf_counter()
     try:
-        predicted, witnessed, certificates = _RUNNERS[task.statement](task)
+        predicted, witnessed, certificates = _STATEMENTS[task.statement][0](task)
         verdict = "pass" if predicted == {
             k: witnessed.get(k) for k in predicted
         } else "fail"
@@ -339,6 +331,9 @@ def suite_tasks(profile="quick", seed=0):
             mk("thm-1.1", m=4, n=4, d_max=4),
             mk("thm-3.1", m=3, n=4, d_max=7),
             mk("thm-3.2", m=3, n=4, d_max=7),
+            mk("thm-4.1", m=3, n=3, r=1, d_max=3),
+            mk("thm-4.1", m=3, n=3, r=2, d_max=4),
+            mk("thm-4.1", m=3, n=4, r=1, d_max=3),
         ]
     if profile == "long":
         tasks += [
@@ -347,6 +342,7 @@ def suite_tasks(profile="quick", seed=0):
             mk("thm-1.1", m=4, n=4, d_max=5),
             mk("thm-1.1", m=4, n=5, d_max=4),
             mk("thm-5.1", m=3, n=3),
+            mk("thm-4.1", m=3, n=4, r=2, d_max=4),
         ]
         tasks += [mk("eq-tor1-Nr", m=5, n=5, r=r) for r in (1, 2, 3)]
     return tasks

@@ -174,20 +174,13 @@ def filtration_generator_space(ctx, c):
     return _sym_power_generators(ctx, c)
 
 
-def _span_rows(polys, what):
-    """Integer coefficient rows of polys over one monomial numbering."""
-    colmap = {}
-    rows = [{colmap.setdefault(exp, len(colmap)): c for exp, c in f.items()} for f in polys]
-    guard_nonzeros(sum(map(len, rows)), what)
-    return rows
-
-
 class _VeroneseRelations(GradedKernel):
     """The Veronese instance: the kernel of G_r (x) R -> M_r/M_{r-1}.
 
     Sources of degree D are pairs (index into the generator space G_r,
-    multiset of D - r quadrics); lower[D] holds the spanning polynomials of
-    M_{r-1,D} by weight, and the kernel is taken modulo them.
+    multiset of D - r quadrics).  The kernel is taken modulo the spanning
+    polynomials of M_{r-1,D}, which lower[D] buckets by weight when first
+    asked, so the image dimension in degree D is dim (M_r/M_{r-1})_D.
     """
 
     def __init__(self, ctx, r):
@@ -209,6 +202,9 @@ class _VeroneseRelations(GradedKernel):
         return self._generator_shifts(D - 1) if D > self.r else []
 
     def modulo(self, D, w):
+        if D not in self.lower:
+            polys = self.module_component(self.r - 1, D)
+            self.lower[D] = _group(polys, lambda f: x_weight(self.ctx, next(iter(f))))
         return self.lower[D].get(w, [])
 
     def module_component(self, r, D):
@@ -223,28 +219,9 @@ class _VeroneseRelations(GradedKernel):
         return out
 
 
-def veronese_parts(ctx, r, d_max):
-    """What veronese_presentation_dims needs, built once over the integers.
-
-    Returns {D: (rows of M_{r,D}, rows of M_{r-1,D} + W*M_{r,D-1})} for
-    D <= d_max, and the engine of the presentation G_r (x) R -> M_r/M_{r-1}.
-    """
-    engine = _VeroneseRelations(ctx, r)
-    spans = {}
-    prev = []
-    for D in range(0, d_max + 1):
-        mr = engine.module_component(r, D)
-        sub = engine.module_component(r - 1, D)
-        lower = engine.lower[D] = {}
-        for f in sub:
-            lower.setdefault(x_weight(ctx, next(iter(f))), []).append(f)
-        sub += [poly_mul(ctx, w, f) for w in engine.gens for f in prev]
-        spans[D] = (
-            _span_rows(mr, f"veronese M_r deg {D}"),
-            _span_rows(sub, f"veronese submodule deg {D}"),
-        )
-        prev = mr
-    return spans, engine
+def veronese_engine(ctx, r):
+    """The engine of the presentation G_r (x) R -> M_r/M_{r-1}, for the minors."""
+    return _VeroneseRelations(ctx, r)
 
 
 def veronese_presentation_dims(ctx, r, d_max, seed=0):
@@ -256,12 +233,15 @@ def veronese_presentation_dims(ctx, r, d_max, seed=0):
     """
     if r < 1:
         raise ValueError("need r >= 1")
-    spans, engine = veronese_parts(ctx, r, d_max)
+    engine = veronese_engine(ctx, r)
 
     def compute(p):
         engine.at(p)
+        # M_{r,D} = M_{r-1,D} + G_r*R_{D-r}: for D > r that lies in
+        # M_{r-1,D} + W*M_{r,D-1}, and for D < r M_{r,D} = M_{r-1,D}, so the
+        # generators sit in degree r, where they are the image of G_r in N_r
         return {
-            "generators": {D: rank_mod(mr, p) - rank_mod(sub, p) for D, (mr, sub) in spans.items()},
+            "generators": {D: engine.image_dim(r) if D == r else 0 for D in range(d_max + 1)},
             "relations": {D: engine.min_gens(D) for D in range(r, d_max + 1)},
         }
 

@@ -5,8 +5,9 @@ second route to a quantity the package computes another way: exact rank
 over the rationals (against modular rank), the Weyl dimension formula
 (against Bott's algorithm), the Pieri rule (against Littlewood-Richardson),
 plethysm through the power-sum basis (against Jacobi-Trudi), span
-dimensions of explicit polynomials, and Koszul homology at every torus
-weight (against the dominant weights alone).
+dimensions of explicit polynomials, Koszul homology at every torus weight
+(against the dominant weights alone), and the Veronese generator count by
+whole-degree span ranks (against the engine's weight blocks).
 
 Symmetric functions are dicts mapping a partition to its coefficient, in
 the Schur basis unless a name says power sums.
@@ -19,8 +20,9 @@ from math import factorial
 
 from minorrel.modlinalg import rank_mod
 from minorrel.partitions import canon, conjugate, contains, partitions_of
-from minorrel.polyring import x_weight
+from minorrel.polyring import poly_mul, x_weight
 from minorrel.rees import _monomials_of_degree, _wadd, _weights_of, generators_for
+from minorrel.witness import veronese_engine
 
 
 def rank_exact(rows):
@@ -46,11 +48,15 @@ def rank_exact(rows):
     return len(pivots)
 
 
+def coefficient_rows(polys):
+    """Integer coefficient rows of polynomials over one monomial numbering."""
+    cols = {}
+    return [{cols.setdefault(exp, len(cols)): c for exp, c in f.items()} for f in polys]
+
+
 def span_dimension(polys):
     """Dimension of the linear span of polynomials, by exact rank."""
-    cols = {}
-    rows = [{cols.setdefault(exp, len(cols)): c for exp, c in f.items()} for f in polys]
-    return rank_exact(rows)
+    return rank_exact(coefficient_rows(polys))
 
 
 def weyl_dim_weight(w):
@@ -263,3 +269,26 @@ def koszul_h1_full_weight(ctx, variant, d, p):
         if h1:
             result[w] = h1
     return result
+
+
+# ---------------------------------------------------------------------------
+# Veronese generators by whole-degree span ranks
+
+
+def veronese_generators_by_span(ctx, r, d_max, p):
+    """{D: dim M_{r,D} - dim(M_{r-1,D} + W*M_{r,D-1})} for D <= d_max, at one prime.
+
+    The minimal generator count of N_r = M_r/M_{r-1} in each degree, from
+    the explicit spanning polynomials of each whole degree, one matrix each,
+    without weight blocks.
+    """
+    engine = veronese_engine(ctx, r)
+    out = {}
+    prev = []
+    for D in range(d_max + 1):
+        mr = engine.module_component(r, D)
+        sub = engine.module_component(r - 1, D)
+        sub += [poly_mul(ctx, w, f) for w in engine.gens for f in prev]
+        out[D] = rank_mod(coefficient_rows(mr), p) - rank_mod(coefficient_rows(sub), p)
+        prev = mr
+    return out

@@ -1,11 +1,13 @@
+import importlib.util
 import json
 import os
+from pathlib import Path
 
 import pytest
 
 from minorrel.cli import apply_config, load_config, main
 from minorrel.report import VerificationReport, emit, format_bicharacter, parse_report
-from minorrel.tasks import VerificationTask, run
+from minorrel.tasks import VerificationTask, run, suite_tasks, validate
 from minorrel import modlinalg
 
 
@@ -235,3 +237,40 @@ def test_cache_key_covers_source(monkeypatch):
     assert task.cache_name() == name
     monkeypatch.setattr(tasks, "source_digest", lambda: "0" * 64)
     assert task.cache_name() != name
+
+
+def test_sec_6_tbar_reads_dmax(capsys):
+    assert main(["verify", "sec-6-Tbar", "--m", "3", "--n", "3", "--dmax", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "degree_2" in out and "degree_3" not in out
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["eq-tor1-Nr", "--m", "3", "--n", "3", "--r", "1", "--dmax", "2"], "d_max"),
+        (["thm-3.1", "--m", "3", "--n", "3", "--dmax", "4", "--r", "2"], "r"),
+        (["lem-4.3", "--m", "2", "--n", "2"], "m"),
+    ],
+)
+def test_verify_rejects_params_the_statement_ignores(argv, key, capsys):
+    # a setting the task never reads would be echoed in the report and the cache key
+    assert main(["verify"] + argv) == 2
+    assert f"takes no {key}" in capsys.readouterr().err
+
+
+def test_every_profile_and_benchmark_task_validates():
+    # checks the task lists only; runs none of them
+    spec = importlib.util.spec_from_file_location(
+        "workloads", Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    tasks = [t for profile in ("quick", "full", "long") for t in suite_tasks(profile)]
+    tasks += [
+        VerificationTask(sid, dict(params))
+        for workload in workloads.WORKLOADS.values()
+        for sid, params in workload
+    ]
+    for task in tasks:
+        validate(task)

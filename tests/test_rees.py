@@ -13,7 +13,7 @@ from minorrel.witness import (
     relation_dims,
     relation_engine,
     subspace_engine,
-    veronese_parts,
+    veronese_engine,
 )
 
 
@@ -106,8 +106,8 @@ def test_orbit_weighted_count_matches_full_weight_sum():
         (relation_engine(RingContext(3, 3), "minors"), [2, 3], {}),
         (relation_engine(RingContext(2, 3), "permanents"), [2, 3], {2: 45, 3: 10}),
         (subspace_engine(2, 3), [1, 2, 3], {2: 66}),
-        (veronese_parts(RingContext(2, 3), 1, 3)[1], [1, 2, 3], {2: 9}),
-        (veronese_parts(RingContext(3, 3), 1, 2)[1], [1, 2], {2: 99}),
+        (veronese_engine(RingContext(2, 3), 1), [1, 2, 3], {2: 9}),
+        (veronese_engine(RingContext(3, 3), 1), [1, 2], {2: 99}),
     ]
     for engine, grades, expected in others:
         assert _full_weight_counts(engine.at(p), grades) == expected, expected

@@ -15,9 +15,10 @@ from minorrel.witness import (
     subspace_parameterization,
     subspace_variety_gens,
     two_primes,
+    veronese_engine,
     veronese_presentation_dims,
 )
-from oracles import koszul_h1_full_weight, span_dimension
+from oracles import koszul_h1_full_weight, span_dimension, veronese_generators_by_span
 
 
 def test_relation_dims_2x4_minors():
@@ -118,6 +119,31 @@ def test_veronese_presentation_r1_2x3():
     assert out["relations"].get(2, 0) <= bound
 
 
+def test_veronese_generators_match_span_oracle():
+    # oracle: rank M_{r,D} and M_{r-1,D} + W*M_{r,D-1} as whole-degree matrices,
+    # which also checks the zeros off degree r
+    for m, n, r, d_max in [(2, 3, 1, 3), (3, 3, 1, 3), (2, 4, 2, 3)]:
+        ctx = RingContext(m, n)
+        out = veronese_presentation_dims(ctx, r, d_max)
+        assert out["generators"] == veronese_generators_by_span(ctx, r, d_max, PRIMES[0])
+
+
+def test_veronese_image_matches_lemma_4_3():
+    # the engine's image in degree D is (M_r/M_{r-1})_D, whose character
+    # Lemma 4.3 states in degree D - r
+    cases = [
+        (2, 3, 1, {1: 18, 2: 45, 3: 81}),
+        (3, 3, 1, {1: 36, 2: 225, 3: 829}),
+        (2, 4, 2, {2: 175, 3: 700}),
+    ]
+    for m, n, r, expected in cases:
+        engine = veronese_engine(RingContext(m, n), r).at(PRIMES[0])
+        image = {D: engine.image_dim(D) for D in expected}
+        assert image == expected, (m, n, r)
+        for D, dim in image.items():
+            assert dim == dim_at(predicted_character("lem-4.3", D - r, r=r), m, n)
+
+
 def test_subspace_parameterization_shapes():
     images, weights, nvars, ys = subspace_parameterization(2, 2)
     assert len(images) == len(weights) == len(ys)
@@ -154,7 +180,7 @@ def test_configured_cap_reaches_every_guard(monkeypatch):
     witnesses = [
         (lambda: relation_dims(RingContext(2, 4), "minors", 2), "kernel block"),
         (lambda: koszul_h1_blocks(RingContext(3, 3), "minors", 3), "Koszul"),
-        (lambda: veronese_presentation_dims(RingContext(2, 3), 1, 2), "veronese"),
+        (lambda: veronese_presentation_dims(RingContext(2, 3), 1, 2), "kernel block"),
         (lambda: subspace_variety_gens(2, 3), "kernel block"),
         (lambda: rees_ideal(RingContext(2, 3)), "kernel block"),
     ]

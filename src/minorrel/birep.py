@@ -27,12 +27,6 @@ class BiRep:
                 clean[(canon(lam), canon(mu))] = m
         object.__setattr__(self, "terms", clean)
 
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, 0) + v
-        return BiRep(out)
-
 
 def transpose_duality(P):
     """Conjugate both indices: S_lam (x) S_mu -> S_lam' (x) S_mu'.  Involution."""

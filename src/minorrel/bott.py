@@ -7,6 +7,8 @@ Q^a (x) S_lam(R); the dotted Weyl algorithm produces its unique nonzero
 cohomology group (or none).
 """
 
+from functools import lru_cache
+
 from .birep import BiRep
 from .partitions import canon, partitions_of
 from .symfunc import conjugate, plethysm_schur, schur_multiply
@@ -46,81 +48,63 @@ def bott_projective(n, a, lam):
     return {j: dom}
 
 
-def _kunneth(table1, table2):
-    """Combine two single-space tables j -> weight into j -> list of pairs."""
-    out = {}
-    for a, w1 in table1.items():
-        for b, w2 in table2.items():
-            out.setdefault(a + b, []).append((w1, w2))
+@lru_cache(maxsize=None)
+def _wedge_xi_summands(u, v):
+    """Composition factors of L^0 (x) wedge^u(xi_1) (x) wedge^v(xi_2), built once per (u, v).
+
+    xi_1 = wedge^2(V1) (x) wedge^2(R_2) and xi_2 = wedge^2(R_1) (x) (R_2 (x) Q_2),
+    so by Cauchy each alpha |- u and beta |- v contribute
+    S_alpha(S_11 V1) (x) S_beta(S_11 R_1) (x) S_alpha'(S_11 R_2) S_beta'(R_2) (x) Q_2^v.
+    Returns a list of (trivial V1 character dict, R_1 partition dict, R_2
+    partition dict).  The trivial factor is a genuine GL(V1) representation
+    not affected by cohomology.
+    """
+    out = []
+    for alpha in partitions_of(u):
+        triv = plethysm_schur(alpha, (1, 1))
+        a_right = plethysm_schur(conjugate(alpha), (1, 1))
+        for beta in partitions_of(v):
+            r2 = {}
+            for lam, c in a_right.items():
+                for mu, c_mu in schur_multiply(lam, conjugate(beta)).items():
+                    r2[mu] = r2.get(mu, 0) + c * c_mu
+            out.append((triv, plethysm_schur(beta, (1, 1)), r2))
     return out
 
 
-def _xi1_factors(u):
-    """Summands of wedge^u(xi_1): pairs (V1-side character, R_2-side partition list).
+@lru_cache(maxsize=None)
+def _cohomology(u, v, r, m, n):
+    """H^* of L^{2r} (x) wedge^u(xi_1) (x) wedge^v(xi_2) on X = P(V1) x P(V2).
 
-    xi_1 = wedge^2(V1) (x) wedge^2(R_2) pulled back from the second factor.
-    Yields (alpha, left_terms, right_terms) with left_terms = S_alpha(S_11 V1)
-    as a dict on V1, right_terms = S_alpha'(S_11 R_2) as a dict of partitions.
+    Bott on each projective factor, combined by Kunneth.  Returns
+    {j: [(trivial V1 character, V1 weight, V2 weight, multiplicity)]} with a
+    key only for the degrees j that carry cohomology.
     """
-    for alpha in partitions_of(u):
-        left = plethysm_schur(alpha, (1, 1))
-        right = plethysm_schur(conjugate(alpha), (1, 1))
-        yield left, right
-
-
-def _xi2_factors(v):
-    """Summands of wedge^v(xi_2): (R_1-side dict, R_2-side dict, Q_2 twist v).
-
-    xi_2 = wedge^2(R_1) (x) (R_2 (x) Q_2), so the second factor contributes
-    Q_2^v (x) S_beta'(R_2).
-    """
-    for beta in partitions_of(v):
-        left = plethysm_schur(beta, (1, 1))
-        right = {conjugate(beta): 1}
-        yield left, right
-
-
-def _wedge_xi_summands(u, v):
-    """Composition factors of L^0 (x) wedge^u(xi_1) (x) wedge^v(xi_2).
-
-    Yields (trivial V1 character dict, R_1 partition dict, R_2 partition dict,
-    Q_2 extra twist).  The trivial factor is a genuine GL(V1) representation
-    not affected by cohomology.
-    """
-    for a_left, a_right in _xi1_factors(u):
-        for b_left, b_right in _xi2_factors(v):
-            # R_2 side combines S_alpha'(S_11 R_2) with S_beta'(R_2)
-            r2 = {}
-            for lam1, c1 in a_right.items():
-                for lam2, c2 in b_right.items():
-                    for mu, c in schur_multiply(lam1, lam2).items():
-                        r2[mu] = r2.get(mu, 0) + c1 * c2 * c
-            yield a_left, b_left, r2, v
-
-
-def verify_lemma_4_4(u, v, j, r, m, n):
-    """Check H^j(X, L^{2r} (x) wedge^u(xi_1) (x) wedge^v(xi_2)) = 0.
-
-    X = P(V1) x P(V2).  Expands both wedge powers by Cauchy/plethysm, applies
-    Bott on each projective factor and combines with Kunneth.
-    """
-    if u < 0 or v < 0 or j < 1 or r < 1:
-        raise ValueError("need u,v >= 0 and j,r >= 1")
-    for _triv, r1_terms, r2_terms, twist in _wedge_xi_summands(u, v):
-        for lam in r1_terms:
+    out = {}
+    for triv, r1_terms, r2_terms in _wedge_xi_summands(u, v):
+        for lam, c_lam in r1_terms.items():
             if len(lam) > m - 1:
                 continue
             t1 = bott_projective(m, 2 * r, lam)
             if not t1:
                 continue
-            for mu in r2_terms:
+            (a, w1), = t1.items()
+            for mu, c_mu in r2_terms.items():
                 if len(mu) > n - 1:
                     continue
-                t2 = bott_projective(n, 2 * r + twist, mu)
-                for total in _kunneth(t1, t2):
-                    if total == j:
-                        return False
-    return True
+                for b, w2 in bott_projective(n, 2 * r + v, mu).items():
+                    out.setdefault(a + b, []).append((triv, w1, w2, c_lam * c_mu))
+    return out
+
+
+def verify_lemma_4_4(u, v, j, r, m, n):
+    """Check H^j(X, L^{2r} (x) wedge^u(xi_1) (x) wedge^v(xi_2)) = 0.
+
+    X = P(V1) x P(V2).  Reads which degrees the table `_cohomology` holds.
+    """
+    if u < 0 or v < 0 or j < 1 or r < 1:
+        raise ValueError("need u,v >= 0 and j,r >= 1")
+    return j not in _cohomology(u, v, r, m, n)
 
 
 def tor_geometric(i, r, m, n):
@@ -135,41 +119,16 @@ def tor_geometric(i, r, m, n):
     if i not in (0, 1, 2):
         raise ValueError("only homological indices 0, 1, 2 are supported")
     out = {}
-    jmax = (m - 1) + (n - 1)
-    for j in range(0, jmax + 1):
-        k = i + j
+    for j in range(m + n - 1):  # dim X = (m - 1) + (n - 1)
         acc = {}
-        for u in range(0, k + 1):
-            v = k - u
-            for triv, r1_terms, r2_terms, twist in _wedge_xi_summands(u, v):
-                for lam, c_lam in r1_terms.items():
-                    if len(lam) > m - 1:
-                        continue
-                    t1 = bott_projective(m, 2 * r, lam)
-                    if not t1:
-                        continue
-                    for mu, c_mu in r2_terms.items():
-                        if len(mu) > n - 1:
-                            continue
-                        t2 = bott_projective(n, 2 * r + twist, mu)
-                        if not t2:
-                            continue
-                        (a, w1), = t1.items()
-                        (b, w2), = t2.items()
-                        if a + b != j:
-                            continue
-                        if len(canon(w2)) > n:
-                            continue
-                        # fold in the trivial GL(V1) factor S_triv(wedge^2 V1)
-                        for gam, c_gam in triv.items():
-                            for w1f, c_f in schur_multiply(gam, w1).items():
-                                if len(w1f) > m:
-                                    continue
-                                key = (w1f, canon(w2))
-                                acc[key] = (
-                                    acc.get(key, 0)
-                                    + c_lam * c_mu * c_gam * c_f
-                                )
+        for u in range(i + j + 1):
+            for triv, w1, w2, c in _cohomology(u, i + j - u, r, m, n).get(j, ()):
+                # fold in the trivial GL(V1) factor S_triv(wedge^2 V1)
+                for gam, c_gam in triv.items():
+                    for w1f, c_f in schur_multiply(gam, w1).items():
+                        if len(w1f) <= m:
+                            key = (w1f, canon(w2))
+                            acc[key] = acc.get(key, 0) + c * c_gam * c_f
         if acc:
             out[r + i + j] = BiRep(acc)
     return out

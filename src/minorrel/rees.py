@@ -309,14 +309,14 @@ class ReesEngine(GradedKernel):
         return out
 
 
-def rees_ideal(ctx, a_max=3, e_max=3, seed=0, variant="minors"):
+def rees_ideal(ctx, a_max=3, e_max=3, seed=0):
     """Minimal generators of the Rees ideal J by bidegree.
 
     Returns a sorted list of ((a, 2e), count) with count > 0, over the window
     a <= a_max, e <= e_max (e >= 1; the component (a, 0) is zero since the
     x-variables are algebraically independent).
     """
-    engine = ReesEngine(ctx, variant)
+    engine = ReesEngine(ctx)
 
     def compute(p):
         engine.at(p)
@@ -330,12 +330,12 @@ def rees_ideal(ctx, a_max=3, e_max=3, seed=0, variant="minors"):
     return two_primes(seed, compute)
 
 
-def fiber_type_check(ctx, a_max=3, e_max=3, seed=0, variant="minors"):
+def fiber_type_check(ctx, a_max=3, e_max=3, seed=0):
     """Decide fiber type on a bidegree window.
 
     Fiber type: every minimal generator of J lies in bidegree (0, 2d) (a fiber
     relation, i.e. a defining relation of the minor variety) or (d, 2) (a
     syzygy of the quadrics).  Returns (fiber, {(a, 2e): count}).
     """
-    table = dict(rees_ideal(ctx, a_max, e_max, seed, variant))
+    table = dict(rees_ideal(ctx, a_max, e_max, seed))
     return not any(a >= 1 and b >= 4 for a, b in table), table

@@ -229,33 +229,38 @@ def _run_fiber_type(task):
 
 
 # statement -> (runner, feasibility envelope max (m, n, degree-like bound),
-# the params the runner reads)
-_SIZE_DEGREE = ("m", "n", "d_max")
+# the params the runner reads with the least value that checks anything)
+_SIZE_DEGREE = {"m": 2, "n": 2, "d_max": 2}
+_SUBSPACE = {"m": 2, "n": 2, "d_max": 1}
 _STATEMENTS = {
     "thm-1.1": (_run_thm_tor, (4, 5, 6), _SIZE_DEGREE),
     "thm-1.2": (_run_thm_tor, (4, 5, 6), _SIZE_DEGREE),
     "thm-3.1": (_run_thm_koszul, (3, 4, 7), _SIZE_DEGREE),
     "thm-3.2": (_run_thm_koszul, (3, 4, 7), _SIZE_DEGREE),
-    "lem-4.3": (_run_lem_4_3, (5, 5, 6), ("r_max", "d_max", "size")),
-    "lem-4.4": (_run_lem_4_4, (5, 5, 6), ("j_max", "r_max", "size")),
-    "thm-4.1": (_run_thm_4_1, (3, 4, 4), ("m", "n", "r", "d_max")),
-    "eq-tor1-Nr": (_run_eq_tor1, (5, 5, 3), ("m", "n", "r")),
+    "lem-4.3": (_run_lem_4_3, (5, 5, 6), {"r_max": 1, "d_max": 0, "size": 2}),
+    "lem-4.4": (_run_lem_4_4, (5, 5, 6), {"j_max": 1, "r_max": 1, "size": 2}),
+    "thm-4.1": (_run_thm_4_1, (3, 4, 4), {"m": 2, "n": 2, "r": 1, "d_max": 2}),
+    "eq-tor1-Nr": (_run_eq_tor1, (5, 5, 3), {"m": 2, "n": 2, "r": 1}),
     "sec-6-Tbar": (_run_sec_6_Tbar, (3, 3, 3), _SIZE_DEGREE),
-    "sec-6-U": (_run_subspace, (3, 4, 4), _SIZE_DEGREE),
-    "thm-5.1": (_run_subspace, (3, 4, 4), _SIZE_DEGREE),
-    "que-7.1": (_run_fiber_type, (5, 4, 4), ("m", "n", "a_max", "e_max")),
+    "sec-6-U": (_run_subspace, (3, 4, 4), _SUBSPACE),
+    "thm-5.1": (_run_subspace, (3, 4, 4), _SUBSPACE),
+    "que-7.1": (_run_fiber_type, (5, 4, 4), {"m": 2, "n": 2, "a_max": 0, "e_max": 1}),
 }
 
 
 def validate(task):
-    """Reject an unknown statement, a param its runner does not read, or a size off its envelope."""
+    """Reject an unknown statement, a param its runner does not read, or a value off its window.
+
+    A value below its least (a size without 2x2 minors, or a degree window
+    that checks nothing) is as much a usage error as one past the envelope.
+    """
     if task.statement not in _STATEMENTS:
         raise KeyError(f"unknown statement id {task.statement!r}")
-    _, (m_cap, n_cap, d_cap), reads = _STATEMENTS[task.statement]
+    _, (m_cap, n_cap, d_cap), least = _STATEMENTS[task.statement]
     p = task.params
     for key in p:
-        if key not in reads:
-            raise ValueError(f"{task.statement}: takes no {key} (it reads {', '.join(reads)})")
+        if key not in least:
+            raise ValueError(f"{task.statement}: takes no {key} (it reads {', '.join(least)})")
     m, n = p.get("m", 2), p.get("n", 2)
     if min(m, n) < 2:
         raise ValueError(f"{task.statement}: size ({m},{n}) has no 2x2 minors")
@@ -263,9 +268,14 @@ def validate(task):
         raise ValueError(
             f"{task.statement}: size ({m},{n}) outside envelope ({m_cap},{n_cap})"
         )
-    for key in ("d_max", "r", "a_max", "e_max"):
-        if p.get(key, 0) > d_cap:
-            raise ValueError(f"{task.statement}: {key}={p[key]} outside envelope")
+    for key, value in p.items():
+        if key in ("m", "n"):
+            continue
+        top = min(m_cap, n_cap) if key == "size" else d_cap
+        if not least[key] <= value <= top:
+            raise ValueError(
+                f"{task.statement}: {key}={value} outside envelope [{least[key]}, {top}]"
+            )
 
 
 def run(task, results_dir=None):

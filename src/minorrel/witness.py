@@ -19,7 +19,7 @@ from itertools import combinations, combinations_with_replacement
 from math import factorial
 
 from .modlinalg import guard_nonzeros, rank_mod, two_primes
-from .polyring import minors_basis, monomial, poly_mul, x_weight
+from .polyring import minors_basis, poly_mul, x_weight
 from .rees import (
     GradedKernel,
     _is_dominant,
@@ -151,11 +151,12 @@ def koszul_h1_blocks(ctx, variant, d, seed=0):
 # The Veronese filtration quotients M_r / M_{r-1}
 
 
-def _sym_power_generators(ctx, c):
-    """Basis of Sym^{2c}V1 (x) Sym^{2c}V2 inside the degree-2c polynomials.
+def filtration_generator_space(ctx, c):
+    """Generator space of the c-th filtration step: Sym^{2c}V1 (x) Sym^{2c}V2.
 
-    One vector per weight (alpha, beta) of degree 2c: the sum over the
+    One polynomial of degree 2c per weight (alpha, beta): the sum over the
     matrices A with row sums alpha and column sums beta of (2c)!/prod(A!) x^A.
+    At c = 0 this is the unit polynomial.
     """
     D = 2 * c
     out = {}
@@ -165,13 +166,6 @@ def _sym_power_generators(ctx, c):
             coeff //= factorial(e)
         out.setdefault(x_weight(ctx, exp), {})[exp] = coeff
     return list(out.values())
-
-
-def filtration_generator_space(ctx, c):
-    """Generator space of the c-th filtration step as explicit polynomials."""
-    if c == 0:
-        return [monomial(ctx, [])]
-    return _sym_power_generators(ctx, c)
 
 
 class _VeroneseRelations(GradedKernel):

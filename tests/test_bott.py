@@ -68,6 +68,16 @@ def test_lemma_4_4_vanishing_sweep_small():
                             assert verify_lemma_4_4(u, v, j, r, m, n)
 
 
+@pytest.mark.parametrize(
+    "u, v, j, r, m, n", [(4, 1, 1, 1, 3, 3), (4, 0, 1, 1, 2, 4), (5, 0, 2, 1, 2, 3)]
+)
+def test_lemma_4_4_fails_outside_its_range(u, v, j, r, m, n):
+    # u + v > j + 2: past the lemma's range the cohomology need not vanish,
+    # and here it does not, so a walk that dropped summands would show
+    assert u + v > j + 2
+    assert not verify_lemma_4_4(u, v, j, r, m, n)
+
+
 def test_tor_geometric_degree_zero_is_veronese_layer():
     out = tor_geometric(0, 1, 3, 3)
     # degree r slice matches the filtration-layer character with no strip

@@ -259,6 +259,33 @@ def test_verify_rejects_params_the_statement_ignores(argv, key, capsys):
     assert f"takes no {key}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "statement, params",
+    [
+        ("lem-4.4", {"size": 1}),
+        ("lem-4.4", {"j_max": 0}),
+        ("lem-4.4", {"r_max": 0}),
+        ("lem-4.4", {"size": 40, "j_max": 30}),
+        ("lem-4.3", {"size": 1}),
+        ("lem-4.3", {"r_max": 0}),
+        ("lem-4.3", {"d_max": -1}),
+        ("thm-3.1", {"m": 3, "n": 3, "d_max": 1}),
+        ("thm-3.2", {"m": 3, "n": 3, "d_max": 0}),
+        ("que-7.1", {"m": 2, "n": 3, "e_max": 0}),
+        ("que-7.1", {"m": 2, "n": 3, "a_max": -1}),
+    ],
+)
+def test_validate_rejects_empty_or_oversized_windows(statement, params):
+    # an empty window checks nothing and would read as a pass
+    with pytest.raises(ValueError, match="outside envelope"):
+        validate(VerificationTask(statement, params))
+
+
+def test_verify_rejects_an_empty_degree_window(capsys):
+    assert main(["verify", "thm-3.1", "--m", "3", "--n", "3", "--dmax", "1"]) == 2
+    assert "d_max=1 outside envelope" in capsys.readouterr().err
+
+
 def test_every_profile_and_benchmark_task_validates():
     # checks the task lists only; runs none of them
     spec = importlib.util.spec_from_file_location(

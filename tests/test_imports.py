@@ -1,6 +1,7 @@
 """Every name a package module imports is used in that module."""
 
 import ast
+import inspect
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "minorrel"
@@ -61,3 +62,12 @@ def test_layer_functions_stay_where_the_tracer_wraps_them():
         fn = getattr(importlib.import_module("minorrel.symfunc"), name)
         binders = {mod.__name__ for mod in modules if getattr(mod, name, None) is fn}
         assert {"minorrel.birep", "minorrel.bott"} <= binders, name
+    # bott's layers are wrapped in bott itself, so they must be plain
+    # module-level functions there, and tasks must call them through the module
+    from minorrel import bott, tasks
+
+    for name in ("verify_lemma_4_4", "tor_geometric", "bott_projective"):
+        fn = getattr(bott, name)
+        assert inspect.isfunction(fn) and fn.__module__ == "minorrel.bott", name
+    assert tasks.bott is bott
+    assert not hasattr(tasks, "verify_lemma_4_4")

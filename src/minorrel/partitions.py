@@ -6,7 +6,6 @@ canonical form (no trailing zeros).  The empty partition is ``()``.
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import zip_longest
 
 
 def canon(parts):
@@ -39,11 +38,6 @@ def conjugate(lam):
     if not lam:
         return ()
     return tuple(sum(1 for p in lam if p > i) for i in range(lam[0]))
-
-
-def contains(mu, lam):
-    """True iff the diagram of mu contains the diagram of lam."""
-    return all(m >= l for m, l in zip_longest(mu, lam, fillvalue=0))
 
 
 def partitions_of(n, max_parts=None, max_part=None):

@@ -1,12 +1,15 @@
 """Symmetric function arithmetic: Schur products and plethysm.
 
 Symmetric functions are plain dicts mapping a partition to its integer
-coefficient in the Schur basis.  The Littlewood-Richardson rule is
-implemented by direct enumeration of LR skew tableaux; plethysm with inner
-s_2 or s_{1,1} by Jacobi-Trudi over the closed forms of h_k[h_2] and
-h_k[e_2].  Independent oracles (expansion of Schur polynomials in finitely
-many variables, the Pieri rule, plethysm through the power-sum basis) live
-in the test suite.
+coefficient in the Schur basis.  A Littlewood-Richardson product is built
+by strip generation: the letters of one factor go onto the other as
+horizontal strips kept to the lattice condition, and each completed LR
+filling counts once for its shape, so only shapes with a nonzero
+coefficient are visited.  Plethysm with inner s_2 or s_{1,1} is
+Jacobi-Trudi over the closed forms of h_k[h_2] and h_k[e_2].  Independent
+oracles (expansion of Schur polynomials in finitely many variables, the
+Pieri rule, LR coefficients by tableau count, plethysm through the
+power-sum basis) live in the test suite.
 
 Bivariate characters (for pairs of groups acting on a tensor product) are
 plain dicts mapping (lam, mu) to an integer multiplicity; the wrapper class
@@ -15,7 +18,7 @@ lives in the birep module.
 
 from functools import lru_cache
 
-from .partitions import canon, conjugate, contains, partitions_of
+from .partitions import canon, conjugate, partitions_of
 
 
 # ---------------------------------------------------------------------------
@@ -23,61 +26,51 @@ from .partitions import canon, conjugate, contains, partitions_of
 
 
 @lru_cache(maxsize=None)
-def lr_coefficient(nu, lam, mu):
-    """c^nu_{lam,mu}: number of LR skew tableaux of shape nu/lam and content mu.
-
-    Cells are filled in reverse reading order (rows top to bottom, each row
-    right to left), which turns the lattice-word condition into a running
-    prefix check on the entry counts.
-    """
-    nu, lam, mu = canon(nu), canon(lam), canon(mu)
-    if sum(nu) != sum(lam) + sum(mu) or not contains(nu, lam) or not contains(nu, mu):
-        return 0
-    cells = []
-    for i in range(len(nu)):
-        lo = lam[i] if i < len(lam) else 0
-        for j in range(nu[i] - 1, lo - 1, -1):
-            cells.append((i, j))
-    counts = [0] * (len(mu) + 1)
-    grid = {}
-    nmu = len(mu)
-
-    def rec(idx):
-        if idx == len(cells):
-            return 1
-        i, j = cells[idx]
-        total = 0
-        right = grid.get((i, j + 1))
-        above = grid.get((i - 1, j))
-        hi = right if right is not None else nmu
-        for e in range(1, hi + 1):
-            if counts[e] >= mu[e - 1]:
-                continue
-            if above is not None and e <= above:
-                continue
-            if e > 1 and counts[e] + 1 > counts[e - 1]:
-                continue
-            counts[e] += 1
-            grid[(i, j)] = e
-            total += rec(idx + 1)
-            counts[e] -= 1
-        grid.pop((i, j), None)
-        return total
-
-    return rec(0)
-
-
-@lru_cache(maxsize=None)
 def _schur_multiply_cached(lam, mu):
-    n = sum(lam) + sum(mu)
-    mp = (lam[0] if lam else 0) + (mu[0] if mu else 0)
+    """s_lam * s_mu as {nu: c^nu_{lam,mu}}, built from the LR fillings alone.
+
+    Letters 1, 2, ... of the factor with fewer rows go onto the other one
+    in turn, the copies of each letter as a horizontal strip: row i takes
+    at most (old row i-1) - (row i) of them.  The lattice condition on the
+    reverse reading word (rows top to bottom, each right to left) says that
+    the k's in rows 0..i number at most the (k-1)'s in rows 0..i-1.  Each
+    completed filling adds 1 to its shape, so only nu with c > 0 are seen
+    (Macdonald I.9; Fulton, Young Tableaux, 5.2).
+    """
+    if len(lam) < len(mu):
+        return _schur_multiply_cached(mu, lam)
+    if not mu:
+        return {lam: 1}
+    rows = len(lam) + len(mu)
+    shape = list(lam) + [0] * len(mu)
     out = {}
-    for nu in partitions_of(n, max_parts=len(lam) + len(mu), max_part=mp):
-        if not contains(nu, lam):
-            continue
-        c = lr_coefficient(nu, lam, mu)
-        if c:
-            out[nu] = c
+
+    def strip(k, i, left, slack, prev, cur):
+        # letter k (from 0), row i: `left` copies still to place, the
+        # lattice allows `slack` more in rows 0..i, and prev[j], cur[j] count
+        # the letters k - 1 and k in row j
+        if not left:
+            if k + 1 < len(mu):
+                strip(k + 1, 0, mu[k + 1], 0, cur, [0] * rows)
+            else:
+                nu = tuple(p for p in shape if p)
+                out[nu] = out.get(nu, 0) + 1
+            return
+        if i == 0:
+            room = left
+        elif shape[i - 1] == cur[i - 1]:
+            return  # row i-1 was empty, so no row from i on takes a box
+        else:
+            room = shape[i - 1] - cur[i - 1] - shape[i]
+        for a in range(min(left, room, slack), -1, -1):
+            shape[i] += a
+            cur[i] = a
+            strip(k, i + 1, left - a, slack - a + prev[i], prev, cur)
+            shape[i] -= a
+        cur[i] = 0
+
+    # the first letter has no lattice bound: its slack is all its copies
+    strip(0, 0, mu[0], mu[0], [0] * rows, [0] * rows)
     return out
 
 

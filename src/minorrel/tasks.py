@@ -345,6 +345,7 @@ def suite_tasks(profile="quick", seed=0):
             mk("thm-4.1", m=3, n=3, r=2, d_max=4),
             mk("thm-4.1", m=3, n=4, r=1, d_max=3),
         ]
+        tasks += [mk("eq-tor1-Nr", m=5, n=5, r=r) for r in (1, 2, 3)]
     if profile == "long":
         tasks += [
             mk("que-7.1", m=5, n=3, a_max=3, e_max=3),
@@ -354,7 +355,6 @@ def suite_tasks(profile="quick", seed=0):
             mk("thm-5.1", m=3, n=3),
             mk("thm-4.1", m=3, n=4, r=2, d_max=4),
         ]
-        tasks += [mk("eq-tor1-Nr", m=5, n=5, r=r) for r in (1, 2, 3)]
     return tasks
 
 

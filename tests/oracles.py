@@ -4,7 +4,9 @@ None of this is reached from the minorrel command line; each function is a
 second route to a quantity the package computes another way: exact rank
 over the rationals (against modular rank), the Weyl dimension formula
 (against Bott's algorithm), the Pieri rule (against Littlewood-Richardson),
-plethysm through the power-sum basis (against Jacobi-Trudi), span
+Littlewood-Richardson coefficients by tableau count, one nu at a time
+(against the strip-built product), plethysm through the power-sum basis
+(against Jacobi-Trudi), span
 dimensions of explicit polynomials, Koszul homology at every torus weight
 (against the dominant weights alone), and the Veronese generator count by
 whole-degree span ranks (against the engine's weight blocks).
@@ -16,10 +18,11 @@ the Schur basis unless a name says power sums.
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 from math import factorial
 
 from minorrel.modlinalg import rank_mod
-from minorrel.partitions import canon, conjugate, contains, partitions_of
+from minorrel.partitions import canon, conjugate, partitions_of
 from minorrel.polyring import poly_mul, x_weight
 from minorrel.rees import _monomials_of_degree, _wadd, _weights_of, generators_for
 from minorrel.witness import veronese_engine
@@ -73,6 +76,56 @@ def weyl_dim_weight(w):
             val *= Fraction(w[i] - w[j] + j - i, j - i)
     assert val.denominator == 1
     return int(val)
+
+
+def contains(mu, lam):
+    """True iff the diagram of mu contains the diagram of lam."""
+    return all(m >= l for m, l in zip_longest(mu, lam, fillvalue=0))
+
+
+@lru_cache(maxsize=None)
+def lr_coefficient(nu, lam, mu):
+    """c^nu_{lam,mu}: number of LR skew tableaux of shape nu/lam and content mu.
+
+    Cells are filled in reverse reading order (rows top to bottom, each row
+    right to left), which turns the lattice-word condition into a running
+    prefix check on the entry counts.
+    """
+    nu, lam, mu = canon(nu), canon(lam), canon(mu)
+    if sum(nu) != sum(lam) + sum(mu) or not contains(nu, lam) or not contains(nu, mu):
+        return 0
+    cells = []
+    for i in range(len(nu)):
+        lo = lam[i] if i < len(lam) else 0
+        for j in range(nu[i] - 1, lo - 1, -1):
+            cells.append((i, j))
+    counts = [0] * (len(mu) + 1)
+    grid = {}
+    nmu = len(mu)
+
+    def rec(idx):
+        if idx == len(cells):
+            return 1
+        i, j = cells[idx]
+        total = 0
+        right = grid.get((i, j + 1))
+        above = grid.get((i - 1, j))
+        hi = right if right is not None else nmu
+        for e in range(1, hi + 1):
+            if counts[e] >= mu[e - 1]:
+                continue
+            if above is not None and e <= above:
+                continue
+            if e > 1 and counts[e] + 1 > counts[e - 1]:
+                continue
+            counts[e] += 1
+            grid[(i, j)] = e
+            total += rec(idx + 1)
+            counts[e] -= 1
+        grid.pop((i, j), None)
+        return total
+
+    return rec(0)
 
 
 def is_horizontal_strip(mu, lam):

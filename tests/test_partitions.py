@@ -5,7 +5,6 @@ import pytest
 from minorrel.partitions import (
     canon,
     conjugate,
-    contains,
     dim_schur,
     hook_lengths,
     in_M_r,
@@ -13,7 +12,7 @@ from minorrel.partitions import (
     parse_partition,
     partitions_of,
 )
-from oracles import is_horizontal_strip, weyl_dim_weight
+from oracles import contains, is_horizontal_strip, weyl_dim_weight
 
 
 def ssyt_count(lam, n):

@@ -4,9 +4,10 @@ from math import comb, factorial
 import pytest
 
 from minorrel.partitions import canon, conjugate, dim_schur, partitions_of
-from minorrel.symfunc import bivariate_wedge_power, lr_coefficient, plethysm_schur, schur_multiply
+from minorrel.symfunc import bivariate_wedge_power, plethysm_schur, schur_multiply
 from oracles import (
     from_power_basis,
+    lr_coefficient,
     pieri,
     plethysm_power_sum,
     sn_character,
@@ -70,6 +71,31 @@ def test_lr_against_polynomial_expansion():
         expanded = {e: c for e, c in expanded.items() if c}
         prod = {e: c for e, c in prod.items() if c}
         assert prod == expanded
+
+
+def test_schur_multiply_matches_tableau_count():
+    # the strip-built product against a count of LR tableaux for each nu,
+    # zeros included, so a nu the product leaves out fails too
+    parts = [lam for d in range(6) for lam in partitions_of(d)]
+    for lam, mu in product(parts, parts):
+        counted = {nu: lr_coefficient(nu, lam, mu) for nu in partitions_of(sum(lam) + sum(mu))}
+        assert schur_multiply(lam, mu) == {nu: c for nu, c in counted.items() if c}
+
+
+def test_schur_multiply_dimensions_at_depth():
+    # sum of c^nu dim S_nu(C^k) = dim S_lam(C^k) dim S_mu(C^k), at shapes
+    # too large for the tableau count; the last lam has fewer rows than mu
+    cases = [
+        ((4, 3, 2, 1), (3, 2, 1)),
+        ((5, 3, 1), (4, 4)),
+        ((3, 3, 3), (2, 2, 2)),
+        ((2,), (3, 3, 2, 1)),
+    ]
+    for lam, mu in cases:
+        prod = schur_multiply(lam, mu)
+        for k in range(2, 7):
+            total = sum(c * dim_schur(nu, k) for nu, c in prod.items())
+            assert total == dim_schur(lam, k) * dim_schur(mu, k), (lam, mu, k)
 
 
 def test_lr_commutativity_up_to_size_six():

@@ -41,30 +41,18 @@ def guard_nonzeros(count, what):
         raise CapacityError(f"{what}: {count} nonzeros exceeds cap {NONZERO_CAP}")
 
 
-def _reduce_mod(rows, p):
-    out = []
-    for row in rows:
-        new = {}
-        for c, v in row.items():
-            val = v % p
-            if val:
-                new[c] = val
-        if new:
-            out.append(new)
-    return out
-
-
 def _eliminate_mod(rows, p, stop=None):
-    """Row-reduce sparse rows mod p; returns (rank, reduced pivot rows).
+    """Row-reduce sparse integer rows mod p; returns (rank, reduced pivot rows).
 
-    With stop, no further row is taken once the rank reaches stop, so the
-    rank returned is min(rank, stop).
+    Each row is reduced mod p when it is taken.  With stop, no further row
+    is taken once the rank reaches stop, so the rank returned is
+    min(rank, stop).
     """
     pivots = {}  # col -> row dict with that pivot, pivot value 1
     for row in rows:
         if len(pivots) == stop:
             break
-        row = dict(row)
+        row = {c: r for c, v in row.items() if (r := v % p)}
         while row:
             c = min(row)
             if c in pivots:
@@ -85,12 +73,16 @@ def _eliminate_mod(rows, p, stop=None):
 
 def rank_mod(rows, p, stop=None):
     """Rank of the rows mod p, or stop if the rank reaches it first."""
-    return _eliminate_mod(_reduce_mod(rows, p), p, stop)[0]
+    return _eliminate_mod(rows, p, stop)[0]
 
 
 def nullspace_mod(rows, ncols, p):
-    """Basis of the right kernel mod p, as sparse dicts over range(ncols)."""
-    _, pivots = _eliminate_mod(_reduce_mod(rows, p), p)
+    """Basis of the right kernel mod p, as sparse dicts over range(ncols).
+
+    Each vector's first key is its free column, where it is 1; it is 0 at
+    the other free columns, and its other keys are smaller pivot columns.
+    """
+    _, pivots = _eliminate_mod(rows, p)
     # back-substitute to full reduced echelon form
     cols = sorted(pivots)
     for i in range(len(cols) - 1, -1, -1):

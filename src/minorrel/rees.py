@@ -15,10 +15,12 @@ sums, column sums).  Permuting rows and columns of the matrix maps each
 source basis to itself up to sign, over the integers, so each per-weight
 count is constant on S_m x S_n orbits of weights: only the dominant weight
 of each orbit is eliminated, weighted by the orbit size.  The shifted
-kernels it needs may sit at non-dominant weights; they are computed on
-demand.  One engine object serves an instance: it is built once over the
-integers, where its source bases and generator products live, and `at(p)`
-runs it at the prime p, dropping the kernels of any previous prime.
+kernels it needs may sit at non-dominant weights; each of those is the
+kernel at the dominant weight of its orbit, carried across by the
+permutation of rows and columns, with no elimination.  One engine object
+serves an instance: it is built once over the integers, where its source
+bases and generator products live, and `at(p)` runs it at the prime p,
+dropping the kernels of any previous prime.
 
 The Rees algebra is presented by T-variables (one per quadric generator)
 over the matrix-entry ring; the defining ideal J is the bigraded kernel of
@@ -78,6 +80,35 @@ def _is_dominant(w):
     )
 
 
+def _permute(part, perm):
+    """The tuple whose entry perm[i] is part[i]."""
+    out = [0] * len(part)
+    for i, x in zip(perm, part):
+        out[i] = x
+    return tuple(out)
+
+
+def _from_dominant(w):
+    """The dominant weight of w's orbit, and the (row, column) permutations taking it to w."""
+    perms = tuple(
+        tuple(sorted(range(len(part)), key=part.__getitem__, reverse=True)) for part in w
+    )
+    return tuple(tuple(part[i] for i in perm) for part, perm in zip(w, perms)), perms
+
+
+def _swap_sign(gw, perms):
+    """Sign a 2x2 minor of weight gw takes when rows and columns are permuted.
+
+    The minor alternates in its two rows and in its two columns.
+    """
+    sign = 1
+    for part, perm in zip(gw, perms):
+        i1, i2 = (perm[i] for i, x in enumerate(part) if x)
+        if i1 > i2:
+            sign = -sign
+    return sign
+
+
 def _orbit_size(w):
     """Size of the S_m x S_n orbit of the weight w = (row sums, column sums)."""
     size = 1
@@ -127,18 +158,19 @@ def _weighted_multisets(weights, e):
 
 
 def _shifted_rows(vectors, shift, col):
-    """Lower-grade kernel vectors moved up by shift, as sparse rows.
+    """Lower-grade kernel vectors moved up by shift, as sparse rows on col.
 
     shift maps a source key of the vectors to a source key one grade up,
-    and col numbers those keys.  Entries are summed over the integers;
-    rank_mod reduces them and drops zeros.
+    and col numbers the keys kept; the others are dropped.  Entries are
+    summed over the integers; rank_mod reduces them and drops zeros.
     """
     rows = []
     for vec in vectors:
         row = {}
         for key, c in vec.items():
-            idx = col[shift(key)]
-            row[idx] = row.get(idx, 0) + c
+            idx = col.get(shift(key))
+            if idx is not None:
+                row[idx] = row.get(idx, 0) + c
         rows.append(row)
     return rows
 
@@ -149,13 +181,21 @@ class GradedKernel:
     The base class is the relations instance: the kernel of Sym(gens) ->
     polynomials graded by degree, with one unit factor and the
     multiplications by the generators as shifts.  Subclasses override
-    `factors`, `image`, `shifts` and `modulo`.  gens are polynomials in
-    nvars variables, of torus weights `weights`.  Call `at(p)` before
-    asking for a kernel.
+    `factors`, `image`, `shifts`, `modulo` and `factor_map`.  gens are
+    polynomials in nvars variables, of distinct torus weights `weights`;
+    alternating says they are the 2x2 minors, which change sign with a swap
+    of their rows or of their columns, while other generators are fixed by
+    it.  Call `at(p)` before asking for a kernel.
     """
 
-    def __init__(self, gens, weights, nvars):
-        self.gens, self.weights = gens, weights
+    def __init__(self, gens, weights, nvars, alternating=False):
+        self.gens, self.weights, self.alternating = gens, weights, alternating
+        # a permutation of rows and columns moves each generator to the one
+        # of the permuted weight, so the weights must tell them apart
+        self._by_weight = {w: k for k, w in enumerate(weights)}
+        if len(self._by_weight) != len(weights):
+            raise ValueError("generator weights must be distinct")
+        self._tables = {}  # (row, column) permutations -> transport table
         self._sources = {}  # grade -> {weight: [source]}
         # multiset -> product of its generators; the unit's exponent has all
         # nvars entries, since poly_mul would truncate products to a shorter one
@@ -165,6 +205,7 @@ class GradedKernel:
         """This engine at the prime p; the kernels of the previous prime are dropped."""
         self.p = p
         self._kernels = {}  # (grade, weight) -> kernel vectors {source: coeff}
+        self._free = {}  # (grade, dominant weight) -> free source of each kernel vector
         return self
 
     def product(self, ms):
@@ -191,6 +232,10 @@ class GradedKernel:
         """Polynomials of the grade and weight to take the kernel modulo."""
         return []
 
+    def factor_map(self, perms):
+        """The factor that permuting rows and columns by perms turns a factor into."""
+        return lambda f: f
+
     def _generator_shifts(self, lower):
         return [
             (lower, gw, lambda s, k=k: (s[0], tuple(sorted(s[1] + (k,)))))
@@ -212,16 +257,29 @@ class GradedKernel:
         return self._sources[grade]
 
     def kernel_block(self, grade, w):
-        """Kernel vectors of the block of weight w in the grade, modulo `modulo`."""
+        """Kernel vectors of the block of weight w in the grade, modulo `modulo`.
+
+        Only a dominant block is eliminated; any other is transported from
+        the dominant weight of its orbit.
+        """
         key = (grade, w)
-        if key in self._kernels:
-            return self._kernels[key]
+        if key not in self._kernels:
+            dom, perms = _from_dominant(w)
+            if dom == w:
+                self._kernels[key] = self._eliminate(grade, w)
+            else:
+                vectors = self.kernel_block(grade, dom)
+                self._kernels[key] = self._transport(grade, w, vectors, perms)
+        return self._kernels[key]
+
+    def _eliminate(self, grade, w):
         members = self.sources(grade).get(w, [])
-        vectors = []
+        vectors, free = [], []
         if members:
             # one row per monomial, one column per polynomial; the subspace
             # comes first, so a kernel vector whose free column lies in it is
-            # zero on the sources, and the rest project to a basis
+            # zero on the sources, and the rest project to a basis with one
+            # free source each
             polys = self.modulo(grade, w) + [self.image(s) for s in members]
             skip = len(polys) - len(members)
             rows = {}
@@ -232,18 +290,64 @@ class GradedKernel:
                     rows.setdefault(exp, {})[i] = c
             guard_nonzeros(nnz, f"kernel block {grade} at weight {w}")
             for vec in nullspace_mod(list(rows.values()), len(polys), self.p):
-                vec = {members[i - skip]: c for i, c in vec.items() if i >= skip}
-                if vec:
-                    vectors.append(vec)
-        self._kernels[key] = vectors
+                first = next(iter(vec))  # the free column
+                if first >= skip:
+                    vectors.append({members[i - skip]: c for i, c in vec.items() if i >= skip})
+                    free.append(members[first - skip])
+        self._free[(grade, w)] = free
         return vectors
 
+    def _table(self, perms):
+        """(generator map, generator signs, factor map) of a permutation of rows and columns."""
+        if perms not in self._tables:
+            gmap = [self._by_weight[tuple(map(_permute, gw, perms))] for gw in self.weights]
+            signs = [_swap_sign(gw, perms) if self.alternating else 1 for gw in self.weights]
+            self._tables[perms] = gmap, signs, self.factor_map(perms)
+        return self._tables[perms]
+
+    def _transport(self, grade, w, vectors, perms):
+        """The kernel vectors of a dominant block, carried to its orbit's weight w by perms.
+
+        A source (f, ms) goes to the permuted factor and the sorted permuted
+        multiset, its coefficient times the signs of the generators; the
+        keys are w's own source tuples.
+        """
+        if not vectors:
+            return []
+        gmap, signs, fmap = self._table(perms)
+        own = {s: s for s in self.sources(grade)[w]}
+        moved = {}  # source -> (its image at w, sign)
+        p = self.p
+        out = []
+        for vec in vectors:
+            new = {}
+            for src, c in vec.items():
+                if src not in moved:
+                    f, ms = src
+                    sign = 1
+                    for k in ms:
+                        sign *= signs[k]
+                    moved[src] = own[(fmap(f), tuple(sorted(gmap[k] for k in ms)))], sign
+                dst, sign = moved[src]
+                new[dst] = c if sign > 0 else p - c
+            out.append(new)
+        return out
+
     def _min_gens_at(self, grade, w):
-        """Kernel dimension at (grade, w) minus the rank of the shifted lower kernels."""
+        """Kernel dimension at a dominant (grade, w) minus the rank of the shifted lower kernels.
+
+        The shifted lower kernels lie in K_w, and a vector of K_w is fixed
+        by its coordinates at K_w's free sources, so they are ranked on
+        those columns alone.  The columns are numbered from the last free
+        source to the first.  The order does not change the rank, but it
+        changes the fill-in: numbered from the last, the ranks of the 5x3
+        Rees grade (3, 3) at one prime took 35 s on a 2-core host, against
+        195 s in source order.
+        """
         kw = self.kernel_block(grade, w)
         if not kw:
             return 0
-        col = {s: i for i, s in enumerate(self.sources(grade)[w])}
+        col = {s: i for i, s in enumerate(reversed(self._free[(grade, w)]))}
         shifted = []
         for lower, delta, shift in self.shifts(grade):
             w2 = _wsub(w, delta)
@@ -282,7 +386,8 @@ class ReesEngine(GradedKernel):
 
     def __init__(self, ctx, variant="minors"):
         gens = generators_for(ctx, variant)
-        super().__init__(gens, _weights_of(ctx, gens), ctx.num_vars)
+        weights = _weights_of(ctx, gens)
+        super().__init__(gens, weights, ctx.num_vars, alternating=variant == "minors")
         self.ctx = ctx
         self.var_weights = [
             x_weight(ctx, tuple(int(i == v) for i in range(ctx.num_vars)))
@@ -293,6 +398,12 @@ class ReesEngine(GradedKernel):
         a, e = grade
         monos = _monomials_of_degree(self.ctx.num_vars, a)
         return [(x, x_weight(self.ctx, x)) for x in monos], e
+
+    def factor_map(self, perms):
+        rows, cols = perms
+        n = self.ctx.n
+        moved = [rows[v // n] * n + cols[v % n] for v in range(self.ctx.num_vars)]
+        return lambda xexp: _permute(xexp, moved)
 
     def image(self, source):
         xexp, ms = source

@@ -352,6 +352,7 @@ def suite_tasks(profile="quick", seed=0):
             mk("que-7.1", m=4, n=4, a_max=2, e_max=3),
             mk("thm-1.1", m=4, n=4, d_max=5),
             mk("thm-1.1", m=4, n=5, d_max=4),
+            mk("thm-1.2", m=3, n=4, d_max=4),
             mk("thm-5.1", m=3, n=3),
             mk("thm-4.1", m=3, n=4, r=2, d_max=4),
         ]

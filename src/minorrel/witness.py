@@ -24,6 +24,7 @@ from .rees import (
     GradedKernel,
     _is_dominant,
     _monomials_of_degree,
+    _permute,
     _wadd,
     _weights_of,
     _wsub,
@@ -44,7 +45,8 @@ def presentation_dims(engine, d_max, seed=0):
 def relation_engine(ctx, variant):
     """The engine of Sym(W) -> polynomials, W the minors or permanents."""
     gens = generators_for(ctx, variant)
-    return GradedKernel(gens, _weights_of(ctx, gens), ctx.num_vars)
+    weights = _weights_of(ctx, gens)
+    return GradedKernel(gens, weights, ctx.num_vars, alternating=variant == "minors")
 
 
 def relation_dims(ctx, variant, d_max, seed=0):
@@ -179,14 +181,20 @@ class _VeroneseRelations(GradedKernel):
 
     def __init__(self, ctx, r):
         gens = minors_basis(ctx)
-        super().__init__(gens, _weights_of(ctx, gens), ctx.num_vars)
+        super().__init__(gens, _weights_of(ctx, gens), ctx.num_vars, alternating=True)
         self.ctx, self.r = ctx, r
         self.gspace = filtration_generator_space(ctx, r)
+        self.gweights = _weights_of(ctx, self.gspace)
         self.lower = {}
 
     def factors(self, D):
-        weights = [x_weight(self.ctx, next(iter(g))) for g in self.gspace]
-        return list(enumerate(weights)), D - self.r
+        return list(enumerate(self.gweights)), D - self.r
+
+    def factor_map(self, perms):
+        # the generator space has one polynomial per weight, and permuting
+        # rows and columns carries it to the one of the permuted weight
+        index = {w: gi for gi, w in enumerate(self.gweights)}
+        return lambda gi: index[tuple(map(_permute, self.gweights[gi], perms))]
 
     def image(self, source):
         gi, ms = source

@@ -8,8 +8,11 @@ Littlewood-Richardson coefficients by tableau count, one nu at a time
 (against the strip-built product), plethysm through the power-sum basis
 (against Jacobi-Trudi), span
 dimensions of explicit polynomials, Koszul homology at every torus weight
-(against the dominant weights alone), and the Veronese generator count by
-whole-degree span ranks (against the engine's weight blocks).
+(against the dominant weights alone), the Veronese generator count by
+whole-degree span ranks (against the engine's weight blocks), and the
+graded-kernel engine's blocks eliminated directly at any weight and ranked
+on all their source columns (against transport from the dominant weight
+and the rank on the free columns).
 
 Symmetric functions are dicts mapping a partition to its coefficient, in
 the Schur basis unless a name says power sums.
@@ -21,10 +24,17 @@ from functools import lru_cache
 from itertools import zip_longest
 from math import factorial
 
-from minorrel.modlinalg import rank_mod
+from minorrel.modlinalg import nullspace_mod, rank_mod
 from minorrel.partitions import canon, conjugate, partitions_of
 from minorrel.polyring import poly_mul, x_weight
-from minorrel.rees import _monomials_of_degree, _wadd, _weights_of, generators_for
+from minorrel.rees import (
+    _monomials_of_degree,
+    _shifted_rows,
+    _wadd,
+    _weights_of,
+    _wsub,
+    generators_for,
+)
 from minorrel.witness import veronese_engine
 
 
@@ -345,3 +355,47 @@ def veronese_generators_by_span(ctx, r, d_max, p):
         out[D] = rank_mod(coefficient_rows(mr), p) - rank_mod(coefficient_rows(sub), p)
         prev = mr
     return out
+
+
+# ---------------------------------------------------------------------------
+# The graded-kernel engine's blocks, eliminated and ranked directly
+
+
+def kernel_block_direct(engine, grade, w):
+    """Kernel vectors {source: coeff} of one block of the engine, at its prime.
+
+    Builds and eliminates the block of weight w, dominant or not, modulo the
+    engine's `modulo` polynomials; the engine itself eliminates only
+    dominant blocks and transports their kernels across the orbit.
+    """
+    members = engine.sources(grade).get(w, [])
+    if not members:
+        return []
+    polys = engine.modulo(grade, w) + [engine.image(s) for s in members]
+    skip = len(polys) - len(members)
+    rows = {}
+    for i, f in enumerate(polys):
+        for exp, c in f.items():
+            rows.setdefault(exp, {})[i] = c
+    vectors = []
+    for vec in nullspace_mod(list(rows.values()), len(polys), engine.p):
+        vec = {members[i - skip]: c for i, c in vec.items() if i >= skip}
+        if vec:
+            vectors.append(vec)
+    return vectors
+
+
+def min_gens_full_columns(engine, grade, w):
+    """Kernel dimension at (grade, w) minus the rank of the shifted lower kernels.
+
+    The rows keep every source column of the block and are ranked in full,
+    with no early stop; the engine ranks them on the kernel's free sources
+    and stops at the kernel dimension.
+    """
+    col = {s: i for i, s in enumerate(engine.sources(grade)[w])}
+    shifted = []
+    for lower, delta, shift in engine.shifts(grade):
+        w2 = _wsub(w, delta)
+        if w2 is not None:
+            shifted += _shifted_rows(engine.kernel_block(lower, w2), shift, col)
+    return len(engine.kernel_block(grade, w)) - rank_mod(shifted, engine.p)

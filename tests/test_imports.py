@@ -37,8 +37,9 @@ def test_package_has_no_unused_imports():
 
 def test_layer_functions_stay_where_the_tracer_wraps_them():
     # perfbench wraps ReesEngine's methods on the class, and rank_mod,
-    # poly_mul, schur_multiply and plethysm_schur in every package module
-    # other than their own that binds them
+    # nullspace_mod, poly_mul, schur_multiply and plethysm_schur in every
+    # package module other than their own that binds them; a name that no
+    # such module binds makes every traced pass raise
     import importlib
     import pkgutil
 
@@ -58,6 +59,7 @@ def test_layer_functions_stay_where_the_tracer_wraps_them():
             if mod.__name__ != f"minorrel.{owner}" and getattr(mod, name, None) is fn
         ]
         assert binders == ["minorrel.rees", "minorrel.witness"], name
+    assert minorrel.rees.nullspace_mod is minorrel.modlinalg.nullspace_mod
     for name in ("schur_multiply", "plethysm_schur"):
         fn = getattr(importlib.import_module("minorrel.symfunc"), name)
         binders = {mod.__name__ for mod in modules if getattr(mod, name, None) is fn}

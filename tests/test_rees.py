@@ -1,9 +1,10 @@
+from itertools import permutations
+
+from minorrel.modlinalg import PRIMES, rank_mod
 from minorrel.polyring import RingContext
-from minorrel.modlinalg import rank_mod
 from minorrel.rees import (
     ReesEngine,
-    _shifted_rows,
-    _wsub,
+    _is_dominant,
     fiber_type_check,
     orbit_total,
     rees_ideal,
@@ -15,6 +16,7 @@ from minorrel.witness import (
     subspace_engine,
     veronese_engine,
 )
+from oracles import coefficient_rows, kernel_block_direct, min_gens_full_columns
 
 
 def test_principal_ideal_has_no_relations():
@@ -48,23 +50,8 @@ def test_fiber_type_small_cases():
         assert fiber
 
 
-def _min_gens_full_rank(engine, grade, w):
-    """Kernel dimension at (grade, w) minus the full rank of the shifted lower kernels.
-
-    The engine's own step stops ranking at the kernel dimension; this one
-    ranks every shifted row, so it checks that early exit too.
-    """
-    col = {s: i for i, s in enumerate(engine.sources(grade)[w])}
-    shifted = []
-    for lower, delta, shift in engine.shifts(grade):
-        w2 = _wsub(w, delta)
-        if w2 is not None:
-            shifted += _shifted_rows(engine.kernel_block(lower, w2), shift, col)
-    return len(engine.kernel_block(grade, w)) - rank_mod(shifted, engine.p)
-
-
 def _full_weight_counts(engine, grades):
-    """Minimal generator counts by grade, eliminating every weight block.
+    """Minimal generator counts by grade, ranking every weight block on all its columns.
 
     Each per-weight count (and kernel dimension) must be constant on its
     S_m x S_n orbit, and the sums over all weights must equal the engine's
@@ -72,7 +59,7 @@ def _full_weight_counts(engine, grades):
     """
     counts = {}
     for grade in grades:
-        at = {w: _min_gens_full_rank(engine, grade, w) for w in engine.sources(grade)}
+        at = {w: min_gens_full_columns(engine, grade, w) for w in engine.sources(grade)}
         dims = {w: len(engine.kernel_block(grade, w)) for w in at}
         for (rows, cols), c in at.items():
             dom = (tuple(sorted(rows, reverse=True)), tuple(sorted(cols, reverse=True)))
@@ -86,9 +73,7 @@ def _full_weight_counts(engine, grades):
 
 
 def test_orbit_weighted_count_matches_full_weight_sum():
-    # oracle: eliminate every weight block, not only the dominant ones
-    from minorrel.modlinalg import PRIMES
-
+    # oracle: rank every weight block on all its columns, not only the dominant ones
     p = PRIMES[0]
     cases = [
         (2, 3, "minors", 2, 3, {(1, 1): 2}),
@@ -115,9 +100,97 @@ def test_orbit_weighted_count_matches_full_weight_sum():
 
 def test_syzygy_bidegrees_match_koszul_shift():
     # J in bidegree (d, 2) consists of syzygies of the quadrics in degree d + 2
-    from minorrel.modlinalg import PRIMES
-
     engine = ReesEngine(RingContext(2, 4)).at(PRIMES[1])
     # total kernel dimension at (a, 1) equals the syzygy space dimension
     total = sum(len(engine.kernel_block((1, 1), w)) for w in engine.sources((1, 1)))
     assert total == 8  # all syzygies here are minimal (none in lower bidegree)
+
+
+def _instances():
+    """One engine of each kind, at one prime, with the grades checked."""
+    p = PRIMES[2]
+    rees = [(a, e) for a in range(3) for e in range(1, 4)]
+    return [
+        ("rees 3x3", ReesEngine(RingContext(3, 3)).at(p), rees),
+        ("minors 3x4", relation_engine(RingContext(3, 4), "minors").at(p), [1, 2, 3]),
+        ("permanents 3x3", relation_engine(RingContext(3, 3), "permanents").at(p), [1, 2, 3]),
+        ("veronese 3x3 r=1", veronese_engine(RingContext(3, 3), 1).at(p), [1, 2, 3]),
+        ("subspace 3x3", subspace_engine(3, 3).at(p), [1, 2, 3]),
+    ]
+
+
+def _rank_of(vectors, col, p):
+    return rank_mod([{col[s]: c for s, c in vec.items()} for vec in vectors], p)
+
+
+def _image_lies_in_modulo(engine, grade, w, vec):
+    """The image of vec is 0 mod p, or with `modulo` in the span of its polynomials."""
+    p = engine.p
+    image = {}
+    for s, c in vec.items():
+        for exp, v in engine.image(s).items():
+            image[exp] = (image.get(exp, 0) + c * v) % p
+    image = {exp: v for exp, v in image.items() if v}
+    sub = engine.modulo(grade, w)
+    if not sub:
+        return not image
+    return rank_mod(coefficient_rows(sub + [image]), p) == rank_mod(coefficient_rows(sub), p)
+
+
+def test_transported_kernels_match_direct_elimination():
+    # at every non-dominant weight, the kernel carried over from the
+    # dominant weight spans the kernel of the block eliminated directly
+    for name, engine, grades in _instances():
+        p = engine.p
+        blocks = 0
+        for grade in grades:
+            for w, members in engine.sources(grade).items():
+                if _is_dominant(w):
+                    continue
+                moved = engine.kernel_block(grade, w)
+                direct = kernel_block_direct(engine, grade, w)
+                col = {s: i for i, s in enumerate(members)}
+                dim = len(direct)
+                assert len(moved) == dim, (name, grade, w)
+                assert _rank_of(moved, col, p) == dim, (name, grade, w)
+                assert _rank_of(moved + direct, col, p) == dim, (name, grade, w)
+                for vec in moved:
+                    assert _image_lies_in_modulo(engine, grade, w, vec), (name, grade, w)
+                blocks += 1
+        assert blocks, name
+
+
+def test_free_column_rank_matches_full_column_rank():
+    # the engine ranks the shifted lower kernels on K_w's free sources only;
+    # ranking them on every source column gives the same count, also for the
+    # Veronese instance, whose kernel is taken modulo a subspace
+    for name, engine, grades in _instances():
+        for grade in grades:
+            for w in engine.sources(grade):
+                if _is_dominant(w):
+                    expected = min_gens_full_columns(engine, grade, w)
+                    assert engine._min_gens_at(grade, w) == expected, (name, grade, w)
+
+
+def test_generator_table_permutes_minors_and_permanents():
+    # permuting the matrix variables by (pi, tau) takes each generator to
+    # the sign times the generator the engine's table names
+    ctx = RingContext(3, 4)
+    for variant in ("minors", "permanents"):
+        engine = relation_engine(ctx, variant)
+        for pi in permutations(range(ctx.m)):
+            for tau in permutations(range(ctx.n)):
+                gmap, signs, _ = engine._table((pi, tau))
+                # x[i, j] -> x[pi(i), tau(j)], listed in the variable order
+                to = [
+                    ctx.x_index(pi[i] + 1, tau[j] + 1) for i in range(ctx.m) for j in range(ctx.n)
+                ]
+                for k, g in enumerate(engine.gens):
+                    moved = {}
+                    for exp, c in g.items():
+                        new = [0] * ctx.num_vars
+                        for v, e in enumerate(exp):
+                            new[to[v]] = e
+                        moved[tuple(new)] = c
+                    target = {exp: signs[k] * c for exp, c in engine.gens[gmap[k]].items()}
+                    assert moved == target, (variant, pi, tau, k)

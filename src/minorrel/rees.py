@@ -45,6 +45,17 @@ def generators_for(ctx, variant):
     raise ValueError(f"unknown variant {variant!r}")
 
 
+def matrix_moves(ctx):
+    """The `moves` of the matrix variables: x[i, j] goes to x[rows[i], cols[j]]."""
+    n = ctx.n
+
+    def moves(perms):
+        rows, cols = perms
+        return [rows[v // n] * n + cols[v % n] for v in range(ctx.num_vars)]
+
+    return moves
+
+
 def _weights_of(ctx, gens):
     """Torus weight of each generator; all its monomials share it."""
     return [x_weight(ctx, next(iter(g))) for g in gens]
@@ -96,17 +107,13 @@ def _from_dominant(w):
     return tuple(tuple(part[i] for i in perm) for part, perm in zip(w, perms)), perms
 
 
-def _swap_sign(gw, perms):
-    """Sign a 2x2 minor of weight gw takes when rows and columns are permuted.
-
-    The minor alternates in its two rows and in its two columns.
-    """
-    sign = 1
-    for part, perm in zip(gw, perms):
-        i1, i2 = (perm[i] for i, x in enumerate(part) if x)
-        if i1 > i2:
-            sign = -sign
-    return sign
+def _sign_between(f, g):
+    """The sign c with f == c * g, for polynomials f and g."""
+    if f == g:
+        return 1
+    if f == {exp: -c for exp, c in g.items()}:
+        return -1
+    raise ValueError("permuting rows and columns must carry each generator to +- a generator")
 
 
 def _orbit_size(w):
@@ -183,13 +190,14 @@ class GradedKernel:
     multiplications by the generators as shifts.  Subclasses override
     `factors`, `image`, `shifts`, `modulo` and `factor_map`.  gens are
     polynomials in nvars variables, of distinct torus weights `weights`;
-    alternating says they are the 2x2 minors, which change sign with a swap
-    of their rows or of their columns, while other generators are fixed by
-    it.  Call `at(p)` before asking for a kernel.
+    moves(perms) lists, for each variable, the variable that permuting rows
+    and columns by perms takes it to.  The sign each generator takes under
+    a permutation is read off the generators themselves.  Call `at(p)`
+    before asking for a kernel.
     """
 
-    def __init__(self, gens, weights, nvars, alternating=False):
-        self.gens, self.weights, self.alternating = gens, weights, alternating
+    def __init__(self, gens, weights, nvars, moves):
+        self.gens, self.weights, self.moves = gens, weights, moves
         # a permutation of rows and columns moves each generator to the one
         # of the permuted weight, so the weights must tell them apart
         self._by_weight = {w: k for k, w in enumerate(weights)}
@@ -298,10 +306,20 @@ class GradedKernel:
         return vectors
 
     def _table(self, perms):
-        """(generator map, generator signs, factor map) of a permutation of rows and columns."""
+        """(generator map, generator signs, factor map) of a permutation of rows and columns.
+
+        Each generator goes to the one of the permuted weight, and its sign
+        is found by permuting its variables: -1 for a 2x2 minor whose rows
+        or columns swap, +1 for a permanent or a subspace coordinate.
+        """
         if perms not in self._tables:
-            gmap = [self._by_weight[tuple(map(_permute, gw, perms))] for gw in self.weights]
-            signs = [_swap_sign(gw, perms) if self.alternating else 1 for gw in self.weights]
+            moves = self.moves(perms)
+            gmap, signs = [], []
+            for g, gw in zip(self.gens, self.weights):
+                k = self._by_weight[tuple(map(_permute, gw, perms))]
+                moved = {_permute(exp, moves): c for exp, c in g.items()}
+                gmap.append(k)
+                signs.append(_sign_between(moved, self.gens[k]))
             self._tables[perms] = gmap, signs, self.factor_map(perms)
         return self._tables[perms]
 
@@ -387,7 +405,7 @@ class ReesEngine(GradedKernel):
     def __init__(self, ctx, variant="minors"):
         gens = generators_for(ctx, variant)
         weights = _weights_of(ctx, gens)
-        super().__init__(gens, weights, ctx.num_vars, alternating=variant == "minors")
+        super().__init__(gens, weights, ctx.num_vars, matrix_moves(ctx))
         self.ctx = ctx
         self.var_weights = [
             x_weight(ctx, tuple(int(i == v) for i in range(ctx.num_vars)))
@@ -400,10 +418,8 @@ class ReesEngine(GradedKernel):
         return [(x, x_weight(self.ctx, x)) for x in monos], e
 
     def factor_map(self, perms):
-        rows, cols = perms
-        n = self.ctx.n
-        moved = [rows[v // n] * n + cols[v % n] for v in range(self.ctx.num_vars)]
-        return lambda xexp: _permute(xexp, moved)
+        moves = self.moves(perms)
+        return lambda xexp: _permute(xexp, moves)
 
     def image(self, source):
         xexp, ms = source

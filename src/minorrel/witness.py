@@ -29,6 +29,7 @@ from .rees import (
     _weights_of,
     _wsub,
     generators_for,
+    matrix_moves,
 )
 
 
@@ -46,7 +47,7 @@ def relation_engine(ctx, variant):
     """The engine of Sym(W) -> polynomials, W the minors or permanents."""
     gens = generators_for(ctx, variant)
     weights = _weights_of(ctx, gens)
-    return GradedKernel(gens, weights, ctx.num_vars, alternating=variant == "minors")
+    return GradedKernel(gens, weights, ctx.num_vars, matrix_moves(ctx))
 
 
 def relation_dims(ctx, variant, d_max, seed=0):
@@ -181,7 +182,7 @@ class _VeroneseRelations(GradedKernel):
 
     def __init__(self, ctx, r):
         gens = minors_basis(ctx)
-        super().__init__(gens, _weights_of(ctx, gens), ctx.num_vars, alternating=True)
+        super().__init__(gens, _weights_of(ctx, gens), ctx.num_vars, matrix_moves(ctx))
         self.ctx, self.r = ctx, r
         self.gspace = filtration_generator_space(ctx, r)
         self.gweights = _weights_of(ctx, self.gspace)
@@ -254,16 +255,12 @@ def veronese_presentation_dims(ctx, r, d_max, seed=0):
 # The subspace variety inside the space of permanents
 
 
-def subspace_parameterization(m, n):
-    """Images of the y-coordinates under the incidence parameterization.
+def _subspace_variables(m, n):
+    """Parameter indices: h[i][k] (i < m, k < m-1), then z[(k,k'),(j,j')].
 
-    The variety is the locus of elements of Sym^2(C^m) (x) Sym^2(C^n) lying
-    in Sym^2(H) (x) Sym^2(C^n) for some hyperplane H.  Parameters: an
-    m x (m-1) matrix h and z in Sym^2(C^{m-1}) (x) Sym^2(C^n).  Returns
-    (images, weights): for each y-coordinate (i<=i', j<=j'), the polynomial
-    in the (h, z) variables, and its torus weight key.
+    Returns (hvar, zpairs1, zvar): the h indices, the pairs (k, k'), and
+    the z indices.
     """
-    # parameter variable indexing: h[i][k] (i < m, k < m-1), then z[(k,k'),(j,j')]
     hvar = {}
     for i in range(m):
         for k in range(max(m - 1, 0)):
@@ -274,6 +271,35 @@ def subspace_parameterization(m, n):
     for a in zpairs1:
         for b in zpairs2:
             zvar[(a, b)] = len(hvar) + len(zvar)
+    return hvar, zpairs1, zvar
+
+
+def _subspace_moves(m, n):
+    """The `moves` of the parameters: rows permute h's rows, columns z's pairs (j, j')."""
+    hvar, _, zvar = _subspace_variables(m, n)
+
+    def moves(perms):
+        rows, cols = perms
+        out = [0] * (len(hvar) + len(zvar))
+        for (i, k), v in hvar.items():
+            out[v] = hvar[(rows[i], k)]
+        for (a, (j, j2)), v in zvar.items():
+            out[v] = zvar[(a, tuple(sorted((cols[j], cols[j2]))))]
+        return out
+
+    return moves
+
+
+def subspace_parameterization(m, n):
+    """Images of the y-coordinates under the incidence parameterization.
+
+    The variety is the locus of elements of Sym^2(C^m) (x) Sym^2(C^n) lying
+    in Sym^2(H) (x) Sym^2(C^n) for some hyperplane H.  Parameters: an
+    m x (m-1) matrix h and z in Sym^2(C^{m-1}) (x) Sym^2(C^n).  Returns
+    (images, weights): for each y-coordinate (i<=i', j<=j'), the polynomial
+    in the (h, z) variables, and its torus weight key.
+    """
+    hvar, zpairs1, zvar = _subspace_variables(m, n)
     nvars = len(hvar) + len(zvar)
     images = []
     weights = []
@@ -306,7 +332,7 @@ def subspace_parameterization(m, n):
 def subspace_engine(m, n):
     """The engine of the pullback along the parameterization."""
     images, weights, nvars, _ = subspace_parameterization(m, n)
-    return GradedKernel(images, weights, nvars)
+    return GradedKernel(images, weights, nvars, _subspace_moves(m, n))
 
 
 def subspace_variety_gens(m, n, d_max=None, seed=0):

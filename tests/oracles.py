@@ -385,17 +385,30 @@ def kernel_block_direct(engine, grade, w):
     return vectors
 
 
-def min_gens_full_columns(engine, grade, w):
+def kernel_blocks_direct(engine):
+    """kernel(grade, w): kernel_block_direct of the engine, each block eliminated once."""
+    cache = {}
+
+    def kernel(grade, w):
+        if (grade, w) not in cache:
+            cache[(grade, w)] = kernel_block_direct(engine, grade, w)
+        return cache[(grade, w)]
+
+    return kernel
+
+
+def min_gens_full_columns(engine, grade, w, kernel):
     """Kernel dimension at (grade, w) minus the rank of the shifted lower kernels.
 
-    The rows keep every source column of the block and are ranked in full,
-    with no early stop; the engine ranks them on the kernel's free sources
-    and stops at the kernel dimension.
+    kernel(grade, w) gives the kernel vectors of a block, for the block at w
+    and the lower ones.  The rows keep every source column of the block and
+    are ranked in full, with no early stop; the engine ranks them on the
+    kernel's free sources and stops at the kernel dimension.
     """
     col = {s: i for i, s in enumerate(engine.sources(grade)[w])}
     shifted = []
     for lower, delta, shift in engine.shifts(grade):
         w2 = _wsub(w, delta)
         if w2 is not None:
-            shifted += _shifted_rows(engine.kernel_block(lower, w2), shift, col)
-    return len(engine.kernel_block(grade, w)) - rank_mod(shifted, engine.p)
+            shifted += _shifted_rows(kernel(lower, w2), shift, col)
+    return len(kernel(grade, w)) - rank_mod(shifted, engine.p)

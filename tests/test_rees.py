@@ -1,11 +1,16 @@
 from itertools import permutations
 
+import pytest
+
 from minorrel.modlinalg import PRIMES, rank_mod
 from minorrel.polyring import RingContext
 from minorrel.rees import (
+    GradedKernel,
     ReesEngine,
     _is_dominant,
+    _weights_of,
     fiber_type_check,
+    generators_for,
     orbit_total,
     rees_ideal,
 )
@@ -16,7 +21,12 @@ from minorrel.witness import (
     subspace_engine,
     veronese_engine,
 )
-from oracles import coefficient_rows, kernel_block_direct, min_gens_full_columns
+from oracles import (
+    coefficient_rows,
+    kernel_block_direct,
+    kernel_blocks_direct,
+    min_gens_full_columns,
+)
 
 
 def test_principal_ideal_has_no_relations():
@@ -51,16 +61,19 @@ def test_fiber_type_small_cases():
 
 
 def _full_weight_counts(engine, grades):
-    """Minimal generator counts by grade, ranking every weight block on all its columns.
+    """Minimal generator counts by grade, eliminating every weight block directly.
 
-    Each per-weight count (and kernel dimension) must be constant on its
-    S_m x S_n orbit, and the sums over all weights must equal the engine's
-    orbit-weighted counts over the dominant weights.
+    Every block, dominant or not, is eliminated on its own and ranked on all
+    its columns, with no transport.  Each per-weight count (and kernel
+    dimension) must be constant on its S_m x S_n orbit, and the sums over
+    all weights must equal the engine's orbit-weighted counts over the
+    dominant weights.
     """
+    kernel = kernel_blocks_direct(engine)
     counts = {}
     for grade in grades:
-        at = {w: min_gens_full_columns(engine, grade, w) for w in engine.sources(grade)}
-        dims = {w: len(engine.kernel_block(grade, w)) for w in at}
+        at = {w: min_gens_full_columns(engine, grade, w, kernel) for w in engine.sources(grade)}
+        dims = {w: len(kernel(grade, w)) for w in at}
         for (rows, cols), c in at.items():
             dom = (tuple(sorted(rows, reverse=True)), tuple(sorted(cols, reverse=True)))
             assert (at[dom], dims[dom]) == (c, dims[(rows, cols)]), (grade, rows, cols)
@@ -73,7 +86,8 @@ def _full_weight_counts(engine, grades):
 
 
 def test_orbit_weighted_count_matches_full_weight_sum():
-    # oracle: rank every weight block on all its columns, not only the dominant ones
+    # oracle: eliminate every weight block directly and rank it on all its
+    # columns, not only the dominant ones
     p = PRIMES[0]
     cases = [
         (2, 3, "minors", 2, 3, {(1, 1): 2}),
@@ -163,12 +177,14 @@ def test_transported_kernels_match_direct_elimination():
 def test_free_column_rank_matches_full_column_rank():
     # the engine ranks the shifted lower kernels on K_w's free sources only;
     # ranking them on every source column gives the same count, also for the
-    # Veronese instance, whose kernel is taken modulo a subspace
+    # Veronese instance, whose kernel is taken modulo a subspace; the oracle
+    # eliminates the lower blocks directly, with no transport
     for name, engine, grades in _instances():
+        kernel = kernel_blocks_direct(engine)
         for grade in grades:
             for w in engine.sources(grade):
                 if _is_dominant(w):
-                    expected = min_gens_full_columns(engine, grade, w)
+                    expected = min_gens_full_columns(engine, grade, w, kernel)
                     assert engine._min_gens_at(grade, w) == expected, (name, grade, w)
 
 
@@ -194,3 +210,13 @@ def test_generator_table_permutes_minors_and_permanents():
                         moved[tuple(new)] = c
                     target = {exp: signs[k] * c for exp, c in engine.gens[gmap[k]].items()}
                     assert moved == target, (variant, pi, tau, k)
+
+
+def test_moves_that_do_not_permute_the_generators_are_refused():
+    # the generator signs are read off the generators, so a variable map
+    # that does not carry each generator to +- another one raises
+    ctx = RingContext(2, 3)
+    gens = generators_for(ctx, "minors")
+    engine = GradedKernel(gens, _weights_of(ctx, gens), ctx.num_vars, lambda perms: list(range(6)))
+    with pytest.raises(ValueError):
+        engine._table(((0, 1), (1, 0, 2)))

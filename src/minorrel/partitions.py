@@ -40,24 +40,18 @@ def conjugate(lam):
     return tuple(sum(1 for p in lam if p > i) for i in range(lam[0]))
 
 
-def partitions_of(n, max_parts=None, max_part=None):
-    """Yield all partitions of n, optionally bounded in length and part size."""
-    if max_parts is None:
-        max_parts = n
-    if max_part is None:
-        max_part = n
+def partitions_of(n):
+    """Yield all partitions of n, in reverse lexicographic order."""
 
-    def rec(remaining, largest, slots):
+    def rec(remaining, largest):
         if remaining == 0:
             yield ()
             return
-        if slots == 0:
-            return
         for first in range(min(remaining, largest), 0, -1):
-            for rest in rec(remaining - first, first, slots - 1):
+            for rest in rec(remaining - first, first):
                 yield (first,) + rest
 
-    yield from rec(n, max_part, max_parts)
+    yield from rec(n, n)
 
 
 def hook_lengths(lam):

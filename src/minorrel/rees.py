@@ -34,15 +34,7 @@ from itertools import combinations_with_replacement
 from math import factorial
 
 from .modlinalg import guard_nonzeros, nullspace_mod, rank_mod, two_primes
-from .polyring import minors_basis, permanents_basis, poly_mul, x_weight
-
-
-def generators_for(ctx, variant):
-    if variant == "minors":
-        return minors_basis(ctx)
-    if variant == "permanents":
-        return permanents_basis(ctx)
-    raise ValueError(f"unknown variant {variant!r}")
+from .polyring import generators_for, poly_mul, x_weight
 
 
 def matrix_moves(ctx):

@@ -71,10 +71,9 @@ def _run_thm_tor(task):
     p = task.params
     m, n, d_max = p["m"], p["n"], p.get("d_max", 4)
     variant = "minors" if task.statement == "thm-1.1" else "permanents"
-    name = "thm-1.1" if variant == "minors" else "thm-1.2"
     predicted = {}
     for d in range(2, d_max + 1):
-        ch = predicted_character(name, d)
+        ch = predicted_character(task.statement, d)
         predicted[f"degree_{d}"] = dim_at(ch, m, n)
     dims = relation_dims(RingContext(m, n), variant, d_max, seed=task.seed)
     witnessed = {f"degree_{d}": dims[d][1] for d in range(2, d_max + 1)}
@@ -86,11 +85,10 @@ def _run_thm_koszul(task):
     p = task.params
     m, n, d_max = p["m"], p["n"], p.get("d_max", 5)
     variant = "minors" if task.statement == "thm-3.1" else "permanents"
-    name = task.statement
     predicted = {}
     witnessed = {}
     for d in range(2, d_max + 1):
-        ch = predicted_character(name, d)
+        ch = predicted_character(task.statement, d)
         predicted[f"degree_{d}"] = dim_at(ch, m, n)
         blocks = koszul_h1_blocks(RingContext(m, n), variant, d, seed=task.seed)
         witnessed[f"degree_{d}"] = orbit_total(blocks)

@@ -19,7 +19,7 @@ from itertools import combinations, combinations_with_replacement
 from math import factorial
 
 from .modlinalg import guard_nonzeros, rank_mod, two_primes
-from .polyring import minors_basis, poly_mul, x_weight
+from .polyring import generators_for, poly_mul, x_weight
 from .rees import (
     GradedKernel,
     _is_dominant,
@@ -28,7 +28,6 @@ from .rees import (
     _wadd,
     _weights_of,
     _wsub,
-    generators_for,
     matrix_moves,
 )
 
@@ -181,7 +180,7 @@ class _VeroneseRelations(GradedKernel):
     """
 
     def __init__(self, ctx, r):
-        gens = minors_basis(ctx)
+        gens = generators_for(ctx, "minors")
         super().__init__(gens, _weights_of(ctx, gens), ctx.num_vars, matrix_moves(ctx))
         self.ctx, self.r = ctx, r
         self.gspace = filtration_generator_space(ctx, r)
@@ -263,9 +262,9 @@ def _subspace_variables(m, n):
     """
     hvar = {}
     for i in range(m):
-        for k in range(max(m - 1, 0)):
+        for k in range(m - 1):
             hvar[(i, k)] = len(hvar)
-    zpairs1 = [(k, k2) for k in range(max(m - 1, 0)) for k2 in range(k, m - 1)]
+    zpairs1 = [(k, k2) for k in range(m - 1) for k2 in range(k, m - 1)]
     zpairs2 = [(j, j2) for j in range(n) for j2 in range(j, n)]
     zvar = {}
     for a in zpairs1:
@@ -296,8 +295,8 @@ def subspace_parameterization(m, n):
     The variety is the locus of elements of Sym^2(C^m) (x) Sym^2(C^n) lying
     in Sym^2(H) (x) Sym^2(C^n) for some hyperplane H.  Parameters: an
     m x (m-1) matrix h and z in Sym^2(C^{m-1}) (x) Sym^2(C^n).  Returns
-    (images, weights): for each y-coordinate (i<=i', j<=j'), the polynomial
-    in the (h, z) variables, and its torus weight key.
+    (images, weights, nvars): for each y-coordinate (i<=i', j<=j'), the
+    polynomial in the nvars (h, z) variables, and its torus weight key.
     """
     hvar, zpairs1, zvar = _subspace_variables(m, n)
     nvars = len(hvar) + len(zvar)
@@ -317,7 +316,6 @@ def subspace_parameterization(m, n):
                 exp[zc] += 1
                 key = tuple(exp)
                 terms[key] = terms.get(key, 0) + 1
-        terms = {k2: v for k2, v in terms.items() if v}
         row_w = [0] * m
         row_w[i] += 1
         row_w[i2] += 1
@@ -326,12 +324,12 @@ def subspace_parameterization(m, n):
         col_w[j2] += 1
         images.append(terms)
         weights.append((tuple(row_w), tuple(col_w)))
-    return images, weights, nvars, ys
+    return images, weights, nvars
 
 
 def subspace_engine(m, n):
     """The engine of the pullback along the parameterization."""
-    images, weights, nvars, _ = subspace_parameterization(m, n)
+    images, weights, nvars = subspace_parameterization(m, n)
     return GradedKernel(images, weights, nvars, _subspace_moves(m, n))
 
 

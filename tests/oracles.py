@@ -6,13 +6,15 @@ over the rationals (against modular rank), the Weyl dimension formula
 (against Bott's algorithm), the Pieri rule (against Littlewood-Richardson),
 Littlewood-Richardson coefficients by tableau count, one nu at a time
 (against the strip-built product), plethysm through the power-sum basis
-(against Jacobi-Trudi), span
-dimensions of explicit polynomials, Koszul homology at every torus weight
-(against the dominant weights alone), the Veronese generator count by
-whole-degree span ranks (against the engine's weight blocks), and the
-graded-kernel engine's blocks eliminated directly at any weight and ranked
-on all their source columns (against transport from the dominant weight
-and the rank on the free columns).
+(against Jacobi-Trudi), span dimensions of explicit polynomials, the 2x2
+quadrics as sums of products of variables (against the one-formula
+builder), Koszul homology at every torus weight (against the dominant
+weights alone), the Veronese generator count by whole-degree span ranks
+(against the engine's weight blocks), and the graded-kernel engine's
+blocks eliminated directly at any weight and ranked on all their source
+columns (against transport from the dominant weight and the rank on the
+free columns).  Partitions bounded in length and part size are enumerated
+here, apart from the package's unbounded `partitions_of`.
 
 Symmetric functions are dicts mapping a partition to its coefficient, in
 the Schur basis unless a name says power sums.
@@ -26,14 +28,13 @@ from math import factorial
 
 from minorrel.modlinalg import nullspace_mod, rank_mod
 from minorrel.partitions import canon, conjugate, partitions_of
-from minorrel.polyring import poly_mul, x_weight
+from minorrel.polyring import generators_for, poly_mul, x_weight
 from minorrel.rees import (
     _monomials_of_degree,
     _shifted_rows,
     _wadd,
     _weights_of,
     _wsub,
-    generators_for,
 )
 from minorrel.witness import veronese_engine
 
@@ -70,6 +71,32 @@ def coefficient_rows(polys):
 def span_dimension(polys):
     """Dimension of the linear span of polynomials, by exact rank."""
     return rank_exact(coefficient_rows(polys))
+
+
+def quadrics_by_products(ctx, variant):
+    """The 2x2 minors or permanents, each built as a sum of two products.
+
+    x[i1,j1]*x[i2,j2] plus x[i1,j2]*x[i2,j1], the second negated for the
+    minors, each product of single-variable monomials taken by poly_mul;
+    index pairs strict for the minors and weak for the permanents.
+    """
+    strict, sign = {"minors": (1, -1), "permanents": (0, 1)}[variant]
+
+    def x(i, j, c=1):
+        exp = [0] * ctx.num_vars
+        exp[i * ctx.n + j] = 1
+        return {tuple(exp): c}
+
+    out = []
+    for i1 in range(ctx.m):
+        for i2 in range(i1 + strict, ctx.m):
+            for j1 in range(ctx.n):
+                for j2 in range(j1 + strict, ctx.n):
+                    f = poly_mul(ctx, x(i1, j1), x(i2, j2))
+                    for exp, c in poly_mul(ctx, x(i1, j2), x(i2, j1, sign)).items():
+                        f[exp] = f.get(exp, 0) + c
+                    out.append(f)
+    return out
 
 
 def weyl_dim_weight(w):
@@ -149,6 +176,18 @@ def is_horizontal_strip(mu, lam):
     return True
 
 
+def bounded_partitions(n, max_parts, max_part):
+    """Partitions of n with at most max_parts parts, each at most max_part."""
+    if n == 0:
+        yield ()
+        return
+    if max_parts == 0:
+        return
+    for first in range(min(n, max_part), 0, -1):
+        for rest in bounded_partitions(n - first, max_parts - 1, first):
+            yield (first,) + rest
+
+
 def pieri(lam, d, kind="row"):
     """Pieri rule: s_lam * h_d for kind "row", s_lam * e_d for kind "column"."""
     lam = canon(lam)
@@ -158,7 +197,7 @@ def pieri(lam, d, kind="row"):
         raise ValueError(f"unknown Pieri kind {kind!r}")
     return {
         mu: 1
-        for mu in partitions_of(sum(lam) + d, max_parts=len(lam) + 1)
+        for mu in bounded_partitions(sum(lam) + d, len(lam) + 1, sum(lam) + d)
         if is_horizontal_strip(mu, lam)
     }
 
@@ -194,7 +233,7 @@ def _border_strips(lam, length):
     if rest < 0 or not lam:
         return []
     out = []
-    for nu in partitions_of(rest, max_parts=len(lam), max_part=lam[0]):
+    for nu in bounded_partitions(rest, len(lam), lam[0]):
         h = _border_strip_height(lam, nu)
         if h is not None:
             out.append((nu, h))

@@ -27,7 +27,7 @@ from minorrel.birep import (
 from minorrel.bott import bott_weight, lemma_4_3_character, verify_lemma_4_4
 from minorrel.modlinalg import PRIMES, rank_mod
 from minorrel.partitions import dim_schur, partitions_of
-from minorrel.polyring import RingContext, minors_basis, monomial, poly_mul, poly_scale
+from minorrel.polyring import RingContext, generators_for, poly_mul
 from minorrel.rees import fiber_type_check, orbit_total
 from minorrel.symfunc import plethysm_schur, schur_multiply
 from minorrel.witness import (
@@ -63,7 +63,7 @@ def _koszul_3x3_by_euler_characteristic(d):
     """
     assert 2 <= d <= 5
     ctx = RingContext(3, 3)
-    gens = minors_basis(ctx)
+    gens = generators_for(ctx, "minors")
     N, nvars = len(gens), ctx.num_vars
 
     def dim_S(k):
@@ -75,9 +75,9 @@ def _koszul_3x3_by_euler_characteristic(d):
     cols, rows = {}, []
     for k, l in combinations(range(N), 2) if d >= 4 else ():
         for a in combinations_with_replacement(range(nvars), d - 4):
-            xa = monomial(ctx, [(i, 1) for i in a])
+            xa = {tuple(a.count(i) for i in range(nvars)): 1}
             row = {}
-            for slot, f in ((l, gens[k]), (k, poly_scale(gens[l], -1))):
+            for slot, f in ((l, gens[k]), (k, {e: -c for e, c in gens[l].items()})):
                 for exp, c in poly_mul(ctx, f, xa).items():
                     row[cols.setdefault((slot, exp), len(cols))] = c
             rows.append(row)

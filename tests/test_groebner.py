@@ -15,7 +15,7 @@ from groebner import (
     normal_form,
     s_poly,
 )
-from minorrel.polyring import RingContext, minors_basis
+from minorrel.polyring import RingContext, generators_for
 from minorrel.witness import relation_dims
 
 
@@ -56,7 +56,7 @@ def test_reduced_basis_is_monic_and_interreduced():
 
 def test_single_minor_is_its_own_basis():
     ctx = RingContext(2, 2)
-    gb = buchberger(minors_basis(ctx), lex_key, "lex")
+    gb = buchberger(generators_for(ctx, "minors"), lex_key, "lex")
     assert len(gb.generators) == 1
 
 
@@ -64,7 +64,7 @@ def test_plucker_elimination_matches_linear_algebra():
     # embed T_k - (k-th minor) in 8 matrix variables + 6 auxiliary T variables,
     # eliminate the matrix block, and compare with the kernel dimension count
     naux = 6
-    mins = minors_basis(RingContext(2, 4))
+    mins = generators_for(RingContext(2, 4), "minors")
     gens = []
     for k, f in enumerate(mins):
         g = {e + (0,) * naux: c for e, c in f.items()}

@@ -75,6 +75,21 @@ def test_layer_functions_stay_where_the_tracer_wraps_them():
     assert not hasattr(tasks, "verify_lemma_4_4")
 
 
+def test_traced_layers_keep_their_parameter_order():
+    # perfbench's tracer reads these arguments by position: the factors of
+    # poly_mul as args[1] and args[2], and the prime of rank_mod and
+    # nullspace_mod as args[1] and args[2]
+    from minorrel.modlinalg import nullspace_mod, rank_mod
+    from minorrel.polyring import poly_mul
+
+    def names(fn):
+        return list(inspect.signature(fn).parameters)
+
+    assert names(poly_mul) == ["ctx", "f", "g"]
+    assert names(rank_mod) == ["rows", "p", "stop"]
+    assert names(nullspace_mod) == ["rows", "ncols", "p"]
+
+
 def unreached_definitions(sources):
     """Top-level names defined in sources that no other top-level statement reads.
 

@@ -145,9 +145,8 @@ def test_veronese_image_matches_lemma_4_3():
 
 
 def test_subspace_parameterization_shapes():
-    images, weights, nvars, ys = subspace_parameterization(2, 2)
-    assert len(images) == len(weights) == len(ys)
-    assert len(images) == 9  # Sym^2 C^2 (x) Sym^2 C^2
+    images, weights, nvars = subspace_parameterization(2, 2)
+    assert len(images) == len(weights) == 9  # Sym^2 C^2 (x) Sym^2 C^2
 
 
 def test_subspace_variety_generator_counts():

@@ -1,0 +1,5 @@
+"""Entry point for ``python -m minorrel``."""
+from .cli import main
+
+if __name__ == "__main__":
+    raise SystemExit(main())

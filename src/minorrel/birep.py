@@ -94,14 +94,6 @@ def _eq_tor1_Nr(r):
     return BiRep({(a, a): 1, (a, b): 1, (b, a): 1})
 
 
-def _sec_6_Tbar(j):
-    if j == 2:
-        return BiRep({((4,), (2, 2)): 1, ((2, 2), (4,)): 1})
-    if j == 3:
-        return BiRep({((4, 1, 1), (3, 3)): 1, ((3, 3), (4, 1, 1)): 1})
-    return BiRep()
-
-
 def _sec_6_U(m):
     """Character of wedge^m V1 (x) wedge^m(V1 (x) Sym^2 V2)."""
     out = {}
@@ -122,9 +114,10 @@ _REGISTRY = {
     "thm-3.2": lambda d: transpose_duality(_thm_3_1(d)),
     "lem-4.3": _lem_4_3,
     "eq-tor1-Nr": _eq_tor1_Nr,
-    "sec-6-Tbar": _sec_6_Tbar,
     "sec-6-U": _sec_6_U,
 }
+# Section 6's functor T-bar is the transpose dual of Theorem 1.1: Theorem 1.2
+_REGISTRY["sec-6-Tbar"] = _REGISTRY["thm-1.2"]
 
 
 def predicted_character(name, j, r=None):

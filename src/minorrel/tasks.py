@@ -66,68 +66,60 @@ class VerificationTask:
         return hashlib.sha256(blob).hexdigest()[:24] + ".json"
 
 
-def _run_thm_tor(task):
-    """Minimal generator degrees of the relation ideal vs the stated characters."""
-    p = task.params
-    m, n, d_max = p["m"], p["n"], p.get("d_max", 4)
-    variant = "minors" if task.statement == "thm-1.1" else "permanents"
-    predicted = {}
-    for d in range(2, d_max + 1):
-        ch = predicted_character(task.statement, d)
-        predicted[f"degree_{d}"] = dim_at(ch, m, n)
-    dims = relation_dims(RingContext(m, n), variant, d_max, seed=task.seed)
-    witnessed = {f"degree_{d}": dims[d][1] for d in range(2, d_max + 1)}
-    return predicted, witnessed, []
+def _by_degree(statement, variant, koszul=False):
+    """Runner comparing a statement's character in degrees 2..d_max with its witness.
+
+    The witness is the count of minimal relations, or with koszul the Koszul
+    H_1 dimension, each looked up by its module-global name when the runner runs.
+    """
+
+    def runner(p, seed):
+        m, n, d_max = p["m"], p["n"], p["d_max"]
+        ctx, degrees = RingContext(m, n), range(2, d_max + 1)
+        if koszul:
+            dims = {d: orbit_total(koszul_h1_blocks(ctx, variant, d, seed)) for d in degrees}
+        else:
+            dims = {d: mins for d, (_, mins) in relation_dims(ctx, variant, d_max, seed).items()}
+        predicted = {
+            f"degree_{d}": dim_at(predicted_character(statement, d), m, n) for d in degrees
+        }
+        witnessed = {f"degree_{d}": dims[d] for d in degrees}
+        return predicted, witnessed
+
+    return runner
 
 
-def _run_thm_koszul(task):
-    """First Koszul homology dimensions vs the stated characters."""
-    p = task.params
-    m, n, d_max = p["m"], p["n"], p.get("d_max", 5)
-    variant = "minors" if task.statement == "thm-3.1" else "permanents"
-    predicted = {}
-    witnessed = {}
-    for d in range(2, d_max + 1):
-        ch = predicted_character(task.statement, d)
-        predicted[f"degree_{d}"] = dim_at(ch, m, n)
-        blocks = koszul_h1_blocks(RingContext(m, n), variant, d, seed=task.seed)
-        witnessed[f"degree_{d}"] = orbit_total(blocks)
-    return predicted, witnessed, []
+def _within(terms, m, n):
+    """The terms of a character whose two partitions have at most m and n rows."""
+    return {(lam, mu): c for (lam, mu), c in terms.items() if len(lam) <= m and len(mu) <= n}
 
 
-def _run_lem_4_3(task):
+def _run_lem_4_3(p, seed):
     """Filtration-layer character identity against the Bott-cohomology route."""
-    p = task.params
-    r_max, d_cap, size = p.get("r_max", 3), p.get("d_max", 4), p.get("size", 5)
+    size = p["size"]
     predicted = {}
     witnessed = {}
-    for r in range(1, r_max + 1):
-        for d in range(0, d_cap + 1):
+    for r in range(1, p["r_max"] + 1):
+        for d in range(0, p["d_max"] + 1):
             full = predicted_character("lem-4.3", d, r=r).terms
             for m in range(2, size + 1):
                 for n in range(m, size + 1):
                     key = f"r{r}_d{d}_{m}x{n}"
-                    stated = {
-                        pair: mult
-                        for pair, mult in full.items()
-                        if len(pair[0]) <= m and len(pair[1]) <= n
-                    }
                     geo = bott.lemma_4_3_character(r, d, m, n)
-                    predicted[key] = format_bicharacter(stated)
+                    predicted[key] = format_bicharacter(_within(full, m, n))
                     witnessed[key] = format_bicharacter(geo.terms)
-    return predicted, witnessed, []
+    return predicted, witnessed
 
 
-def _run_lem_4_4(task):
+def _run_lem_4_4(p, seed):
     """Exhaustive vanishing sweep of the twisted wedge-power cohomology."""
-    p = task.params
-    j_max, r_max, size = p.get("j_max", 4), p.get("r_max", 2), p.get("size", 5)
+    size = p["size"]
     nonzero = []
     checked = 0
-    for j in range(1, j_max + 1):
+    for j in range(1, p["j_max"] + 1):
         for u in range(0, j + 3):
             for v in range(0, j + 3 - u):
-                for r in range(1, r_max + 1):
+                for r in range(1, p["r_max"] + 1):
                     for m in range(2, size + 1):
                         for n in range(2, size + 1):
                             checked += 1
@@ -135,15 +127,13 @@ def _run_lem_4_4(task):
                                 nonzero.append((u, v, j, r, m, n))
     predicted = {"nonzero_cases": 0, "checked": checked}
     witnessed = {"nonzero_cases": len(nonzero), "checked": checked}
-    return predicted, witnessed, []
+    return predicted, witnessed
 
 
-def _run_thm_4_1(task):
+def _run_thm_4_1(p, seed):
     """Veronese-quotient presentation degrees and the Tor bound character."""
-    p = task.params
-    m, n, r = p["m"], p["n"], p.get("r", 1)
-    d_max = p.get("d_max", r + 1)
-    out = veronese_presentation_dims(RingContext(m, n), r, d_max, seed=task.seed)
+    m, n, r = p["m"], p["n"], p["r"]
+    out = veronese_presentation_dims(RingContext(m, n), r, p["d_max"], seed=seed)
     gen_degrees = sorted(d for d, v in out["generators"].items() if v)
     rel_degrees = sorted(d for d, v in out["relations"].items() if v)
     bound = dim_at(predicted_character("eq-tor1-Nr", r), m, n)
@@ -160,105 +150,91 @@ def _run_thm_4_1(task):
         "relation_degrees": rel_degrees,
         "relations_within_bound": out["relations"].get(r + 1, 0) <= bound,
     }
-    return predicted, witnessed, []
+    return predicted, witnessed
 
 
-def _run_eq_tor1(task):
+def _run_eq_tor1(p, seed):
     """Closed-form Tor character of the Veronese quotient vs Bott cohomology."""
-    p = task.params
-    m, n, r = p["m"], p["n"], p.get("r", 1)
+    m, n, r = p["m"], p["n"], p["r"]
     stated = predicted_character("eq-tor1-Nr", r)
-    geo = bott.tor_geometric(1, r, m, n)
-    stated_terms = {
-        pair: mult
-        for pair, mult in stated.terms.items()
-        if len(pair[0]) <= m and len(pair[1]) <= n
-    }
     geo_terms = {}
-    for d, ch in geo.items():
+    for ch in bott.tor_geometric(1, r, m, n).values():
         for pair, mult in ch.terms.items():
             geo_terms[pair] = geo_terms.get(pair, 0) + mult
-    predicted = {"character": format_bicharacter(stated_terms)}
+    predicted = {"character": format_bicharacter(_within(stated.terms, m, n))}
     witnessed = {"character": format_bicharacter(geo_terms)}
-    return predicted, witnessed, []
+    return predicted, witnessed
 
 
-def _run_sec_6_Tbar(task):
-    """Inductive-step presentation functor vs permanent relation witnesses."""
-    p = task.params
-    m, n, d_max = p["m"], p["n"], p.get("d_max", 3)
-    degrees = range(2, d_max + 1)
-    predicted = {}
-    for d in degrees:
-        predicted[f"degree_{d}"] = dim_at(predicted_character("sec-6-Tbar", d), m, n)
-    dims = relation_dims(RingContext(m, n), "permanents", d_max, seed=task.seed)
-    witnessed = {f"degree_{d}": dims[d][1] for d in degrees}
-    return predicted, witnessed, []
-
-
-def _run_subspace(task):
+def _run_subspace(p, seed):
     """Subspace-variety generator count vs the wedge-power character."""
-    p = task.params
-    m, n = p["m"], p["n"]
-    d_max = p.get("d_max", m + 1)
+    m, n, d_max = p["m"], p["n"], p["d_max"]
     ch = predicted_character("sec-6-U", m)
     predicted = {f"degree_{d}": 0 for d in range(1, d_max + 1)}
     predicted[f"degree_{m}"] = dim_at(ch, m, n)
-    counts = subspace_variety_gens(m, n, d_max=d_max, seed=task.seed)
+    counts = subspace_variety_gens(m, n, d_max=d_max, seed=seed)
     witnessed = {f"degree_{d}": counts.get(d, 0) for d in range(1, d_max + 1)}
-    return predicted, witnessed, []
+    return predicted, witnessed
 
 
-def _run_fiber_type(task):
+def _run_fiber_type(p, seed):
     """Rees-ideal generator bidegrees against the fiber-type pattern."""
-    p = task.params
-    m, n = p["m"], p["n"]
-    a_max, e_max = p.get("a_max", 3), p.get("e_max", 3)
-    fiber, table = fiber_type_check(
-        RingContext(m, n),
-        a_max=a_max,
-        e_max=e_max,
-        seed=task.seed,
-    )
+    ctx = RingContext(p["m"], p["n"])
+    fiber, table = fiber_type_check(ctx, a_max=p["a_max"], e_max=p["e_max"], seed=seed)
     predicted = {"fiber_type": True}
     witnessed = {"fiber_type": fiber}
     witnessed["bidegrees"] = {f"({a},{b})": c for (a, b), c in sorted(table.items())}
-    return predicted, witnessed, []
+    return predicted, witnessed
 
 
 # statement -> (runner, feasibility envelope max (m, n, degree-like bound),
-# the params the runner reads with the least value that checks anything)
-_SIZE_DEGREE = {"m": 2, "n": 2, "d_max": 2}
-_SUBSPACE = {"m": 2, "n": 2, "d_max": 1}
+# {param: (least value that checks anything, default)}).  A default of None
+# marks a required param; a callable default reads the params before it.
+# sec-6-Tbar (Section 6's functor T-bar, the transpose dual of Theorem 1.1)
+# is Theorem 1.2 on a smaller envelope; sec-6-U is Theorem 5.1.
+_M_N = {"m": (2, None), "n": (2, None)}
+_THM_1_2 = _by_degree("thm-1.2", "permanents")
+_SUBSPACE = (_run_subspace, (3, 4, 4), {**_M_N, "d_max": (1, lambda p: p["m"] + 1)})
 _STATEMENTS = {
-    "thm-1.1": (_run_thm_tor, (4, 5, 6), _SIZE_DEGREE),
-    "thm-1.2": (_run_thm_tor, (4, 5, 6), _SIZE_DEGREE),
-    "thm-3.1": (_run_thm_koszul, (3, 4, 7), _SIZE_DEGREE),
-    "thm-3.2": (_run_thm_koszul, (3, 4, 7), _SIZE_DEGREE),
-    "lem-4.3": (_run_lem_4_3, (5, 5, 6), {"r_max": 1, "d_max": 0, "size": 2}),
-    "lem-4.4": (_run_lem_4_4, (5, 5, 6), {"j_max": 1, "r_max": 1, "size": 2}),
-    "thm-4.1": (_run_thm_4_1, (3, 4, 4), {"m": 2, "n": 2, "r": 1, "d_max": 2}),
-    "eq-tor1-Nr": (_run_eq_tor1, (5, 5, 3), {"m": 2, "n": 2, "r": 1}),
-    "sec-6-Tbar": (_run_sec_6_Tbar, (3, 3, 3), _SIZE_DEGREE),
-    "sec-6-U": (_run_subspace, (3, 4, 4), _SUBSPACE),
-    "thm-5.1": (_run_subspace, (3, 4, 4), _SUBSPACE),
-    "que-7.1": (_run_fiber_type, (5, 4, 4), {"m": 2, "n": 2, "a_max": 0, "e_max": 1}),
+    "thm-1.1": (_by_degree("thm-1.1", "minors"), (4, 5, 6), {**_M_N, "d_max": (2, 4)}),
+    "thm-1.2": (_THM_1_2, (4, 5, 6), {**_M_N, "d_max": (2, 4)}),
+    "sec-6-Tbar": (_THM_1_2, (3, 3, 3), {**_M_N, "d_max": (2, 3)}),
+    "thm-3.1": (_by_degree("thm-3.1", "minors", True), (3, 4, 7), {**_M_N, "d_max": (2, 5)}),
+    "thm-3.2": (_by_degree("thm-3.2", "permanents", True), (3, 4, 7), {**_M_N, "d_max": (2, 5)}),
+    "lem-4.3": (_run_lem_4_3, (5, 5, 6), {"r_max": (1, 3), "d_max": (0, 4), "size": (2, 5)}),
+    "lem-4.4": (_run_lem_4_4, (5, 5, 6), {"j_max": (1, 4), "r_max": (1, 2), "size": (2, 5)}),
+    "thm-4.1": (
+        _run_thm_4_1, (3, 4, 4), {**_M_N, "r": (1, 1), "d_max": (2, lambda p: p["r"] + 1)}
+    ),
+    "eq-tor1-Nr": (_run_eq_tor1, (5, 5, 3), {**_M_N, "r": (1, 1)}),
+    "thm-5.1": _SUBSPACE,
+    "sec-6-U": _SUBSPACE,
+    "que-7.1": (_run_fiber_type, (5, 4, 4), {**_M_N, "a_max": (0, 3), "e_max": (1, 3)}),
 }
 
 
 def validate(task):
-    """Reject an unknown statement, a param its runner does not read, or a value off its window.
+    """Fill in a task's defaults, check the filled window and return it.
 
-    A value below its least (a size without 2x2 minors, or a degree window
-    that checks nothing) is as much a usage error as one past the envelope.
+    Rejects an unknown statement, a param its runner does not read, a missing
+    size, and a value, given or defaulted, off its window.  A value below its
+    least (a size without 2x2 minors, or a degree window that checks nothing)
+    is as much a usage error as one past the envelope.
     """
     if task.statement not in _STATEMENTS:
         raise KeyError(f"unknown statement id {task.statement!r}")
-    _, (m_cap, n_cap, d_cap), least = _STATEMENTS[task.statement]
-    p = task.params
-    for key in p:
-        if key not in least:
-            raise ValueError(f"{task.statement}: takes no {key} (it reads {', '.join(least)})")
+    _, (m_cap, n_cap, d_cap), window = _STATEMENTS[task.statement]
+    for key in task.params:
+        if key not in window:
+            raise ValueError(f"{task.statement}: takes no {key} (it reads {', '.join(window)})")
+    p = {}
+    for key, (_, default) in window.items():
+        if key in task.params:
+            p[key] = task.params[key]
+        elif default is None:
+            raise ValueError(f"{task.statement}: needs {key}")
+        else:
+            p[key] = default(p) if callable(default) else default
     m, n = p.get("m", 2), p.get("n", 2)
     if min(m, n) < 2:
         raise ValueError(f"{task.statement}: size ({m},{n}) has no 2x2 minors")
@@ -269,16 +245,18 @@ def validate(task):
     for key, value in p.items():
         if key in ("m", "n"):
             continue
+        least = window[key][0]
         top = min(m_cap, n_cap) if key == "size" else d_cap
-        if not least[key] <= value <= top:
+        if not least <= value <= top:
             raise ValueError(
-                f"{task.statement}: {key}={value} outside envelope [{least[key]}, {top}]"
+                f"{task.statement}: {key}={value} outside envelope [{least}, {top}]"
             )
+    return p
 
 
 def run(task, results_dir=None):
     """Execute one verification task, returning (and possibly caching) a report."""
-    validate(task)
+    p = validate(task)
     if results_dir is None:
         results_dir = os.environ.get(RESULTS_DIR_ENV)
     cache_path = None
@@ -290,19 +268,16 @@ def run(task, results_dir=None):
                 return parse_report(fh.read())
     t0 = time.perf_counter()
     try:
-        predicted, witnessed, certificates = _STATEMENTS[task.statement][0](task)
-        verdict = "pass" if predicted == {
-            k: witnessed.get(k) for k in predicted
-        } else "fail"
+        predicted, witnessed = _STATEMENTS[task.statement][0](p, task.seed)
+        verdict = "pass" if predicted == {k: witnessed.get(k) for k in predicted} else "fail"
     except modlinalg.CapacityError as exc:
-        predicted, witnessed, certificates = {}, {"capacity": str(exc)}, []
+        predicted, witnessed = {}, {"capacity": str(exc)}
         verdict = "skipped-capacity"
     elapsed = time.perf_counter() - t0
     report = VerificationReport(
         task=task.as_dict(),
         predicted=predicted,
         witnessed=witnessed,
-        certificates=tuple(certificates),
         verdict=verdict,
         timings={"total_s": round(elapsed, 3)},
     )
@@ -333,7 +308,6 @@ def suite_tasks(profile="quick", seed=0):
             mk("thm-3.1", m=3, n=3, d_max=5),
             mk("thm-3.2", m=3, n=3, d_max=6),
             mk("thm-4.1", m=3, n=3, r=1),
-            mk("sec-6-Tbar", m=3, n=3),
             mk("que-7.1", m=2, n=4),
             mk("que-7.1", m=3, n=3),
             mk("thm-1.1", m=4, n=4, d_max=4),

@@ -85,6 +85,20 @@ def test_registry_transposes_are_consistent():
         )
 
 
+def test_sec_6_tbar_is_the_stored_table():
+    # the characters stated for Section 6's functor T-bar, which the registry
+    # reads from thm-1.2
+    table = {
+        2: {((4,), (2, 2)): 1, ((2, 2), (4,)): 1},
+        3: {((4, 1, 1), (3, 3)): 1, ((3, 3), (4, 1, 1)): 1},
+        4: {},
+        5: {},
+    }
+    for j, terms in table.items():
+        assert predicted_character("sec-6-Tbar", j).terms == terms, j
+        assert predicted_character("thm-1.2", j).terms == terms, j
+
+
 def test_koszul_character_stable_range():
     for d in (5, 6, 7):
         a = (d - 2, 1, 1)

@@ -1,6 +1,8 @@
 import importlib.util
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -273,12 +275,53 @@ def test_verify_rejects_params_the_statement_ignores(argv, key, capsys):
         ("thm-3.2", {"m": 3, "n": 3, "d_max": 0}),
         ("que-7.1", {"m": 2, "n": 3, "e_max": 0}),
         ("que-7.1", {"m": 2, "n": 3, "a_max": -1}),
+        # defaults are checked too: d_max = r + 1 = 5 and d_max = m + 1 = 5
+        ("thm-4.1", {"m": 3, "n": 3, "r": 4}),
+        ("thm-5.1", {"m": 4, "n": 3}),
     ],
 )
 def test_validate_rejects_empty_or_oversized_windows(statement, params):
     # an empty window checks nothing and would read as a pass
     with pytest.raises(ValueError, match="outside envelope"):
         validate(VerificationTask(statement, params))
+
+
+def test_verify_needs_a_size(capsys):
+    assert main(["verify", "thm-1.1"]) == 2
+    assert "error: thm-1.1: needs m" in capsys.readouterr().err
+    assert main(["verify", "que-7.1", "--m", "3"]) == 2
+    assert "error: que-7.1: needs n" in capsys.readouterr().err
+
+
+def test_validate_fills_defaults_and_the_report_keeps_the_task():
+    assert validate(VerificationTask("thm-4.1", {"m": 3, "n": 3, "r": 2})) == {
+        "m": 3,
+        "n": 3,
+        "r": 2,
+        "d_max": 3,
+    }
+    assert validate(VerificationTask("thm-5.1", {"m": 2, "n": 3})) == {"m": 2, "n": 3, "d_max": 3}
+    assert validate(VerificationTask("lem-4.4", {"size": 3})) == {
+        "j_max": 4,
+        "r_max": 2,
+        "size": 3,
+    }
+    task = VerificationTask("sec-6-Tbar", {"m": 2, "n": 3})
+    report = run(task)
+    assert report.task == task.as_dict()
+    assert report.verdict == "pass"
+    assert set(report.predicted) == {"degree_2", "degree_3"}
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    env.pop("MINORREL_RESULTS_DIR", None)
+    argv = ["verify", "thm-1.1", "--m", "2", "--n", "3", "--dmax", "2"]
+    out = subprocess.run(
+        [sys.executable, "-m", "minorrel"] + argv, env=env, capture_output=True, text=True
+    )
+    assert out.returncode == 0, out.stderr
+    assert "verdict: pass" in out.stdout
 
 
 def test_verify_rejects_an_empty_degree_window(capsys):

@@ -32,8 +32,10 @@ fiber-type condition reads: minimal generators only in (0, 2d) and (d, 2).
 from collections import Counter
 from itertools import combinations_with_replacement
 from math import factorial
+from operator import add, sub
 
 from .modlinalg import guard_nonzeros, nullspace_mod, rank_mod, two_primes
+from .partitions import partitions_of
 from .polyring import generators_for, poly_mul, x_weight
 
 
@@ -53,26 +55,16 @@ def _weights_of(ctx, gens):
     return [x_weight(ctx, next(iter(g))) for g in gens]
 
 
-_ZERO = ((), ())  # the zero weight of every size, for engines without generators too
-
-
 def _wadd(w, delta):
     """Componentwise sum of weights."""
-    if w is _ZERO:
-        return delta
-    if delta is _ZERO:
-        return w
-    return (
-        tuple(a + b for a, b in zip(w[0], delta[0])),
-        tuple(a + b for a, b in zip(w[1], delta[1])),
-    )
+    return tuple(map(add, w[0], delta[0])), tuple(map(add, w[1], delta[1]))
 
 
 def _wsub(w, delta):
     """Componentwise difference of weights, or None if any entry goes negative."""
-    rows = tuple(a - b for a, b in zip(w[0], delta[0]))
-    cols = tuple(a - b for a, b in zip(w[1], delta[1]))
-    if any(x < 0 for x in rows + cols):
+    rows = tuple(map(sub, w[0], delta[0]))
+    cols = tuple(map(sub, w[1], delta[1]))
+    if min(rows) < 0 or min(cols) < 0:
         return None
     return rows, cols
 
@@ -139,23 +131,6 @@ def _monomials_of_degree(nvars, d):
         yield tuple(exp)
 
 
-def _weighted_multisets(weights, e):
-    """(ms, weight of ms) for each sorted multiset ms of size e over range(len(weights)).
-
-    They come in the order of combinations_with_replacement.  A depth-first
-    stack carries the weight of each prefix, so each multiset costs one
-    addition.
-    """
-    stack = [((), _ZERO)]
-    while stack:
-        ms, w = stack.pop()
-        if len(ms) == e:
-            yield ms, w
-            continue
-        for k in range(len(weights) - 1, (ms[-1] if ms else 0) - 1, -1):
-            stack.append((ms + (k,), _wadd(w, weights[k])))
-
-
 def _shifted_rows(vectors, shift, col):
     """Lower-grade kernel vectors moved up by shift, as sparse rows on col.
 
@@ -195,8 +170,17 @@ class GradedKernel:
         self._by_weight = {w: k for k, w in enumerate(weights)}
         if len(self._by_weight) != len(weights):
             raise ValueError("generator weights must be distinct")
+        # `count` finds a grade's weights from its total, so every multiset
+        # of a size must have the same one
+        totals = {tuple(map(sum, w)) for w in weights}
+        if len(totals) != 1:
+            raise ValueError("generators must share one total weight")
+        (self._gen_total,) = totals
+        self.zero = tuple((0,) * len(part) for part in weights[0])
         self._tables = {}  # (row, column) permutations -> transport table
-        self._sources = {}  # grade -> {weight: [source]}
+        self._grades = {}  # grade -> (factors, multiset size, factor positions, factor weights)
+        self._multisets = {}  # (size, weight) -> [multiset]
+        self._buckets = {}  # (grade, weight) -> [source]
         # multiset -> product of its generators; the unit's exponent has all
         # nvars entries, since poly_mul would truncate products to a shorter one
         self.products = {(): {(0,) * nvars: 1}}
@@ -219,7 +203,7 @@ class GradedKernel:
 
     def factors(self, d):
         """[(factor, weight)] of the grade, and the size of the multisets."""
-        return [(None, _ZERO)], d
+        return [(None, self.zero)], d
 
     def image(self, source):
         return self.product(source[1])
@@ -242,19 +226,86 @@ class GradedKernel:
             for k, gw in enumerate(self.weights)
         ]
 
-    def sources(self, grade):
-        """Source basis of the grade, bucketed by weight."""
-        if grade not in self._sources:
+    def _grade(self, grade):
+        """(factors, multiset size, factor -> position, distinct factor weights), memoised."""
+        if grade not in self._grades:
             factors, e = self.factors(grade)
-            by_ms = {}
-            for ms, w in _weighted_multisets(self.weights, e):
-                by_ms.setdefault(w, []).append(ms)
-            buckets = {}
-            for f, fw in factors:
-                for w, group in by_ms.items():
-                    buckets.setdefault(_wadd(fw, w), []).extend((f, ms) for ms in group)
-            self._sources[grade] = buckets
-        return self._sources[grade]
+            pos = {f: i for i, (f, _) in enumerate(factors)}
+            self._grades[grade] = factors, e, pos, list(dict.fromkeys(fw for _, fw in factors))
+        return self._grades[grade]
+
+    def multisets(self, e, w):
+        """The multisets (sorted tuples) of e generators of weight w, in sorted order, memoised.
+
+        At a dominant w each multiset is its largest entry k appended to one
+        of size e - 1 and weight w - wt(g_k) whose entries are at most k.  At
+        any other w they are those of the dominant weight of w's orbit,
+        carried across by the generator map.
+        """
+        key = (e, w)
+        if key not in self._multisets:
+            if e == 0:
+                out = [()] if w == self.zero else []
+            elif _is_dominant(w):
+                out = []
+                for k, gw in enumerate(self.weights):
+                    rest = _wsub(w, gw)
+                    if rest is not None:
+                        lower = self.multisets(e - 1, rest)
+                        out += [ms + (k,) for ms in lower if not ms or ms[-1] <= k]
+                out.sort()
+            else:
+                dom, perms = _from_dominant(w)
+                gmap = self._table(perms)[0]
+                out = sorted(tuple(sorted(gmap[k] for k in ms)) for ms in self.multisets(e, dom))
+            self._multisets[key] = out
+        return self._multisets[key]
+
+    def bucket(self, grade, w):
+        """The sources (f, ms) of weight w in the grade, memoised.
+
+        They come by factor position, then in the order of
+        combinations_with_replacement; elimination and the free-column
+        numbering follow this order.  At a dominant w each factor is paired
+        with the multisets of w - wt(f); any other w is carried across from
+        the dominant weight of its orbit by the factor and generator maps.
+        """
+        key = (grade, w)
+        if key not in self._buckets:
+            factors, e, pos, fweights = self._grade(grade)
+            if _is_dominant(w):
+                rest = {fw: _wsub(w, fw) for fw in fweights}
+                out = [
+                    (f, ms)
+                    for f, fw in factors
+                    if rest[fw] is not None
+                    for ms in self.multisets(e, rest[fw])
+                ]
+            else:
+                dom, perms = _from_dominant(w)
+                gmap, _, fmap = self._table(perms)
+                out = sorted(
+                    (
+                        (fmap(f), tuple(sorted(gmap[k] for k in ms)))
+                        for f, ms in self.bucket(grade, dom)
+                    ),
+                    key=lambda s: (pos[s[0]], s[1]),
+                )
+            self._buckets[key] = out
+        return self._buckets[key]
+
+    def _dominant_weights(self, grade):
+        """The dominant weights of the grade's total, as partitions padded to m and n parts."""
+        _, e, _, fweights = self._grade(grade)
+        m, n = map(len, self.zero)
+        rows, cols = self._gen_total
+        totals = {(sum(fw[0]) + e * rows, sum(fw[1]) + e * cols) for fw in fweights}
+        for row_total, col_total in totals:
+            for lam in partitions_of(row_total):
+                if len(lam) <= m:
+                    for mu in partitions_of(col_total):
+                        if len(mu) <= n:
+                            yield lam + (0,) * (m - len(lam)), mu + (0,) * (n - len(mu))
 
     def kernel_block(self, grade, w):
         """Kernel vectors of the block of weight w in the grade, modulo `modulo`.
@@ -273,7 +324,7 @@ class GradedKernel:
         return self._kernels[key]
 
     def _eliminate(self, grade, w):
-        members = self.sources(grade).get(w, [])
+        members = self.bucket(grade, w)
         vectors, free = [], []
         if members:
             # one row per monomial, one column per polynomial; the subspace
@@ -325,7 +376,7 @@ class GradedKernel:
         if not vectors:
             return []
         gmap, signs, fmap = self._table(perms)
-        own = {s: s for s in self.sources(grade)[w]}
+        own = {s: s for s in self.bucket(grade, w)}
         moved = {}  # source -> (its image at w, sign)
         p = self.p
         out = []
@@ -367,8 +418,9 @@ class GradedKernel:
         return len(kw) - rank_mod(shifted, self.p, stop=len(kw))
 
     def count(self, grade, at):
-        """Sum of at(grade, w) over all weights, from the dominant ones."""
-        return orbit_total({w: at(grade, w) for w in self.sources(grade) if _is_dominant(w)})
+        """Sum of at(grade, w) over all weights, from the dominant ones with sources."""
+        dominant = self._dominant_weights(grade)
+        return orbit_total({w: at(grade, w) for w in dominant if self.bucket(grade, w)})
 
     def min_gens(self, grade):
         """Minimal generator count in the grade."""
@@ -380,7 +432,7 @@ class GradedKernel:
 
     def image_dim(self, grade):
         """Dimension of the image of the grade's sources (modulo `modulo`)."""
-        at = lambda g, w: len(self.sources(g)[w]) - len(self.kernel_block(g, w))
+        at = lambda g, w: len(self.bucket(g, w)) - len(self.kernel_block(g, w))
         return self.count(grade, at)
 
 

@@ -199,8 +199,8 @@ _STATEMENTS = {
     "thm-1.1": (_by_degree("thm-1.1", "minors"), (4, 5, 6), {**_M_N, "d_max": (2, 4)}),
     "thm-1.2": (_THM_1_2, (4, 5, 6), {**_M_N, "d_max": (2, 4)}),
     "sec-6-Tbar": (_THM_1_2, (3, 3, 3), {**_M_N, "d_max": (2, 3)}),
-    "thm-3.1": (_by_degree("thm-3.1", "minors", True), (3, 4, 7), {**_M_N, "d_max": (2, 5)}),
-    "thm-3.2": (_by_degree("thm-3.2", "permanents", True), (3, 4, 7), {**_M_N, "d_max": (2, 5)}),
+    "thm-3.1": (_by_degree("thm-3.1", "minors", True), (4, 5, 9), {**_M_N, "d_max": (2, 5)}),
+    "thm-3.2": (_by_degree("thm-3.2", "permanents", True), (4, 5, 9), {**_M_N, "d_max": (2, 5)}),
     "lem-4.3": (_run_lem_4_3, (5, 5, 6), {"r_max": (1, 3), "d_max": (0, 4), "size": (2, 5)}),
     "lem-4.4": (_run_lem_4_4, (5, 5, 6), {"j_max": (1, 4), "r_max": (1, 2), "size": (2, 5)}),
     "thm-4.1": (
@@ -222,7 +222,7 @@ def validate(task):
     is as much a usage error as one past the envelope.
     """
     if task.statement not in _STATEMENTS:
-        raise KeyError(f"unknown statement id {task.statement!r}")
+        raise ValueError(f"unknown statement id {task.statement!r}")
     _, (m_cap, n_cap, d_cap), window = _STATEMENTS[task.statement]
     for key in task.params:
         if key not in window:
@@ -313,6 +313,8 @@ def suite_tasks(profile="quick", seed=0):
             mk("thm-1.1", m=4, n=4, d_max=4),
             mk("thm-3.1", m=3, n=4, d_max=7),
             mk("thm-3.2", m=3, n=4, d_max=7),
+            mk("thm-3.1", m=4, n=4, d_max=6),
+            mk("thm-3.2", m=4, n=4, d_max=6),
             mk("thm-4.1", m=3, n=3, r=1, d_max=3),
             mk("thm-4.1", m=3, n=3, r=2, d_max=4),
             mk("thm-4.1", m=3, n=4, r=1, d_max=3),
@@ -325,8 +327,14 @@ def suite_tasks(profile="quick", seed=0):
             mk("thm-1.1", m=4, n=4, d_max=5),
             mk("thm-1.1", m=4, n=5, d_max=4),
             mk("thm-1.2", m=3, n=4, d_max=4),
+            mk("thm-1.2", m=4, n=4, d_max=4),
             mk("thm-5.1", m=3, n=3),
             mk("thm-4.1", m=3, n=4, r=2, d_max=4),
+            mk("thm-3.1", m=4, n=4, d_max=7),
+            mk("thm-3.2", m=4, n=4, d_max=7),
+            mk("thm-3.1", m=4, n=5, d_max=6),
+            mk("thm-3.1", m=3, n=4, d_max=9),
+            mk("thm-3.2", m=3, n=4, d_max=9),
         ]
     return tasks
 

@@ -10,11 +10,13 @@ Littlewood-Richardson coefficients by tableau count, one nu at a time
 quadrics as sums of products of variables (against the one-formula
 builder), Koszul homology at every torus weight (against the dominant
 weights alone), the Veronese generator count by whole-degree span ranks
-(against the engine's weight blocks), and the graded-kernel engine's
-blocks eliminated directly at any weight and ranked on all their source
-columns (against transport from the dominant weight and the rank on the
-free columns).  Partitions bounded in length and part size are enumerated
-here, apart from the package's unbounded `partitions_of`.
+(against the engine's weight blocks), the graded-kernel engine's source
+basis listed at every weight at once (against buckets built at the
+dominant weights and carried to the others), and its blocks eliminated
+directly at any weight and ranked on all their source columns (against
+transport from the dominant weight and the rank on the free columns).
+Partitions bounded in length and part size are enumerated here, apart
+from the package's unbounded `partitions_of`.
 
 Symmetric functions are dicts mapping a partition to its coefficient, in
 the Schur basis unless a name says power sums.
@@ -397,7 +399,50 @@ def veronese_generators_by_span(ctx, r, d_max, p):
 
 
 # ---------------------------------------------------------------------------
-# The graded-kernel engine's blocks, eliminated and ranked directly
+# The graded-kernel engine's sources at every weight, and its blocks
+# eliminated and ranked directly
+
+
+def _weighted_multisets(weights, e, zero):
+    """(ms, weight of ms) for each sorted multiset ms of size e over range(len(weights)).
+
+    They come in the order of combinations_with_replacement.  A depth-first
+    stack carries the weight of each prefix, so each multiset costs one
+    addition.
+    """
+    stack = [((), zero)]
+    while stack:
+        ms, w = stack.pop()
+        if len(ms) == e:
+            yield ms, w
+            continue
+        for k in range(len(weights) - 1, (ms[-1] if ms else 0) - 1, -1):
+            stack.append((ms + (k,), _wadd(w, weights[k])))
+
+
+@lru_cache(maxsize=16)
+def multisets_all_weights(engine, e):
+    """{weight: [multiset]} of every sorted multiset of e of the engine's generators."""
+    by_ms = {}
+    for ms, w in _weighted_multisets(engine.weights, e, engine.zero):
+        by_ms.setdefault(w, []).append(ms)
+    return by_ms
+
+
+@lru_cache(maxsize=16)
+def sources_all_weights(engine, grade):
+    """Source basis of the engine's grade, bucketed by weight, at every weight.
+
+    Lists every multiset of the grade with every factor; the engine builds
+    a bucket only where it reads one.  Each bucket comes by factor
+    position, then in the order of combinations_with_replacement.
+    """
+    factors, e = engine.factors(grade)
+    buckets = {}
+    for f, fw in factors:
+        for w, group in multisets_all_weights(engine, e).items():
+            buckets.setdefault(_wadd(fw, w), []).extend((f, ms) for ms in group)
+    return buckets
 
 
 def kernel_block_direct(engine, grade, w):
@@ -407,7 +452,7 @@ def kernel_block_direct(engine, grade, w):
     engine's `modulo` polynomials; the engine itself eliminates only
     dominant blocks and transports their kernels across the orbit.
     """
-    members = engine.sources(grade).get(w, [])
+    members = sources_all_weights(engine, grade).get(w, [])
     if not members:
         return []
     polys = engine.modulo(grade, w) + [engine.image(s) for s in members]
@@ -444,7 +489,7 @@ def min_gens_full_columns(engine, grade, w, kernel):
     are ranked in full, with no early stop; the engine ranks them on the
     kernel's free sources and stops at the kernel dimension.
     """
-    col = {s: i for i, s in enumerate(engine.sources(grade)[w])}
+    col = {s: i for i, s in enumerate(sources_all_weights(engine, grade)[w])}
     shifted = []
     for lower, delta, shift in engine.shifts(grade):
         w2 = _wsub(w, delta)

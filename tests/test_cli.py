@@ -40,6 +40,12 @@ def test_verify_exit_codes(capsys):
     capsys.readouterr()
 
 
+def test_unknown_statement_is_a_usage_error(capsys):
+    # printed like every other usage error, without the quotes str(KeyError) adds
+    assert main(["verify", "nope"]) == 2
+    assert capsys.readouterr().err == "error: unknown statement id 'nope'\n"
+
+
 def test_verify_rejects_size_without_minors(capsys):
     # a matrix with one row or column has no 2x2 minors: a usage error, not a failed theorem
     for m, n in [("1", "3"), ("3", "1")]:

@@ -25,6 +25,8 @@ from oracles import (
     kernel_block_direct,
     kernel_blocks_direct,
     min_gens_full_columns,
+    multisets_all_weights,
+    sources_all_weights,
 )
 
 
@@ -71,7 +73,8 @@ def _full_weight_counts(engine, grades):
     kernel = kernel_blocks_direct(engine)
     counts = {}
     for grade in grades:
-        at = {w: min_gens_full_columns(engine, grade, w, kernel) for w in engine.sources(grade)}
+        buckets = sources_all_weights(engine, grade)
+        at = {w: min_gens_full_columns(engine, grade, w, kernel) for w in buckets}
         dims = {w: len(kernel(grade, w)) for w in at}
         for (rows, cols), c in at.items():
             dom = (tuple(sorted(rows, reverse=True)), tuple(sorted(cols, reverse=True)))
@@ -115,7 +118,7 @@ def test_syzygy_bidegrees_match_koszul_shift():
     # J in bidegree (d, 2) consists of syzygies of the quadrics in degree d + 2
     engine = ReesEngine(RingContext(2, 4)).at(PRIMES[1])
     # total kernel dimension at (a, 1) equals the syzygy space dimension
-    total = sum(len(engine.kernel_block((1, 1), w)) for w in engine.sources((1, 1)))
+    total = sum(len(engine.kernel_block((1, 1), w)) for w in sources_all_weights(engine, (1, 1)))
     assert total == 8  # all syzygies here are minimal (none in lower bidegree)
 
 
@@ -157,7 +160,7 @@ def test_transported_kernels_match_direct_elimination():
         p = engine.p
         blocks = 0
         for grade in grades:
-            for w, members in engine.sources(grade).items():
+            for w, members in sources_all_weights(engine, grade).items():
                 if _is_dominant(w):
                     continue
                 moved = engine.kernel_block(grade, w)
@@ -173,6 +176,31 @@ def test_transported_kernels_match_direct_elimination():
         assert blocks, name
 
 
+def test_buckets_match_the_all_weights_enumeration():
+    # the engine builds a bucket at a dominant weight from the multisets one
+    # size down, and elsewhere carries the dominant one across; each bucket
+    # and multiset list it built equals the all-weights enumeration there,
+    # order included, and count visits every dominant weight with sources
+    for name, engine, grades in _instances():
+        for grade in grades:
+            visited = []
+
+            def at(g, w):
+                visited.append(w)
+                return engine._min_gens_at(g, w)
+
+            engine.count(grade, at)
+            everywhere = sources_all_weights(engine, grade)
+            dominant = [w for w in everywhere if _is_dominant(w)]
+            assert sorted(visited) == sorted(dominant), (name, grade)
+            for w in everywhere:
+                engine.bucket(grade, w)
+        for (grade, w), members in engine._buckets.items():
+            assert members == sources_all_weights(engine, grade).get(w, []), (name, grade, w)
+        for (e, w), found in engine._multisets.items():
+            assert found == multisets_all_weights(engine, e).get(w, []), (name, e, w)
+
+
 def test_free_column_rank_matches_full_column_rank():
     # the engine ranks the shifted lower kernels on K_w's free sources only;
     # ranking them on every source column gives the same count, also for the
@@ -181,7 +209,7 @@ def test_free_column_rank_matches_full_column_rank():
     for name, engine, grades in _instances():
         kernel = kernel_blocks_direct(engine)
         for grade in grades:
-            for w in engine.sources(grade):
+            for w in sources_all_weights(engine, grade):
                 if _is_dominant(w):
                     expected = min_gens_full_columns(engine, grade, w, kernel)
                     assert engine._min_gens_at(grade, w) == expected, (name, grade, w)

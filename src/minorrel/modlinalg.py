@@ -2,7 +2,11 @@
 
 Matrices are lists of sparse rows (dict column -> integer coefficient).
 Ranks and kernels are taken modulo one prime; two_primes runs a computation
-at two primes drawn from PRIMES and requires agreement.
+at two primes drawn from PRIMES and requires agreement.  Elimination takes
+the rows sparsest first and pivots on each row's leftmost nonzero column.
+The rank, the pivot columns and the reduced echelon form of a row space do
+not depend on the order of its rows, so neither does any result here; the
+order changes only the fill-in, and with it the time.
 """
 
 import random
@@ -44,30 +48,38 @@ def guard_nonzeros(count, what):
 def _eliminate_mod(rows, p, stop=None):
     """Row-reduce sparse integer rows mod p; returns (rank, reduced pivot rows).
 
-    Each row is reduced mod p when it is taken.  With stop, no further row
-    is taken once the rank reaches stop, so the rank returned is
-    min(rank, stop).
+    The rows are taken sparsest first (a stable sort by length), and each is
+    reduced mod p when it is taken.  The pivot of a row is its leftmost
+    nonzero column.  The order cannot change a result: the pivot columns are
+    the leading columns of the row space whatever the order, and
+    `nullspace_mod` back-substitutes to the reduced echelon form, which is
+    unique.  It only changes the fill-in, and taking short rows first keeps
+    the pivot rows short.  With stop, no further row is taken once the rank
+    reaches stop, so the rank returned is min(rank, stop).
     """
     pivots = {}  # col -> row dict with that pivot, pivot value 1
-    for row in rows:
+    for row in sorted(rows, key=len):
         if len(pivots) == stop:
             break
         row = {c: r for c, v in row.items() if (r := v % p)}
+        get = row.get
         while row:
             c = min(row)
-            if c in pivots:
-                coef = row.pop(c)
-                for cc, vv in pivots[c].items():
-                    if cc == c:
-                        continue
-                    row[cc] = (row.get(cc, 0) - coef * vv) % p
-                    if not row[cc]:
-                        del row[cc]
-            else:
+            pivot = pivots.get(c)
+            if pivot is None:
                 inv = pow(row[c], p - 2, p)
-                row = {cc: vv * inv % p for cc, vv in row.items()}
-                pivots[c] = row
+                pivots[c] = {cc: vv * inv % p for cc, vv in row.items()}
                 break
+            coef = row.pop(c)
+            for cc, vv in pivot.items():
+                if cc != c:
+                    # a zero here cancels an entry the row has, since coef
+                    # and vv are nonzero mod p
+                    v = (get(cc, 0) - coef * vv) % p
+                    if v:
+                        row[cc] = v
+                    else:
+                        del row[cc]
     return len(pivots), pivots
 
 
@@ -88,14 +100,16 @@ def nullspace_mod(rows, ncols, p):
     for i in range(len(cols) - 1, -1, -1):
         c = cols[i]
         row = pivots[c]
+        get = row.get
         for cc in [x for x in row if x != c and x in pivots]:
             coef = row.pop(cc)
             for c2, v2 in pivots[cc].items():
-                if c2 == cc:
-                    continue
-                row[c2] = (row.get(c2, 0) - coef * v2) % p
-                if not row[c2]:
-                    del row[c2]
+                if c2 != cc:
+                    v = (get(c2, 0) - coef * v2) % p
+                    if v:
+                        row[c2] = v
+                    else:
+                        del row[c2]
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for f in free:

@@ -2,12 +2,44 @@
 
 A ring context fixes the m x n matrix of variables x[i,j]; with 0-based
 positions, x[i,j] is variable i*n + j (row-major).  Polynomials are sparse
-maps from exponent tuples to integer coefficients; everything built here
+maps from monomial keys to integer coefficients; everything built here
 (minors, permanents, their products) is integral, so no denominators arise.
+
+A monomial key packs its exponent vector into one int, one byte per
+variable: the exponent of variable v is (key >> 8*v) & 255, and the unit
+monomial is 0 (Monagan and Pearce, "Polynomial division using dynamic
+arrays, heaps, and packed exponent vectors", CASC 2007).  The product of
+two monomials is the sum of their keys, as long as no exponent of the
+product passes 255 and carries into the next variable's byte.  `pack`
+raises on an exponent outside 0..255, and `guard_degree` raises before
+monomials of a degree that could carry are formed: an exponent is at most
+the degree of its monomial.
 """
 
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
+
+
+MAX_EXP = 255  # the largest exponent a byte holds
+
+
+def pack(exp):
+    """The key of the exponent vector exp."""
+    try:
+        return int.from_bytes(bytes(exp), "little")
+    except ValueError:
+        raise OverflowError(f"exponent vector {exp} has an entry outside 0..{MAX_EXP}") from None
+
+
+def unpack(key, nvars):
+    """The exponent vector, of length nvars, of a monomial key."""
+    return tuple(key.to_bytes(nvars, "little"))
+
+
+def guard_degree(degree, what):
+    """Raise OverflowError if monomials of the degree could carry out of a byte."""
+    if degree > MAX_EXP:
+        raise OverflowError(f"{what}: degree {degree} exceeds the packed exponent bound {MAX_EXP}")
 
 
 @dataclass(frozen=True)
@@ -33,23 +65,19 @@ def poly_mul(ctx, f, g):
     out = {}
     for e1, c1 in f.items():
         for e2, c2 in g.items():
-            exp = tuple(a + b for a, b in zip(e1, e2))
+            exp = e1 + e2
             out[exp] = out.get(exp, 0) + c1 * c2
             if not out[exp]:
                 del out[exp]
     return out
 
 
-def x_weight(ctx, exp):
-    """Torus bi-weight of a monomial: (row sums, column sums) of the matrix."""
-    rows = [0] * ctx.m
-    cols = [0] * ctx.n
-    for idx in range(ctx.num_vars):
-        e = exp[idx]
-        if e:
-            rows[idx // ctx.n] += e
-            cols[idx % ctx.n] += e
-    return tuple(rows), tuple(cols)
+def x_weight(ctx, key):
+    """Torus bi-weight of a monomial key: (row sums, column sums) of the matrix."""
+    n = ctx.n
+    exp = unpack(key, ctx.num_vars)
+    rows = tuple(sum(exp[i * n : i * n + n]) for i in range(ctx.m))
+    return rows, tuple(sum(exp[j::n]) for j in range(n))
 
 
 def generators_for(ctx, variant):
@@ -72,10 +100,7 @@ def generators_for(ctx, variant):
         for j1, j2 in pairs(range(n), 2):
             f = {}
             for c, (k1, k2) in ((1, (j1, j2)), (sign, (j2, j1))):
-                exp = [0] * ctx.num_vars
-                exp[i1 * n + k1] += 1
-                exp[i2 * n + k2] += 1
-                exp = tuple(exp)
+                exp = (1 << 8 * (i1 * n + k1)) + (1 << 8 * (i2 * n + k2))
                 f[exp] = f.get(exp, 0) + c
             out.append(f)
     return out

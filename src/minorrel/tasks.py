@@ -311,6 +311,7 @@ def suite_tasks(profile="quick", seed=0):
             mk("que-7.1", m=2, n=4),
             mk("que-7.1", m=3, n=3),
             mk("thm-1.1", m=4, n=4, d_max=4),
+            mk("thm-1.1", m=4, n=5, d_max=4),
             mk("thm-3.1", m=3, n=4, d_max=7),
             mk("thm-3.2", m=3, n=4, d_max=7),
             mk("thm-3.1", m=4, n=4, d_max=6),
@@ -325,10 +326,10 @@ def suite_tasks(profile="quick", seed=0):
             mk("que-7.1", m=5, n=3, a_max=3, e_max=3),
             mk("que-7.1", m=4, n=4, a_max=2, e_max=3),
             mk("thm-1.1", m=4, n=4, d_max=5),
-            mk("thm-1.1", m=4, n=5, d_max=4),
             mk("thm-1.2", m=3, n=4, d_max=4),
             mk("thm-1.2", m=4, n=4, d_max=4),
             mk("thm-5.1", m=3, n=3),
+            mk("thm-5.1", m=3, n=4),
             mk("thm-4.1", m=3, n=4, r=2, d_max=4),
             mk("thm-3.1", m=4, n=4, d_max=7),
             mk("thm-3.2", m=4, n=4, d_max=7),

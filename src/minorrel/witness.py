@@ -19,7 +19,7 @@ from itertools import combinations, combinations_with_replacement
 from math import factorial
 
 from .modlinalg import guard_nonzeros, rank_mod, two_primes
-from .polyring import generators_for, poly_mul, x_weight
+from .polyring import generators_for, guard_degree, pack, poly_mul, unpack, x_weight
 from .rees import (
     GradedKernel,
     _is_dominant,
@@ -93,6 +93,7 @@ def koszul_h1_blocks(ctx, variant, d, seed=0):
     """
     if d < 2:
         raise ValueError("degree must be >= 2")
+    guard_degree(d, "Koszul complex")
     gens = generators_for(ctx, variant)
     gw = _weights_of(ctx, gens)
     # monomials of degree d-2 and d-4, generators and pairs k < l, by weight
@@ -113,7 +114,7 @@ def koszul_h1_blocks(ctx, variant, d, seed=0):
         mono_col = {}
         d1 = [
             {
-                mono_col.setdefault(tuple(a + b for a, b in zip(e2, exp)), len(mono_col)): c
+                mono_col.setdefault(e2 + exp, len(mono_col)): c
                 for e2, c in gens[k].items()
             }
             for k, exp in basis
@@ -126,9 +127,9 @@ def koszul_h1_blocks(ctx, variant, d, seed=0):
                 for k, l in kls:
                     row = {}
                     for e2, c in gens[l].items():
-                        row[col[(k, tuple(a + b for a, b in zip(e2, mexp)))]] = c
+                        row[col[(k, e2 + mexp)]] = c
                     for e2, c in gens[k].items():
-                        row[col[(l, tuple(a + b for a, b in zip(e2, mexp)))]] = -c
+                        row[col[(l, e2 + mexp)]] = -c
                     d2.append(row)
         nnz1 += sum(map(len, d1))
         nnz2 += sum(map(len, d2))
@@ -162,11 +163,11 @@ def filtration_generator_space(ctx, c):
     """
     D = 2 * c
     out = {}
-    for exp in _monomials_of_degree(ctx.num_vars, D):
+    for key in _monomials_of_degree(ctx.num_vars, D):
         coeff = factorial(D)
-        for e in exp:
+        for e in unpack(key, ctx.num_vars):
             coeff //= factorial(e)
-        out.setdefault(x_weight(ctx, exp), {})[exp] = coeff
+        out.setdefault(x_weight(ctx, key), {})[key] = coeff
     return list(out.values())
 
 
@@ -314,7 +315,7 @@ def subspace_parameterization(m, n):
                 exp[hvar[(i, ka)]] += 1
                 exp[hvar[(i2, kb)]] += 1
                 exp[zc] += 1
-                key = tuple(exp)
+                key = pack(exp)
                 terms[key] = terms.get(key, 0) + 1
         row_w = [0] * m
         row_w[i] += 1

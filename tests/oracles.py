@@ -2,8 +2,10 @@
 
 None of this is reached from the minorrel command line; each function is a
 second route to a quantity the package computes another way: exact rank
-over the rationals (against modular rank), the Weyl dimension formula
-(against Bott's algorithm), the Pieri rule (against Littlewood-Richardson),
+over the rationals (against modular rank), the kernel basis from the exact
+reduced echelon form (against modular elimination in any row order), the
+Weyl dimension formula (against Bott's algorithm), the Pieri rule (against
+Littlewood-Richardson),
 Littlewood-Richardson coefficients by tableau count, one nu at a time
 (against the strip-built product), plethysm through the power-sum basis
 (against Jacobi-Trudi), span dimensions of explicit polynomials, the 2x2
@@ -30,7 +32,7 @@ from math import factorial
 
 from minorrel.modlinalg import nullspace_mod, rank_mod
 from minorrel.partitions import canon, conjugate, partitions_of
-from minorrel.polyring import generators_for, poly_mul, x_weight
+from minorrel.polyring import generators_for, pack, poly_mul, unpack, x_weight
 from minorrel.rees import (
     _monomials_of_degree,
     _shifted_rows,
@@ -39,6 +41,11 @@ from minorrel.rees import (
     _wsub,
 )
 from minorrel.witness import veronese_engine
+
+
+def unpacked(f, nvars):
+    """The polynomial f, keyed by exponent tuples instead of packed monomial keys."""
+    return {unpack(exp, nvars): c for exp, c in f.items()}
 
 
 def rank_exact(rows):
@@ -64,6 +71,48 @@ def rank_exact(rows):
     return len(pivots)
 
 
+def nullspace_exact(rows, ncols, p):
+    """Right kernel basis of integer rows, from the exact reduced echelon form, mapped mod p.
+
+    Gauss-Jordan elimination over the rationals, rows in the order given,
+    pivoting on the leftmost nonzero column.  There is one vector per free
+    column f, which comes first with value 1; its other keys are the pivot
+    columns c below f with a nonzero entry, -R[c][f] read mod p.  This is
+    the basis `nullspace_mod` returns, up to the order of the other keys.
+    """
+    pivots = {}  # col -> reduced row with pivot 1 there
+    for row in rows:
+        row = {c: Fraction(v) for c, v in row.items() if v}
+        for c, prow in pivots.items():
+            coef = row.pop(c, 0)
+            for cc, vv in prow.items():
+                if cc != c:
+                    row[cc] = row.get(cc, 0) - coef * vv
+        row = {c: v for c, v in row.items() if v}
+        if row:
+            c = min(row)
+            inv = 1 / row[c]
+            row = {cc: vv * inv for cc, vv in row.items()}
+            for other in pivots.values():
+                coef = other.pop(c, 0)
+                for cc, vv in row.items():
+                    if cc != c:
+                        other[cc] = other.get(cc, 0) - coef * vv
+                for cc in [cc for cc, vv in other.items() if not vv]:
+                    del other[cc]
+            pivots[c] = row
+    basis = []
+    for f in range(ncols):
+        if f not in pivots:
+            vec = {f: 1}
+            for c in sorted(pivots):
+                v = pivots[c].get(f, 0)
+                if v:
+                    vec[c] = -v.numerator * pow(v.denominator, -1, p) % p
+            basis.append(vec)
+    return basis
+
+
 def coefficient_rows(polys):
     """Integer coefficient rows of polynomials over one monomial numbering."""
     cols = {}
@@ -80,14 +129,15 @@ def quadrics_by_products(ctx, variant):
 
     x[i1,j1]*x[i2,j2] plus x[i1,j2]*x[i2,j1], the second negated for the
     minors, each product of single-variable monomials taken by poly_mul;
-    index pairs strict for the minors and weak for the permanents.
+    index pairs strict for the minors and weak for the permanents.  The
+    quadrics come keyed by exponent tuples.
     """
     strict, sign = {"minors": (1, -1), "permanents": (0, 1)}[variant]
 
     def x(i, j, c=1):
         exp = [0] * ctx.num_vars
         exp[i * ctx.n + j] = 1
-        return {tuple(exp): c}
+        return {pack(exp): c}
 
     out = []
     for i1 in range(ctx.m):
@@ -97,7 +147,7 @@ def quadrics_by_products(ctx, variant):
                     f = poly_mul(ctx, x(i1, j1), x(i2, j2))
                     for exp, c in poly_mul(ctx, x(i1, j2), x(i2, j1, sign)).items():
                         f[exp] = f.get(exp, 0) + c
-                    out.append(f)
+                    out.append(unpacked(f, ctx.num_vars))
     return out
 
 
@@ -327,16 +377,20 @@ def koszul_h1_full_weight(ctx, variant, d, p):
     """{weight: dim H_1} of the Koszul complex of W in degree d, at one prime.
 
     Builds and ranks the block of every weight, dominant or not; weights
-    where H_1 vanishes are left out.
+    where H_1 vanishes are left out.  Monomials are exponent tuples here,
+    and their sums are taken entry by entry.
     """
-    gens = generators_for(ctx, variant)
+    nvars = ctx.num_vars
+    packed = generators_for(ctx, variant)
+    gw = _weights_of(ctx, packed)
+    gens = [unpacked(f, nvars) for f in packed]
     N = len(gens)
-    gw = _weights_of(ctx, gens)
+    monos = lambda deg: [unpack(key, nvars) for key in _monomials_of_degree(nvars, deg)]
     # basis of W (x) S_{d-2}: (k, monomial); group by weight
     blocks = {}
     for k in range(N):
-        for exp in _monomials_of_degree(ctx.num_vars, d - 2):
-            blocks.setdefault(_wadd(gw[k], x_weight(ctx, exp)), []).append((k, exp))
+        for exp in monos(d - 2):
+            blocks.setdefault(_wadd(gw[k], x_weight(ctx, pack(exp))), []).append((k, exp))
     # boundary d1 images: w_k * x^exp, a polynomial of degree d
     d1rows = {}
     for w, members in blocks.items():
@@ -356,8 +410,8 @@ def koszul_h1_full_weight(ctx, variant, d, p):
         for k in range(N):
             for l in range(k + 1, N):
                 w_kl = _wadd(gw[k], gw[l])
-                for mexp in _monomials_of_degree(ctx.num_vars, d - 4):
-                    w = _wadd(w_kl, x_weight(ctx, mexp))
+                for mexp in monos(d - 4):
+                    w = _wadd(w_kl, x_weight(ctx, pack(mexp)))
                     idx = pair_index.get(w)
                     if idx is None:
                         continue

@@ -27,7 +27,7 @@ from minorrel.birep import (
 from minorrel.bott import bott_weight, lemma_4_3_character, verify_lemma_4_4
 from minorrel.modlinalg import PRIMES, rank_mod
 from minorrel.partitions import dim_schur, partitions_of
-from minorrel.polyring import RingContext, generators_for, poly_mul
+from minorrel.polyring import RingContext, generators_for, pack, poly_mul
 from minorrel.rees import fiber_type_check, orbit_total
 from minorrel.symfunc import plethysm_schur, schur_multiply
 from minorrel.witness import (
@@ -75,7 +75,7 @@ def _koszul_3x3_by_euler_characteristic(d):
     cols, rows = {}, []
     for k, l in combinations(range(N), 2) if d >= 4 else ():
         for a in combinations_with_replacement(range(nvars), d - 4):
-            xa = {tuple(a.count(i) for i in range(nvars)): 1}
+            xa = {pack([a.count(i) for i in range(nvars)]): 1}
             row = {}
             for slot, f in ((l, gens[k]), (k, {e: -c for e, c in gens[l].items()})):
                 for exp, c in poly_mul(ctx, f, xa).items():

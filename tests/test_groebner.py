@@ -16,6 +16,7 @@ from groebner import (
     s_poly,
 )
 from minorrel.polyring import RingContext, generators_for
+from oracles import unpacked
 from minorrel.witness import relation_dims
 
 
@@ -56,7 +57,8 @@ def test_reduced_basis_is_monic_and_interreduced():
 
 def test_single_minor_is_its_own_basis():
     ctx = RingContext(2, 2)
-    gb = buchberger(generators_for(ctx, "minors"), lex_key, "lex")
+    gens = [unpacked(f, ctx.num_vars) for f in generators_for(ctx, "minors")]
+    gb = buchberger(gens, lex_key, "lex")
     assert len(gb.generators) == 1
 
 
@@ -64,7 +66,7 @@ def test_plucker_elimination_matches_linear_algebra():
     # embed T_k - (k-th minor) in 8 matrix variables + 6 auxiliary T variables,
     # eliminate the matrix block, and compare with the kernel dimension count
     naux = 6
-    mins = generators_for(RingContext(2, 4), "minors")
+    mins = [unpacked(f, 8) for f in generators_for(RingContext(2, 4), "minors")]
     gens = []
     for k, f in enumerate(mins):
         g = {e + (0,) * naux: c for e, c in f.items()}

@@ -4,8 +4,10 @@ from fractions import Fraction
 import pytest
 
 from minorrel.modlinalg import CapacityError, PRIMES, guard_nonzeros, nullspace_mod, rank_mod
-from minorrel.witness import two_primes
-from oracles import rank_exact
+from minorrel.polyring import RingContext
+from minorrel.rees import ReesEngine
+from minorrel.witness import relation_engine, two_primes
+from oracles import nullspace_exact, rank_exact
 
 
 def random_sparse_rows(rng, nrows, ncols, density=0.3):
@@ -63,6 +65,44 @@ def test_nullspace_vectors_annihilate_matrix():
             for row in rows:
                 total = sum(c * vec.get(j, 0) for j, c in row.items()) % p
                 assert total == 0
+
+
+def _engine_block(engine, grade, w):
+    """The integer rows the engine eliminates at (grade, w): one per monomial."""
+    rows = {}
+    for i, s in enumerate(engine.bucket(grade, w)):
+        for exp, c in engine.image(s).items():
+            rows.setdefault(exp, {})[i] = c
+    return list(rows.values()), len(engine.bucket(grade, w))
+
+
+def test_elimination_results_do_not_depend_on_row_order():
+    # the rows are taken sparsest first; shuffling them changes neither the
+    # kernel basis, which matches the exact reduced echelon form mod p, nor
+    # the rank under any early stop
+    rng = random.Random(17)
+    p = PRIMES[3]
+    blocks = [
+        (random_sparse_rows(rng, nrows, ncols, density), ncols)
+        for nrows, ncols, density in [(6, 9, 0.3), (12, 10, 0.2), (9, 14, 0.15), (20, 12, 0.5)]
+    ]
+    ctx = RingContext(3, 3)
+    for engine, grade, w in [
+        (relation_engine(ctx, "minors"), 2, ((2, 1, 1), (2, 1, 1))),
+        (relation_engine(ctx, "permanents"), 3, ((3, 2, 1), (2, 2, 2))),
+        (ReesEngine(ctx), (1, 2), ((2, 2, 1), (2, 2, 1))),
+    ]:
+        blocks.append(_engine_block(engine, grade, w))
+    for rows, ncols in blocks:
+        expected = nullspace_exact(rows, ncols, p)
+        rank = ncols - len(expected)
+        for _ in range(6):
+            shuffled = rng.sample(rows, len(rows))
+            basis = nullspace_mod(shuffled, ncols, p)
+            assert basis == expected
+            assert [next(iter(v)) for v in basis] == [next(iter(v)) for v in expected]
+            for k in {0, 1, max(rank - 1, 0), rank, rank + 2}:
+                assert rank_mod(shuffled, p, stop=k) == min(rank, k), (rank, k)
 
 
 def test_nullspace_of_zero_matrix_is_full():

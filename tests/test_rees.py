@@ -3,7 +3,7 @@ from itertools import permutations
 import pytest
 
 from minorrel.modlinalg import PRIMES, rank_mod
-from minorrel.polyring import RingContext, generators_for
+from minorrel.polyring import RingContext, generators_for, pack, unpack
 from minorrel.rees import (
     GradedKernel,
     ReesEngine,
@@ -230,9 +230,9 @@ def test_generator_table_permutes_minors_and_permanents():
                     moved = {}
                     for exp, c in g.items():
                         new = [0] * ctx.num_vars
-                        for v, e in enumerate(exp):
+                        for v, e in enumerate(unpack(exp, ctx.num_vars)):
                             new[to[v]] = e
-                        moved[tuple(new)] = c
+                        moved[pack(new)] = c
                     target = {exp: signs[k] * c for exp, c in engine.gens[gmap[k]].items()}
                     assert moved == target, (variant, pi, tau, k)
 

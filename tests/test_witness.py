@@ -18,7 +18,7 @@ from minorrel.witness import (
     veronese_engine,
     veronese_presentation_dims,
 )
-from oracles import koszul_h1_full_weight, span_dimension, veronese_generators_by_span
+from oracles import koszul_h1_full_weight, span_dimension, unpacked, veronese_generators_by_span
 
 
 def test_relation_dims_2x4_minors():
@@ -97,7 +97,8 @@ def test_koszul_h1_dominant_weights_match_full_weight_oracle():
 
 def test_filtration_generator_space_dimensions():
     ctx = RingContext(3, 3)
-    assert filtration_generator_space(ctx, 0) == [{(0,) * ctx.num_vars: 1}]
+    g0 = filtration_generator_space(ctx, 0)
+    assert [unpacked(f, ctx.num_vars) for f in g0] == [{(0,) * ctx.num_vars: 1}]
     g1 = filtration_generator_space(ctx, 1)
     # Sym^2 ⊗ Sym^2 at (3,3) spans 36 dimensions in degree 2
     assert span_dimension(g1) == 36

@@ -1,6 +1,6 @@
 """The graded-kernel engine, and the bigraded defining ideal of the Rees algebra.
 
-`GradedKernel` computes, modulo a prime, the graded kernel of a linear map
+`GradedKernel` computes, modulo q, the graded kernel of a linear map
 from a weight-graded source to polynomials, and its minimal generators.  A
 source element is a pair (f, ms): a factor f times the product of the
 generators indexed by the sorted multiset ms.  The engine is parameterised
@@ -19,8 +19,11 @@ kernels it needs may sit at non-dominant weights; each of those is the
 kernel at the dominant weight of its orbit, carried across by the
 permutation of rows and columns, with no elimination.  One engine object
 serves an instance: it is built once over the integers, where its source
-bases and generator products live, and `at(p)` runs it at the prime p,
-dropping the kernels of any previous prime.
+bases and generator products live, and `at(q)` runs it modulo q, dropping
+the kernels of any previous modulus.  q is a prime or, under
+`modlinalg.two_primes`, the product of two: the engine uses q only through
+ring operations, zero tests and `modlinalg`'s eliminations, so one run at
+p1 * p2 is the run at each prime.
 
 The Rees algebra is presented by T-variables (one per quadric generator)
 over the matrix-entry ring; the defining ideal J is the bigraded kernel of
@@ -155,7 +158,7 @@ class GradedKernel:
     polynomials in nvars variables, of distinct torus weights `weights`;
     moves(perms) lists, for each variable, the variable that permuting rows
     and columns by perms takes it to.  The sign each generator takes under
-    a permutation is read off the generators themselves.  Call `at(p)`
+    a permutation is read off the generators themselves.  Call `at(q)`
     before asking for a kernel.
     """
 
@@ -181,9 +184,13 @@ class GradedKernel:
         self._buckets = {}  # (grade, weight) -> [source]
         self.products = {(): {0: 1}}  # multiset -> product of its generators
 
-    def at(self, p):
-        """This engine at the prime p; the kernels of the previous prime are dropped."""
-        self.p = p
+    def at(self, q):
+        """This engine modulo q; the kernels of the previous modulus are dropped.
+
+        q is a prime or a product of distinct primes (see the module
+        docstring); it is kept as `p`, the name perfbench's tracer reads.
+        """
+        self.p = q
         self._kernels = {}  # (grade, weight) -> kernel vectors {source: coeff}
         self._free = {}  # (grade, dominant weight) -> free source of each kernel vector
         return self
@@ -378,7 +385,7 @@ class GradedKernel:
         gmap, signs, fmap = self._table(perms)
         own = {s: s for s in self.bucket(grade, w)}
         moved = {}  # source -> (its image at w, sign)
-        p = self.p
+        q = self.p
         out = []
         for vec in vectors:
             new = {}
@@ -390,7 +397,7 @@ class GradedKernel:
                         sign *= signs[k]
                     moved[src] = own[(fmap(f), tuple(sorted(gmap[k] for k in ms)))], sign
                 dst, sign = moved[src]
-                new[dst] = c if sign > 0 else p - c
+                new[dst] = c if sign > 0 else q - c
             out.append(new)
         return out
 
@@ -486,8 +493,8 @@ def rees_ideal(ctx, a_max=3, e_max=3, seed=0):
     """
     engine = ReesEngine(ctx)
 
-    def compute(p):
-        engine.at(p)
+    def compute(q):
+        engine.at(q)
         counts = [
             ((a, 2 * e), engine.min_gens((a, e)))
             for a in range(a_max + 1)

@@ -7,12 +7,15 @@ so kernel and rank computations split into many small independent blocks.
 A weight is the pair (row sums, column sums).  The relation ideals, the
 subspace variety and the Veronese relations are instances of the graded
 kernel engine in `rees`: one engine per instance, built once over the
-integers and run at each prime by `engine.at(p)`.  Koszul homology is a pair
+integers and run modulo q by `engine.at(q)`.  Koszul homology is a pair
 of ranks per block, built and ranked only at dominant weights and keyed by
 them: each per-weight dimension is constant on S_m x S_n orbits, and
 `rees.orbit_total` gives the total.  Products and matrices are built once
-over the integers; kernels and ranks run modulo two seeded primes through
-`two_primes`, which requires the two results to agree.
+over the integers; kernels and ranks run through `two_primes`, which draws
+two seeded primes, runs once modulo their product and falls back to one run
+per prime, which must agree, only when a pivot is zero at one of them.
+Every `compute(q)` below uses q only through ring operations, zero tests
+and `modlinalg`'s eliminations.
 """
 
 from itertools import combinations, combinations_with_replacement
@@ -35,8 +38,8 @@ from .rees import (
 def presentation_dims(engine, d_max, seed=0):
     """{d: (kernel_dim, min_gen_dim)} for 1 <= d <= d_max, from the engine at two primes."""
 
-    def compute(p):
-        engine.at(p)
+    def compute(q):
+        engine.at(q)
         return {d: (engine.kernel_dim(d), engine.min_gens(d)) for d in range(1, d_max + 1)}
 
     return two_primes(seed, compute)
@@ -137,12 +140,12 @@ def koszul_h1_blocks(ctx, variant, d, seed=0):
         guard_nonzeros(nnz2, "Koszul d2 matrix")
         blocks.append((w, len(basis), d1, d2))
 
-    def compute(p):
+    def compute(q):
         result = {}
         for w, size, d1, d2 in blocks:
-            h1 = size - rank_mod(d1, p)
+            h1 = size - rank_mod(d1, q)
             if d2:
-                h1 -= rank_mod(d2, p)
+                h1 -= rank_mod(d2, q)
             if h1:
                 result[w] = h1
         return result
@@ -238,8 +241,8 @@ def veronese_presentation_dims(ctx, r, d_max, seed=0):
         raise ValueError("need r >= 1")
     engine = veronese_engine(ctx, r)
 
-    def compute(p):
-        engine.at(p)
+    def compute(q):
+        engine.at(q)
         # M_{r,D} = M_{r-1,D} + G_r*R_{D-r}: for D > r that lies in
         # M_{r-1,D} + W*M_{r,D-1}, and for D < r M_{r,D} = M_{r-1,D}, so the
         # generators sit in degree r, where they are the image of G_r in N_r

@@ -190,6 +190,19 @@ def test_config_rejects_bad_primes(tmp_path, capsys, restore_config):
     capsys.readouterr()
 
 
+def test_configured_primes_give_the_default_witnesses(restore_config):
+    # a configured pair is run as one modulus, their product: small primes,
+    # and the largest below 2^64, whose product is near 2^128
+    tasks = [
+        VerificationTask("thm-1.2", {"m": 3, "n": 3, "d_max": 3}),
+        VerificationTask("que-7.1", {"m": 3, "n": 3, "a_max": 2, "e_max": 2}),
+    ]
+    default = [run(task).witnessed for task in tasks]
+    for primes in ("1000003, 999983", "18446744073709551557, 18446744073709551533"):
+        apply_config({"primes": primes})
+        assert [run(task).witnessed for task in tasks] == default, primes
+
+
 def test_config_rejects_bad_cap(tmp_path, capsys, restore_config):
     verify = ["verify", "thm-1.1", "--m", "2", "--n", "4", "--dmax", "2"]
     for cap in ("0", "-5", "1.5", "ten"):

@@ -1,9 +1,17 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from minorrel.modlinalg import CapacityError, PRIMES, guard_nonzeros, nullspace_mod, rank_mod
+from minorrel.modlinalg import (
+    CapacityError,
+    NonUnitPivot,
+    PRIMES,
+    guard_nonzeros,
+    nullspace_mod,
+    rank_mod,
+)
 from minorrel.polyring import RingContext
 from minorrel.rees import ReesEngine
 from minorrel.witness import relation_engine, two_primes
@@ -76,12 +84,8 @@ def _engine_block(engine, grade, w):
     return list(rows.values()), len(engine.bucket(grade, w))
 
 
-def test_elimination_results_do_not_depend_on_row_order():
-    # the rows are taken sparsest first; shuffling them changes neither the
-    # kernel basis, which matches the exact reduced echelon form mod p, nor
-    # the rank under any early stop
-    rng = random.Random(17)
-    p = PRIMES[3]
+def _random_and_engine_blocks(rng):
+    """Random sparse blocks, then three weight blocks of 3x3 engines, as (rows, ncols)."""
     blocks = [
         (random_sparse_rows(rng, nrows, ncols, density), ncols)
         for nrows, ncols, density in [(6, 9, 0.3), (12, 10, 0.2), (9, 14, 0.15), (20, 12, 0.5)]
@@ -93,7 +97,16 @@ def test_elimination_results_do_not_depend_on_row_order():
         (ReesEngine(ctx), (1, 2), ((2, 2, 1), (2, 2, 1))),
     ]:
         blocks.append(_engine_block(engine, grade, w))
-    for rows, ncols in blocks:
+    return blocks
+
+
+def test_elimination_results_do_not_depend_on_row_order():
+    # the rows are taken sparsest first; shuffling them changes neither the
+    # kernel basis, which matches the exact reduced echelon form mod p, nor
+    # the rank under any early stop
+    rng = random.Random(17)
+    p = PRIMES[3]
+    for rows, ncols in _random_and_engine_blocks(rng):
         expected = nullspace_exact(rows, ncols, p)
         rank = ncols - len(expected)
         for _ in range(6):
@@ -123,12 +136,76 @@ def _ranks_with_primes(rows, seed):
 
 
 def test_two_prime_rank_certificate():
+    # one run modulo the product of two distinct primes of PRIMES; a pivot
+    # that is zero at one of them falls back to a run at each prime
     rng = random.Random(3)
-    rows = random_sparse_rows(rng, 6, 6)
-    value, primes = _ranks_with_primes(rows, 5)
-    assert len(set(primes)) == 2
-    assert all(p in PRIMES for p in primes)
-    assert value == rank_exact(rows)
+    p1, _ = random.Random(5).sample(PRIMES, 2)
+    factors = {p * q: {p, q} for p, q in combinations(PRIMES, 2)}
+    for rows, falls_back in [(random_sparse_rows(rng, 6, 6), False), ([{0: p1, 1: 1}], True)]:
+        value, used = _ranks_with_primes(rows, 5)
+        product, *separate = used
+        assert product in factors
+        if falls_back:
+            assert len(separate) == 2 and set(separate) == factors[product]
+        else:
+            assert separate == []
+        assert value == rank_exact(rows)
+
+
+def _crt_sparse_rows(rng, nrows, ncols, p1, p2):
+    """Sparse rows whose entries include multiples of p1 and of p2."""
+    choices = [-3, -2, -1, 1, 2, 3, p1, -p1, 2 * p2, p1 * p2]
+    return [
+        {j: rng.choice(choices) for j in range(ncols) if rng.random() < 0.35}
+        for _ in range(nrows)
+    ]
+
+
+def _assert_matches_each_prime(rows, ncols, p1, p2):
+    """The elimination mod p1 * p2 is the elimination at p1 and at p2."""
+    q = p1 * p2
+    rank = rank_mod(rows, q)
+    basis = nullspace_mod(rows, ncols, q)
+    assert len(basis) == ncols - rank
+    for p in (p1, p2):
+        for k in range(rank + 2):
+            assert rank_mod(rows, q, stop=k) == rank_mod(rows, p, stop=k), (p, k)
+        at_p = nullspace_mod(rows, ncols, p)
+        assert [next(iter(v)) for v in basis] == [next(iter(v)) for v in at_p], p
+        assert [{c: r for c, v in vec.items() if (r := v % p)} for vec in basis] == at_p, p
+
+
+def test_one_elimination_modulo_two_primes_is_the_elimination_at_each():
+    # Z/p1p2 is Z/p1 x Z/p2: when every pivot is a unit mod p1 * p2, the
+    # rank under every stop, the free columns, and the kernel vectors
+    # reduced mod either prime are those of the elimination at that prime
+    rng = random.Random(29)
+    p1, p2 = PRIMES[4], PRIMES[6]
+    for rows, ncols in _random_and_engine_blocks(rng):
+        _assert_matches_each_prime(rows, ncols, p1, p2)
+    # the pivot row's p1 times the row's p2 is 0 mod p1 * p2 in a column
+    # where the row has no entry
+    _assert_matches_each_prime([{0: 1, 1: p1}, {0: p2, 2: 1}], 3, p1, p2)
+    # entries that vanish at one prime: either a pivot is not a unit, or
+    # the elimination is still the one at each prime
+    outcomes = set()
+    for _ in range(60):
+        rows = _crt_sparse_rows(rng, rng.randint(3, 9), 8, p1, p2)
+        try:
+            _assert_matches_each_prime(rows, 8, p1, p2)
+            outcomes.add("units")
+        except NonUnitPivot:
+            outcomes.add("fallback")
+    assert outcomes == {"units", "fallback"}
+
+
+def test_a_pivot_zero_at_one_prime_is_not_a_unit():
+    p1, p2 = PRIMES[0], PRIMES[1]
+    for rows in ([{0: p1}], [{1: 1}, {0: p2, 1: 5}]):
+        with pytest.raises(NonUnitPivot):
+            rank_mod(rows, p1 * p2)
+        with pytest.raises(NonUnitPivot):
+            nullspace_mod(rows, 2, p1 * p2)
 
 
 def test_deterministic_given_seed():

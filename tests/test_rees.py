@@ -2,6 +2,7 @@ from itertools import permutations
 
 import pytest
 
+from minorrel import rees, witness
 from minorrel.modlinalg import PRIMES, rank_mod
 from minorrel.polyring import RingContext, generators_for, pack, unpack
 from minorrel.rees import (
@@ -15,10 +16,12 @@ from minorrel.rees import (
 )
 from minorrel.witness import (
     koszul_h1_blocks,
+    presentation_dims,
     relation_dims,
     relation_engine,
     subspace_engine,
     veronese_engine,
+    veronese_presentation_dims,
 )
 from oracles import (
     coefficient_rows,
@@ -174,6 +177,25 @@ def test_transported_kernels_match_direct_elimination():
                     assert _image_lies_in_modulo(engine, grade, w, vec), (name, grade, w)
                 blocks += 1
         assert blocks, name
+
+
+def test_one_run_modulo_two_primes_counts_as_each_prime(monkeypatch):
+    # the computation each witness hands to two_primes gives the same counts
+    # modulo p1 * p2 as at p1 and at p2, on the instances above
+    for module in (rees, witness):
+        monkeypatch.setattr(module, "two_primes", lambda seed, compute: compute)
+    ctx = RingContext(3, 3)
+    computes = [
+        ("rees 3x3", rees_ideal(ctx, 2, 3)),
+        ("minors 3x4", presentation_dims(relation_engine(RingContext(3, 4), "minors"), 3)),
+        ("permanents 3x3", presentation_dims(relation_engine(ctx, "permanents"), 3)),
+        ("veronese 3x3 r=1", veronese_presentation_dims(ctx, 1, 3)),
+        ("subspace 3x3", presentation_dims(subspace_engine(3, 3), 3)),
+        ("koszul 3x3 d=6", koszul_h1_blocks(ctx, "minors", 6)),
+    ]
+    p1, p2 = PRIMES[2], PRIMES[5]
+    for name, compute in computes:
+        assert compute(p1 * p2) == compute(p1) == compute(p2), name
 
 
 def test_buckets_match_the_all_weights_enumeration():

@@ -5,7 +5,7 @@ import pytest
 
 from minorrel.birep import dim_at, predicted_character
 from minorrel import modlinalg
-from minorrel.modlinalg import PRIMES, CapacityError
+from minorrel.modlinalg import PRIMES, CapacityError, NonUnitPivot, rank_mod
 from minorrel.polyring import RingContext
 from minorrel.rees import _is_dominant, orbit_total, rees_ideal
 from minorrel.witness import (
@@ -167,10 +167,20 @@ def test_subspace_degenerate_single_row():
 
 
 def test_two_primes_requires_agreement():
+    # the pivot p1 is not a unit mod p1 * p2, so the combined run falls
+    # back to one run per prime, where the rank is 0 at p1 and 1 at p2
     p1, p2 = random.Random(3).sample(PRIMES, 2)
     assert two_primes(3, lambda p: p % 2) == 1
+    used = []
+
+    def rank(q):
+        used.append(q)
+        return rank_mod([{0: p1}], q)
+
     with pytest.raises(ArithmeticError) as exc:
-        two_primes(3, lambda p: p)
+        two_primes(3, rank)
+    assert not isinstance(exc.value, NonUnitPivot)
+    assert used == [p1 * p2, p1, p2]
     assert str(p1) in str(exc.value) and str(p2) in str(exc.value)
 
 

@@ -14,13 +14,26 @@ product passes 255 and carries into the next variable's byte.  `pack`
 raises on an exponent outside 0..255, and `guard_degree` raises before
 monomials of a degree that could carry are formed: an exponent is at most
 the degree of its monomial.
+
+A torus weight (row sums, column sums) packs likewise, into 16-bit fields:
+row i in field i, column j in field m + j, so the zero weight is 0.  The
+top bit of each field is a guard, so a field holds 0..MAX_WEIGHT and
+`pack_weight` raises outside it.
+The sum of two weights is the sum of their keys; their difference is Monagan
+and Pearce's guarded subtraction: with G the guard bits, r = (w | G) - d
+keeps each borrow inside its field, w - d is negative in some field iff
+r & G != G, and otherwise it is r ^ G.  Every field formed here is at most
+a degree that `guard_degree` checks first, so it stays far below its guard.
 """
 
+import struct
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 
 
 MAX_EXP = 255  # the largest exponent a byte holds
+WEIGHT_BITS = 16  # the width of a packed weight field ("H"), guard bit included
+MAX_WEIGHT = (1 << WEIGHT_BITS - 1) - 1  # the largest field below the guard bit
 
 
 def pack(exp):
@@ -34,6 +47,31 @@ def pack(exp):
 def unpack(key, nvars):
     """The exponent vector, of length nvars, of a monomial key."""
     return tuple(key.to_bytes(nvars, "little"))
+
+
+def pack_weight(w):
+    """The key of the weight w = (row sums, column sums)."""
+    fields = (*w[0], *w[1])
+    if min(fields) < 0 or max(fields) > MAX_WEIGHT:
+        raise OverflowError(f"weight {w} has an entry outside 0..{MAX_WEIGHT}")
+    return int.from_bytes(struct.pack(f"<{len(fields)}H", *fields), "little")
+
+
+def unpack_weight(key, m, n):
+    """The weight (row sums, column sums), of m and n entries, of a weight key."""
+    fields = struct.unpack(f"<{m + n}H", key.to_bytes(2 * (m + n), "little"))
+    return fields[:m], fields[m:]
+
+
+def weight_guards(m, n):
+    """The guard bits of the weight keys of m rows and n columns."""
+    return sum(1 << WEIGHT_BITS * i + WEIGHT_BITS - 1 for i in range(m + n))
+
+
+def weight_sub(w, d, guards):
+    """The key of the weight w - d, or None if a field goes negative."""
+    r = (w | guards) - d
+    return r ^ guards if r & guards == guards else None
 
 
 def guard_degree(degree, what):
@@ -73,11 +111,11 @@ def poly_mul(ctx, f, g):
 
 
 def x_weight(ctx, key):
-    """Torus bi-weight of a monomial key: (row sums, column sums) of the matrix."""
+    """Weight key of a monomial key: the (row sums, column sums) of its exponents."""
     n = ctx.n
     exp = unpack(key, ctx.num_vars)
     rows = tuple(sum(exp[i * n : i * n + n]) for i in range(ctx.m))
-    return rows, tuple(sum(exp[j::n]) for j in range(n))
+    return pack_weight((rows, tuple(sum(exp[j::n]) for j in range(n))))
 
 
 def generators_for(ctx, variant):

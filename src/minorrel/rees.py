@@ -11,19 +11,20 @@ variety (the base class, one unit factor), the Veronese presentation (in
 `witness`) and the Rees ideal (`ReesEngine`, below).
 
 Everything is computed per torus-weight block; a weight is the pair (row
-sums, column sums).  Permuting rows and columns of the matrix maps each
-source basis to itself up to sign, over the integers, so each per-weight
-count is constant on S_m x S_n orbits of weights: only the dominant weight
-of each orbit is eliminated, weighted by the orbit size.  The shifted
-kernels it needs may sit at non-dominant weights; each of those is the
-kernel at the dominant weight of its orbit, carried across by the
-permutation of rows and columns, with no elimination.  One engine object
-serves an instance: it is built once over the integers, where its source
-bases and generator products live, and `at(q)` runs it modulo q, dropping
-the kernels of any previous modulus.  q is a prime or, under
-`modlinalg.two_primes`, the product of two: the engine uses q only through
-ring operations, zero tests and `modlinalg`'s eliminations, so one run at
-p1 * p2 is the run at each prime.
+sums, column sums), packed into one int (`polyring.pack_weight`) and
+unpacked only to permute it or to count its orbit.  Permuting rows and
+columns of the matrix maps each source basis to itself up to sign, over the
+integers, so each per-weight count is constant on S_m x S_n orbits of
+weights: only the dominant weight of each orbit is eliminated, weighted by
+the orbit size.  The shifted kernels it needs may sit at non-dominant
+weights; each of those is the kernel at the dominant weight of its orbit,
+carried across by the permutation of rows and columns, with no
+elimination.  One engine object serves an instance: it is built once over
+the integers, where its source bases and generator products live, and
+`at(q)` runs it modulo q, dropping the kernels of any previous modulus.  q
+is a prime or, under `modlinalg.two_primes`, the product of two: the
+engine uses q only through ring operations, zero tests and `modlinalg`'s
+eliminations, so one run at p1 * p2 is the run at each prime.
 
 The Rees algebra is presented by T-variables (one per quadric generator)
 over the matrix-entry ring; the defining ideal J is the bigraded kernel of
@@ -36,11 +37,11 @@ from collections import Counter
 from functools import cache
 from itertools import combinations_with_replacement
 from math import factorial
-from operator import add, sub
 
 from .modlinalg import guard_nonzeros, nullspace_mod, rank_mod, two_primes
 from .partitions import partitions_of
 from .polyring import generators_for, guard_degree, pack, poly_mul, unpack, x_weight
+from .polyring import pack_weight, unpack_weight, weight_guards, weight_sub
 
 
 def matrix_moves(ctx):
@@ -55,28 +56,8 @@ def matrix_moves(ctx):
 
 
 def _weights_of(ctx, gens):
-    """Torus weight of each generator; all its monomials share it."""
+    """Packed torus weight of each generator; all its monomials share it."""
     return [x_weight(ctx, next(iter(g))) for g in gens]
-
-
-def _wadd(w, delta):
-    """Componentwise sum of weights."""
-    return tuple(map(add, w[0], delta[0])), tuple(map(add, w[1], delta[1]))
-
-
-def _wsub(w, delta):
-    """Componentwise difference of weights, or None if any entry goes negative."""
-    rows = tuple(map(sub, w[0], delta[0]))
-    cols = tuple(map(sub, w[1], delta[1]))
-    if min(rows) < 0 or min(cols) < 0:
-        return None
-    return rows, cols
-
-
-def _is_dominant(w):
-    return all(a >= b for a, b in zip(w[0], w[0][1:])) and all(
-        a >= b for a, b in zip(w[1], w[1][1:])
-    )
 
 
 def _permute(part, perm):
@@ -85,14 +66,6 @@ def _permute(part, perm):
     for i, x in zip(perm, part):
         out[i] = x
     return tuple(out)
-
-
-def _from_dominant(w):
-    """The dominant weight of w's orbit, and the (row, column) permutations taking it to w."""
-    perms = tuple(
-        tuple(sorted(range(len(part)), key=part.__getitem__, reverse=True)) for part in w
-    )
-    return tuple(tuple(part[i] for i in perm) for part, perm in zip(w, perms)), perms
 
 
 def _sign_between(f, g):
@@ -112,6 +85,11 @@ def _orbit_size(w):
         for mult in Counter(part).values():
             size //= factorial(mult)
     return size
+
+
+def _padded_partitions(total, parts):
+    """The partitions of total with at most parts parts, padded with zeros to parts parts."""
+    return [lam + (0,) * (parts - len(lam)) for lam in partitions_of(total) if len(lam) <= parts]
 
 
 def orbit_total(dims):
@@ -155,15 +133,17 @@ class GradedKernel:
     polynomials graded by degree, with one unit factor and the
     multiplications by the generators as shifts.  Subclasses override
     `factors`, `image`, `shifts`, `modulo` and `factor_map`.  gens are
-    polynomials in nvars variables, of distinct torus weights `weights`;
-    moves(perms) lists, for each variable, the variable that permuting rows
-    and columns by perms takes it to.  The sign each generator takes under
+    polynomials in nvars variables, of distinct packed torus weights
+    `weights`, each of shape = (m, n) row and column sums; moves(perms)
+    lists, for each variable, the variable that permuting rows and columns
+    by perms takes it to.  The sign each generator takes under
     a permutation is read off the generators themselves.  Call `at(q)`
     before asking for a kernel.
     """
 
-    def __init__(self, gens, weights, nvars, moves):
-        self.gens, self.weights, self.moves = gens, weights, moves
+    def __init__(self, gens, weights, shape, nvars, moves):
+        self.gens, self.weights, self.shape, self.moves = gens, weights, shape, moves
+        self._guards = weight_guards(*shape)
         # a permutation of rows and columns moves each generator to the one
         # of the permuted weight, so the weights must tell them apart
         self._by_weight = {w: k for k, w in enumerate(weights)}
@@ -171,13 +151,13 @@ class GradedKernel:
             raise ValueError("generator weights must be distinct")
         # `count` finds a grade's weights from its total, so every multiset
         # of a size must have the same one
-        totals = {tuple(map(sum, w)) for w in weights}
+        totals = {tuple(map(sum, unpack_weight(w, *shape))) for w in weights}
         if len(totals) != 1:
             raise ValueError("generators must share one total weight")
         (self._gen_total,) = totals
         self.nvars = nvars
         self._gen_degree = max((sum(unpack(exp, nvars)) for g in gens for exp in g), default=0)
-        self.zero = tuple((0,) * len(part) for part in weights[0])
+        self._orbits = {}  # weight -> (dominant weight of its orbit, permutations to it)
         self._tables = {}  # (row, column) permutations -> transport table
         self._grades = {}  # grade -> (factors, multiset size, factor positions, factor weights)
         self._multisets = {}  # (size, weight) -> [multiset]
@@ -206,7 +186,7 @@ class GradedKernel:
 
     def factors(self, d):
         """[(factor, weight)] of the grade, and the size of the multisets."""
-        return [(None, self.zero)], d
+        return [(None, 0)], d  # the unit factor, at the zero weight
 
     def image(self, source):
         return self.product(source[1])
@@ -233,13 +213,29 @@ class GradedKernel:
         """(factors, multiset size, factor -> position, distinct factor weights), memoised."""
         if grade not in self._grades:
             factors, e = self.factors(grade)
+            fweights = list(dict.fromkeys(fw for _, fw in factors))
             # the exponents of an image are at most its degree: the factor's,
             # which its row sums count, plus e generators'
-            top = max(sum(fw[0]) for _, fw in factors) + e * self._gen_degree
-            guard_degree(top, f"grade {grade}")
+            top = max(sum(unpack_weight(fw, *self.shape)[0]) for fw in fweights)
+            guard_degree(top + e * self._gen_degree, f"grade {grade}")
             pos = {f: i for i, (f, _) in enumerate(factors)}
-            self._grades[grade] = factors, e, pos, list(dict.fromkeys(fw for _, fw in factors))
+            self._grades[grade] = factors, e, pos, fweights
         return self._grades[grade]
+
+    def _orbit(self, w):
+        """The dominant weight of w's orbit, and the (row, column) permutations taking it to w."""
+        if w not in self._orbits:
+            parts = unpack_weight(w, *self.shape)
+            perms = tuple(
+                tuple(sorted(range(len(p)), key=p.__getitem__, reverse=True)) for p in parts
+            )
+            dom = [[part[i] for i in perm] for part, perm in zip(parts, perms)]
+            self._orbits[w] = pack_weight(dom), perms
+        return self._orbits[w]
+
+    def _permuted(self, w, perms):
+        """The weight w with its rows and columns permuted by perms."""
+        return pack_weight(tuple(map(_permute, unpack_weight(w, *self.shape), perms)))
 
     def multisets(self, e, w):
         """The multisets (sorted tuples) of e generators of weight w, in sorted order, memoised.
@@ -251,18 +247,18 @@ class GradedKernel:
         """
         key = (e, w)
         if key not in self._multisets:
+            dom, perms = self._orbit(w)
             if e == 0:
-                out = [()] if w == self.zero else []
-            elif _is_dominant(w):
+                out = [()] if w == 0 else []
+            elif dom == w:
                 out = []
                 for k, gw in enumerate(self.weights):
-                    rest = _wsub(w, gw)
+                    rest = weight_sub(w, gw, self._guards)
                     if rest is not None:
                         lower = self.multisets(e - 1, rest)
                         out += [ms + (k,) for ms in lower if not ms or ms[-1] <= k]
                 out.sort()
             else:
-                dom, perms = _from_dominant(w)
                 gmap = self._table(perms)[0]
                 out = sorted(tuple(sorted(gmap[k] for k in ms)) for ms in self.multisets(e, dom))
             self._multisets[key] = out
@@ -280,8 +276,9 @@ class GradedKernel:
         key = (grade, w)
         if key not in self._buckets:
             factors, e, pos, fweights = self._grade(grade)
-            if _is_dominant(w):
-                rest = {fw: _wsub(w, fw) for fw in fweights}
+            dom, perms = self._orbit(w)
+            if dom == w:
+                rest = {fw: weight_sub(w, fw, self._guards) for fw in fweights}
                 out = [
                     (f, ms)
                     for f, fw in factors
@@ -289,7 +286,6 @@ class GradedKernel:
                     for ms in self.multisets(e, rest[fw])
                 ]
             else:
-                dom, perms = _from_dominant(w)
                 gmap, _, fmap = self._table(perms)
                 out = sorted(
                     (
@@ -302,17 +298,14 @@ class GradedKernel:
         return self._buckets[key]
 
     def _dominant_weights(self, grade):
-        """The dominant weights of the grade's total, as partitions padded to m and n parts."""
+        """The dominant weights of the grade's total: partitions padded to m and n parts."""
         _, e, _, fweights = self._grade(grade)
-        m, n = map(len, self.zero)
+        m, n = self.shape
         rows, cols = self._gen_total
-        totals = {(sum(fw[0]) + e * rows, sum(fw[1]) + e * cols) for fw in fweights}
-        for row_total, col_total in totals:
-            for lam in partitions_of(row_total):
-                if len(lam) <= m:
-                    for mu in partitions_of(col_total):
-                        if len(mu) <= n:
-                            yield lam + (0,) * (m - len(lam)), mu + (0,) * (n - len(mu))
+        for frows, fcols in {tuple(map(sum, unpack_weight(fw, m, n))) for fw in fweights}:
+            for lam in _padded_partitions(frows + e * rows, m):
+                for mu in _padded_partitions(fcols + e * cols, n):
+                    yield pack_weight((lam, mu))
 
     def kernel_block(self, grade, w):
         """Kernel vectors of the block of weight w in the grade, modulo `modulo`.
@@ -322,7 +315,7 @@ class GradedKernel:
         """
         key = (grade, w)
         if key not in self._kernels:
-            dom, perms = _from_dominant(w)
+            dom, perms = self._orbit(w)
             if dom == w:
                 self._kernels[key] = self._eliminate(grade, w)
             else:
@@ -346,7 +339,7 @@ class GradedKernel:
                 nnz += len(f)
                 for exp, c in f.items():
                     rows.setdefault(exp, {})[i] = c
-            guard_nonzeros(nnz, f"kernel block {grade} at weight {w}")
+            guard_nonzeros(nnz, f"kernel block {grade} at weight {unpack_weight(w, *self.shape)}")
             for vec in nullspace_mod(list(rows.values()), len(polys), self.p):
                 first = next(iter(vec))  # the free column
                 if first >= skip:
@@ -366,7 +359,7 @@ class GradedKernel:
             moves = self.moves(perms)
             gmap, signs = [], []
             for g, gw in zip(self.gens, self.weights):
-                k = self._by_weight[tuple(map(_permute, gw, perms))]
+                k = self._by_weight[self._permuted(gw, perms)]
                 moved = {pack(_permute(unpack(exp, self.nvars), moves)): c for exp, c in g.items()}
                 gmap.append(k)
                 signs.append(_sign_between(moved, self.gens[k]))
@@ -418,7 +411,7 @@ class GradedKernel:
         col = {s: i for i, s in enumerate(self._free[(grade, w)])}
         shifted = []
         for lower, delta, shift in self.shifts(grade):
-            w2 = _wsub(w, delta)
+            w2 = weight_sub(w, delta, self._guards)
             if w2 is not None:
                 shifted += _shifted_rows(self.kernel_block(lower, w2), shift, col)
         # the shifted rows lie in the kernel, so their rank stops at len(kw)
@@ -427,7 +420,8 @@ class GradedKernel:
     def count(self, grade, at):
         """Sum of at(grade, w) over all weights, from the dominant ones with sources."""
         dominant = self._dominant_weights(grade)
-        return orbit_total({w: at(grade, w) for w in dominant if self.bucket(grade, w)})
+        dims = {w: at(grade, w) for w in dominant if self.bucket(grade, w)}
+        return orbit_total({unpack_weight(w, *self.shape): c for w, c in dims.items()})
 
     def min_gens(self, grade):
         """Minimal generator count in the grade."""
@@ -456,7 +450,7 @@ class ReesEngine(GradedKernel):
     def __init__(self, ctx, variant="minors"):
         gens = generators_for(ctx, variant)
         weights = _weights_of(ctx, gens)
-        super().__init__(gens, weights, ctx.num_vars, matrix_moves(ctx))
+        super().__init__(gens, weights, (ctx.m, ctx.n), ctx.num_vars, matrix_moves(ctx))
         self.ctx = ctx
         self.var_weights = [x_weight(ctx, 1 << 8 * v) for v in range(ctx.num_vars)]
 

@@ -4,35 +4,28 @@ and presentations of the Veronese filtration quotients.
 Everything is computed per torus-weight block: each minor/permanent (and
 each generator used below) is homogeneous for the torus of GL(V1) x GL(V2),
 so kernel and rank computations split into many small independent blocks.
-A weight is the pair (row sums, column sums).  The relation ideals, the
-subspace variety and the Veronese relations are instances of the graded
-kernel engine in `rees`: one engine per instance, built once over the
-integers and run modulo q by `engine.at(q)`.  Koszul homology is a pair
-of ranks per block, built and ranked only at dominant weights and keyed by
-them: each per-weight dimension is constant on S_m x S_n orbits, and
-`rees.orbit_total` gives the total.  Products and matrices are built once
-over the integers; kernels and ranks run through `two_primes`, which draws
-two seeded primes, runs once modulo their product and falls back to one run
-per prime, which must agree, only when a pivot is zero at one of them.
-Every `compute(q)` below uses q only through ring operations, zero tests
-and `modlinalg`'s eliminations.
+A weight is the pair (row sums, column sums), packed into one int
+(`polyring.pack_weight`); `koszul_h1_blocks` keys its result by the pairs.
+The relation ideals, the subspace variety and the Veronese relations are
+instances of the graded kernel engine in `rees`: one engine per instance,
+built once over the integers and run modulo q by `engine.at(q)`.  Koszul
+homology is a pair of ranks per block, built and ranked only at dominant
+weights and keyed by them: each per-weight dimension is constant on
+S_m x S_n orbits, and `rees.orbit_total` gives the total.  Products and
+matrices are built once over the integers; kernels and ranks run through
+`two_primes`, which draws two seeded primes, runs once modulo their product
+and falls back to one run per prime, which must agree, only when a pivot is
+zero at one of them.  Every `compute(q)` below uses q only through ring
+operations, zero tests and `modlinalg`'s eliminations.
 """
 
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 from math import factorial
 
 from .modlinalg import guard_nonzeros, rank_mod, two_primes
 from .polyring import generators_for, guard_degree, pack, poly_mul, unpack, x_weight
-from .rees import (
-    GradedKernel,
-    _is_dominant,
-    _monomials_of_degree,
-    _permute,
-    _wadd,
-    _weights_of,
-    _wsub,
-    matrix_moves,
-)
+from .polyring import pack_weight, weight_guards, weight_sub
+from .rees import GradedKernel, _monomials_of_degree, _padded_partitions, _weights_of, matrix_moves
 
 
 def presentation_dims(engine, d_max, seed=0):
@@ -49,7 +42,7 @@ def relation_engine(ctx, variant):
     """The engine of Sym(W) -> polynomials, W the minors or permanents."""
     gens = generators_for(ctx, variant)
     weights = _weights_of(ctx, gens)
-    return GradedKernel(gens, weights, ctx.num_vars, matrix_moves(ctx))
+    return GradedKernel(gens, weights, (ctx.m, ctx.n), ctx.num_vars, matrix_moves(ctx))
 
 
 def relation_dims(ctx, variant, d_max, seed=0):
@@ -75,10 +68,10 @@ def _group(items, key):
     return out
 
 
-def _fits(w, groups):
+def _fits(w, groups, guards):
     """(w - delta, members) for each delta of groups that w - delta stays nonnegative."""
     for delta, members in groups.items():
-        rest = _wsub(w, delta)
+        rest = weight_sub(w, delta, guards)
         if rest is not None:
             yield rest, members
 
@@ -87,10 +80,13 @@ def koszul_h1_blocks(ctx, variant, d, seed=0):
     """H_1 of the Koszul complex of W in total degree d, at dominant weights.
 
     Returns {weight: dim} over the dominant weights (row sums and column sums
-    both non-increasing) where H_1 is nonzero.  Permuting rows and columns
-    maps the bases of W (x) S_{d-2} and W^W (x) S_{d-4} to themselves up to
-    sign, so H_1 at any weight equals H_1 at the dominant weight of its
-    orbit, and `rees.orbit_total` of the result is the total dimension.
+    both non-increasing) where H_1 is nonzero, each weight the pair (row
+    sums, column sums).  Permuting rows and columns maps the bases of
+    W (x) S_{d-2} and W^W (x) S_{d-4} to themselves up to sign, so H_1 at
+    any weight equals H_1 at the dominant weight of its orbit, and
+    `rees.orbit_total` of the result is the total dimension.  The dominant
+    weights are enumerated directly, as the pairs of partitions of d padded
+    to m and n parts, and one whose W (x) S_{d-2} basis is empty is skipped.
     Only dominant blocks are built: their boundary matrices once over the
     integers, ranked mod two seeded primes.
     """
@@ -104,15 +100,17 @@ def koszul_h1_blocks(ctx, variant, d, seed=0):
     mono2 = _group(_monomials_of_degree(ctx.num_vars, d - 2), weight)
     mono4 = _group(_monomials_of_degree(ctx.num_vars, d - 4), weight) if d >= 4 else {}
     gens_at = _group(range(len(gens)), gw.__getitem__)
-    pairs_at = _group(combinations(range(len(gens)), 2), lambda kl: _wadd(gw[kl[0]], gw[kl[1]]))
-    weights = {_wadd(wk, wm) for wk in gens_at for wm in mono2}
+    pairs_at = _group(combinations(range(len(gens)), 2), lambda kl: gw[kl[0]] + gw[kl[1]])
+    guards = weight_guards(ctx.m, ctx.n)
     blocks = []
     nnz1 = nnz2 = 0
-    for w in sorted(filter(_is_dominant, weights)):
+    for dom in sorted(product(_padded_partitions(d, ctx.m), _padded_partitions(d, ctx.n))):
+        w = pack_weight(dom)
         # basis of W (x) S_{d-2} at w: (k, x^a) with wt(k) + wt(a) = w
-        basis = [
-            (k, exp) for rest, ks in _fits(w, gens_at) for k in ks for exp in mono2.get(rest, ())
-        ]
+        fits = _fits(w, gens_at, guards)
+        basis = [(k, exp) for rest, ks in fits for k in ks for exp in mono2.get(rest, ())]
+        if not basis:
+            continue
         # d1: (k, x^a) -> w_k x^a, one column per monomial of degree d
         mono_col = {}
         d1 = [
@@ -125,7 +123,7 @@ def koszul_h1_blocks(ctx, variant, d, seed=0):
         # d2: e_k ^ e_l (x) x^b -> (k, w_l x^b) - (l, w_k x^b), for k < l
         col = {kx: i for i, kx in enumerate(basis)}
         d2 = []
-        for rest, kls in _fits(w, pairs_at):
+        for rest, kls in _fits(w, pairs_at, guards):
             for mexp in mono4.get(rest, ()):
                 for k, l in kls:
                     row = {}
@@ -138,7 +136,7 @@ def koszul_h1_blocks(ctx, variant, d, seed=0):
         nnz2 += sum(map(len, d2))
         guard_nonzeros(nnz1, "Koszul d1 matrix")
         guard_nonzeros(nnz2, "Koszul d2 matrix")
-        blocks.append((w, len(basis), d1, d2))
+        blocks.append((dom, len(basis), d1, d2))
 
     def compute(q):
         result = {}
@@ -185,7 +183,8 @@ class _VeroneseRelations(GradedKernel):
 
     def __init__(self, ctx, r):
         gens = generators_for(ctx, "minors")
-        super().__init__(gens, _weights_of(ctx, gens), ctx.num_vars, matrix_moves(ctx))
+        weights = _weights_of(ctx, gens)
+        super().__init__(gens, weights, (ctx.m, ctx.n), ctx.num_vars, matrix_moves(ctx))
         self.ctx, self.r = ctx, r
         self.gspace = filtration_generator_space(ctx, r)
         self.gweights = _weights_of(ctx, self.gspace)
@@ -198,7 +197,7 @@ class _VeroneseRelations(GradedKernel):
         # the generator space has one polynomial per weight, and permuting
         # rows and columns carries it to the one of the permuted weight
         index = {w: gi for gi, w in enumerate(self.gweights)}
-        return lambda gi: index[tuple(map(_permute, self.gweights[gi], perms))]
+        return lambda gi: index[self._permuted(self.gweights[gi], perms)]
 
     def image(self, source):
         gi, ms = source
@@ -300,7 +299,7 @@ def subspace_parameterization(m, n):
     in Sym^2(H) (x) Sym^2(C^n) for some hyperplane H.  Parameters: an
     m x (m-1) matrix h and z in Sym^2(C^{m-1}) (x) Sym^2(C^n).  Returns
     (images, weights, nvars): for each y-coordinate (i<=i', j<=j'), the
-    polynomial in the nvars (h, z) variables, and its torus weight key.
+    polynomial in the nvars (h, z) variables, and its weight key.
     """
     hvar, zpairs1, zvar = _subspace_variables(m, n)
     nvars = len(hvar) + len(zvar)
@@ -327,14 +326,14 @@ def subspace_parameterization(m, n):
         col_w[j] += 1
         col_w[j2] += 1
         images.append(terms)
-        weights.append((tuple(row_w), tuple(col_w)))
+        weights.append(pack_weight((row_w, col_w)))
     return images, weights, nvars
 
 
 def subspace_engine(m, n):
     """The engine of the pullback along the parameterization."""
     images, weights, nvars = subspace_parameterization(m, n)
-    return GradedKernel(images, weights, nvars, _subspace_moves(m, n))
+    return GradedKernel(images, weights, (m, n), nvars, _subspace_moves(m, n))
 
 
 def subspace_variety_gens(m, n, d_max=None, seed=0):

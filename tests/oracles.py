@@ -17,6 +17,8 @@ basis listed at every weight at once (against buckets built at the
 dominant weights and carried to the others), and its blocks eliminated
 directly at any weight and ranked on all their source columns (against
 transport from the dominant weight and the rank on the free columns).
+The weights of these oracles are pairs (row sums, column sums) added and
+subtracted entry by entry, against the package's packed weight keys.
 Partitions bounded in length and part size are enumerated here, apart
 from the package's unbounded `partitions_of`.
 
@@ -29,18 +31,34 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
 from math import factorial
+from operator import add, sub
 
 from minorrel.modlinalg import nullspace_mod, rank_mod
 from minorrel.partitions import canon, conjugate, partitions_of
-from minorrel.polyring import generators_for, pack, poly_mul, unpack, x_weight
-from minorrel.rees import (
-    _monomials_of_degree,
-    _shifted_rows,
-    _wadd,
-    _weights_of,
-    _wsub,
-)
+from minorrel.polyring import generators_for, pack, pack_weight, poly_mul, unpack, unpack_weight
+from minorrel.rees import _monomials_of_degree, _shifted_rows
 from minorrel.witness import veronese_engine
+
+
+def wadd(w, delta):
+    """Componentwise sum of weights."""
+    return tuple(map(add, w[0], delta[0])), tuple(map(add, w[1], delta[1]))
+
+
+def wsub(w, delta):
+    """Componentwise difference of weights, or None if any entry goes negative."""
+    rows = tuple(map(sub, w[0], delta[0]))
+    cols = tuple(map(sub, w[1], delta[1]))
+    if min(rows) < 0 or min(cols) < 0:
+        return None
+    return rows, cols
+
+
+def is_dominant(w):
+    """Whether the row sums and the column sums of w are both non-increasing."""
+    return all(a >= b for a, b in zip(w[0], w[0][1:])) and all(
+        a >= b for a, b in zip(w[1], w[1][1:])
+    )
 
 
 def unpacked(f, nvars):
@@ -378,19 +396,22 @@ def koszul_h1_full_weight(ctx, variant, d, p):
 
     Builds and ranks the block of every weight, dominant or not; weights
     where H_1 vanishes are left out.  Monomials are exponent tuples here,
-    and their sums are taken entry by entry.
+    and their sums and weights are taken entry by entry.
     """
-    nvars = ctx.num_vars
-    packed = generators_for(ctx, variant)
-    gw = _weights_of(ctx, packed)
-    gens = [unpacked(f, nvars) for f in packed]
+    nvars, n = ctx.num_vars, ctx.n
+    weight = lambda exp: (
+        tuple(sum(exp[i * n : i * n + n]) for i in range(ctx.m)),
+        tuple(sum(exp[j::n]) for j in range(n)),
+    )
+    gens = [unpacked(f, nvars) for f in generators_for(ctx, variant)]
+    gw = [weight(next(iter(g))) for g in gens]
     N = len(gens)
     monos = lambda deg: [unpack(key, nvars) for key in _monomials_of_degree(nvars, deg)]
     # basis of W (x) S_{d-2}: (k, monomial); group by weight
     blocks = {}
     for k in range(N):
         for exp in monos(d - 2):
-            blocks.setdefault(_wadd(gw[k], x_weight(ctx, pack(exp))), []).append((k, exp))
+            blocks.setdefault(wadd(gw[k], weight(exp)), []).append((k, exp))
     # boundary d1 images: w_k * x^exp, a polynomial of degree d
     d1rows = {}
     for w, members in blocks.items():
@@ -409,9 +430,9 @@ def koszul_h1_full_weight(ctx, variant, d, p):
         pair_index = {w: {kv: i for i, kv in enumerate(members)} for w, members in blocks.items()}
         for k in range(N):
             for l in range(k + 1, N):
-                w_kl = _wadd(gw[k], gw[l])
+                w_kl = wadd(gw[k], gw[l])
                 for mexp in monos(d - 4):
-                    w = _wadd(w_kl, x_weight(ctx, pack(mexp)))
+                    w = wadd(w_kl, weight(mexp))
                     idx = pair_index.get(w)
                     if idx is None:
                         continue
@@ -457,46 +478,58 @@ def veronese_generators_by_span(ctx, r, d_max, p):
 # eliminated and ranked directly
 
 
-def _weighted_multisets(weights, e, zero):
+def _weighted_multisets(weights, e):
     """(ms, weight of ms) for each sorted multiset ms of size e over range(len(weights)).
 
     They come in the order of combinations_with_replacement.  A depth-first
     stack carries the weight of each prefix, so each multiset costs one
     addition.
     """
-    stack = [((), zero)]
+    stack = [((), tuple((0,) * len(part) for part in weights[0]))]
     while stack:
         ms, w = stack.pop()
         if len(ms) == e:
             yield ms, w
             continue
         for k in range(len(weights) - 1, (ms[-1] if ms else 0) - 1, -1):
-            stack.append((ms + (k,), _wadd(w, weights[k])))
+            stack.append((ms + (k,), wadd(w, weights[k])))
 
 
-@lru_cache(maxsize=16)
-def multisets_all_weights(engine, e):
-    """{weight: [multiset]} of every sorted multiset of e of the engine's generators."""
+def _weights(engine, keys):
+    """The engine's weight keys as pairs (row sums, column sums)."""
+    return [unpack_weight(w, *engine.shape) for w in keys]
+
+
+def _multisets_by_weight(engine, e):
+    """{weight pair: [multiset]} of every sorted multiset of e of the engine's generators."""
     by_ms = {}
-    for ms, w in _weighted_multisets(engine.weights, e, engine.zero):
+    for ms, w in _weighted_multisets(_weights(engine, engine.weights), e):
         by_ms.setdefault(w, []).append(ms)
     return by_ms
 
 
 @lru_cache(maxsize=16)
+def multisets_all_weights(engine, e):
+    """{weight key: [multiset]} of every sorted multiset of e of the engine's generators."""
+    return {pack_weight(w): group for w, group in _multisets_by_weight(engine, e).items()}
+
+
+@lru_cache(maxsize=16)
 def sources_all_weights(engine, grade):
-    """Source basis of the engine's grade, bucketed by weight, at every weight.
+    """Source basis of the engine's grade, bucketed by weight key, at every weight.
 
     Lists every multiset of the grade with every factor; the engine builds
     a bucket only where it reads one.  Each bucket comes by factor
     position, then in the order of combinations_with_replacement.
     """
     factors, e = engine.factors(grade)
+    fweights = _weights(engine, [fw for _, fw in factors])
+    multisets = _multisets_by_weight(engine, e)
     buckets = {}
-    for f, fw in factors:
-        for w, group in multisets_all_weights(engine, e).items():
-            buckets.setdefault(_wadd(fw, w), []).extend((f, ms) for ms in group)
-    return buckets
+    for (f, _), fw in zip(factors, fweights):
+        for w, group in multisets.items():
+            buckets.setdefault(wadd(fw, w), []).extend((f, ms) for ms in group)
+    return {pack_weight(w): members for w, members in buckets.items()}
 
 
 def kernel_block_direct(engine, grade, w):
@@ -545,8 +578,9 @@ def min_gens_full_columns(engine, grade, w, kernel):
     """
     col = {s: i for i, s in enumerate(sources_all_weights(engine, grade)[w])}
     shifted = []
+    pair = unpack_weight(w, *engine.shape)
     for lower, delta, shift in engine.shifts(grade):
-        w2 = _wsub(w, delta)
+        w2 = wsub(pair, unpack_weight(delta, *engine.shape))
         if w2 is not None:
-            shifted += _shifted_rows(kernel(lower, w2), shift, col)
+            shifted += _shifted_rows(kernel(lower, pack_weight(w2)), shift, col)
     return len(kernel(grade, w)) - rank_mod(shifted, engine.p)

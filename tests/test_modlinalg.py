@@ -12,7 +12,7 @@ from minorrel.modlinalg import (
     nullspace_mod,
     rank_mod,
 )
-from minorrel.polyring import RingContext
+from minorrel.polyring import RingContext, pack_weight
 from minorrel.rees import ReesEngine
 from minorrel.witness import relation_engine, two_primes
 from oracles import nullspace_exact, rank_exact
@@ -96,7 +96,7 @@ def _random_and_engine_blocks(rng):
         (relation_engine(ctx, "permanents"), 3, ((3, 2, 1), (2, 2, 2))),
         (ReesEngine(ctx), (1, 2), ((2, 2, 1), (2, 2, 1))),
     ]:
-        blocks.append(_engine_block(engine, grade, w))
+        blocks.append(_engine_block(engine, grade, pack_weight(w)))
     return blocks
 
 

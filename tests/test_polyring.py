@@ -4,17 +4,22 @@ import pytest
 
 from minorrel.polyring import (
     MAX_EXP,
+    MAX_WEIGHT,
     RingContext,
     generators_for,
     guard_degree,
     pack,
+    pack_weight,
     poly_mul,
     unpack,
+    unpack_weight,
+    weight_guards,
+    weight_sub,
     x_weight,
 )
 from minorrel.rees import ReesEngine
 from minorrel.witness import relation_engine
-from oracles import quadrics_by_products, span_dimension, unpacked
+from oracles import quadrics_by_products, span_dimension, unpacked, wadd, wsub
 
 
 def test_ring_context_indexing():
@@ -66,7 +71,8 @@ def test_x_weight():
     # x[0,1] * x[1,2], at row-major indices 1 and 5
     f = poly_mul(ctx, {pack((0, 1, 0, 0, 0, 0)): 1}, {pack((0, 0, 0, 0, 0, 1)): 1})
     exp = next(iter(f))
-    assert x_weight(ctx, exp) == ((1, 1), (0, 1, 1))
+    assert unpack_weight(x_weight(ctx, exp), 2, 3) == ((1, 1), (0, 1, 1))
+    assert x_weight(ctx, exp) == pack_weight(((1, 1), (0, 1, 1)))
 
 
 def test_span_dimension_of_minors_and_permanents():
@@ -111,7 +117,51 @@ def test_packing_guard_raises_before_a_carry():
     # have degree 256
     engine = relation_engine(RingContext(2, 2), "minors")
     with pytest.raises(OverflowError):
-        engine.bucket(128, ((128, 128), (128, 128)))
-    assert engine.bucket(127, ((127, 127), (127, 127)))
+        engine.bucket(128, pack_weight(((128, 128), (128, 128))))
+    assert engine.products == {(): {0: 1}}  # no product was formed
+    assert engine.bucket(127, pack_weight(((127, 127), (127, 127))))
     with pytest.raises(OverflowError):
-        ReesEngine(RingContext(2, 2)).bucket((2, 127), ((128, 128), (128, 128)))
+        ReesEngine(RingContext(2, 2)).bucket((2, 127), pack_weight(((128, 128), (128, 128))))
+
+
+def _random_weight(rng, m, n, top):
+    fields = [rng.randint(0, top) for _ in range(m + n)]
+    return tuple(fields[:m]), tuple(fields[m:])
+
+
+def test_packed_weight_arithmetic_matches_tuples():
+    # the key of a sum is the sum of the keys; the guarded difference is the
+    # key of the difference, or None where an entry goes negative; every key
+    # unpacks to its weight; layouts up to 5x5
+    rng = random.Random(13)
+    for m in range(1, 6):
+        for n in range(1, 6):
+            guards = weight_guards(m, n)
+            zero = (0,) * m, (0,) * n
+            top = ((0,) * m, (0,) * (n - 1) + (1,))  # 1 in the highest field
+            low = ((1,) + (0,) * (m - 1), (0,) * n)  # 1 in the lowest field
+            full = (MAX_WEIGHT,) * m, (MAX_WEIGHT,) * n
+            pairs = [(zero, low), (zero, top), (full, full), (full, zero), (zero, full)]
+            pairs += [(full, low), (full, top), (low, top), (top, low)]
+            for _ in range(60):
+                pairs.append((_random_weight(rng, m, n, 3), _random_weight(rng, m, n, 3)))
+                big, small = _random_weight(rng, m, n, MAX_WEIGHT), _random_weight(rng, m, n, 9)
+                pairs.append((big, small))
+                w = _random_weight(rng, m, n, MAX_WEIGHT)
+                pairs.append((w, _random_weight(rng, m, n, MAX_WEIGHT)))
+                pairs.append((w, w))
+            for w, d in pairs:
+                kw, kd = pack_weight(w), pack_weight(d)
+                assert unpack_weight(kw, m, n) == w
+                diff = wsub(w, d)
+                found = weight_sub(kw, kd, guards)
+                assert found == (None if diff is None else pack_weight(diff)), (w, d)
+                total = wadd(w, d)
+                if max(max(total[0]), max(total[1])) <= MAX_WEIGHT:
+                    assert kw + kd == pack_weight(total), (w, d)
+                    assert weight_sub(kw + kd, kd, guards) == kw
+    assert weight_sub(0, pack_weight(((1,), (0,))), weight_guards(1, 1)) is None
+    assert weight_sub(0, pack_weight(((0,), (1,))), weight_guards(1, 1)) is None
+    for bad in [((MAX_WEIGHT + 1,), (0,)), ((0,), (-1,)), ((0, 0), (0, MAX_WEIGHT + 1))]:
+        with pytest.raises(OverflowError):
+            pack_weight(bad)

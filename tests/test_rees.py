@@ -4,11 +4,10 @@ import pytest
 
 from minorrel import rees, witness
 from minorrel.modlinalg import PRIMES, rank_mod
-from minorrel.polyring import RingContext, generators_for, pack, unpack
+from minorrel.polyring import RingContext, generators_for, pack, pack_weight, unpack, unpack_weight
 from minorrel.rees import (
     GradedKernel,
     ReesEngine,
-    _is_dominant,
     _weights_of,
     fiber_type_check,
     orbit_total,
@@ -25,6 +24,7 @@ from minorrel.witness import (
 )
 from oracles import (
     coefficient_rows,
+    is_dominant,
     kernel_block_direct,
     kernel_blocks_direct,
     min_gens_full_columns,
@@ -79,9 +79,10 @@ def _full_weight_counts(engine, grades):
         buckets = sources_all_weights(engine, grade)
         at = {w: min_gens_full_columns(engine, grade, w, kernel) for w in buckets}
         dims = {w: len(kernel(grade, w)) for w in at}
-        for (rows, cols), c in at.items():
-            dom = (tuple(sorted(rows, reverse=True)), tuple(sorted(cols, reverse=True)))
-            assert (at[dom], dims[dom]) == (c, dims[(rows, cols)]), (grade, rows, cols)
+        for w, c in at.items():
+            rows, cols = unpack_weight(w, *engine.shape)
+            dom = pack_weight((sorted(rows, reverse=True), sorted(cols, reverse=True)))
+            assert (at[dom], dims[dom]) == (c, dims[w]), (grade, rows, cols)
         full = sum(at.values())
         assert engine.min_gens(grade) == full, grade
         assert engine.kernel_dim(grade) == sum(dims.values()), grade
@@ -164,7 +165,7 @@ def test_transported_kernels_match_direct_elimination():
         blocks = 0
         for grade in grades:
             for w, members in sources_all_weights(engine, grade).items():
-                if _is_dominant(w):
+                if is_dominant(unpack_weight(w, *engine.shape)):
                     continue
                 moved = engine.kernel_block(grade, w)
                 direct = kernel_block_direct(engine, grade, w)
@@ -213,7 +214,7 @@ def test_buckets_match_the_all_weights_enumeration():
 
             engine.count(grade, at)
             everywhere = sources_all_weights(engine, grade)
-            dominant = [w for w in everywhere if _is_dominant(w)]
+            dominant = [w for w in everywhere if is_dominant(unpack_weight(w, *engine.shape))]
             assert sorted(visited) == sorted(dominant), (name, grade)
             for w in everywhere:
                 engine.bucket(grade, w)
@@ -232,7 +233,7 @@ def test_free_column_rank_matches_full_column_rank():
         kernel = kernel_blocks_direct(engine)
         for grade in grades:
             for w in sources_all_weights(engine, grade):
-                if _is_dominant(w):
+                if is_dominant(unpack_weight(w, *engine.shape)):
                     expected = min_gens_full_columns(engine, grade, w, kernel)
                     assert engine._min_gens_at(grade, w) == expected, (name, grade, w)
 
@@ -264,6 +265,7 @@ def test_moves_that_do_not_permute_the_generators_are_refused():
     # that does not carry each generator to +- another one raises
     ctx = RingContext(2, 3)
     gens = generators_for(ctx, "minors")
-    engine = GradedKernel(gens, _weights_of(ctx, gens), ctx.num_vars, lambda perms: list(range(6)))
+    moves = lambda perms: list(range(6))
+    engine = GradedKernel(gens, _weights_of(ctx, gens), (ctx.m, ctx.n), ctx.num_vars, moves)
     with pytest.raises(ValueError):
         engine._table(((0, 1), (1, 0, 2)))

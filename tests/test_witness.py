@@ -7,7 +7,7 @@ from minorrel.birep import dim_at, predicted_character
 from minorrel import modlinalg
 from minorrel.modlinalg import PRIMES, CapacityError, NonUnitPivot, rank_mod
 from minorrel.polyring import RingContext
-from minorrel.rees import _is_dominant, orbit_total, rees_ideal
+from minorrel.rees import orbit_total, rees_ideal
 from minorrel.witness import (
     filtration_generator_space,
     koszul_h1_blocks,
@@ -18,7 +18,13 @@ from minorrel.witness import (
     veronese_engine,
     veronese_presentation_dims,
 )
-from oracles import koszul_h1_full_weight, span_dimension, unpacked, veronese_generators_by_span
+from oracles import (
+    is_dominant,
+    koszul_h1_full_weight,
+    span_dimension,
+    unpacked,
+    veronese_generators_by_span,
+)
 
 
 def test_relation_dims_2x4_minors():
@@ -63,7 +69,7 @@ def test_koszul_h1_blocks_are_weight_graded():
     assert orbit_total(blocks) == 16
     for (roww, colw), dim in blocks.items():
         assert sum(roww) == sum(colw) == 3
-        assert _is_dominant((roww, colw))
+        assert is_dominant((roww, colw))
 
 
 def test_koszul_h1_permanents_vanishing_bound():

@@ -19,7 +19,8 @@ weights: only the dominant weight of each orbit is eliminated, weighted by
 the orbit size.  The shifted kernels it needs may sit at non-dominant
 weights; each of those is the kernel at the dominant weight of its orbit,
 carried across by the permutation of rows and columns, with no
-elimination.  One engine object serves an instance: it is built once over
+elimination and no source basis there: each moved source is keyed by the
+tuple the permutation makes.  One engine object serves an instance: it is built once over
 the integers, where its source bases and generator products live, and
 `at(q)` runs it modulo q, dropping the kernels of any previous modulus.  q
 is a prime or, under `modlinalg.two_primes`, the product of two: the
@@ -137,8 +138,10 @@ class GradedKernel:
     `weights`, each of shape = (m, n) row and column sums; moves(perms)
     lists, for each variable, the variable that permuting rows and columns
     by perms takes it to.  The sign each generator takes under
-    a permutation is read off the generators themselves.  Call `at(q)`
-    before asking for a kernel.
+    a permutation is read off the generators themselves.  The source
+    bases (`bucket`, `multisets`) follow one rule at every weight, and the
+    engine reads them only at dominant weights.  Call `at(q)` before asking
+    for a kernel.
     """
 
     def __init__(self, gens, weights, shape, nvars, moves):
@@ -159,7 +162,7 @@ class GradedKernel:
         self._gen_degree = max((sum(unpack(exp, nvars)) for g in gens for exp in g), default=0)
         self._orbits = {}  # weight -> (dominant weight of its orbit, permutations to it)
         self._tables = {}  # (row, column) permutations -> transport table
-        self._grades = {}  # grade -> (factors, multiset size, factor positions, factor weights)
+        self._grades = {}  # grade -> (factors, multiset size, distinct factor weights)
         self._multisets = {}  # (size, weight) -> [multiset]
         self._buckets = {}  # (grade, weight) -> [source]
         self.products = {(): {0: 1}}  # multiset -> product of its generators
@@ -172,7 +175,6 @@ class GradedKernel:
         """
         self.p = q
         self._kernels = {}  # (grade, weight) -> kernel vectors {source: coeff}
-        self._free = {}  # (grade, dominant weight) -> free source of each kernel vector
         return self
 
     def product(self, ms):
@@ -210,7 +212,7 @@ class GradedKernel:
         ]
 
     def _grade(self, grade):
-        """(factors, multiset size, factor -> position, distinct factor weights), memoised."""
+        """(factors, multiset size, distinct factor weights), memoised."""
         if grade not in self._grades:
             factors, e = self.factors(grade)
             fweights = list(dict.fromkeys(fw for _, fw in factors))
@@ -218,8 +220,7 @@ class GradedKernel:
             # which its row sums count, plus e generators'
             top = max(sum(unpack_weight(fw, *self.shape)[0]) for fw in fweights)
             guard_degree(top + e * self._gen_degree, f"grade {grade}")
-            pos = {f: i for i, (f, _) in enumerate(factors)}
-            self._grades[grade] = factors, e, pos, fweights
+            self._grades[grade] = factors, e, fweights
         return self._grades[grade]
 
     def _orbit(self, w):
@@ -240,17 +241,14 @@ class GradedKernel:
     def multisets(self, e, w):
         """The multisets (sorted tuples) of e generators of weight w, in sorted order, memoised.
 
-        At a dominant w each multiset is its largest entry k appended to one
-        of size e - 1 and weight w - wt(g_k) whose entries are at most k.  At
-        any other w they are those of the dominant weight of w's orbit,
-        carried across by the generator map.
+        Each is its largest entry k appended to a multiset of size e - 1 and
+        weight w - wt(g_k) whose entries are at most k.
         """
         key = (e, w)
         if key not in self._multisets:
-            dom, perms = self._orbit(w)
             if e == 0:
                 out = [()] if w == 0 else []
-            elif dom == w:
+            else:
                 out = []
                 for k, gw in enumerate(self.weights):
                     rest = weight_sub(w, gw, self._guards)
@@ -258,48 +256,32 @@ class GradedKernel:
                         lower = self.multisets(e - 1, rest)
                         out += [ms + (k,) for ms in lower if not ms or ms[-1] <= k]
                 out.sort()
-            else:
-                gmap = self._table(perms)[0]
-                out = sorted(tuple(sorted(gmap[k] for k in ms)) for ms in self.multisets(e, dom))
             self._multisets[key] = out
         return self._multisets[key]
 
     def bucket(self, grade, w):
         """The sources (f, ms) of weight w in the grade, memoised.
 
-        They come by factor position, then in the order of
+        Each factor f, in factor order, is paired with the multisets of
+        weight w - wt(f), so they come in the order of
         combinations_with_replacement; elimination and the free-column
-        numbering follow this order.  At a dominant w each factor is paired
-        with the multisets of w - wt(f); any other w is carried across from
-        the dominant weight of its orbit by the factor and generator maps.
+        numbering follow this order.
         """
         key = (grade, w)
         if key not in self._buckets:
-            factors, e, pos, fweights = self._grade(grade)
-            dom, perms = self._orbit(w)
-            if dom == w:
-                rest = {fw: weight_sub(w, fw, self._guards) for fw in fweights}
-                out = [
-                    (f, ms)
-                    for f, fw in factors
-                    if rest[fw] is not None
-                    for ms in self.multisets(e, rest[fw])
-                ]
-            else:
-                gmap, _, fmap = self._table(perms)
-                out = sorted(
-                    (
-                        (fmap(f), tuple(sorted(gmap[k] for k in ms)))
-                        for f, ms in self.bucket(grade, dom)
-                    ),
-                    key=lambda s: (pos[s[0]], s[1]),
-                )
-            self._buckets[key] = out
+            factors, e, fweights = self._grade(grade)
+            rest = {fw: weight_sub(w, fw, self._guards) for fw in fweights}
+            self._buckets[key] = [
+                (f, ms)
+                for f, fw in factors
+                if rest[fw] is not None
+                for ms in self.multisets(e, rest[fw])
+            ]
         return self._buckets[key]
 
     def _dominant_weights(self, grade):
         """The dominant weights of the grade's total: partitions padded to m and n parts."""
-        _, e, _, fweights = self._grade(grade)
+        _, e, fweights = self._grade(grade)
         m, n = self.shape
         rows, cols = self._gen_total
         for frows, fcols in {tuple(map(sum, unpack_weight(fw, m, n))) for fw in fweights}:
@@ -320,17 +302,17 @@ class GradedKernel:
                 self._kernels[key] = self._eliminate(grade, w)
             else:
                 vectors = self.kernel_block(grade, dom)
-                self._kernels[key] = self._transport(grade, w, vectors, perms)
+                self._kernels[key] = self._transport(vectors, perms)
         return self._kernels[key]
 
     def _eliminate(self, grade, w):
         members = self.bucket(grade, w)
-        vectors, free = [], []
+        vectors = []
         if members:
             # one row per monomial, one column per polynomial; the subspace
             # comes first, so a kernel vector whose free column lies in it is
             # zero on the sources, and the rest project to a basis with one
-            # free source each
+            # free source each, which stays the vector's first key
             polys = self.modulo(grade, w) + [self.image(s) for s in members]
             skip = len(polys) - len(members)
             rows = {}
@@ -341,11 +323,8 @@ class GradedKernel:
                     rows.setdefault(exp, {})[i] = c
             guard_nonzeros(nnz, f"kernel block {grade} at weight {unpack_weight(w, *self.shape)}")
             for vec in nullspace_mod(list(rows.values()), len(polys), self.p):
-                first = next(iter(vec))  # the free column
-                if first >= skip:
+                if next(iter(vec)) >= skip:  # the free column is a source
                     vectors.append({members[i - skip]: c for i, c in vec.items() if i >= skip})
-                    free.append(members[first - skip])
-        self._free[(grade, w)] = free
         return vectors
 
     def _table(self, perms):
@@ -366,18 +345,16 @@ class GradedKernel:
             self._tables[perms] = gmap, signs, self.factor_map(perms)
         return self._tables[perms]
 
-    def _transport(self, grade, w, vectors, perms):
-        """The kernel vectors of a dominant block, carried to its orbit's weight w by perms.
+    def _transport(self, vectors, perms):
+        """The kernel vectors of a dominant block, carried across its orbit by perms.
 
         A source (f, ms) goes to the permuted factor and the sorted permuted
-        multiset, its coefficient times the signs of the generators; the
-        keys are w's own source tuples.
+        multiset, its coefficient times the signs of the generators.
         """
         if not vectors:
             return []
         gmap, signs, fmap = self._table(perms)
-        own = {s: s for s in self.bucket(grade, w)}
-        moved = {}  # source -> (its image at w, sign)
+        moved = {}  # source -> (its image, sign)
         q = self.p
         out = []
         for vec in vectors:
@@ -388,7 +365,7 @@ class GradedKernel:
                     sign = 1
                     for k in ms:
                         sign *= signs[k]
-                    moved[src] = own[(fmap(f), tuple(sorted(gmap[k] for k in ms)))], sign
+                    moved[src] = (fmap(f), tuple(sorted(gmap[k] for k in ms))), sign
                 dst, sign = moved[src]
                 new[dst] = c if sign > 0 else q - c
             out.append(new)
@@ -399,16 +376,17 @@ class GradedKernel:
 
         The shifted lower kernels lie in K_w, and a vector of K_w is fixed
         by its coordinates at K_w's free sources, so they are ranked on
-        those columns alone, numbered in source order.  The order does not
-        change the rank, but it changes the fill-in: with the rows taken
-        sparsest first, the ranks of the 5x3 Rees grade (3, 3) at one prime
-        took 10.3 s on a 2-core host, against 19.6 s with the columns
-        numbered from the last free source.
+        those columns alone, numbered in source order (each kernel vector's
+        first key is its free source).  The order does not change the rank,
+        but it changes the fill-in: with the rows taken sparsest first, the
+        ranks of the 5x3 Rees grade (3, 3) at one prime took 10.3 s on a
+        2-core host, against 19.6 s with the columns numbered from the last
+        free source.
         """
         kw = self.kernel_block(grade, w)
         if not kw:
             return 0
-        col = {s: i for i, s in enumerate(self._free[(grade, w)])}
+        col = {next(iter(v)): i for i, v in enumerate(kw)}
         shifted = []
         for lower, delta, shift in self.shifts(grade):
             w2 = weight_sub(w, delta, self._guards)

@@ -319,6 +319,7 @@ def suite_tasks(profile="quick", seed=0):
             mk("thm-4.1", m=3, n=3, r=1, d_max=3),
             mk("thm-4.1", m=3, n=3, r=2, d_max=4),
             mk("thm-4.1", m=3, n=4, r=1, d_max=3),
+            mk("thm-4.1", m=3, n=4, r=2, d_max=4),
         ]
         tasks += [mk("eq-tor1-Nr", m=5, n=5, r=r) for r in (1, 2, 3)]
     if profile == "long":
@@ -330,7 +331,6 @@ def suite_tasks(profile="quick", seed=0):
             mk("thm-1.2", m=4, n=4, d_max=4),
             mk("thm-5.1", m=3, n=3),
             mk("thm-5.1", m=3, n=4),
-            mk("thm-4.1", m=3, n=4, r=2, d_max=4),
             mk("thm-3.1", m=4, n=4, d_max=7),
             mk("thm-3.2", m=4, n=4, d_max=7),
             mk("thm-3.1", m=4, n=5, d_max=6),

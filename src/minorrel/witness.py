@@ -19,7 +19,7 @@ zero at one of them.  Every `compute(q)` below uses q only through ring
 operations, zero tests and `modlinalg`'s eliminations.
 """
 
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, product
 from math import factorial
 
 from .modlinalg import guard_nonzeros, rank_mod, two_primes
@@ -177,8 +177,10 @@ class _VeroneseRelations(GradedKernel):
 
     Sources of degree D are pairs (index into the generator space G_r,
     multiset of D - r quadrics).  The kernel is taken modulo the spanning
-    polynomials of M_{r-1,D}, which lower[D] buckets by weight when first
-    asked, so the image dimension in degree D is dim (M_r/M_{r-1})_D.
+    polynomials of M_{r-1,D} at the block's weight w: g * (product of the
+    multiset) for g in G_c, c < r, and each multiset of D - c quadrics of
+    weight w - wt(g).  So the image dimension in degree D is
+    dim (M_r/M_{r-1})_D.
     """
 
     def __init__(self, ctx, r):
@@ -188,7 +190,9 @@ class _VeroneseRelations(GradedKernel):
         self.ctx, self.r = ctx, r
         self.gspace = filtration_generator_space(ctx, r)
         self.gweights = _weights_of(ctx, self.gspace)
-        self.lower = {}
+        # (g, weight) of each G_c, c < r
+        spaces = [filtration_generator_space(ctx, c) for c in range(r)]
+        self.lower_spaces = [list(zip(g, _weights_of(ctx, g))) for g in spaces]
 
     def factors(self, D):
         return list(enumerate(self.gweights)), D - self.r
@@ -207,20 +211,13 @@ class _VeroneseRelations(GradedKernel):
         return self._generator_shifts(D - 1) if D > self.r else []
 
     def modulo(self, D, w):
-        if D not in self.lower:
-            polys = self.module_component(self.r - 1, D)
-            self.lower[D] = _group(polys, lambda f: x_weight(self.ctx, next(iter(f))))
-        return self.lower[D].get(w, [])
-
-    def module_component(self, r, D):
-        """Spanning polynomials of the degree-D piece of M_r (degree 2D in x)."""
         out = []
-        for c in range(0, min(r, D) + 1):
-            gspace = filtration_generator_space(self.ctx, c)
-            for ms in combinations_with_replacement(range(len(self.gens)), D - c):
-                prod = self.product(ms)
-                for g in gspace:
-                    out.append(poly_mul(self.ctx, g, prod))
+        for c, space in enumerate(self.lower_spaces[: D + 1]):
+            for g, gw in space:
+                rest = weight_sub(w, gw, self._guards)
+                if rest is not None:
+                    for ms in self.multisets(D - c, rest):
+                        out.append(poly_mul(self.ctx, g, self.product(ms)))
         return out
 
 

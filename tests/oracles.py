@@ -11,10 +11,11 @@ Littlewood-Richardson coefficients by tableau count, one nu at a time
 (against Jacobi-Trudi), span dimensions of explicit polynomials, the 2x2
 quadrics as sums of products of variables (against the one-formula
 builder), Koszul homology at every torus weight (against the dominant
-weights alone), the Veronese generator count by whole-degree span ranks
-(against the engine's weight blocks), the graded-kernel engine's source
-basis listed at every weight at once (against buckets built at the
-dominant weights and carried to the others), and its blocks eliminated
+weights alone), the Veronese module M_r spanned in a whole degree and the
+generator count by its span ranks (against the engine's weight blocks and
+the M_{r-1} part it builds at one weight), the graded-kernel engine's
+source basis listed at every weight at once (against buckets built weight
+by weight from the multisets one size down), and its blocks eliminated
 directly at any weight and ranked on all their source columns (against
 transport from the dominant weight and the rank on the free columns).
 The weights of these oracles are pairs (row sums, column sums) added and
@@ -29,7 +30,7 @@ the Schur basis unless a name says power sums.
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import zip_longest
+from itertools import combinations_with_replacement, zip_longest
 from math import factorial
 from operator import add, sub
 
@@ -37,7 +38,7 @@ from minorrel.modlinalg import nullspace_mod, rank_mod
 from minorrel.partitions import canon, conjugate, partitions_of
 from minorrel.polyring import generators_for, pack, pack_weight, poly_mul, unpack, unpack_weight
 from minorrel.rees import _monomials_of_degree, _shifted_rows
-from minorrel.witness import veronese_engine
+from minorrel.witness import filtration_generator_space, veronese_engine
 
 
 def wadd(w, delta):
@@ -454,6 +455,18 @@ def koszul_h1_full_weight(ctx, variant, d, p):
 # Veronese generators by whole-degree span ranks
 
 
+def module_component(engine, r, D):
+    """Spanning polynomials of the degree-D piece of M_r (degree 2D in x), at every weight."""
+    out = []
+    for c in range(0, min(r, D) + 1):
+        gspace = filtration_generator_space(engine.ctx, c)
+        for ms in combinations_with_replacement(range(len(engine.gens)), D - c):
+            prod = engine.product(ms)
+            for g in gspace:
+                out.append(poly_mul(engine.ctx, g, prod))
+    return out
+
+
 def veronese_generators_by_span(ctx, r, d_max, p):
     """{D: dim M_{r,D} - dim(M_{r-1,D} + W*M_{r,D-1})} for D <= d_max, at one prime.
 
@@ -465,8 +478,8 @@ def veronese_generators_by_span(ctx, r, d_max, p):
     out = {}
     prev = []
     for D in range(d_max + 1):
-        mr = engine.module_component(r, D)
-        sub = engine.module_component(r - 1, D)
+        mr = module_component(engine, r, D)
+        sub = module_component(engine, r - 1, D)
         sub += [poly_mul(ctx, w, f) for w in engine.gens for f in prev]
         out[D] = rank_mod(coefficient_rows(mr), p) - rank_mod(coefficient_rows(sub), p)
         prev = mr

@@ -136,7 +136,7 @@ def test_unreached_definitions_are_found():
 def test_every_package_definition_is_reached_from_the_package():
     # Code that only the tests reach belongs in tests/.  The one leftover is
     # birep.character_from_weight_dims, which waits for the witnesses to
-    # return characters (ROADMAP item 2); that item shrinks this set, and
+    # return characters (ROADMAP item 3); that item shrinks this set, and
     # nothing may be added to it.
     sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert unreached_definitions(sources) == {"character_from_weight_dims"}

@@ -135,6 +135,7 @@ def _instances():
         ("minors 3x4", relation_engine(RingContext(3, 4), "minors").at(p), [1, 2, 3]),
         ("permanents 3x3", relation_engine(RingContext(3, 3), "permanents").at(p), [1, 2, 3]),
         ("veronese 3x3 r=1", veronese_engine(RingContext(3, 3), 1).at(p), [1, 2, 3]),
+        ("veronese 3x3 r=2", veronese_engine(RingContext(3, 3), 2).at(p), [2, 3]),
         ("subspace 3x3", subspace_engine(3, 3).at(p), [1, 2, 3]),
     ]
 
@@ -200,10 +201,12 @@ def test_one_run_modulo_two_primes_counts_as_each_prime(monkeypatch):
 
 
 def test_buckets_match_the_all_weights_enumeration():
-    # the engine builds a bucket at a dominant weight from the multisets one
-    # size down, and elsewhere carries the dominant one across; each bucket
-    # and multiset list it built equals the all-weights enumeration there,
-    # order included, and count visits every dominant weight with sources
+    # the engine builds a bucket, at any weight, by pairing each factor with
+    # the multisets of the rest of the weight, and a multiset list from the
+    # lists one size down; each one it built equals the all-weights
+    # enumeration there, order included.  count visits every dominant
+    # weight with sources, and builds no other bucket: transport keys the
+    # moved kernel vectors by the tuples it makes
     for name, engine, grades in _instances():
         for grade in grades:
             visited = []
@@ -216,7 +219,10 @@ def test_buckets_match_the_all_weights_enumeration():
             everywhere = sources_all_weights(engine, grade)
             dominant = [w for w in everywhere if is_dominant(unpack_weight(w, *engine.shape))]
             assert sorted(visited) == sorted(dominant), (name, grade)
-            for w in everywhere:
+        for grade, w in engine._buckets:
+            assert is_dominant(unpack_weight(w, *engine.shape)), (name, grade, w)
+        for grade in grades:
+            for w in sources_all_weights(engine, grade):
                 engine.bucket(grade, w)
         for (grade, w), members in engine._buckets.items():
             assert members == sources_all_weights(engine, grade).get(w, []), (name, grade, w)

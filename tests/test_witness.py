@@ -1,12 +1,12 @@
 import random
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
 from minorrel.birep import dim_at, predicted_character
 from minorrel import modlinalg
 from minorrel.modlinalg import PRIMES, CapacityError, NonUnitPivot, rank_mod
-from minorrel.polyring import RingContext
+from minorrel.polyring import RingContext, pack_weight, x_weight
 from minorrel.rees import orbit_total, rees_ideal
 from minorrel.witness import (
     filtration_generator_space,
@@ -19,8 +19,10 @@ from minorrel.witness import (
     veronese_presentation_dims,
 )
 from oracles import (
+    coefficient_rows,
     is_dominant,
     koszul_h1_full_weight,
+    module_component,
     span_dimension,
     unpacked,
     veronese_generators_by_span,
@@ -133,6 +135,29 @@ def test_veronese_generators_match_span_oracle():
         ctx = RingContext(m, n)
         out = veronese_presentation_dims(ctx, r, d_max)
         assert out["generators"] == veronese_generators_by_span(ctx, r, d_max, PRIMES[0])
+
+
+def _compositions(total, parts):
+    return [c for c in product(range(total + 1), repeat=parts) if sum(c) == total]
+
+
+def test_veronese_modulo_spans_the_lower_module_at_each_weight():
+    # the engine builds M_{r-1,D} at one weight w; it spans the weight-w part
+    # of the whole-degree span, at every weight of the degree
+    ctx = RingContext(3, 3)
+    p = PRIMES[0]
+    rank = lambda polys: rank_mod(coefficient_rows(polys), p) if polys else 0
+    for r in (1, 2):
+        engine = veronese_engine(ctx, r)
+        for D in (2, 3):
+            whole = {}
+            for f in module_component(engine, r - 1, D):
+                whole.setdefault(x_weight(ctx, next(iter(f))), []).append(f)
+            rows, cols = _compositions(2 * D, ctx.m), _compositions(2 * D, ctx.n)
+            for w in map(pack_weight, product(rows, cols)):
+                part, expected = engine.modulo(D, w), whole.get(w, [])
+                dim = rank(expected)
+                assert rank(part) == dim == rank(part + expected), (r, D, w)
 
 
 def test_veronese_image_matches_lemma_4_3():

@@ -12,18 +12,16 @@ variety (the base class, one unit factor), the Veronese presentation (in
 
 Everything is computed per torus-weight block; a weight is the pair (row
 sums, column sums), packed into one int (`polyring.pack_weight`) and
-unpacked only to permute it or to count its orbit.  Permuting rows and
-columns of the matrix maps each source basis to itself up to sign, over the
-integers, so each per-weight count is constant on S_m x S_n orbits of
-weights: only the dominant weight of each orbit is eliminated, weighted by
-the orbit size.  The shifted kernels it needs may sit at non-dominant
-weights; each of those is the kernel at the dominant weight of its orbit,
-carried across by the permutation of rows and columns, with no
-elimination and no source basis there: each moved source is keyed by the
-tuple the permutation makes.  One engine object serves an instance: it is built once over
-the integers, where its source bases and generator products live, and
-`at(q)` runs it modulo q, dropping the kernels of any previous modulus.  q
-is a prime or, under `modlinalg.two_primes`, the product of two: the
+unpacked only to move it or to count its orbit.  Permuting rows and
+columns maps each source basis to itself up to sign, over the integers, and
+so does the transpose at m = n where the instance has it (sign +1 on each
+minor and permanent).  So each per-weight count is constant on orbits, and
+only one representative weight of each is eliminated (`_orbit`); a kernel
+elsewhere is carried across from it by a move, with no elimination and no
+source basis there.  One engine object serves an instance: it is built
+once over the integers, where its source bases and generator products live,
+and `at(q)` runs it modulo q, dropping the kernels of any previous modulus.
+q is a prime or, under `modlinalg.two_primes`, the product of two: the
 engine uses q only through ring operations, zero tests and `modlinalg`'s
 eliminations, so one run at p1 * p2 is the run at each prime.
 
@@ -46,11 +44,16 @@ from .polyring import pack_weight, unpack_weight, weight_guards, weight_sub
 
 
 def matrix_moves(ctx):
-    """The `moves` of the matrix variables: x[i, j] goes to x[rows[i], cols[j]]."""
+    """The `moves` of the matrix variables.
+
+    x[i, j] goes to x[rows[i], cols[j]], or to x[rows[j], cols[i]] if transposed.
+    """
     n = ctx.n
 
-    def moves(perms):
-        rows, cols = perms
+    def moves(move):
+        rows, cols, transposed = move
+        if transposed:
+            return [rows[v % n] * n + cols[v // n] for v in range(ctx.num_vars)]
         return [rows[v // n] * n + cols[v % n] for v in range(ctx.num_vars)]
 
     return moves
@@ -59,6 +62,21 @@ def matrix_moves(ctx):
 def _weights_of(ctx, gens):
     """Packed torus weight of each generator; all its monomials share it."""
     return [x_weight(ctx, next(iter(g))) for g in gens]
+
+
+def _has_transpose(moves, m):
+    """Whether moves takes the transpose at m x m, rather than raising ValueError."""
+    identity = tuple(range(m))
+    try:
+        moves((identity, identity, True))
+    except ValueError:
+        return False
+    return True
+
+
+def _by_mirror(lam, mu, transpose):
+    """Whether (mu, lam) represents the sorted weight (lam, mu); the reverse rule was slower."""
+    return transpose and mu > lam
 
 
 def _permute(part, perm):
@@ -102,11 +120,12 @@ def orbit_total(dims):
     return sum(_orbit_size(w) * c for w, c in dims.items())
 
 
-def _monomials_of_degree(nvars, d):
-    """Monomial keys of total degree d, in the order of combinations_with_replacement."""
+def _monomials_of_degree(ctx, d):
+    """(key, weight) of the monomials of degree d, in the order of combinations_with_replacement."""
     guard_degree(d, "monomials")
-    for split in combinations_with_replacement(range(nvars), d):
-        yield sum(1 << 8 * i for i in split)
+    var_weights = [x_weight(ctx, 1 << 8 * v) for v in range(ctx.num_vars)]
+    for split in combinations_with_replacement(range(ctx.num_vars), d):
+        yield sum(1 << 8 * i for i in split), sum(var_weights[i] for i in split)
 
 
 def _shifted_rows(vectors, shift, col):
@@ -135,20 +154,21 @@ class GradedKernel:
     multiplications by the generators as shifts.  Subclasses override
     `factors`, `image`, `shifts`, `modulo` and `factor_map`.  gens are
     polynomials in nvars variables, of distinct packed torus weights
-    `weights`, each of shape = (m, n) row and column sums; moves(perms)
-    lists, for each variable, the variable that permuting rows and columns
-    by perms takes it to.  The sign each generator takes under
-    a permutation is read off the generators themselves.  The source
-    bases (`bucket`, `multisets`) follow one rule at every weight, and the
-    engine reads them only at dominant weights.  Call `at(q)` before asking
-    for a kernel.
+    `weights`, each of shape = (m, n) row and column sums; moves(move)
+    lists, for each variable, the variable that the move (rows, cols,
+    transposed) takes it to, or raises ValueError if there is no transpose;
+    the sign each generator takes is read off the generators themselves.
+    The source bases (`bucket`, `multisets`) follow one rule at every
+    weight, and the engine reads them only at the representative weights
+    (`_orbit`).  Call `at(q)` before asking for a kernel.
     """
 
     def __init__(self, gens, weights, shape, nvars, moves):
         self.gens, self.weights, self.shape, self.moves = gens, weights, shape, moves
         self._guards = weight_guards(*shape)
-        # a permutation of rows and columns moves each generator to the one
-        # of the permuted weight, so the weights must tell them apart
+        self._transpose = shape[0] == shape[1] and _has_transpose(moves, shape[0])
+        # a move of rows and columns takes each generator to the one of the
+        # moved weight, so the weights must tell them apart
         self._by_weight = {w: k for k, w in enumerate(weights)}
         if len(self._by_weight) != len(weights):
             raise ValueError("generator weights must be distinct")
@@ -160,8 +180,8 @@ class GradedKernel:
         (self._gen_total,) = totals
         self.nvars = nvars
         self._gen_degree = max((sum(unpack(exp, nvars)) for g in gens for exp in g), default=0)
-        self._orbits = {}  # weight -> (dominant weight of its orbit, permutations to it)
-        self._tables = {}  # (row, column) permutations -> transport table
+        self._orbits = {}  # weight -> (representative of its orbit, move to it)
+        self._tables = {}  # move -> transport table
         self._grades = {}  # grade -> (factors, multiset size, distinct factor weights)
         self._multisets = {}  # (size, weight) -> [multiset]
         self._buckets = {}  # (grade, weight) -> [source]
@@ -201,8 +221,8 @@ class GradedKernel:
         """Polynomials of the grade and weight to take the kernel modulo."""
         return []
 
-    def factor_map(self, perms):
-        """The factor that permuting rows and columns by perms turns a factor into."""
+    def factor_map(self, move):
+        """The factor that the move (rows, cols, transposed) turns a factor into."""
         return lambda f: f
 
     def _generator_shifts(self, lower):
@@ -224,19 +244,25 @@ class GradedKernel:
         return self._grades[grade]
 
     def _orbit(self, w):
-        """The dominant weight of w's orbit, and the (row, column) permutations taking it to w."""
+        """The representative of w's orbit (sums sorted, then `_by_mirror`), and the move to w."""
         if w not in self._orbits:
             parts = unpack_weight(w, *self.shape)
-            perms = tuple(
+            rows, cols = (
                 tuple(sorted(range(len(p)), key=p.__getitem__, reverse=True)) for p in parts
             )
-            dom = [[part[i] for i in perm] for part, perm in zip(parts, perms)]
-            self._orbits[w] = pack_weight(dom), perms
+            lam, mu = ([part[i] for i in perm] for part, perm in zip(parts, (rows, cols)))
+            transposed = _by_mirror(lam, mu, self._transpose)
+            rep = (mu, lam) if transposed else (lam, mu)
+            self._orbits[w] = pack_weight(rep), (rows, cols, transposed)
         return self._orbits[w]
 
-    def _permuted(self, w, perms):
-        """The weight w with its rows and columns permuted by perms."""
-        return pack_weight(tuple(map(_permute, unpack_weight(w, *self.shape), perms)))
+    def _permuted(self, w, move):
+        """The weight w moved by (rows, cols, transposed): swapped if transposed, then permuted."""
+        rows, cols, transposed = move
+        lam, mu = unpack_weight(w, *self.shape)
+        if transposed:
+            lam, mu = mu, lam
+        return pack_weight((_permute(lam, rows), _permute(mu, cols)))
 
     def multisets(self, e, w):
         """The multisets (sorted tuples) of e generators of weight w, in sorted order, memoised.
@@ -292,17 +318,17 @@ class GradedKernel:
     def kernel_block(self, grade, w):
         """Kernel vectors of the block of weight w in the grade, modulo `modulo`.
 
-        Only a dominant block is eliminated; any other is transported from
-        the dominant weight of its orbit.
+        Only a representative block is eliminated; any other is transported
+        from the representative of its orbit.
         """
         key = (grade, w)
         if key not in self._kernels:
-            dom, perms = self._orbit(w)
-            if dom == w:
+            rep, move = self._orbit(w)
+            if rep == w:
                 self._kernels[key] = self._eliminate(grade, w)
             else:
-                vectors = self.kernel_block(grade, dom)
-                self._kernels[key] = self._transport(vectors, perms)
+                vectors = self.kernel_block(grade, rep)
+                self._kernels[key] = self._transport(vectors, move)
         return self._kernels[key]
 
     def _eliminate(self, grade, w):
@@ -327,33 +353,34 @@ class GradedKernel:
                     vectors.append({members[i - skip]: c for i, c in vec.items() if i >= skip})
         return vectors
 
-    def _table(self, perms):
-        """(generator map, generator signs, factor map) of a permutation of rows and columns.
+    def _table(self, move):
+        """(generator map, generator signs, factor map) of a move (rows, cols, transposed).
 
-        Each generator goes to the one of the permuted weight, and its sign
-        is found by permuting its variables: -1 for a 2x2 minor whose rows
-        or columns swap, +1 for a permanent or a subspace coordinate.
+        Each generator goes to the one of the moved weight, and its sign is
+        found by moving its variables: -1 for a 2x2 minor whose rows or
+        columns swap, +1 for a permanent, a subspace coordinate or a
+        transposed minor.
         """
-        if perms not in self._tables:
-            moves = self.moves(perms)
+        if move not in self._tables:
+            moves = self.moves(move)
             gmap, signs = [], []
             for g, gw in zip(self.gens, self.weights):
-                k = self._by_weight[self._permuted(gw, perms)]
+                k = self._by_weight[self._permuted(gw, move)]
                 moved = {pack(_permute(unpack(exp, self.nvars), moves)): c for exp, c in g.items()}
                 gmap.append(k)
                 signs.append(_sign_between(moved, self.gens[k]))
-            self._tables[perms] = gmap, signs, self.factor_map(perms)
-        return self._tables[perms]
+            self._tables[move] = gmap, signs, self.factor_map(move)
+        return self._tables[move]
 
-    def _transport(self, vectors, perms):
-        """The kernel vectors of a dominant block, carried across its orbit by perms.
+    def _transport(self, vectors, move):
+        """The kernel vectors of a representative block, carried across its orbit by move.
 
-        A source (f, ms) goes to the permuted factor and the sorted permuted
+        A source (f, ms) goes to the moved factor and the sorted moved
         multiset, its coefficient times the signs of the generators.
         """
         if not vectors:
             return []
-        gmap, signs, fmap = self._table(perms)
+        gmap, signs, fmap = self._table(move)
         moved = {}  # source -> (its image, sign)
         q = self.p
         out = []
@@ -372,16 +399,14 @@ class GradedKernel:
         return out
 
     def _min_gens_at(self, grade, w):
-        """Kernel dimension at a dominant (grade, w) minus the rank of the shifted lower kernels.
+        """Kernel dimension at a representative (grade, w) minus the rank of the shifted kernels.
 
         The shifted lower kernels lie in K_w, and a vector of K_w is fixed
         by its coordinates at K_w's free sources, so they are ranked on
         those columns alone, numbered in source order (each kernel vector's
         first key is its free source).  The order does not change the rank,
-        but it changes the fill-in: with the rows taken sparsest first, the
-        ranks of the 5x3 Rees grade (3, 3) at one prime took 10.3 s on a
-        2-core host, against 19.6 s with the columns numbered from the last
-        free source.
+        but it changes the fill-in: on the 5x3 Rees grade (3, 3) the reverse
+        order took twice as long.
         """
         kw = self.kernel_block(grade, w)
         if not kw:
@@ -396,10 +421,14 @@ class GradedKernel:
         return len(kw) - rank_mod(shifted, self.p, stop=len(kw))
 
     def count(self, grade, at):
-        """Sum of at(grade, w) over all weights, from the dominant ones with sources."""
-        dominant = self._dominant_weights(grade)
-        dims = {w: at(grade, w) for w in dominant if self.bucket(grade, w)}
-        return orbit_total({unpack_weight(w, *self.shape): c for w, c in dims.items()})
+        """Sum of at(grade, w) over all weights; at runs once per representative with sources."""
+        at_rep, dims = {}, {}
+        for w in self._dominant_weights(grade):
+            rep = self._orbit(w)[0]
+            if rep not in at_rep:
+                at_rep[rep] = at(grade, rep) if self.bucket(grade, rep) else 0
+            dims[unpack_weight(w, *self.shape)] = at_rep[rep]
+        return orbit_total(dims)
 
     def min_gens(self, grade):
         """Minimal generator count in the grade."""
@@ -430,15 +459,14 @@ class ReesEngine(GradedKernel):
         weights = _weights_of(ctx, gens)
         super().__init__(gens, weights, (ctx.m, ctx.n), ctx.num_vars, matrix_moves(ctx))
         self.ctx = ctx
-        self.var_weights = [x_weight(ctx, 1 << 8 * v) for v in range(ctx.num_vars)]
+        self.var_weights = [w for _, w in _monomials_of_degree(ctx, 1)]
 
     def factors(self, grade):
         a, e = grade
-        monos = _monomials_of_degree(self.ctx.num_vars, a)
-        return [(x, x_weight(self.ctx, x)) for x in monos], e
+        return list(_monomials_of_degree(self.ctx, a)), e
 
-    def factor_map(self, perms):
-        moves, nvars = self.moves(perms), self.nvars
+    def factor_map(self, move):
+        moves, nvars = self.moves(move), self.nvars
         return cache(lambda x: pack(_permute(unpack(x, nvars), moves)))
 
     def image(self, source):

@@ -196,7 +196,7 @@ _M_N = {"m": (2, None), "n": (2, None)}
 _THM_1_2 = _by_degree("thm-1.2", "permanents")
 _SUBSPACE = (_run_subspace, (3, 4, 4), {**_M_N, "d_max": (1, lambda p: p["m"] + 1)})
 _STATEMENTS = {
-    "thm-1.1": (_by_degree("thm-1.1", "minors"), (4, 5, 6), {**_M_N, "d_max": (2, 4)}),
+    "thm-1.1": (_by_degree("thm-1.1", "minors"), (5, 5, 6), {**_M_N, "d_max": (2, 4)}),
     "thm-1.2": (_THM_1_2, (4, 5, 6), {**_M_N, "d_max": (2, 4)}),
     "sec-6-Tbar": (_THM_1_2, (3, 3, 3), {**_M_N, "d_max": (2, 3)}),
     "thm-3.1": (_by_degree("thm-3.1", "minors", True), (4, 5, 9), {**_M_N, "d_max": (2, 5)}),
@@ -336,6 +336,7 @@ def suite_tasks(profile="quick", seed=0):
             mk("thm-3.1", m=4, n=5, d_max=6),
             mk("thm-3.1", m=3, n=4, d_max=9),
             mk("thm-3.2", m=3, n=4, d_max=9),
+            mk("thm-1.1", m=5, n=5, d_max=4),
         ]
     return tasks
 

@@ -9,23 +9,25 @@ A weight is the pair (row sums, column sums), packed into one int
 The relation ideals, the subspace variety and the Veronese relations are
 instances of the graded kernel engine in `rees`: one engine per instance,
 built once over the integers and run modulo q by `engine.at(q)`.  Koszul
-homology is a pair of ranks per block, built and ranked only at dominant
-weights and keyed by them: each per-weight dimension is constant on
-S_m x S_n orbits, and `rees.orbit_total` gives the total.  Products and
-matrices are built once over the integers; kernels and ranks run through
-`two_primes`, which draws two seeded primes, runs once modulo their product
-and falls back to one run per prime, which must agree, only when a pivot is
-zero at one of them.  Every `compute(q)` below uses q only through ring
-operations, zero tests and `modlinalg`'s eliminations.
+homology is a pair of ranks per block, keyed by dominant weights: each
+per-weight dimension is constant on S_m x S_n orbits, and
+`rees.orbit_total` gives the total; at m = n only one block of each
+transposed pair is built.  Products and matrices are built once over the
+integers; kernels and ranks run through `two_primes`, which draws two
+seeded primes, runs once modulo their product and falls back to one run per
+prime, which must agree, only when a pivot is zero at one of them.  Every
+`compute(q)` below uses q only through ring operations, zero tests and
+`modlinalg`'s eliminations.
 """
 
 from itertools import combinations, product
 from math import factorial
 
 from .modlinalg import guard_nonzeros, rank_mod, two_primes
-from .polyring import generators_for, guard_degree, pack, poly_mul, unpack, x_weight
+from .polyring import generators_for, guard_degree, pack, poly_mul, unpack
 from .polyring import pack_weight, weight_guards, weight_sub
-from .rees import GradedKernel, _monomials_of_degree, _padded_partitions, _weights_of, matrix_moves
+from .rees import GradedKernel, _by_mirror, _monomials_of_degree, _padded_partitions, _weights_of
+from .rees import matrix_moves
 
 
 def presentation_dims(engine, d_max, seed=0):
@@ -60,11 +62,11 @@ def relation_dims(ctx, variant, d_max, seed=0):
 # Koszul homology H_1 of the quadric space W (or its permanent analogue)
 
 
-def _group(items, key):
-    """{key(x): [x, ...]} in the order of items."""
+def _group(pairs):
+    """{w: [x, ...]} of the pairs (x, w), in their order."""
     out = {}
-    for x in items:
-        out.setdefault(key(x), []).append(x)
+    for x, w in pairs:
+        out.setdefault(w, []).append(x)
     return out
 
 
@@ -84,11 +86,13 @@ def koszul_h1_blocks(ctx, variant, d, seed=0):
     sums, column sums).  Permuting rows and columns maps the bases of
     W (x) S_{d-2} and W^W (x) S_{d-4} to themselves up to sign, so H_1 at
     any weight equals H_1 at the dominant weight of its orbit, and
-    `rees.orbit_total` of the result is the total dimension.  The dominant
-    weights are enumerated directly, as the pairs of partitions of d padded
-    to m and n parts, and one whose W (x) S_{d-2} basis is empty is skipped.
-    Only dominant blocks are built: their boundary matrices once over the
-    integers, ranked mod two seeded primes.
+    `rees.orbit_total` of the result is the total dimension.  At m = n so
+    does the transpose, so H_1 at (lam, mu) is H_1 at (mu, lam): only the
+    side `rees._by_mirror` keeps is built.  The dominant weights are
+    enumerated directly, as the pairs of partitions of d padded to m and n
+    parts, and one whose W (x) S_{d-2} basis is empty is skipped.  Only these
+    blocks are built: their boundary matrices once over the integers, ranked
+    mod two seeded primes.
     """
     if d < 2:
         raise ValueError("degree must be >= 2")
@@ -96,15 +100,19 @@ def koszul_h1_blocks(ctx, variant, d, seed=0):
     gens = generators_for(ctx, variant)
     gw = _weights_of(ctx, gens)
     # monomials of degree d-2 and d-4, generators and pairs k < l, by weight
-    weight = lambda x: x_weight(ctx, x)
-    mono2 = _group(_monomials_of_degree(ctx.num_vars, d - 2), weight)
-    mono4 = _group(_monomials_of_degree(ctx.num_vars, d - 4), weight) if d >= 4 else {}
-    gens_at = _group(range(len(gens)), gw.__getitem__)
-    pairs_at = _group(combinations(range(len(gens)), 2), lambda kl: gw[kl[0]] + gw[kl[1]])
+    mono2 = _group(_monomials_of_degree(ctx, d - 2))
+    mono4 = _group(_monomials_of_degree(ctx, d - 4)) if d >= 4 else {}
+    gens_at = _group(enumerate(gw))
+    pairs_at = _group((kl, gw[kl[0]] + gw[kl[1]]) for kl in combinations(range(len(gens)), 2))
     guards = weight_guards(ctx.m, ctx.n)
+    # the block built for each dominant weight: itself, or at m = n maybe its mirror
+    doms = sorted(product(_padded_partitions(d, ctx.m), _padded_partitions(d, ctx.n)))
+    rep = {dom: dom[::-1] if _by_mirror(*dom, ctx.m == ctx.n) else dom for dom in doms}
     blocks = []
     nnz1 = nnz2 = 0
-    for dom in sorted(product(_padded_partitions(d, ctx.m), _padded_partitions(d, ctx.n))):
+    for dom in doms:
+        if rep[dom] != dom:
+            continue
         w = pack_weight(dom)
         # basis of W (x) S_{d-2} at w: (k, x^a) with wt(k) + wt(a) = w
         fits = _fits(w, gens_at, guards)
@@ -139,14 +147,12 @@ def koszul_h1_blocks(ctx, variant, d, seed=0):
         blocks.append((dom, len(basis), d1, d2))
 
     def compute(q):
-        result = {}
+        h1 = {}
         for w, size, d1, d2 in blocks:
-            h1 = size - rank_mod(d1, q)
+            h1[w] = size - rank_mod(d1, q)
             if d2:
-                h1 -= rank_mod(d2, q)
-            if h1:
-                result[w] = h1
-        return result
+                h1[w] -= rank_mod(d2, q)
+        return {dom: h1[rep[dom]] for dom in doms if h1.get(rep[dom])}
 
     return two_primes(seed, compute)
 
@@ -164,11 +170,11 @@ def filtration_generator_space(ctx, c):
     """
     D = 2 * c
     out = {}
-    for key in _monomials_of_degree(ctx.num_vars, D):
+    for key, w in _monomials_of_degree(ctx, D):
         coeff = factorial(D)
         for e in unpack(key, ctx.num_vars):
             coeff //= factorial(e)
-        out.setdefault(x_weight(ctx, key), {})[key] = coeff
+        out.setdefault(w, {})[key] = coeff
     return list(out.values())
 
 
@@ -197,11 +203,11 @@ class _VeroneseRelations(GradedKernel):
     def factors(self, D):
         return list(enumerate(self.gweights)), D - self.r
 
-    def factor_map(self, perms):
-        # the generator space has one polynomial per weight, and permuting
-        # rows and columns carries it to the one of the permuted weight
+    def factor_map(self, move):
+        # the generator space has one polynomial per weight, and a move
+        # carries it to the one of the moved weight with sign +1
         index = {w: gi for gi, w in enumerate(self.gweights)}
-        return lambda gi: index[self._permuted(self.gweights[gi], perms)]
+        return lambda gi: index[self._permuted(self.gweights[gi], move)]
 
     def image(self, source):
         gi, ms = source
@@ -274,11 +280,16 @@ def _subspace_variables(m, n):
 
 
 def _subspace_moves(m, n):
-    """The `moves` of the parameters: rows permute h's rows, columns z's pairs (j, j')."""
+    """The `moves` of the parameters: rows permute h's rows, columns z's pairs (j, j').
+
+    h acts on the rows only, so there is no transpose.
+    """
     hvar, _, zvar = _subspace_variables(m, n)
 
-    def moves(perms):
-        rows, cols = perms
+    def moves(move):
+        rows, cols, transposed = move
+        if transposed:
+            raise ValueError("the subspace parameterization has no transpose")
         out = [0] * (len(hvar) + len(zvar))
         for (i, k), v in hvar.items():
             out[v] = hvar[(rows[i], k)]

@@ -407,7 +407,7 @@ def koszul_h1_full_weight(ctx, variant, d, p):
     gens = [unpacked(f, nvars) for f in generators_for(ctx, variant)]
     gw = [weight(next(iter(g))) for g in gens]
     N = len(gens)
-    monos = lambda deg: [unpack(key, nvars) for key in _monomials_of_degree(nvars, deg)]
+    monos = lambda deg: [unpack(key, nvars) for key, _ in _monomials_of_degree(ctx, deg)]
     # basis of W (x) S_{d-2}: (k, monomial); group by weight
     blocks = {}
     for k in range(N):

@@ -1,4 +1,5 @@
 import random
+from math import comb
 
 import pytest
 
@@ -17,7 +18,7 @@ from minorrel.polyring import (
     weight_sub,
     x_weight,
 )
-from minorrel.rees import ReesEngine
+from minorrel.rees import ReesEngine, _monomials_of_degree
 from minorrel.witness import relation_engine
 from oracles import quadrics_by_products, span_dimension, unpacked, wadd, wsub
 
@@ -73,6 +74,16 @@ def test_x_weight():
     exp = next(iter(f))
     assert unpack_weight(x_weight(ctx, exp), 2, 3) == ((1, 1), (0, 1, 1))
     assert x_weight(ctx, exp) == pack_weight(((1, 1), (0, 1, 1)))
+
+
+def test_monomial_weights_match_x_weight():
+    # _monomials_of_degree sums the packed weights of a monomial's variables
+    ctx = RingContext(3, 4)
+    for d in range(5):
+        monomials = list(_monomials_of_degree(ctx, d))
+        assert len(monomials) == comb(ctx.num_vars + d - 1, d)
+        for key, w in monomials:
+            assert w == x_weight(ctx, key), (d, unpack(key, ctx.num_vars))
 
 
 def test_span_dimension_of_minors_and_permanents():

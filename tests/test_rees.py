@@ -158,15 +158,21 @@ def _image_lies_in_modulo(engine, grade, w, vec):
     return rank_mod(coefficient_rows(sub + [image]), p) == rank_mod(coefficient_rows(sub), p)
 
 
+def _is_representative(engine, w):
+    return engine._orbit(w)[0] == w
+
+
 def test_transported_kernels_match_direct_elimination():
-    # at every non-dominant weight, the kernel carried over from the
-    # dominant weight spans the kernel of the block eliminated directly
+    # at every weight but the engine's representatives, the kernel carried
+    # over from the representative spans the kernel of the block eliminated
+    # directly; at m = n that includes the transposed blocks, which are
+    # S_m x S_n-dominant
     for name, engine, grades in _instances():
         p = engine.p
         blocks = 0
         for grade in grades:
             for w, members in sources_all_weights(engine, grade).items():
-                if is_dominant(unpack_weight(w, *engine.shape)):
+                if _is_representative(engine, w):
                     continue
                 moved = engine.kernel_block(grade, w)
                 direct = kernel_block_direct(engine, grade, w)
@@ -204,9 +210,9 @@ def test_buckets_match_the_all_weights_enumeration():
     # the engine builds a bucket, at any weight, by pairing each factor with
     # the multisets of the rest of the weight, and a multiset list from the
     # lists one size down; each one it built equals the all-weights
-    # enumeration there, order included.  count visits every dominant
-    # weight with sources, and builds no other bucket: transport keys the
-    # moved kernel vectors by the tuples it makes
+    # enumeration there, order included.  count visits every representative
+    # weight with sources once, and builds no other bucket: transport keys
+    # the moved kernel vectors by the tuples it makes
     for name, engine, grades in _instances():
         for grade in grades:
             visited = []
@@ -217,10 +223,10 @@ def test_buckets_match_the_all_weights_enumeration():
 
             engine.count(grade, at)
             everywhere = sources_all_weights(engine, grade)
-            dominant = [w for w in everywhere if is_dominant(unpack_weight(w, *engine.shape))]
-            assert sorted(visited) == sorted(dominant), (name, grade)
+            reps = [w for w in everywhere if _is_representative(engine, w)]
+            assert sorted(visited) == sorted(reps), (name, grade)
         for grade, w in engine._buckets:
-            assert is_dominant(unpack_weight(w, *engine.shape)), (name, grade, w)
+            assert _is_representative(engine, w), (name, grade, w)
         for grade in grades:
             for w in sources_all_weights(engine, grade):
                 engine.bucket(grade, w)
@@ -239,31 +245,50 @@ def test_free_column_rank_matches_full_column_rank():
         kernel = kernel_blocks_direct(engine)
         for grade in grades:
             for w in sources_all_weights(engine, grade):
-                if is_dominant(unpack_weight(w, *engine.shape)):
+                if _is_representative(engine, w):
                     expected = min_gens_full_columns(engine, grade, w, kernel)
                     assert engine._min_gens_at(grade, w) == expected, (name, grade, w)
 
 
+def _moved(f, to, nvars):
+    """The polynomial f with variable v renamed to[v]."""
+    out = {}
+    for exp, c in f.items():
+        new = [0] * nvars
+        for v, e in enumerate(unpack(exp, nvars)):
+            new[to[v]] = e
+        out[pack(new)] = c
+    return out
+
+
 def test_generator_table_permutes_minors_and_permanents():
-    # permuting the matrix variables by (pi, tau) takes each generator to
-    # the sign times the generator the engine's table names
-    ctx = RingContext(3, 4)
-    for variant in ("minors", "permanents"):
-        engine = relation_engine(ctx, variant)
-        for pi in permutations(range(ctx.m)):
-            for tau in permutations(range(ctx.n)):
-                gmap, signs, _ = engine._table((pi, tau))
-                # x[i, j] -> x[pi(i), tau(j)], listed in the variable order
-                to = [pi[i] * ctx.n + tau[j] for i in range(ctx.m) for j in range(ctx.n)]
-                for k, g in enumerate(engine.gens):
-                    moved = {}
-                    for exp, c in g.items():
-                        new = [0] * ctx.num_vars
-                        for v, e in enumerate(unpack(exp, ctx.num_vars)):
-                            new[to[v]] = e
-                        moved[pack(new)] = c
-                    target = {exp: signs[k] * c for exp, c in engine.gens[gmap[k]].items()}
-                    assert moved == target, (variant, pi, tau, k)
+    # moving the matrix variables by (pi, tau, transposed) takes each
+    # generator to the sign times the generator the engine's table names;
+    # at 3x3 the transpose x[i, j] -> x[pi(j), tau(i)] is a move too, and on
+    # its own it keeps every minor and every permanent with sign +1
+    for ctx, flips in [(RingContext(3, 4), (False,)), (RingContext(3, 3), (False, True))]:
+        m, n = ctx.m, ctx.n
+        identity = (tuple(range(m)), tuple(range(n)))
+        for variant in ("minors", "permanents"):
+            engine = relation_engine(ctx, variant)
+            assert engine._transpose == (m == n), (m, n, variant)
+            for pi in permutations(range(m)):
+                for tau in permutations(range(n)):
+                    for transposed in flips:
+                        gmap, signs, _ = engine._table((pi, tau, transposed))
+                        # in the variable order, x[i, j] goes to x[pi(i), tau(j)],
+                        # or transposed to x[pi(j), tau(i)]
+                        cells = [(i, j) for i in range(m) for j in range(n)]
+                        if transposed:
+                            to = [pi[j] * n + tau[i] for i, j in cells]
+                        else:
+                            to = [pi[i] * n + tau[j] for i, j in cells]
+                        for k, g in enumerate(engine.gens):
+                            target = engine.gens[gmap[k]]
+                            target = {exp: signs[k] * c for exp, c in target.items()}
+                            assert _moved(g, to, ctx.num_vars) == target, (variant, pi, tau, k)
+                        if transposed and (pi, tau) == identity:
+                            assert signs == [1] * len(signs), variant
 
 
 def test_moves_that_do_not_permute_the_generators_are_refused():
@@ -271,7 +296,50 @@ def test_moves_that_do_not_permute_the_generators_are_refused():
     # that does not carry each generator to +- another one raises
     ctx = RingContext(2, 3)
     gens = generators_for(ctx, "minors")
-    moves = lambda perms: list(range(6))
+    moves = lambda move: list(range(6))
     engine = GradedKernel(gens, _weights_of(ctx, gens), (ctx.m, ctx.n), ctx.num_vars, moves)
     with pytest.raises(ValueError):
-        engine._table(((0, 1), (1, 0, 2)))
+        engine._table(((0, 1), (1, 0, 2), False))
+    # a "transpose" that swaps the weights' row and column sums but leaves
+    # every variable where it is
+    ctx = RingContext(3, 3)
+    gens = generators_for(ctx, "minors")
+    moves = lambda move: list(range(9))
+    engine = GradedKernel(gens, _weights_of(ctx, gens), (ctx.m, ctx.n), ctx.num_vars, moves)
+    assert engine._transpose
+    with pytest.raises(ValueError):
+        engine._table(((0, 1, 2), (0, 1, 2), True))
+
+
+def test_subspace_engine_has_no_transpose():
+    # h acts on the rows only, so the subspace moves refuse the transpose,
+    # and at 3x3 the engine's representatives are the dominant weights; the
+    # relation engine at 3x3 has the transpose, and fewer representatives
+    engine = subspace_engine(3, 3)
+    with pytest.raises(ValueError):
+        engine.moves(((0, 1, 2), (0, 1, 2), True))
+    assert not engine._transpose
+    for grade in (1, 2, 3):
+        for w in sources_all_weights(engine, grade):
+            dominant = is_dominant(unpack_weight(w, 3, 3))
+            assert _is_representative(engine, w) == dominant, (grade, w)
+    minors = relation_engine(RingContext(3, 3), "minors")
+    weights = [w for w in sources_all_weights(minors, 2) if is_dominant(unpack_weight(w, 3, 3))]
+    reps = [w for w in weights if _is_representative(minors, w)]
+    assert 0 < len(reps) < len(weights)
+
+
+def test_veronese_factor_map_transposes_the_generator_space():
+    # the Veronese instance moves its factors, the polynomials of G_c, by
+    # weight alone: every move, transposed or not, must carry each one to
+    # +1 times the polynomial the factor map names
+    ctx = RingContext(3, 3)
+    for r in (1, 2):
+        engine = veronese_engine(ctx, r)
+        for pi in permutations(range(3)):
+            for tau in permutations(range(3)):
+                for transposed in (False, True):
+                    move = (pi, tau, transposed)
+                    fmap, to = engine.factor_map(move), engine.moves(move)
+                    for gi, g in enumerate(engine.gspace):
+                        assert _moved(g, to, ctx.num_vars) == engine.gspace[fmap(gi)], (r, move)

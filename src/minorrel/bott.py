@@ -5,6 +5,14 @@ dim V = n the tautological quotient Q is a line bundle and the sub R has rank
 n-1.  A GL-weight (a, lam_1, ..., lam_{n-1}) encodes the bundle
 Q^a (x) S_lam(R); the dotted Weyl algorithm produces its unique nonzero
 cohomology group (or none).
+
+The geometric Tor character reads the cohomology only on partitions with
+at most m rows for GL(V1) and n for GL(V2), and Bott reads S_lam(R) only
+for lam with at most rank R rows.  So every plethysm and Littlewood-
+Richardson product on the way is computed truncated to the rows it is read
+on (see symfunc): truncation to k rows is restriction to k variables, a
+ring homomorphism, so nothing that is read changes.  Each distinct Bott
+result is computed once per process.
 """
 
 from functools import lru_cache
@@ -49,26 +57,54 @@ def bott_projective(n, a, lam):
 
 
 @lru_cache(maxsize=None)
-def _wedge_xi_summands(u, v):
-    """Composition factors of L^0 (x) wedge^u(xi_1) (x) wedge^v(xi_2), built once per (u, v).
+def _bott(n, a, lam):
+    """The one (j, weight) of bott_projective(n, a, lam), or None; memoised."""
+    t = bott_projective(n, a, lam)
+    return next(iter(t.items()), None)
+
+
+@lru_cache(maxsize=None)
+def _wedge_xi_summands(u, v, m, n):
+    """Composition factors of L^0 (x) wedge^u(xi_1) (x) wedge^v(xi_2), on the rows read.
 
     xi_1 = wedge^2(V1) (x) wedge^2(R_2) and xi_2 = wedge^2(R_1) (x) (R_2 (x) Q_2),
     so by Cauchy each alpha |- u and beta |- v contribute
     S_alpha(S_11 V1) (x) S_beta(S_11 R_1) (x) S_alpha'(S_11 R_2) S_beta'(R_2) (x) Q_2^v.
     Returns a list of (trivial V1 character dict, R_1 partition dict, R_2
-    partition dict).  The trivial factor is a genuine GL(V1) representation
-    not affected by cohomology.
+    partition dict), without the summands that are zero on R_1 or on R_2.
+    The trivial factor is a genuine GL(V1) representation not affected by
+    cohomology.  Each part is truncated to the rows it is read on: the
+    trivial factor to m (the fold in tor_geometric keeps at most m rows, and
+    an LR coefficient with at most m rows in the product needs at most m in
+    each factor), the R_1 part to rank R_1 = m - 1 and the R_2 part to
+    n - 1.  Truncation is restriction to that many variables, a ring
+    homomorphism, so each part is exactly the full one restricted.
     """
+    r1s = [(conjugate(b), plethysm_schur(b, (1, 1), rows=m - 1)) for b in partitions_of(v)]
     out = []
     for alpha in partitions_of(u):
-        triv = plethysm_schur(alpha, (1, 1))
-        a_right = plethysm_schur(conjugate(alpha), (1, 1))
-        for beta in partitions_of(v):
+        triv = plethysm_schur(alpha, (1, 1), rows=m)
+        a_right = plethysm_schur(conjugate(alpha), (1, 1), rows=n - 1)
+        for beta_c, r1 in r1s:
+            if not r1:
+                continue
             r2 = {}
             for lam, c in a_right.items():
-                for mu, c_mu in schur_multiply(lam, conjugate(beta)).items():
+                for mu, c_mu in schur_multiply(lam, beta_c, rows=n - 1).items():
                     r2[mu] = r2.get(mu, 0) + c * c_mu
-            out.append((triv, plethysm_schur(beta, (1, 1)), r2))
+            if r2:
+                out.append((triv, r1, r2))
+    return out
+
+
+def _by_degree(n, a, terms):
+    """{j: [(weight, multiplicity)]} of Bott on P^{n-1} for Q^a (x) S_lam(R), lam in terms."""
+    out = {}
+    for lam, c in terms.items():
+        res = _bott(n, a, lam)
+        if res is not None:
+            j, w = res
+            out.setdefault(j, []).append((w, c))
     return out
 
 
@@ -76,24 +112,24 @@ def _wedge_xi_summands(u, v):
 def _cohomology(u, v, r, m, n):
     """H^* of L^{2r} (x) wedge^u(xi_1) (x) wedge^v(xi_2) on X = P(V1) x P(V2).
 
-    Bott on each projective factor, combined by Kunneth.  Returns
-    {j: [(trivial V1 character, V1 weight, V2 weight, multiplicity)]} with a
-    key only for the degrees j that carry cohomology.
+    Bott on each projective factor, combined by Kunneth: per summand each
+    factor's table is built once and grouped by degree, and the degree
+    j = a + b pairs the V1 side in degree a with the V2 side in degree b.
+    Returns {j: [(trivial V1 character, V1 weight, V2 weight, multiplicity)]}
+    with a key only for the degrees j that carry cohomology.
     """
     out = {}
-    for triv, r1_terms, r2_terms in _wedge_xi_summands(u, v):
-        for lam, c_lam in r1_terms.items():
-            if len(lam) > m - 1:
-                continue
-            t1 = bott_projective(m, 2 * r, lam)
-            if not t1:
-                continue
-            (a, w1), = t1.items()
-            for mu, c_mu in r2_terms.items():
-                if len(mu) > n - 1:
-                    continue
-                for b, w2 in bott_projective(n, 2 * r + v, mu).items():
-                    out.setdefault(a + b, []).append((triv, w1, w2, c_lam * c_mu))
+    for triv, r1_terms, r2_terms in _wedge_xi_summands(u, v, m, n):
+        left = _by_degree(m, 2 * r, r1_terms)
+        if not left:
+            continue
+        right = _by_degree(n, 2 * r + v, r2_terms)
+        for a, ws1 in left.items():
+            for b, ws2 in right.items():
+                tgt = out.setdefault(a + b, [])
+                for w1, c_lam in ws1:
+                    for w2, c_mu in ws2:
+                        tgt.append((triv, w1, w2, c_lam * c_mu))
     return out
 
 
@@ -125,10 +161,9 @@ def tor_geometric(i, r, m, n):
             for triv, w1, w2, c in _cohomology(u, i + j - u, r, m, n).get(j, ()):
                 # fold in the trivial GL(V1) factor S_triv(wedge^2 V1)
                 for gam, c_gam in triv.items():
-                    for w1f, c_f in schur_multiply(gam, w1).items():
-                        if len(w1f) <= m:
-                            key = (w1f, canon(w2))
-                            acc[key] = acc.get(key, 0) + c * c_gam * c_f
+                    for w1f, c_f in schur_multiply(gam, w1, rows=m).items():
+                        key = (w1f, canon(w2))
+                        acc[key] = acc.get(key, 0) + c * c_gam * c_f
         if acc:
             out[r + i + j] = BiRep(acc)
     return out

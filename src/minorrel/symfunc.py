@@ -6,7 +6,16 @@ by strip generation: the letters of one factor go onto the other as
 horizontal strips kept to the lattice condition, and each completed LR
 filling counts once for its shape, so only shapes with a nonzero
 coefficient are visited.  Plethysm with inner s_2 or s_{1,1} is
-Jacobi-Trudi over the closed forms of h_k[h_2] and h_k[e_2].  Independent
+Jacobi-Trudi over the closed forms of h_k[h_2] and h_k[e_2].
+
+Both take an optional row bound `rows` and then return only the s_nu with
+at most that many rows.  Dropping every s_nu with more than k rows is
+restriction to k variables, a ring homomorphism (Macdonald I.3), so a
+truncated product is the product of the truncated factors truncated, and
+the Jacobi-Trudi determinant, a polynomial identity, can be expanded with
+every factor and every product truncated.  Since c^nu_{lam,mu} with at
+most k rows in nu needs at most k rows in lam and in mu, the LR strip
+simply places no box below row k.  Independent
 oracles (expansion of Schur polynomials in finitely many variables, the
 Pieri rule, LR coefficients by tableau count, plethysm through the
 power-sum basis) live in the test suite.
@@ -26,7 +35,7 @@ from .partitions import canon, conjugate, partitions_of
 
 
 @lru_cache(maxsize=None)
-def _schur_multiply_cached(lam, mu):
+def _schur_multiply_cached(lam, mu, rows=None):
     """s_lam * s_mu as {nu: c^nu_{lam,mu}}, built from the LR fillings alone.
 
     Letters 1, 2, ... of the factor with fewer rows go onto the other one
@@ -35,14 +44,22 @@ def _schur_multiply_cached(lam, mu):
     reverse reading word (rows top to bottom, each right to left) says that
     the k's in rows 0..i number at most the (k-1)'s in rows 0..i-1.  Each
     completed filling adds 1 to its shape, so only nu with c > 0 are seen
-    (Macdonald I.9; Fulton, Young Tableaux, 5.2).
+    (Macdonald I.9; Fulton, Young Tableaux, 5.2).  With a bound `rows` no
+    box goes below that row, so only the nu with at most `rows` rows are
+    seen, and a factor longer than the bound gives {}.
     """
     if len(lam) < len(mu):
-        return _schur_multiply_cached(mu, lam)
+        return _schur_multiply_cached(mu, lam, rows)
+    depth = len(lam) + len(mu)
+    if rows is not None:
+        if rows >= depth:
+            return _schur_multiply_cached(lam, mu)
+        if len(lam) > rows:
+            return {}
+        depth = rows
     if not mu:
         return {lam: 1}
-    rows = len(lam) + len(mu)
-    shape = list(lam) + [0] * len(mu)
+    shape = list(lam) + [0] * (depth - len(lam))
     out = {}
 
     def strip(k, i, left, slack, prev, cur):
@@ -51,15 +68,15 @@ def _schur_multiply_cached(lam, mu):
         # the letters k - 1 and k in row j
         if not left:
             if k + 1 < len(mu):
-                strip(k + 1, 0, mu[k + 1], 0, cur, [0] * rows)
+                strip(k + 1, 0, mu[k + 1], 0, cur, [0] * depth)
             else:
                 nu = tuple(p for p in shape if p)
                 out[nu] = out.get(nu, 0) + 1
             return
         if i == 0:
             room = left
-        elif shape[i - 1] == cur[i - 1]:
-            return  # row i-1 was empty, so no row from i on takes a box
+        elif i == depth or shape[i - 1] == cur[i - 1]:
+            return  # past the bound, or row i-1 was empty: no row from i on takes a box
         else:
             room = shape[i - 1] - cur[i - 1] - shape[i]
         for a in range(min(left, room, slack), -1, -1):
@@ -70,13 +87,16 @@ def _schur_multiply_cached(lam, mu):
         cur[i] = 0
 
     # the first letter has no lattice bound: its slack is all its copies
-    strip(0, 0, mu[0], mu[0], [0] * rows, [0] * rows)
+    strip(0, 0, mu[0], mu[0], [0] * depth, [0] * depth)
     return out
 
 
-def schur_multiply(lam, mu):
-    """Product s_lam * s_mu expanded in the Schur basis, as a fresh dict."""
-    return dict(_schur_multiply_cached(canon(lam), canon(mu)))
+def schur_multiply(lam, mu, rows=None):
+    """Product s_lam * s_mu in the Schur basis, as a fresh dict.
+
+    With `rows`, only the terms s_nu with at most that many rows.
+    """
+    return dict(_schur_multiply_cached(canon(lam), canon(mu), rows))
 
 
 # ---------------------------------------------------------------------------
@@ -97,12 +117,14 @@ def _h_plethysm(k, inner):
 
 
 @lru_cache(maxsize=None)
-def plethysm_schur(outer, inner):
+def plethysm_schur(outer, inner, rows=None):
     """Cached s_outer[s_inner] as a dict partition -> integer.
 
     Jacobi-Trudi gives s_alpha[g] = det(h_{alpha_i - i + j}[g]); the
     determinant is expanded by Laplace along its rows, memoised on the set
-    of columns still free.  Only inner (2) and (1, 1) are supported.
+    of columns still free.  Only inner (2) and (1, 1) are supported.  With
+    `rows`, only the terms with at most that many rows: each h_k[g] keeps
+    the terms that fit and every product is bounded the same way.
     """
     outer, inner = canon(outer), canon(inner)
     if inner not in ((2,), (1, 1)):
@@ -122,8 +144,10 @@ def plethysm_schur(outer, inner):
             sign = -1 if pos % 2 else 1
             rest = minor(cols[:pos] + cols[pos + 1 :])
             for lam in _h_plethysm(k, inner):
+                if rows is not None and len(lam) > rows:
+                    continue
                 for mu, c in rest.items():
-                    for nu, lr in _schur_multiply_cached(mu, lam).items():
+                    for nu, lr in _schur_multiply_cached(mu, lam, rows).items():
                         acc[nu] = acc.get(nu, 0) + sign * c * lr
         return {nu: c for nu, c in acc.items() if c}
 

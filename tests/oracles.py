@@ -8,7 +8,10 @@ Weyl dimension formula (against Bott's algorithm), the Pieri rule (against
 Littlewood-Richardson),
 Littlewood-Richardson coefficients by tableau count, one nu at a time
 (against the strip-built product), plethysm through the power-sum basis
-(against Jacobi-Trudi), span dimensions of explicit polynomials, the 2x2
+(against Jacobi-Trudi), the geometric Tor bound with every plethysm and
+Littlewood-Richardson product expanded in full and truncated only at the
+end (against the products bounded to the rows Bott reads), span
+dimensions of explicit polynomials, the 2x2
 quadrics as sums of products of variables (against the one-formula
 builder), Koszul homology at every torus weight (against the dominant
 weights alone), the Veronese module M_r spanned in a whole degree and the
@@ -34,10 +37,12 @@ from itertools import combinations_with_replacement, zip_longest
 from math import factorial
 from operator import add, sub
 
+from minorrel.bott import bott_projective
 from minorrel.modlinalg import nullspace_mod, rank_mod
 from minorrel.partitions import canon, conjugate, partitions_of
 from minorrel.polyring import generators_for, pack, pack_weight, poly_mul, unpack, unpack_weight
 from minorrel.rees import _monomials_of_degree, _shifted_rows
+from minorrel.symfunc import plethysm_schur, schur_multiply
 from minorrel.witness import filtration_generator_space, veronese_engine
 
 
@@ -386,6 +391,56 @@ def plethysm_power_sum(outer, inner):
         if v.denominator != 1 or v < 0:
             raise ArithmeticError(f"plethysm gave coefficient {v} at {lam}")
     return {lam: int(v) for lam, v in result.items()}
+
+
+# ---------------------------------------------------------------------------
+# The geometric Tor bound from untruncated symmetric functions
+
+
+def tor_geometric_untruncated(i, r, m, n):
+    """{degree: {(lam, mu): mult}} of bott.tor_geometric, from full expansions.
+
+    H^j of L^{2r} (x) wedge^u(xi_1) (x) wedge^v(xi_2), u + v = i + j, summed
+    over the Cauchy summands alpha |- u, beta |- v: S_alpha(S_11 V1) (x)
+    S_beta(S_11 R_1) (x) S_alpha'(S_11 R_2) S_beta'(R_2) (x) Q_2^v.  Every
+    plethysm and product is expanded in full; a weight too long for its
+    bundle is dropped only where Bott reads it, and a GL(V1) term only
+    after the trivial factor is folded in.
+    """
+    out = {}
+    for j in range(m + n - 1):
+        acc = {}
+        for u in range(i + j + 1):
+            v = i + j - u
+            for alpha in partitions_of(u):
+                triv = plethysm_schur(alpha, (1, 1))
+                a_right = plethysm_schur(conjugate(alpha), (1, 1))
+                for beta in partitions_of(v):
+                    r2 = Counter()
+                    for lam, c in a_right.items():
+                        for mu, c_mu in schur_multiply(lam, conjugate(beta)).items():
+                            r2[mu] += c * c_mu
+                    for lam, c_lam in plethysm_schur(beta, (1, 1)).items():
+                        if len(lam) > m - 1:
+                            continue
+                        for a, w1 in bott_projective(m, 2 * r, lam).items():
+                            for mu, c_mu in r2.items():
+                                if len(mu) > n - 1:
+                                    continue
+                                for b, w2 in bott_projective(n, 2 * r + v, mu).items():
+                                    if a + b != j:
+                                        continue
+                                    for gam, c_gam in triv.items():
+                                        for nu, c_f in schur_multiply(gam, w1).items():
+                                            if len(nu) <= m:
+                                                key = (nu, canon(w2))
+                                                acc[key] = acc.get(key, 0) + (
+                                                    c_lam * c_mu * c_gam * c_f
+                                                )
+        acc = {key: c for key, c in acc.items() if c}
+        if acc:
+            out[r + i + j] = acc
+    return out
 
 
 # ---------------------------------------------------------------------------

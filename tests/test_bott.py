@@ -11,7 +11,7 @@ from minorrel.bott import (
     verify_lemma_4_4,
 )
 from minorrel.partitions import dim_schur, partitions_of
-from oracles import weyl_dim_weight
+from oracles import tor_geometric_untruncated, weyl_dim_weight
 
 
 def test_bott_weight_dichotomy_and_euler_characteristic():
@@ -90,14 +90,38 @@ def test_tor_geometric_degree_zero_is_veronese_layer():
     }
 
 
-def test_tor_geometric_first_tor_matches_closed_form():
-    out = tor_geometric(1, 1, 3, 3)
-    stated = predicted_character("eq-tor1-Nr", 1)
+def _summed_over_degrees(out):
     combined = {}
     for d, ch in out.items():
         for pair, mult in ch.terms.items():
             combined[pair] = combined.get(pair, 0) + mult
-    assert combined == dict(stated.terms)
+    return combined
+
+
+def test_tor_geometric_first_tor_matches_closed_form():
+    out = tor_geometric(1, 1, 3, 3)
+    stated = predicted_character("eq-tor1-Nr", 1)
+    assert _summed_over_degrees(out) == dict(stated.terms)
+
+
+@pytest.mark.parametrize("r, m, n", [(r, k, k) for k in (4, 5) for r in (1, 2, 3)])
+def test_tor_geometric_first_tor_matches_closed_form_on_its_rows(r, m, n):
+    # eq-tor1-Nr restricted to m and n rows; the Bott route computes every
+    # plethysm and product on the rows it reads only
+    stated = predicted_character("eq-tor1-Nr", r)
+    assert _summed_over_degrees(tor_geometric(1, r, m, n)) == {
+        (lam, mu): c for (lam, mu), c in stated.terms.items() if len(lam) <= m and len(mu) <= n
+    }
+
+
+@pytest.mark.parametrize("m, n", [(3, 3), (3, 4), (4, 3), (4, 4)])
+def test_tor_geometric_matches_untruncated_expansion(m, n):
+    # Tor_0 and Tor_2 against the same route with every plethysm and
+    # Littlewood-Richardson product expanded in full (tests/oracles.py)
+    for i in (0, 2):
+        for r in (1, 2, 3):
+            out = {d: ch.terms for d, ch in tor_geometric(i, r, m, n).items()}
+            assert out == tor_geometric_untruncated(i, r, m, n), (i, r)
 
 
 def test_lemma_4_3_character_matches_enumeration():

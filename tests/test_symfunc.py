@@ -98,6 +98,36 @@ def test_schur_multiply_dimensions_at_depth():
             assert total == dim_schur(lam, k) * dim_schur(mu, k), (lam, mu, k)
 
 
+def _within(f, k):
+    """The terms s_nu of f with at most k rows."""
+    return {nu: c for nu, c in f.items() if len(nu) <= k}
+
+
+def test_schur_multiply_row_bound_is_the_truncated_product():
+    # the strip places no box below row k, and a factor longer than k gives
+    # nothing: exactly the full product restricted to k variables
+    parts = [lam for d in range(6) for lam in partitions_of(d)]
+    for lam, mu in product(parts, parts):
+        full = schur_multiply(lam, mu)
+        for k in range(5):
+            assert schur_multiply(lam, mu, rows=k) == _within(full, k), (lam, mu, k)
+
+
+def test_plethysm_row_bound_is_the_truncated_plethysm():
+    # Jacobi-Trudi with every factor and product truncated: the full
+    # plethysm restricted to k variables
+    for d in range(7):
+        for alpha in partitions_of(d):
+            for inner in [(2,), (1, 1)]:
+                full = plethysm_schur(alpha, inner)
+                for k in range(5):
+                    assert plethysm_schur(alpha, inner, rows=k) == _within(full, k), (
+                        alpha,
+                        inner,
+                        k,
+                    )
+
+
 def test_lr_commutativity_up_to_size_six():
     parts = [lam for d in range(7) for lam in partitions_of(d)]
     for lam, mu in product(parts, parts):

@@ -9,8 +9,8 @@ verifier checks against witness computations.
 
 from dataclasses import dataclass, field
 
-from .partitions import canon, conjugate, dim_schur, in_M_r, kostka, partitions_of
-from .symfunc import plethysm_schur, schur_multiply
+from .partitions import canon, conjugate, dim_schur, in_M_r, partitions_of
+from .symfunc import kostka, plethysm_schur, schur_multiply
 
 
 @dataclass(frozen=True)
@@ -139,33 +139,14 @@ def predicted_character(name, j, r=None):
 # Filtration combinatorics for the modules F_lam and F_{lam,mu}
 
 
-def _strip_extensions(lam, k):
-    """All partitions alpha with alpha/lam a horizontal strip of size k."""
-    lam = canon(lam)
-    rows = len(lam) + 1
-    out = []
-
-    def rec(i, remaining, prefix):
-        if i == rows:
-            if remaining == 0:
-                out.append(canon(prefix))
-            return
-        base = lam[i] if i < len(lam) else 0
-        hi = lam[i - 1] if i > 0 else base + remaining
-        for a in range(base, min(hi, base + remaining) + 1):
-            rec(i + 1, remaining - (a - base), prefix + [a])
-
-    rec(0, k, [])
-    return out
-
-
 def gr_components_bivariate(lam, mu, cap):
     """Seed labels of the bi-filtration of F_{lam,mu}, grouped by index (s,t).
 
     Each label (alpha, beta) satisfies: alpha/lam and beta/mu horizontal
     strips, |alpha| = |beta|, and alpha_1 = lam_1 or beta_1 = mu_1.  Larger
     labels obtained by growing both first rows equally are implicit.  Keys
-    are (s,t) = (sum of lower rows of alpha, same for beta).
+    are (s,t) = (sum of lower rows of alpha, same for beta).  By Pieri the
+    alpha of size |lam| + k are the shapes of s_lam * h_k.
     """
     lam, mu = canon(lam), canon(mu)
     if sum(lam) != sum(mu):
@@ -175,8 +156,9 @@ def gr_components_bivariate(lam, mu, cap):
     table = {}
     for size in range(sum(lam), cap + 1):
         k = size - sum(lam)
-        for alpha in _strip_extensions(lam, k):
-            for beta in _strip_extensions(mu, k):
+        betas = schur_multiply(mu, (k,))
+        for alpha in schur_multiply(lam, (k,)):
+            for beta in betas:
                 a1 = alpha[0] if alpha else 0
                 b1 = beta[0] if beta else 0
                 if a1 != lam1 and b1 != mu1:

@@ -18,8 +18,8 @@ result is computed once per process.
 from functools import lru_cache
 
 from .birep import BiRep
-from .partitions import canon, partitions_of
-from .symfunc import conjugate, plethysm_schur, schur_multiply
+from .partitions import canon, conjugate, partitions_of
+from .symfunc import plethysm_schur, schur_multiply
 
 
 def bott_weight(w):

@@ -19,7 +19,7 @@ from .partitions import parse_partition
 from .polyring import RingContext
 from .rees import _orbit_size, fiber_type_check, orbit_total, rees_ideal
 from .report import emit, format_bicharacter
-from .symfunc import bivariate_wedge_power
+from .symfunc import wedge_power
 from .tasks import RESULTS_DIR_ENV, VerificationTask, run, run_suite, suite_tasks
 from .witness import koszul_h1_blocks
 
@@ -83,11 +83,8 @@ def cmd_decompose(args):
         ch = character_A(args.d, args.variant)
         print(f"A_{args.d} ({args.variant}): {format_bicharacter(ch.terms)}")
     elif args.what == "wedge":
-        if args.variant == "minors":
-            W = {(((1, 1)), ((1, 1))): 1}
-        else:
-            W = {(((2,)), ((2,))): 1}
-        out = bivariate_wedge_power(W, args.k)
+        piece = (1, 1) if args.variant == "minors" else (2,)
+        out = wedge_power(piece, piece, args.k)
         print(f"wedge^{args.k} W ({args.variant}): {format_bicharacter(out)}")
     elif args.what == "gr":
         lam = parse_partition(args.lam)

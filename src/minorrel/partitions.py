@@ -2,10 +2,11 @@
 
 Partitions are plain tuples of weakly decreasing positive integers, in
 canonical form (no trailing zeros).  The empty partition is ``()``.
+Products of Schur functions, Kostka numbers among them, are in symfunc.
 """
 
-from fractions import Fraction
 from functools import lru_cache
+from math import prod
 
 
 def canon(parts):
@@ -66,20 +67,16 @@ def hook_lengths(lam):
 def dim_schur(lam, n):
     """Dimension of the Schur functor S_lam applied to C^n.
 
-    Hook-content formula; zero exactly when lam has more than n parts.
+    Hook-content formula, prod(n + j - i) // prod(hooks) over the cells
+    (i, j), an exact division; zero exactly when lam has more than n parts.
     """
     lam = canon(lam)
     if n < 1:
         raise ValueError("n must be >= 1")
     if len(lam) > n:
         return 0
-    num = Fraction(1)
-    hooks = hook_lengths(lam)
-    for i in range(len(lam)):
-        for j in range(lam[i]):
-            num *= Fraction(n + j - i, hooks[i][j])
-    assert num.denominator == 1
-    return int(num)
+    contents = prod(n + j - i for i in range(len(lam)) for j in range(lam[i]))
+    return contents // prod(h for row in hook_lengths(lam) for h in row)
 
 
 def in_M_r(lam, r):
@@ -90,47 +87,3 @@ def in_M_r(lam, r):
         return False
     first = lam[0] if lam else 0
     return 2 * first - size <= 2 * r
-
-
-@lru_cache(maxsize=None)
-def kostka(lam, content):
-    """Number of semistandard tableaux of shape lam and given content.
-
-    Computed by peeling off the cells holding the largest entry, which must
-    form a horizontal strip.
-    """
-    lam = canon(lam)
-    content = tuple(content)
-    while content and content[-1] == 0:
-        content = content[:-1]
-    if not content:
-        return 1 if not lam else 0
-    if sum(lam) != sum(content):
-        return 0
-    last = content[-1]
-    total = 0
-    for nu in _sub_horizontal_strips(lam, last):
-        total += kostka(nu, content[:-1])
-    return total
-
-
-def _sub_horizontal_strips(lam, k):
-    """All nu obtained by removing a horizontal strip of size k from lam."""
-    out = []
-
-    def rec(i, remaining, prefix):
-        if i == len(lam):
-            if remaining == 0:
-                out.append(canon(prefix))
-            return
-        below = lam[i + 1] if i + 1 < len(lam) else 0
-        lo = max(below, lam[i] - remaining)
-        hi = lam[i] if not prefix else min(lam[i], prefix[-1])
-        # nu_i ranges so that lam/nu is a horizontal strip: nu_i >= lam_{i+1}
-        for nu_i in range(hi, lo - 1, -1):
-            if prefix and nu_i > prefix[-1]:
-                continue
-            rec(i + 1, remaining - (lam[i] - nu_i), prefix + [nu_i])
-
-    rec(0, k, [])
-    return out

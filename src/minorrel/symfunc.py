@@ -1,4 +1,4 @@
-"""Symmetric function arithmetic: Schur products and plethysm.
+"""Symmetric function arithmetic: Schur products, plethysm, Kostka numbers.
 
 Symmetric functions are plain dicts mapping a partition to its integer
 coefficient in the Schur basis.  A Littlewood-Richardson product is built
@@ -155,64 +155,53 @@ def plethysm_schur(outer, inner, rows=None):
 
 
 # ---------------------------------------------------------------------------
-# Bivariate characters: exterior powers
-#
-# A bivariate character is a dict {(lam, mu): multiplicity}; it stands for
-# the direct sum of S_lam(V1) (x) S_mu(V2) with the given multiplicities.
+# Kostka numbers: products of complete symmetric functions
 
 
-def _bi_tensor(a, b):
-    """Tensor product of two bivariate characters (LR rule on each factor)."""
+@lru_cache(maxsize=None)
+def _h_product(content):
+    """h_{a_1} ... h_{a_k} in the Schur basis, one Pieri step per factor.
+
+    s_lam * h_a is the sum of s_nu over nu/lam a horizontal a-strip, each
+    with coefficient 1 (Macdonald I.5.16), so the keys of the LR product
+    with (a,) are the next shapes.
+    """
+    if not content:
+        return {(): 1}
     out = {}
-    for (l1, m1), c1 in a.items():
-        for (l2, m2), c2 in b.items():
-            left = _schur_multiply_cached(l1, l2)
-            right = _schur_multiply_cached(m1, m2)
-            for lam, cl in left.items():
-                for mu, cm in right.items():
-                    key = (lam, mu)
-                    out[key] = out.get(key, 0) + c1 * c2 * cl * cm
+    for lam, c in _h_product(content[:-1]).items():
+        for nu in _schur_multiply_cached(lam, (content[-1],)):
+            out[nu] = out.get(nu, 0) + c
     return out
 
 
-def _wedge_of_summand(lam, mu, t):
-    """Exterior power Λ^t of the single summand S_lam (x) S_mu."""
-    out = {}
-    for nu in partitions_of(t):
-        left = plethysm_schur(nu, lam)
-        right = plethysm_schur(conjugate(nu), mu)
-        for a, ca in left.items():
-            for b, cb in right.items():
-                key = (a, b)
-                out[key] = out.get(key, 0) + ca * cb
-    return out
+def kostka(lam, content):
+    """Number of semistandard tableaux of shape lam and the given content.
+
+    K_{lam,alpha} is the coefficient of s_lam in h_{alpha_1} ... h_{alpha_k}
+    (Macdonald I.6); the h's commute, so the content need not be sorted,
+    and a zero part is a factor h_0 = 1.
+    """
+    return _h_product(tuple(a for a in content if a)).get(canon(lam), 0)
 
 
-def bivariate_wedge_power(U, k):
-    """Exterior power Λ^k of a bivariate character U = {(lam, mu): mult}.
+# ---------------------------------------------------------------------------
+# Exterior powers of one bivariate summand
 
-    Direct sums expand binomially; each irreducible summand contributes
-    Λ^t(S_lam (x) S_mu) = Σ_{nu |- t} S_nu(S_lam) (x) S_{nu'}(S_mu), so
-    lam and mu must be inners that plethysm_schur supports, (2) or (1, 1).
+
+def wedge_power(lam, mu, k):
+    """Exterior power Λ^k(S_lam(V1) (x) S_mu(V2)) as a bivariate character.
+
+    Cauchy: Λ^k(A (x) B) is the sum over nu |- k of S_nu(A) (x) S_nu'(B)
+    (Macdonald I.4.3'), so lam and mu must be inners that plethysm_schur
+    supports, (2) or (1, 1).
     """
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")
-    if any(c < 0 for c in U.values()):
-        raise ValueError("expected nonnegative multiplicities")
-    summands = []
-    for key, mult in sorted(U.items()):
-        summands.extend([key] * mult)
-    state = {0: {((), ()): 1}}
-    for lam, mu in summands:
-        new = {}
-        for j, char in state.items():
-            for t in range(0, k - j + 1):
-                if t == 0:
-                    piece = {((), ()): 1}
-                else:
-                    piece = _wedge_of_summand(lam, mu, t)
-                tgt = new.setdefault(j + t, {})
-                for key, c in _bi_tensor(char, piece).items():
-                    tgt[key] = tgt.get(key, 0) + c
-        state = new
-    return {key: c for key, c in state.get(k, {}).items() if c}
+    out = {}
+    for nu in partitions_of(k):
+        right = plethysm_schur(conjugate(nu), mu)
+        for a, ca in plethysm_schur(nu, lam).items():
+            for b, cb in right.items():
+                out[(a, b)] = out.get((a, b), 0) + ca * cb
+    return out

@@ -10,7 +10,9 @@ from minorrel.birep import (
     predicted_character,
     transpose_duality,
 )
-from minorrel.partitions import conjugate, dim_schur, kostka, partitions_of
+from minorrel.partitions import conjugate, dim_schur, partitions_of
+from minorrel.symfunc import kostka
+from oracles import pieri
 
 
 def test_transpose_duality_involution():
@@ -146,6 +148,27 @@ def test_gr_components_bivariate_swapped_is_mirror():
         (b, a) for (a, b) in gr_labels(gr_components_bivariate((1, 1, 1), (2, 1), 8))
     )
     assert labels == mirror
+
+
+def _gr_table_by_pieri(lam, mu, cap):
+    """gr_components_bivariate's table, with the strips from the Pieri oracle."""
+    table = {}
+    for k in range(cap - sum(lam) + 1):
+        for alpha in pieri(lam, k):
+            for beta in pieri(mu, k):
+                if alpha[:1] == lam[:1] or beta[:1] == mu[:1]:
+                    key = (sum(alpha[1:]), sum(beta[1:]))
+                    table.setdefault(key, set()).add((alpha, beta))
+    return {key: sorted(labels, reverse=True) for key, labels in table.items()}
+
+
+def test_gr_components_bivariate_matches_pieri_oracle():
+    for size in range(6):
+        for lam in partitions_of(size):
+            for mu in partitions_of(size):
+                for cap in range(size, size + 5):
+                    expected = _gr_table_by_pieri(lam, mu, cap)
+                    assert gr_components_bivariate(lam, mu, cap) == expected, (lam, mu, cap)
 
 
 def test_gr_components_bivariate_size_mismatch():

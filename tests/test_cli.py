@@ -96,6 +96,73 @@ def test_decompose_subcommands(capsys):
     assert len(out.strip().splitlines()) == 8
 
 
+
+# stdout of `decompose a` and `decompose wedge`: the header, then the terms
+# joined by " + "
+DECOMPOSE_TERMS = [
+    (["a", "--d", "3", "--variant", "minors"], "A_3 (minors): ", [
+        "S[1,1,1,1,1,1]⊠S[1,1,1,1,1,1]", "S[2,1,1,1,1]⊠S[2,1,1,1,1]",
+        "S[2,2,1,1]⊠S[2,2,1,1]", "S[2,2,2]⊠S[2,2,2]", "S[3,1,1,1]⊠S[3,1,1,1]",
+        "S[3,2,1]⊠S[3,2,1]", "S[3,3]⊠S[3,3]",
+    ]),
+    (["a", "--d", "3", "--variant", "permanents"], "A_3 (permanents): ", [
+        "S[2,2,2]⊠S[2,2,2]", "S[3,2,1]⊠S[3,2,1]", "S[3,3]⊠S[3,3]", "S[4,1,1]⊠S[4,1,1]",
+        "S[4,2]⊠S[4,2]", "S[5,1]⊠S[5,1]", "S[6]⊠S[6]",
+    ]),
+    (["wedge", "--k", "3", "--variant", "minors"], "wedge^3 W (minors): ", [
+        "S[1,1,1,1,1,1]⊠S[2,2,2]", "S[1,1,1,1,1,1]⊠S[3,1,1,1]",
+        "S[2,1,1,1,1]⊠S[2,1,1,1,1]", "S[2,1,1,1,1]⊠S[2,2,1,1]", "S[2,1,1,1,1]⊠S[3,2,1]",
+        "S[2,2,1,1]⊠S[2,1,1,1,1]", "S[2,2,1,1]⊠S[2,2,1,1]", "S[2,2,1,1]⊠S[2,2,2]",
+        "S[2,2,1,1]⊠S[3,1,1,1]", "S[2,2,1,1]⊠S[3,2,1]", "S[2,2,2]⊠S[1,1,1,1,1,1]",
+        "S[2,2,2]⊠S[2,2,1,1]", "S[2,2,2]⊠S[3,3]", "S[3,1,1,1]⊠S[1,1,1,1,1,1]",
+        "S[3,1,1,1]⊠S[2,2,1,1]", "S[3,1,1,1]⊠S[3,3]", "S[3,2,1]⊠S[2,1,1,1,1]",
+        "S[3,2,1]⊠S[2,2,1,1]", "S[3,2,1]⊠S[3,2,1]", "S[3,3]⊠S[2,2,2]", "S[3,3]⊠S[3,1,1,1]",
+    ]),
+    (["wedge", "--k", "3", "--variant", "permanents"], "wedge^3 W (permanents): ", [
+        "S[2,2,2]⊠S[3,3]", "S[2,2,2]⊠S[4,1,1]", "S[3,2,1]⊠S[3,2,1]", "S[3,2,1]⊠S[4,2]",
+        "S[3,2,1]⊠S[5,1]", "S[3,3]⊠S[2,2,2]", "S[3,3]⊠S[4,2]", "S[3,3]⊠S[6]",
+        "S[4,1,1]⊠S[2,2,2]", "S[4,1,1]⊠S[4,2]", "S[4,1,1]⊠S[6]", "S[4,2]⊠S[3,2,1]",
+        "S[4,2]⊠S[3,3]", "S[4,2]⊠S[4,1,1]", "S[4,2]⊠S[4,2]", "S[4,2]⊠S[5,1]",
+        "S[5,1]⊠S[3,2,1]", "S[5,1]⊠S[4,2]", "S[5,1]⊠S[5,1]", "S[6]⊠S[3,3]",
+        "S[6]⊠S[4,1,1]",
+    ]),
+]
+
+GR_LINES = """\
+([5,1,1], [3,3,1])
+([4,2,1], [3,3,1])
+([4,1,1,1], [3,3,1])
+([4,1,1], [3,3])
+([4,1,1], [3,2,1])
+([3,2,1,1], [3,3,1])
+([3,2,1], [3,3])
+([3,2,1], [3,2,1])
+([3,1,1,1], [3,3])
+([3,1,1,1], [3,2,1])
+([3,1,1], [3,2])
+([3,1,1], [3,1,1])
+([2,2,1,1], [5,1])
+([2,2,1,1], [4,2])
+([2,2,1,1], [4,1,1])
+([2,2,1,1], [3,3])
+([2,2,1,1], [3,2,1])
+([2,2,1], [4,1])
+([2,2,1], [3,2])
+([2,2,1], [3,1,1])
+([2,1,1,1], [4,1])
+([2,1,1,1], [3,2])
+([2,1,1,1], [3,1,1])
+([2,1,1], [3,1])
+"""
+
+
+def test_decompose_output_is_pinned(capsys):
+    for argv, head, terms in DECOMPOSE_TERMS:
+        assert main(["decompose", *argv]) == 0
+        assert capsys.readouterr().out == head + " + ".join(terms) + "\n", argv
+    assert main(["decompose", "gr", "--lam", "2,1,1", "--mu", "3,1", "--d", "9"]) == 0
+    assert capsys.readouterr().out == GR_LINES
+
 def test_koszul_subcommand(capsys):
     assert main(["koszul", "--m", "3", "--n", "3", "--d", "3"]) == 0
     out = capsys.readouterr().out

@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -8,37 +9,44 @@ from minorrel.partitions import (
     dim_schur,
     hook_lengths,
     in_M_r,
-    kostka,
     parse_partition,
     partitions_of,
 )
+from minorrel.symfunc import kostka
 from oracles import contains, is_horizontal_strip, weyl_dim_weight
 
 
-def ssyt_count(lam, n):
-    """Brute-force count of semistandard tableaux of shape lam, entries <= n."""
+def ssyt_contents(lam, n):
+    """Brute-force count of semistandard tableaux of shape lam, entries <= n.
+
+    Returns a Counter keyed by content: (number of 1s, ..., number of ns).
+    """
     lam = canon(lam)
-    if not lam:
-        return 1
     cells = [(i, j) for i, row in enumerate(lam) for j in range(row)]
+    out = Counter()
 
     def fill(idx, grid):
         if idx == len(cells):
-            return 1
+            entries = Counter(grid.values())
+            out[tuple(entries[e] for e in range(1, n + 1))] += 1
+            return
         i, j = cells[idx]
         lo = 1
         if j > 0:
             lo = max(lo, grid[(i, j - 1)])
         if i > 0:
             lo = max(lo, grid[(i - 1, j)] + 1)
-        total = 0
         for v in range(lo, n + 1):
             grid[(i, j)] = v
-            total += fill(idx + 1, grid)
+            fill(idx + 1, grid)
         grid.pop((i, j), None)
-        return total
 
-    return fill(0, {})
+    fill(0, {})
+    return out
+
+
+def ssyt_count(lam, n):
+    return sum(ssyt_contents(lam, n).values())
 
 
 def test_parse_format_round_trip():
@@ -101,6 +109,18 @@ def test_kostka_values():
     assert kostka((2, 1), (2, 1)) == 1
     assert kostka((1, 1), (2,)) == 0
     assert kostka((3,), (1, 1, 1)) == 1
+
+
+def test_kostka_matches_tableau_count_for_every_composition():
+    # every content of length <= 4, zero parts and unsorted orders included
+    for d in range(7):
+        for lam in partitions_of(d):
+            counts = ssyt_contents(lam, 4)
+            for length in range(5):
+                for alpha in product(range(d + 1), repeat=length):
+                    if sum(alpha) == d:
+                        expected = counts[alpha + (0,) * (4 - length)]
+                        assert kostka(lam, alpha) == expected, (lam, alpha)
 
 
 def test_kostka_row_sums_give_dimension():

@@ -4,7 +4,7 @@ from math import comb, factorial
 import pytest
 
 from minorrel.partitions import canon, conjugate, dim_schur, partitions_of
-from minorrel.symfunc import bivariate_wedge_power, plethysm_schur, schur_multiply
+from minorrel.symfunc import plethysm_schur, schur_multiply, wedge_power
 from oracles import (
     from_power_basis,
     lr_coefficient,
@@ -242,12 +242,14 @@ def test_cauchy_dimensions():
 
 
 def test_wedge_power_binomial_dimensions():
-    # Λ^k of the span of the 2x2 minors has binomial dimension
-    W = {((1, 1), (1, 1)): 1}
-    for m, n, ks in [(2, 3, range(4)), (3, 3, range(4)), (3, 4, [9])]:
-        dim_W = dim_schur((1, 1), m) * dim_schur((1, 1), n)
+    # Λ^k of the span of the 2x2 minors, or of the permanents, has binomial
+    # dimension
+    for piece, (m, n, ks) in product(
+        [(1, 1), (2,)], [(2, 3, range(4)), (3, 3, range(4)), (3, 4, [9])]
+    ):
+        dim_W = dim_schur(piece, m) * dim_schur(piece, n)
         for k in ks:
-            out = bivariate_wedge_power(W, k)
+            out = wedge_power(piece, piece, k)
             total = sum(
                 mult * dim_schur(lam, m) * dim_schur(mu, n)
                 for (lam, mu), mult in out.items()
@@ -255,23 +257,8 @@ def test_wedge_power_binomial_dimensions():
             assert total == comb(dim_W, k)
 
 
-def test_wedge_power_of_direct_sum():
-    # Λ^2(W ⊕ W') expands binomially
-    U = {((2,), (2,)): 1, ((1, 1), (1, 1)): 1}
-    out = bivariate_wedge_power(U, 2)
-    m = n = 3
-    dims = dim_schur((2,), 3) * dim_schur((2,), 3) + dim_schur((1, 1), 3) * dim_schur(
-        (1, 1), 3
-    )
-    total = sum(
-        mult * dim_schur(lam, m) * dim_schur(mu, n) for (lam, mu), mult in out.items()
-    )
-    assert total == comb(dims, 2)
-
-
 def test_wedge_two_of_minor_space():
-    W = {((1, 1), (1, 1)): 1}
-    assert bivariate_wedge_power(W, 2) == {
+    assert wedge_power((1, 1), (1, 1), 2) == {
         ((2, 2), (2, 1, 1)): 1,
         ((1, 1, 1, 1), (2, 1, 1)): 1,
         ((2, 1, 1), (2, 2)): 1,

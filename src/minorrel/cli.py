@@ -1,38 +1,40 @@
 """Command line front end for the verification tasks.
 
-Subcommands: decompose, verify, koszul, rees, fiber-type, suite.  Exit codes:
-0 all comparisons pass, 1 any fail, 2 usage or capacity error.  The results
-directory for cached json reports comes from --results-dir or the
-MINORREL_RESULTS_DIR environment variable; a key=value config file can
-override the sparse-matrix capacity cap (an integer at least 1) and the
+Subcommands: decompose, verify, koszul, suite.  Every stated witness runs
+through tasks.run; `verify que-7.1 --a-max A --e-max E` is the Rees-ideal
+table and the fiber-type check.  Exit codes: 0 all comparisons pass, 1 any
+fail, 2 usage or capacity error.  Cached json reports go to --results-dir,
+or else to the MINORREL_RESULTS_DIR that tasks.run reads; a key=value config
+file can set the sparse-matrix capacity cap (an integer at least 1) and the
 modular prime list (at least two distinct primes, each at least 2^16 and
-below 2^64).
+below 2^64).  Any other key, or a line without "=", is a usage error.
 """
 
 import argparse
-import os
 import sys
 
 from . import modlinalg
 from .birep import character_A, gr_components_bivariate, gr_labels
 from .partitions import parse_partition
 from .polyring import RingContext
-from .rees import _orbit_size, fiber_type_check, orbit_total, rees_ideal
+from .rees import _orbit_size, orbit_total
 from .report import emit, format_bicharacter
 from .symfunc import wedge_power
-from .tasks import RESULTS_DIR_ENV, VerificationTask, run, run_suite, suite_tasks
+from .tasks import VerificationTask, run, suite_tasks
 from .witness import koszul_h1_blocks
 
 
 def load_config(path):
-    """Read a key=value config file; known keys: cap, primes (comma list)."""
+    """Read a key=value config file; the keys are cap and primes (comma list)."""
     cfg = {}
     with open(path) as fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            key, _, value = line.partition("=")
+            key, eq, value = line.partition("=")
+            if not eq or key.strip() not in ("cap", "primes"):
+                raise ValueError(f"config line {line!r}: expected cap = N or primes = P1, P2")
             cfg[key.strip()] = value.strip()
     return cfg
 
@@ -96,11 +98,8 @@ def cmd_decompose(args):
 
 
 def cmd_verify(args):
-    params = {}
-    for key in ("m", "n", "d_max", "r"):
-        value = getattr(args, key, None)
-        if value is not None:
-            params[key] = value
+    keys = ("m", "n", "d_max", "r", "a_max", "e_max")
+    params = {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
     task = VerificationTask(args.statement, params, seed=args.seed)
     report = run(task, results_dir=args.results_dir)
     print(emit(report, args.format), end="")
@@ -122,33 +121,9 @@ def cmd_koszul(args):
     return 0
 
 
-def cmd_rees(args):
-    ctx = RingContext(args.m, args.n)
-    table = rees_ideal(ctx, a_max=args.a_max, e_max=args.e_max, seed=args.seed)
-    if not table:
-        print("no minimal generators in the window")
-    for (a, b), count in table:
-        print(f"bidegree ({a},{b}): {count}")
-    return 0
-
-
-def cmd_fiber_type(args):
-    ctx = RingContext(args.m, args.n)
-    fiber, table = fiber_type_check(
-        ctx,
-        a_max=args.a_max,
-        e_max=args.e_max,
-        seed=args.seed,
-    )
-    for (a, b), count in sorted(table.items()):
-        print(f"bidegree ({a},{b}): {count}")
-    print(f"fiber type: {fiber}")
-    return 0 if fiber else 1
-
-
 def cmd_suite(args):
     tasks = suite_tasks(args.profile, seed=args.seed)
-    reports = run_suite(tasks, results_dir=args.results_dir)
+    reports = [run(task, args.results_dir) for task in tasks]
     failed = 0
     skipped = 0
     for report in reports:
@@ -172,9 +147,7 @@ def build_parser():
     )
     parser.add_argument("--config", help="key=value config file (cap, primes)")
     parser.add_argument(
-        "--results-dir",
-        default=os.environ.get(RESULTS_DIR_ENV),
-        help="directory for cached json reports",
+        "--results-dir", help="directory for cached json reports (default $MINORREL_RESULTS_DIR)"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -193,6 +166,8 @@ def build_parser():
     p.add_argument("--n", type=int)
     p.add_argument("--dmax", dest="d_max", type=int)
     p.add_argument("--r", type=int)
+    p.add_argument("--a-max", dest="a_max", type=int)
+    p.add_argument("--e-max", dest="e_max", type=int)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=["table", "json"], default="table")
     p.set_defaults(fn=cmd_verify)
@@ -205,22 +180,6 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(fn=cmd_koszul)
-
-    p = sub.add_parser("rees", help="minimal generators of the Rees ideal")
-    p.add_argument("--m", type=int, default=3)
-    p.add_argument("--n", type=int, default=3)
-    p.add_argument("--a-max", dest="a_max", type=int, default=3)
-    p.add_argument("--e-max", dest="e_max", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=cmd_rees)
-
-    p = sub.add_parser("fiber-type", help="check the fiber-type property")
-    p.add_argument("--m", type=int, default=3)
-    p.add_argument("--n", type=int, default=3)
-    p.add_argument("--a-max", dest="a_max", type=int, default=3)
-    p.add_argument("--e-max", dest="e_max", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=cmd_fiber_type)
 
     p = sub.add_parser("suite", help="run the default verification suite")
     p.add_argument("--profile", choices=["quick", "full", "long"], default="quick")

@@ -339,8 +339,3 @@ def suite_tasks(profile="quick", seed=0):
             mk("thm-1.1", m=5, n=5, d_max=4),
         ]
     return tasks
-
-
-def run_suite(tasks, results_dir=None):
-    """Run tasks one after the other."""
-    return [run(t, results_dir) for t in tasks]

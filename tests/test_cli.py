@@ -1,3 +1,4 @@
+import argparse
 import importlib.util
 import json
 import os
@@ -7,10 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from minorrel.cli import apply_config, load_config, main
+from minorrel.cli import apply_config, build_parser, load_config, main
 from minorrel.report import VerificationReport, emit, format_bicharacter, parse_report
-from minorrel.tasks import VerificationTask, run, suite_tasks, validate
-from minorrel import modlinalg
+from minorrel.tasks import _STATEMENTS, VerificationTask, run, suite_tasks, validate
+from minorrel import cli, modlinalg
 
 
 def test_character_rendering():
@@ -81,6 +82,24 @@ def test_results_dir_caching_is_byte_identical(tmp_path):
     blob2 = (tmp_path / files[0]).read_bytes()
     assert blob1 == blob2
     assert emit(r2, "json").encode() == blob1
+
+
+def test_results_dir_from_the_environment(tmp_path, capsys, monkeypatch):
+    env_dir, flag_dir = tmp_path / "env", tmp_path / "flag"
+    monkeypatch.setenv("MINORREL_RESULTS_DIR", str(env_dir))
+    verify = ["verify", "thm-1.1", "--m", "2", "--n", "4", "--dmax", "2", "--format", "json"]
+    assert main(verify) == 0
+    first = capsys.readouterr().out
+    assert len(os.listdir(env_dir)) == 1
+    # the second run reads the cached report, timings included
+    assert main(verify) == 0
+    assert capsys.readouterr().out == first
+    assert len(os.listdir(env_dir)) == 1
+    # --results-dir takes precedence over the environment
+    assert main(["--results-dir", str(flag_dir)] + verify) == 0
+    capsys.readouterr()
+    assert len(os.listdir(flag_dir)) == 1
+    assert len(os.listdir(env_dir)) == 1
 
 
 def test_decompose_subcommands(capsys):
@@ -183,19 +202,75 @@ def test_koszul_verbose_lists_dominant_weights(capsys):
     assert sum(int(dim) * int(size) for dim, size in pairs) == 16
 
 
-def test_fiber_type_subcommand(capsys):
-    assert main(["fiber-type", "--m", "2", "--n", "3"]) == 0
-    out = capsys.readouterr().out
-    assert "fiber type: True" in out
+# stdout of `verify que-7.1 --m 2 --n 3`, recorded while the `fiber-type`
+# subcommand, which printed the same table and verdict, still existed
+QUE_7_1_2X3 = """\
+que-7.1  {'params': {'m': 2, 'n': 3}, 'seed': 0}
+  bidegrees                predicted='-'  witnessed={'(1,2)': 2}  ok
+  fiber_type               predicted=True  witnessed=True  ok
+  verdict: pass
+"""
+
+
+def _que_7_1(argv, capsys):
+    """The json report of `verify que-7.1` with argv, which must pass."""
+    assert main(["verify", "que-7.1", *argv, "--format", "json"]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_verify_que_7_1_is_fiber_type_at_2x3(capsys):
+    assert main(["verify", "que-7.1", "--m", "2", "--n", "3"]) == 0
+    assert capsys.readouterr().out == QUE_7_1_2X3
     # every count is orbit-weighted and exact, so there is no dominant-only mode
-    assert main(["fiber-type", "--m", "2", "--n", "3", "--dominant-only"]) == 2
+    assert main(["verify", "que-7.1", "--m", "2", "--n", "3", "--dominant-only"]) == 2
     capsys.readouterr()
 
 
-def test_rees_subcommand(capsys):
-    assert main(["rees", "--m", "3", "--n", "3"]) == 0
-    out = capsys.readouterr().out
-    assert "bidegree (1,2): 16" in out
+def test_verify_que_7_1_witnesses_sixteen_linear_syzygies_at_3x3(capsys):
+    report = _que_7_1(["--m", "3", "--n", "3"], capsys)
+    assert report["witnessed"] == {"bidegrees": {"(1,2)": 16}, "fiber_type": True}
+
+
+def test_verify_que_7_1_takes_the_bidegree_window(capsys):
+    # the table of test_rees.py's test_2x4_fiber_and_syzygy_generators
+    report = _que_7_1(["--m", "2", "--n", "4", "--a-max", "2", "--e-max", "2"], capsys)
+    assert report["task"]["params"] == {"a_max": 2, "e_max": 2, "m": 2, "n": 4}
+    assert report["witnessed"]["bidegrees"] == {"(0,4)": 1, "(1,2)": 8}
+    # each bound cuts off one of the two bidegrees
+    report = _que_7_1(["--m", "2", "--n", "4", "--a-max", "0", "--e-max", "2"], capsys)
+    assert report["witnessed"]["bidegrees"] == {"(0,4)": 1}
+    report = _que_7_1(["--m", "2", "--n", "4", "--a-max", "2", "--e-max", "1"], capsys)
+    assert report["witnessed"]["bidegrees"] == {"(1,2)": 8}
+    # sizes past the statement's envelope are usage errors
+    assert main(["verify", "que-7.1", "--m", "6", "--n", "6"]) == 2
+    assert "outside envelope" in capsys.readouterr().err
+
+
+def test_verify_options_are_statement_params(capsys, monkeypatch):
+    # every settable verify value other than the seed and the format is a key
+    # of some statement's window and reaches the task; every key of que-7.1's
+    # window can be set
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = [
+        a
+        for a in sub.choices["verify"]._actions
+        if a.option_strings and a.dest not in ("help", "seed", "format")
+    ]
+    windows = {key for _, _, window in _STATEMENTS.values() for key in window}
+    dests = {a.dest for a in options}
+    assert dests <= windows
+    assert set(_STATEMENTS["que-7.1"][2]) <= dests
+    seen = []
+
+    def fake_run(task, results_dir):
+        seen.append(task)
+        return VerificationReport(task=task.as_dict(), predicted={}, witnessed={}, verdict="pass")
+
+    monkeypatch.setattr(cli, "run", fake_run)
+    argv = [arg for a in options for arg in (a.option_strings[0], "1")]
+    assert main(["verify", "que-7.1", *argv]) == 0
+    capsys.readouterr()
+    assert seen[0].params == dict.fromkeys(dests, 1)
 
 
 def test_suite_quick_profile(capsys):
@@ -270,6 +345,15 @@ def test_configured_primes_give_the_default_witnesses(restore_config):
         assert [run(task).witnessed for task in tasks] == default, primes
 
 
+def test_config_rejects_unknown_keys_and_lines_without_equals(tmp_path, capsys, restore_config):
+    # either line would otherwise leave the cap at its default and the run would pass
+    verify = ["verify", "thm-1.1", "--m", "2", "--n", "4", "--dmax", "2"]
+    for text in ("caps = 1\n", "cap 1\n", "caps = 1\ncap 1\n"):
+        assert main(["--config", _config(tmp_path, text)] + verify) == 2, text
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: config line"), text
+
+
 def test_config_rejects_bad_cap(tmp_path, capsys, restore_config):
     verify = ["verify", "thm-1.1", "--m", "2", "--n", "4", "--dmax", "2"]
     for cap in ("0", "-5", "1.5", "ten"):
@@ -286,6 +370,9 @@ def test_removed_flags_are_usage_errors(capsys):
     assert main(verify + ["--rank", "exact"]) == 2
     assert main(verify + ["--variant", "minors"]) == 2
     assert main(["suite", "--workers", "2"]) == 2
+    # the Rees table and the fiber-type check are `verify que-7.1`
+    assert main(["rees", "--m", "3", "--n", "3"]) == 2
+    assert main(["fiber-type", "--m", "2", "--n", "3"]) == 2
     capsys.readouterr()
 
 

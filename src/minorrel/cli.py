@@ -1,13 +1,15 @@
 """Command line front end for the verification tasks.
 
-Subcommands: decompose, verify, koszul, suite.  Every stated witness runs
-through tasks.run; `verify que-7.1 --a-max A --e-max E` is the Rees-ideal
-table and the fiber-type check.  Exit codes: 0 all comparisons pass, 1 any
-fail, 2 usage or capacity error.  Cached json reports go to --results-dir,
-or else to the MINORREL_RESULTS_DIR that tasks.run reads; a key=value config
-file can set the sparse-matrix capacity cap (an integer at least 1) and the
-modular prime list (at least two distinct primes, each at least 2^16 and
-below 2^64).  Any other key, or a line without "=", is a usage error.
+Subcommands: decompose, verify, suite.  Every stated witness runs through
+tasks.run; `verify que-7.1 --a-max A --e-max E` is the Rees-ideal table and
+the fiber-type check, and the json report of `verify thm-3.1` or `thm-3.2`
+lists Koszul H_1 by dominant weight.  Exit codes: 0 all comparisons pass,
+1 any fail, 2 usage or capacity error.  Cached json reports go to
+--results-dir, or else to the MINORREL_RESULTS_DIR that tasks.run reads; a
+key=value config file can set the sparse-matrix capacity cap (an integer at
+least 1) and the modular prime list (at least two distinct primes, each at
+least 2^16 and below 2^64).  Any other key, a key given twice, or a line
+without "=", is a usage error.
 """
 
 import argparse
@@ -16,12 +18,9 @@ import sys
 from . import modlinalg
 from .birep import character_A, gr_components_bivariate, gr_labels
 from .partitions import parse_partition
-from .polyring import RingContext
-from .rees import _orbit_size, orbit_total
 from .report import emit, format_bicharacter
 from .symfunc import wedge_power
 from .tasks import VerificationTask, run, suite_tasks
-from .witness import koszul_h1_blocks
 
 
 def load_config(path):
@@ -33,9 +32,13 @@ def load_config(path):
             if not line or line.startswith("#"):
                 continue
             key, eq, value = line.partition("=")
-            if not eq or key.strip() not in ("cap", "primes"):
+            key = key.strip()
+            if not eq or key not in ("cap", "primes"):
                 raise ValueError(f"config line {line!r}: expected cap = N or primes = P1, P2")
-            cfg[key.strip()] = value.strip()
+            # a repeated key would silently override the line that set it first
+            if key in cfg:
+                raise ValueError(f"config line {line!r}: {key} is already set")
+            cfg[key] = value.strip()
     return cfg
 
 
@@ -110,17 +113,6 @@ def cmd_verify(args):
     return 1
 
 
-def cmd_koszul(args):
-    ctx = RingContext(args.m, args.n)
-    blocks = koszul_h1_blocks(ctx, args.variant, args.d, seed=args.seed)
-    total = orbit_total(blocks)
-    print(f"H1 dimension at degree {args.d} ({args.variant}, {args.m}x{args.n}): {total}")
-    if args.verbose:
-        for w, dim in sorted(blocks.items()):
-            print(f"  weight {w}: dim {dim}, orbit size {_orbit_size(w)}")
-    return 0
-
-
 def cmd_suite(args):
     tasks = suite_tasks(args.profile, seed=args.seed)
     reports = [run(task, args.results_dir) for task in tasks]
@@ -171,15 +163,6 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=["table", "json"], default="table")
     p.set_defaults(fn=cmd_verify)
-
-    p = sub.add_parser("koszul", help="first Koszul homology dimension")
-    p.add_argument("--m", type=int, default=3)
-    p.add_argument("--n", type=int, default=3)
-    p.add_argument("--d", type=int, default=3)
-    p.add_argument("--variant", choices=["minors", "permanents"], default="minors")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--verbose", action="store_true")
-    p.set_defaults(fn=cmd_koszul)
 
     p = sub.add_parser("suite", help="run the default verification suite")
     p.add_argument("--profile", choices=["quick", "full", "long"], default="quick")

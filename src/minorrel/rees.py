@@ -96,7 +96,7 @@ def _sign_between(f, g):
     raise ValueError("permuting rows and columns must carry each generator to +- a generator")
 
 
-def _orbit_size(w):
+def orbit_size(w):
     """Size of the S_m x S_n orbit of the weight w = (row sums, column sums)."""
     size = 1
     for part in w:
@@ -117,7 +117,7 @@ def orbit_total(dims):
     dims maps dominant weights to the count there; each is weighted by the
     size of its S_m x S_n orbit.
     """
-    return sum(_orbit_size(w) * c for w, c in dims.items())
+    return sum(orbit_size(w) * c for w, c in dims.items())
 
 
 def _monomials_of_degree(ctx, d):

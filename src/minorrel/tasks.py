@@ -2,7 +2,9 @@
 
 Each statement id resolves to a runner that computes a prediction through the
 character engine and a witness through linear algebra, Bott cohomology, or
-elimination, then compares the two exactly.  Capacity overruns surface as the
+elimination, then compares the two exactly.  A runner returns (predicted,
+witnessed, certificates); the certificates are json-native and in a fixed
+order, and only the Koszul runners have any.  Capacity overruns surface as the
 verdict "skipped-capacity", never as a silent pass.  Reports can be cached in
 a results directory under filenames hashed from the task, the configured
 primes and nonzero cap, and the package source; a capacity skip is never
@@ -20,7 +22,7 @@ from pathlib import Path
 from . import bott, modlinalg
 from .birep import dim_at, predicted_character
 from .polyring import RingContext
-from .rees import fiber_type_check, orbit_total
+from .rees import fiber_type_check, orbit_size, orbit_total
 from .report import VerificationReport, format_bicharacter, parse_report, emit
 from .witness import (
     koszul_h1_blocks,
@@ -71,20 +73,31 @@ def _by_degree(statement, variant, koszul=False):
 
     The witness is the count of minimal relations, or with koszul the Koszul
     H_1 dimension, each looked up by its module-global name when the runner runs.
+    With koszul the certificates list H_1 at each dominant weight where it is
+    nonzero: degree, weight [row sums, column sums], dim and orbit size, in
+    degree and weight order.
     """
 
     def runner(p, seed):
         m, n, d_max = p["m"], p["n"], p["d_max"]
         ctx, degrees = RingContext(m, n), range(2, d_max + 1)
         if koszul:
-            dims = {d: orbit_total(koszul_h1_blocks(ctx, variant, d, seed)) for d in degrees}
+            blocks = {d: koszul_h1_blocks(ctx, variant, d, seed) for d in degrees}
+            dims = {d: orbit_total(blocks[d]) for d in degrees}
+            certificates = tuple(
+                {"degree": d, "weight": [list(w[0]), list(w[1])], "dim": dim,
+                 "orbit_size": orbit_size(w)}
+                for d in degrees
+                for w, dim in sorted(blocks[d].items())
+            )
         else:
             dims = {d: mins for d, (_, mins) in relation_dims(ctx, variant, d_max, seed).items()}
+            certificates = ()
         predicted = {
             f"degree_{d}": dim_at(predicted_character(statement, d), m, n) for d in degrees
         }
         witnessed = {f"degree_{d}": dims[d] for d in degrees}
-        return predicted, witnessed
+        return predicted, witnessed, certificates
 
     return runner
 
@@ -108,7 +121,7 @@ def _run_lem_4_3(p, seed):
                     geo = bott.lemma_4_3_character(r, d, m, n)
                     predicted[key] = format_bicharacter(_within(full, m, n))
                     witnessed[key] = format_bicharacter(geo.terms)
-    return predicted, witnessed
+    return predicted, witnessed, ()
 
 
 def _run_lem_4_4(p, seed):
@@ -127,7 +140,7 @@ def _run_lem_4_4(p, seed):
                                 nonzero.append((u, v, j, r, m, n))
     predicted = {"nonzero_cases": 0, "checked": checked}
     witnessed = {"nonzero_cases": len(nonzero), "checked": checked}
-    return predicted, witnessed
+    return predicted, witnessed, ()
 
 
 def _run_thm_4_1(p, seed):
@@ -150,7 +163,7 @@ def _run_thm_4_1(p, seed):
         "relation_degrees": rel_degrees,
         "relations_within_bound": out["relations"].get(r + 1, 0) <= bound,
     }
-    return predicted, witnessed
+    return predicted, witnessed, ()
 
 
 def _run_eq_tor1(p, seed):
@@ -163,7 +176,7 @@ def _run_eq_tor1(p, seed):
             geo_terms[pair] = geo_terms.get(pair, 0) + mult
     predicted = {"character": format_bicharacter(_within(stated.terms, m, n))}
     witnessed = {"character": format_bicharacter(geo_terms)}
-    return predicted, witnessed
+    return predicted, witnessed, ()
 
 
 def _run_subspace(p, seed):
@@ -174,7 +187,7 @@ def _run_subspace(p, seed):
     predicted[f"degree_{m}"] = dim_at(ch, m, n)
     counts = subspace_variety_gens(m, n, d_max=d_max, seed=seed)
     witnessed = {f"degree_{d}": counts.get(d, 0) for d in range(1, d_max + 1)}
-    return predicted, witnessed
+    return predicted, witnessed, ()
 
 
 def _run_fiber_type(p, seed):
@@ -184,7 +197,7 @@ def _run_fiber_type(p, seed):
     predicted = {"fiber_type": True}
     witnessed = {"fiber_type": fiber}
     witnessed["bidegrees"] = {f"({a},{b})": c for (a, b), c in sorted(table.items())}
-    return predicted, witnessed
+    return predicted, witnessed, ()
 
 
 # statement -> (runner, feasibility envelope max (m, n, degree-like bound),
@@ -268,16 +281,17 @@ def run(task, results_dir=None):
                 return parse_report(fh.read())
     t0 = time.perf_counter()
     try:
-        predicted, witnessed = _STATEMENTS[task.statement][0](p, task.seed)
+        predicted, witnessed, certificates = _STATEMENTS[task.statement][0](p, task.seed)
         verdict = "pass" if predicted == {k: witnessed.get(k) for k in predicted} else "fail"
     except modlinalg.CapacityError as exc:
-        predicted, witnessed = {}, {"capacity": str(exc)}
+        predicted, witnessed, certificates = {}, {"capacity": str(exc)}, ()
         verdict = "skipped-capacity"
     elapsed = time.perf_counter() - t0
     report = VerificationReport(
         task=task.as_dict(),
         predicted=predicted,
         witnessed=witnessed,
+        certificates=certificates,
         verdict=verdict,
         timings={"total_s": round(elapsed, 3)},
     )

@@ -178,8 +178,8 @@ def filtration_generator_space(ctx, c):
     return list(out.values())
 
 
-class _VeroneseRelations(GradedKernel):
-    """The Veronese instance: the kernel of G_r (x) R -> M_r/M_{r-1}.
+class VeroneseEngine(GradedKernel):
+    """The Veronese instance, for the minors: the kernel of G_r (x) R -> M_r/M_{r-1}.
 
     Sources of degree D are pairs (index into the generator space G_r,
     multiset of D - r quadrics).  The kernel is taken modulo the spanning
@@ -227,11 +227,6 @@ class _VeroneseRelations(GradedKernel):
         return out
 
 
-def veronese_engine(ctx, r):
-    """The engine of the presentation G_r (x) R -> M_r/M_{r-1}, for the minors."""
-    return _VeroneseRelations(ctx, r)
-
-
 def veronese_presentation_dims(ctx, r, d_max, seed=0):
     """Generator and first-relation dimensions of M_r/M_{r-1} by degree, for the minors.
 
@@ -241,7 +236,7 @@ def veronese_presentation_dims(ctx, r, d_max, seed=0):
     """
     if r < 1:
         raise ValueError("need r >= 1")
-    engine = veronese_engine(ctx, r)
+    engine = VeroneseEngine(ctx, r)
 
     def compute(q):
         engine.at(q)

@@ -43,7 +43,7 @@ from minorrel.partitions import canon, conjugate, partitions_of
 from minorrel.polyring import generators_for, pack, pack_weight, poly_mul, unpack, unpack_weight
 from minorrel.rees import _monomials_of_degree, _shifted_rows
 from minorrel.symfunc import plethysm_schur, schur_multiply
-from minorrel.witness import filtration_generator_space, veronese_engine
+from minorrel.witness import VeroneseEngine, filtration_generator_space
 
 
 def wadd(w, delta):
@@ -529,7 +529,7 @@ def veronese_generators_by_span(ctx, r, d_max, p):
     the explicit spanning polynomials of each whole degree, one matrix each,
     without weight blocks.
     """
-    engine = veronese_engine(ctx, r)
+    engine = VeroneseEngine(ctx, r)
     out = {}
     prev = []
     for D in range(d_max + 1):

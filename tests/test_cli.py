@@ -70,18 +70,29 @@ def test_verify_json_output(capsys):
         "verdict",
         "timings",
     }
+    # only the Koszul statements certify anything
+    assert data["certificates"] == []
 
 
 def test_results_dir_caching_is_byte_identical(tmp_path):
-    task = VerificationTask("thm-1.1", {"m": 2, "n": 4, "d_max": 2})
-    r1 = run(task, results_dir=str(tmp_path))
-    files = os.listdir(tmp_path)
-    assert len(files) == 1
-    blob1 = (tmp_path / files[0]).read_bytes()
-    r2 = run(task, results_dir=str(tmp_path))
-    blob2 = (tmp_path / files[0]).read_bytes()
-    assert blob1 == blob2
-    assert emit(r2, "json").encode() == blob1
+    # the thm-3.1 report carries certificates: Koszul H_1 by dominant weight
+    tasks = [
+        VerificationTask("thm-1.1", {"m": 2, "n": 4, "d_max": 2}),
+        VerificationTask("thm-3.1", {"m": 3, "n": 3, "d_max": 4}),
+    ]
+    for task in tasks:
+        results_dir = tmp_path / task.statement
+        r1 = run(task, results_dir=str(results_dir))
+        files = os.listdir(results_dir)
+        assert len(files) == 1
+        blob1 = (results_dir / files[0]).read_bytes()
+        r2 = run(task, results_dir=str(results_dir))
+        blob2 = (results_dir / files[0]).read_bytes()
+        assert blob1 == blob2
+        assert emit(r2, "json").encode() == blob1
+        assert r2 == r1
+    assert r2.certificates
+    assert r2.certificates == tuple(json.loads(blob1)["certificates"])
 
 
 def test_results_dir_from_the_environment(tmp_path, capsys, monkeypatch):
@@ -182,24 +193,92 @@ def test_decompose_output_is_pinned(capsys):
     assert main(["decompose", "gr", "--lam", "2,1,1", "--mu", "3,1", "--d", "9"]) == 0
     assert capsys.readouterr().out == GR_LINES
 
+
+# Koszul H_1 of the 3x3 minors by dominant weight, as (row sums, column
+# sums, dim, orbit size), recorded from the `koszul --verbose` listing that
+# the json report of `verify thm-3.1` replaced
+KOSZUL_3X3 = {
+    3: [
+        ((1, 1, 1), (1, 1, 1), 4, 1),
+        ((1, 1, 1), (2, 1, 0), 1, 6),
+        ((2, 1, 0), (1, 1, 1), 1, 6),
+    ],
+    5: [
+        ((2, 2, 1), (2, 2, 1), 5, 9),
+        ((2, 2, 1), (3, 1, 1), 5, 9),
+        ((2, 2, 1), (3, 2, 0), 1, 18),
+        ((2, 2, 1), (4, 1, 0), 1, 18),
+        ((3, 1, 1), (2, 2, 1), 5, 9),
+        ((3, 1, 1), (3, 1, 1), 5, 9),
+        ((3, 1, 1), (3, 2, 0), 1, 18),
+        ((3, 1, 1), (4, 1, 0), 1, 18),
+        ((3, 2, 0), (2, 2, 1), 1, 18),
+        ((3, 2, 0), (3, 1, 1), 1, 18),
+        ((4, 1, 0), (2, 2, 1), 1, 18),
+        ((4, 1, 0), (3, 1, 1), 1, 18),
+    ],
+}
+
+
+def _verify_json(argv, capsys):
+    """The json report of `verify` with argv, which must pass."""
+    assert main(["verify", *argv, "--format", "json"]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
 def test_koszul_subcommand(capsys):
-    assert main(["koszul", "--m", "3", "--n", "3", "--d", "3"]) == 0
-    out = capsys.readouterr().out
-    assert "16" in out
+    # the former `koszul` subcommand is a usage error; its total at degree 3
+    # is the degree_3 witness of `verify thm-3.1`
+    assert main(["koszul", "--m", "3", "--n", "3", "--d", "3"]) == 2
+    capsys.readouterr()
+    report = _verify_json(["thm-3.1", "--m", "3", "--n", "3", "--dmax", "3"], capsys)
+    assert report["witnessed"]["degree_3"] == 16
 
 
-def test_koszul_verbose_lists_dominant_weights(capsys):
-    assert main(["koszul", "--m", "3", "--n", "3", "--d", "3", "--verbose"]) == 0
-    head, *lines = capsys.readouterr().out.strip().splitlines()
-    assert head.endswith(": 16")
-    assert lines == [
-        "  weight ((1, 1, 1), (1, 1, 1)): dim 4, orbit size 1",
-        "  weight ((1, 1, 1), (2, 1, 0)): dim 1, orbit size 6",
-        "  weight ((2, 1, 0), (1, 1, 1)): dim 1, orbit size 6",
-    ]
-    # the orbit-weighted sum of the listed dims is the printed total
-    pairs = [line.split(": dim ")[1].split(", orbit size ") for line in lines]
-    assert sum(int(dim) * int(size) for dim, size in pairs) == 16
+def test_verify_thm_3_1_lists_h1_by_dominant_weight(capsys):
+    report = _verify_json(["thm-3.1", "--m", "3", "--n", "3", "--dmax", "5"], capsys)
+    assert report["witnessed"] == {"degree_2": 0, "degree_3": 16, "degree_4": 99, "degree_5": 324}
+    by_degree = {}
+    for cert in report["certificates"]:
+        assert set(cert) == {"degree", "weight", "dim", "orbit_size"}
+        rows, cols = cert["weight"]
+        by_degree.setdefault(cert["degree"], []).append(
+            (tuple(rows), tuple(cols), cert["dim"], cert["orbit_size"])
+        )
+    # H_1 vanishes in degree 2, so no weight of it is listed
+    assert sorted(by_degree) == [3, 4, 5]
+    for d, table in KOSZUL_3X3.items():
+        assert by_degree[d] == table, d
+    assert len(by_degree[4]) == 5
+    # sizes past the Koszul envelope (4x5, degree 9) are usage errors
+    for size in (["--m", "5", "--n", "5"], ["--m", "3", "--n", "6"]):
+        assert main(["verify", "thm-3.1", *size, "--dmax", "3"]) == 2
+        assert "outside envelope" in capsys.readouterr().err
+    assert main(["verify", "thm-3.2", "--m", "3", "--n", "3", "--dmax", "10"]) == 2
+    assert "d_max=10 outside envelope" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["thm-3.1", "--m", "3", "--n", "3", "--dmax", "5"],
+        ["thm-3.1", "--m", "2", "--n", "4", "--dmax", "5"],
+        ["thm-3.2", "--m", "3", "--n", "3", "--dmax", "6"],
+    ],
+)
+def test_koszul_certificates_sum_to_the_witness(argv, capsys):
+    # each listed dim counts once per weight of its orbit, and the sum over
+    # the weights of a degree is the witnessed total
+    report = _verify_json(argv, capsys)
+    certificates = report["certificates"]
+    assert certificates
+    totals = dict.fromkeys(report["witnessed"], 0)
+    for cert in certificates:
+        totals[f"degree_{cert['degree']}"] += cert["dim"] * cert["orbit_size"]
+    assert totals == report["witnessed"]
+    # listed in degree and weight order, so a cached report re-emits the same bytes
+    keys = [(cert["degree"], cert["weight"]) for cert in certificates]
+    assert keys == sorted(keys)
 
 
 # stdout of `verify que-7.1 --m 2 --n 3`, recorded while the `fiber-type`
@@ -212,12 +291,6 @@ que-7.1  {'params': {'m': 2, 'n': 3}, 'seed': 0}
 """
 
 
-def _que_7_1(argv, capsys):
-    """The json report of `verify que-7.1` with argv, which must pass."""
-    assert main(["verify", "que-7.1", *argv, "--format", "json"]) == 0
-    return json.loads(capsys.readouterr().out)
-
-
 def test_verify_que_7_1_is_fiber_type_at_2x3(capsys):
     assert main(["verify", "que-7.1", "--m", "2", "--n", "3"]) == 0
     assert capsys.readouterr().out == QUE_7_1_2X3
@@ -227,19 +300,20 @@ def test_verify_que_7_1_is_fiber_type_at_2x3(capsys):
 
 
 def test_verify_que_7_1_witnesses_sixteen_linear_syzygies_at_3x3(capsys):
-    report = _que_7_1(["--m", "3", "--n", "3"], capsys)
+    report = _verify_json(["que-7.1", "--m", "3", "--n", "3"], capsys)
     assert report["witnessed"] == {"bidegrees": {"(1,2)": 16}, "fiber_type": True}
 
 
 def test_verify_que_7_1_takes_the_bidegree_window(capsys):
     # the table of test_rees.py's test_2x4_fiber_and_syzygy_generators
-    report = _que_7_1(["--m", "2", "--n", "4", "--a-max", "2", "--e-max", "2"], capsys)
+    que = ["que-7.1", "--m", "2", "--n", "4"]
+    report = _verify_json(que + ["--a-max", "2", "--e-max", "2"], capsys)
     assert report["task"]["params"] == {"a_max": 2, "e_max": 2, "m": 2, "n": 4}
     assert report["witnessed"]["bidegrees"] == {"(0,4)": 1, "(1,2)": 8}
     # each bound cuts off one of the two bidegrees
-    report = _que_7_1(["--m", "2", "--n", "4", "--a-max", "0", "--e-max", "2"], capsys)
+    report = _verify_json(que + ["--a-max", "0", "--e-max", "2"], capsys)
     assert report["witnessed"]["bidegrees"] == {"(0,4)": 1}
-    report = _que_7_1(["--m", "2", "--n", "4", "--a-max", "2", "--e-max", "1"], capsys)
+    report = _verify_json(que + ["--a-max", "2", "--e-max", "1"], capsys)
     assert report["witnessed"]["bidegrees"] == {"(1,2)": 8}
     # sizes past the statement's envelope are usage errors
     assert main(["verify", "que-7.1", "--m", "6", "--n", "6"]) == 2
@@ -352,6 +426,18 @@ def test_config_rejects_unknown_keys_and_lines_without_equals(tmp_path, capsys, 
         assert main(["--config", _config(tmp_path, text)] + verify) == 2, text
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: config line"), text
+
+
+def test_config_rejects_a_repeated_key(tmp_path, capsys, restore_config):
+    # the first line would set nothing: the second would override it
+    verify = ["verify", "thm-1.1", "--m", "2", "--n", "4", "--dmax", "2"]
+    primes = "primes = 1000003, 999983\n"
+    for text in ("cap = 5\ncap = 2000000\n", primes + primes):
+        assert main(["--config", _config(tmp_path, text)] + verify) == 2, text
+        captured = capsys.readouterr()
+        assert captured.out == "" and "is already set" in captured.err, text
+    with pytest.raises(ValueError, match="cap is already set"):
+        load_config(_config(tmp_path, "cap = 5\n# comment\ncap = 5\n"))
 
 
 def test_config_rejects_bad_cap(tmp_path, capsys, restore_config):

@@ -14,12 +14,12 @@ from minorrel.rees import (
     rees_ideal,
 )
 from minorrel.witness import (
+    VeroneseEngine,
     koszul_h1_blocks,
     presentation_dims,
     relation_dims,
     relation_engine,
     subspace_engine,
-    veronese_engine,
     veronese_presentation_dims,
 )
 from oracles import (
@@ -111,8 +111,8 @@ def test_orbit_weighted_count_matches_full_weight_sum():
         (relation_engine(RingContext(3, 3), "minors"), [2, 3], {}),
         (relation_engine(RingContext(2, 3), "permanents"), [2, 3], {2: 45, 3: 10}),
         (subspace_engine(2, 3), [1, 2, 3], {2: 66}),
-        (veronese_engine(RingContext(2, 3), 1), [1, 2, 3], {2: 9}),
-        (veronese_engine(RingContext(3, 3), 1), [1, 2], {2: 99}),
+        (VeroneseEngine(RingContext(2, 3), 1), [1, 2, 3], {2: 9}),
+        (VeroneseEngine(RingContext(3, 3), 1), [1, 2], {2: 99}),
     ]
     for engine, grades, expected in others:
         assert _full_weight_counts(engine.at(p), grades) == expected, expected
@@ -134,8 +134,8 @@ def _instances():
         ("rees 3x3", ReesEngine(RingContext(3, 3)).at(p), rees),
         ("minors 3x4", relation_engine(RingContext(3, 4), "minors").at(p), [1, 2, 3]),
         ("permanents 3x3", relation_engine(RingContext(3, 3), "permanents").at(p), [1, 2, 3]),
-        ("veronese 3x3 r=1", veronese_engine(RingContext(3, 3), 1).at(p), [1, 2, 3]),
-        ("veronese 3x3 r=2", veronese_engine(RingContext(3, 3), 2).at(p), [2, 3]),
+        ("veronese 3x3 r=1", VeroneseEngine(RingContext(3, 3), 1).at(p), [1, 2, 3]),
+        ("veronese 3x3 r=2", VeroneseEngine(RingContext(3, 3), 2).at(p), [2, 3]),
         ("subspace 3x3", subspace_engine(3, 3).at(p), [1, 2, 3]),
     ]
 
@@ -335,7 +335,7 @@ def test_veronese_factor_map_transposes_the_generator_space():
     # +1 times the polynomial the factor map names
     ctx = RingContext(3, 3)
     for r in (1, 2):
-        engine = veronese_engine(ctx, r)
+        engine = VeroneseEngine(ctx, r)
         for pi in permutations(range(3)):
             for tau in permutations(range(3)):
                 for transposed in (False, True):

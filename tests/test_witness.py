@@ -9,13 +9,13 @@ from minorrel.modlinalg import PRIMES, CapacityError, NonUnitPivot, rank_mod
 from minorrel.polyring import RingContext, pack_weight, x_weight
 from minorrel.rees import orbit_total, rees_ideal
 from minorrel.witness import (
+    VeroneseEngine,
     filtration_generator_space,
     koszul_h1_blocks,
     relation_dims,
     subspace_parameterization,
     subspace_variety_gens,
     two_primes,
-    veronese_engine,
     veronese_presentation_dims,
 )
 from oracles import (
@@ -148,7 +148,7 @@ def test_veronese_modulo_spans_the_lower_module_at_each_weight():
     p = PRIMES[0]
     rank = lambda polys: rank_mod(coefficient_rows(polys), p) if polys else 0
     for r in (1, 2):
-        engine = veronese_engine(ctx, r)
+        engine = VeroneseEngine(ctx, r)
         for D in (2, 3):
             whole = {}
             for f in module_component(engine, r - 1, D):
@@ -169,7 +169,7 @@ def test_veronese_image_matches_lemma_4_3():
         (2, 4, 2, {2: 175, 3: 700}),
     ]
     for m, n, r, expected in cases:
-        engine = veronese_engine(RingContext(m, n), r).at(PRIMES[0])
+        engine = VeroneseEngine(RingContext(m, n), r).at(PRIMES[0])
         image = {D: engine.image_dim(D) for D in expected}
         assert image == expected, (m, n, r)
         for D, dim in image.items():

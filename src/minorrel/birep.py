@@ -4,7 +4,8 @@ A BiRep is a formal nonnegative sum of simple objects S_lam (x) S_mu, indexed
 by pairs of partitions.  The transpose duality swaps minors with permanents by
 conjugating both indices.  The predicted_character registry stores, as
 executable data, the graded characters of the main structural statements the
-verifier checks against witness computations.
+verifier checks against witness computations, and the seed labels of the
+bi-filtration of F_{lam,mu} list the components of its associated graded.
 """
 
 from dataclasses import dataclass, field
@@ -46,6 +47,8 @@ def character_A(d, variant="minors"):
     Minors: sum of S_lam (x) S_lam over lam of size 2d with lam_1 <= lam_2 + lam_3 + ...
     Permanents: the transpose dual.
     """
+    if d < 0:
+        raise ValueError(f"need d >= 0, got {d}")
     out = BiRep({(lam, lam): 1 for lam in partitions_of(2 * d) if in_M_r(lam, 0)})
     if variant == "permanents":
         return transpose_duality(out)
@@ -140,42 +143,28 @@ def predicted_character(name, j, r=None):
 
 
 def gr_components_bivariate(lam, mu, cap):
-    """Seed labels of the bi-filtration of F_{lam,mu}, grouped by index (s,t).
+    """Seed labels of the bi-filtration of F_{lam,mu} up to size cap, largest first.
 
     Each label (alpha, beta) satisfies: alpha/lam and beta/mu horizontal
-    strips, |alpha| = |beta|, and alpha_1 = lam_1 or beta_1 = mu_1.  Larger
-    labels obtained by growing both first rows equally are implicit.  Keys
-    are (s,t) = (sum of lower rows of alpha, same for beta).  By Pieri the
-    alpha of size |lam| + k are the shapes of s_lam * h_k.
+    strips, |lam| <= |alpha| = |beta| <= cap, and alpha_1 = lam_1 or
+    beta_1 = mu_1.  Larger labels obtained by growing both first rows
+    equally are implicit.  By Pieri the alpha of size |lam| + k are the
+    shapes of s_lam * h_k.  A cap below |lam| would list nothing and is
+    refused.
     """
     lam, mu = canon(lam), canon(mu)
     if sum(lam) != sum(mu):
         raise ValueError("expected |lam| = |mu|")
-    lam1 = lam[0] if lam else 0
-    mu1 = mu[0] if mu else 0
-    table = {}
-    for size in range(sum(lam), cap + 1):
-        k = size - sum(lam)
+    if cap < sum(lam):
+        raise ValueError(f"need a cap of at least |lam| = {sum(lam)}, got {cap}")
+    labels = []
+    for k in range(cap - sum(lam) + 1):
         betas = schur_multiply(mu, (k,))
         for alpha in schur_multiply(lam, (k,)):
             for beta in betas:
-                a1 = alpha[0] if alpha else 0
-                b1 = beta[0] if beta else 0
-                if a1 != lam1 and b1 != mu1:
-                    continue
-                key = (sum(alpha[1:]), sum(beta[1:]))
-                table.setdefault(key, []).append((alpha, beta))
-    for key in table:
-        table[key] = sorted(set(table[key]), reverse=True)
-    return table
-
-
-def gr_labels(table):
-    """Flatten a gr table into the sorted list of all its labels."""
-    out = set()
-    for labels in table.values():
-        out.update(labels)
-    return sorted(out, reverse=True)
+                if alpha[:1] == lam[:1] or beta[:1] == mu[:1]:
+                    labels.append((alpha, beta))
+    return sorted(labels, reverse=True)
 
 
 # ---------------------------------------------------------------------------

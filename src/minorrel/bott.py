@@ -41,26 +41,21 @@ def bott_weight(w):
 def bott_projective(n, a, lam):
     """Cohomology of Q^a (x) S_lam(R) on the projective space of quotients of C^n.
 
-    Returns a dict j -> weight tuple; at most one key is present (Bott
-    dichotomy).  The output weight may have negative entries for very
-    negative twists a; in all uses here it is a partition.
+    Returns (j, weight) for the one degree j with nonzero cohomology (Bott
+    dichotomy), or None when every degree vanishes.  The weight may have
+    negative entries for very negative twists a; in all uses here it is a
+    partition.
     """
     lam = canon(lam)
     if len(lam) > n - 1:
         raise ValueError(f"S_lam(R) needs at most {n - 1} parts, got {lam}")
-    w = (a,) + lam + (0,) * (n - 1 - len(lam))
-    res = bott_weight(w)
-    if res is None:
-        return {}
-    j, dom = res
-    return {j: dom}
+    return bott_weight((a,) + lam + (0,) * (n - 1 - len(lam)))
 
 
 @lru_cache(maxsize=None)
 def _bott(n, a, lam):
-    """The one (j, weight) of bott_projective(n, a, lam), or None; memoised."""
-    t = bott_projective(n, a, lam)
-    return next(iter(t.items()), None)
+    """bott_projective(n, a, lam), memoised; every route in the package reads Bott here."""
+    return bott_projective(n, a, lam)
 
 
 @lru_cache(maxsize=None)
@@ -182,9 +177,8 @@ def lemma_4_3_character(r, d, m, n):
     for mu in partitions_of(d):
         if len(mu) > m - 1 or len(mu) > n - 1:
             continue
-        t1 = bott_projective(m, d + 2 * r, mu)
-        t2 = bott_projective(n, d + 2 * r, mu)
-        if 0 not in t1 or 0 not in t2:
-            continue
-        out[(canon(t1[0]), canon(t2[0]))] = 1
+        h1 = _bott(m, d + 2 * r, mu)
+        h2 = _bott(n, d + 2 * r, mu)
+        if h1 and h2 and h1[0] == h2[0] == 0:
+            out[(h1[1], h2[1])] = 1
     return BiRep(out)

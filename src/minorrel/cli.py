@@ -16,7 +16,7 @@ import argparse
 import sys
 
 from . import modlinalg
-from .birep import character_A, gr_components_bivariate, gr_labels
+from .birep import character_A, gr_components_bivariate
 from .partitions import parse_partition
 from .report import emit, format_bicharacter
 from .symfunc import wedge_power
@@ -94,8 +94,7 @@ def cmd_decompose(args):
     elif args.what == "gr":
         lam = parse_partition(args.lam)
         mu = parse_partition(args.mu)
-        table = gr_components_bivariate(lam, mu, args.d)
-        for alpha, beta in gr_labels(table):
+        for alpha, beta in gr_components_bivariate(lam, mu, args.d):
             print(f"([{','.join(map(str, alpha))}], [{','.join(map(str, beta))}])")
     return 0
 
@@ -143,14 +142,20 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("decompose", help="print characters and filtration tables")
-    p.add_argument("what", choices=["a", "wedge", "gr"])
-    p.add_argument("--d", type=int, default=2)
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--lam", default="1,1,1")
-    p.add_argument("--mu", default="2,1")
-    p.add_argument("--variant", choices=["minors", "permanents"], default="minors")
+    p = sub.add_parser("decompose", help="print characters and filtration labels")
     p.set_defaults(fn=cmd_decompose)
+    # each mode takes only the options it reads
+    modes = p.add_subparsers(dest="what", required=True)
+    q = modes.add_parser("a", help="degree-d slice of the image ring")
+    q.add_argument("--d", type=int, default=2)
+    q.add_argument("--variant", choices=["minors", "permanents"], default="minors")
+    q = modes.add_parser("wedge", help="exterior power of the quadric span")
+    q.add_argument("--k", type=int, default=2)
+    q.add_argument("--variant", choices=["minors", "permanents"], default="minors")
+    q = modes.add_parser("gr", help="seed labels of the bi-filtration of F_{lam,mu}")
+    q.add_argument("--lam", default="1,1,1")
+    q.add_argument("--mu", default="2,1")
+    q.add_argument("--d", type=int, required=True, help="largest label size")
 
     p = sub.add_parser("verify", help="run one named verification task")
     p.add_argument("statement")

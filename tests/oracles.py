@@ -423,20 +423,23 @@ def tor_geometric_untruncated(i, r, m, n):
                     for lam, c_lam in plethysm_schur(beta, (1, 1)).items():
                         if len(lam) > m - 1:
                             continue
-                        for a, w1 in bott_projective(m, 2 * r, lam).items():
-                            for mu, c_mu in r2.items():
-                                if len(mu) > n - 1:
-                                    continue
-                                for b, w2 in bott_projective(n, 2 * r + v, mu).items():
-                                    if a + b != j:
-                                        continue
-                                    for gam, c_gam in triv.items():
-                                        for nu, c_f in schur_multiply(gam, w1).items():
-                                            if len(nu) <= m:
-                                                key = (nu, canon(w2))
-                                                acc[key] = acc.get(key, 0) + (
-                                                    c_lam * c_mu * c_gam * c_f
-                                                )
+                        left = bott_projective(m, 2 * r, lam)
+                        if left is None:
+                            continue
+                        a, w1 = left
+                        for mu, c_mu in r2.items():
+                            if len(mu) > n - 1:
+                                continue
+                            right = bott_projective(n, 2 * r + v, mu)
+                            if right is None or a + right[0] != j:
+                                continue
+                            for gam, c_gam in triv.items():
+                                for nu, c_f in schur_multiply(gam, w1).items():
+                                    if len(nu) <= m:
+                                        key = (nu, canon(right[1]))
+                                        acc[key] = acc.get(key, 0) + (
+                                            c_lam * c_mu * c_gam * c_f
+                                        )
         acc = {key: c for key, c in acc.items() if c}
         if acc:
             out[r + i + j] = acc

@@ -6,7 +6,6 @@ from minorrel.birep import (
     character_from_weight_dims,
     dim_at,
     gr_components_bivariate,
-    gr_labels,
     predicted_character,
     transpose_duality,
 )
@@ -54,6 +53,13 @@ def test_character_A_dimension_reconciles_with_sym_power():
     assert dim_at(character_A(2, "minors"), 3, 3) == 45
     # permanents: dim Sym^2 of the 36-dimensional space is 666
     assert dim_at(character_A(2, "permanents"), 3, 3) == 666 - 180
+
+
+def test_character_A_refuses_a_negative_degree():
+    for variant in ("minors", "permanents"):
+        with pytest.raises(ValueError, match="need d >= 0"):
+            character_A(-1, variant)
+    assert character_A(0).terms == {((), ()): 1}
 
 
 def test_registry_degree_two_and_three():
@@ -127,39 +133,34 @@ def test_unknown_statement_raises():
 
 
 def test_gr_components_bivariate_eight_labels():
-    table = gr_components_bivariate((1, 1, 1), (2, 1), 8)
-    labels = set(gr_labels(table))
-    assert labels == {
-        ((1, 1, 1), (2, 1)),
-        ((1, 1, 1, 1), (2, 1, 1)),
-        ((1, 1, 1, 1), (2, 2)),
-        ((1, 1, 1, 1), (3, 1)),
-        ((2, 1, 1), (2, 1, 1)),
-        ((2, 1, 1), (2, 2)),
-        ((2, 1, 1, 1), (2, 2, 1)),
+    # the label list, largest first, as `decompose gr` prints it
+    assert gr_components_bivariate((1, 1, 1), (2, 1), 8) == [
         ((3, 1, 1), (2, 2, 1)),
-    }
+        ((2, 1, 1, 1), (2, 2, 1)),
+        ((2, 1, 1), (2, 2)),
+        ((2, 1, 1), (2, 1, 1)),
+        ((1, 1, 1, 1), (3, 1)),
+        ((1, 1, 1, 1), (2, 2)),
+        ((1, 1, 1, 1), (2, 1, 1)),
+        ((1, 1, 1), (2, 1)),
+    ]
 
 
 def test_gr_components_bivariate_swapped_is_mirror():
-    table = gr_components_bivariate((2, 1), (1, 1, 1), 8)
-    labels = set(gr_labels(table))
-    mirror = set(
-        (b, a) for (a, b) in gr_labels(gr_components_bivariate((1, 1, 1), (2, 1), 8))
-    )
-    assert labels == mirror
+    labels = gr_components_bivariate((2, 1), (1, 1, 1), 8)
+    mirror = [(b, a) for (a, b) in gr_components_bivariate((1, 1, 1), (2, 1), 8)]
+    assert labels == sorted(mirror, reverse=True)
 
 
-def _gr_table_by_pieri(lam, mu, cap):
-    """gr_components_bivariate's table, with the strips from the Pieri oracle."""
-    table = {}
+def _gr_labels_by_pieri(lam, mu, cap):
+    """gr_components_bivariate's label list, with the strips from the Pieri oracle."""
+    labels = set()
     for k in range(cap - sum(lam) + 1):
         for alpha in pieri(lam, k):
             for beta in pieri(mu, k):
                 if alpha[:1] == lam[:1] or beta[:1] == mu[:1]:
-                    key = (sum(alpha[1:]), sum(beta[1:]))
-                    table.setdefault(key, set()).add((alpha, beta))
-    return {key: sorted(labels, reverse=True) for key, labels in table.items()}
+                    labels.add((alpha, beta))
+    return sorted(labels, reverse=True)
 
 
 def test_gr_components_bivariate_matches_pieri_oracle():
@@ -167,7 +168,7 @@ def test_gr_components_bivariate_matches_pieri_oracle():
         for lam in partitions_of(size):
             for mu in partitions_of(size):
                 for cap in range(size, size + 5):
-                    expected = _gr_table_by_pieri(lam, mu, cap)
+                    expected = _gr_labels_by_pieri(lam, mu, cap)
                     assert gr_components_bivariate(lam, mu, cap) == expected, (lam, mu, cap)
 
 

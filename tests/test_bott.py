@@ -1,7 +1,10 @@
+import hashlib
+import json
 from itertools import product
 
 import pytest
 
+from minorrel import bott, tasks
 from minorrel.birep import dim_at, predicted_character
 from minorrel.bott import (
     bott_projective,
@@ -34,23 +37,23 @@ def test_line_bundles_on_projective_space():
     # O(a) on P^{n-1}: global sections Sym^a for a >= 0, top cohomology for a <= -n
     n = 4
     for a in range(0, 4):
-        coh = bott_projective(n, a, ())
-        assert set(coh) == {0}
-        assert weyl_dim_weight(coh[0]) == dim_schur((a,), n) if a else True
+        j, weight = bott_projective(n, a, ())
+        assert j == 0
+        assert weyl_dim_weight(weight) == dim_schur((a,), n) if a else True
     for a in (-4, -5, -6):
-        coh = bott_projective(n, a, ())
-        assert set(coh) == {n - 1}
+        j, _ = bott_projective(n, a, ())
+        assert j == n - 1
     for a in (-1, -2, -3):
-        assert bott_projective(n, a, ()) == {}
+        assert bott_projective(n, a, ()) is None
 
 
 def test_twisted_bundle_cohomology():
     # Λ^2 R with no twist has no cohomology on P^2; twisting by the quotient
     # line recovers the one-dimensional top exterior power in degree zero
-    assert bott_projective(3, 0, (1, 1)) == {}
-    coh = bott_projective(3, 1, (1, 1))
-    assert set(coh) == {0}
-    assert weyl_dim_weight(coh[0]) == 1
+    assert bott_projective(3, 0, (1, 1)) is None
+    j, weight = bott_projective(3, 1, (1, 1))
+    assert j == 0
+    assert weyl_dim_weight(weight) == 1
 
 
 def test_bott_projective_rejects_long_weights():
@@ -138,6 +141,36 @@ def test_lemma_4_3_character_matches_enumeration():
                     }
                     geo = lemma_4_3_character(r, d, m, n)
                     assert geo.terms == stated, (r, d, m, n)
+
+
+# sha256 of the json (sorted keys) of the predicted and of the witnessed
+# table of `verify lem-4.3` on its default window, recorded when
+# lemma_4_3_character still called bott_projective without the memo
+LEM_4_3_DIGEST = "00fc509b8d0eb7353b35ad61af3473ded9be0e677f59487fe47c8d0d140c6e25"
+
+
+def test_lemma_4_3_evaluates_each_bott_input_once(monkeypatch):
+    # every route reads Bott through the memo _bott, so bott_projective runs
+    # once per distinct input (486 calls for 111 inputs without the memo)
+    monkeypatch.delenv(tasks.RESULTS_DIR_ENV, raising=False)
+    calls = []
+    plain = bott.bott_projective
+
+    def counted(*args):
+        calls.append(args)
+        return plain(*args)
+
+    monkeypatch.setattr(bott, "bott_projective", counted)
+    bott._bott.cache_clear()
+    report = tasks.run(tasks.VerificationTask("lem-4.3", {}))
+    assert len(set(calls)) == 111
+    assert len(calls) == 111
+    assert report.verdict == "pass"
+    assert report.predicted["r2_d3_3x4"] == "S[7,2,1]⊠S[7,2,1] + S[7,3]⊠S[7,3]"
+    for table in (report.predicted, report.witnessed):
+        assert len(table) == 150
+        blob = json.dumps(table, sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest() == LEM_4_3_DIGEST
 
 
 def test_tor_geometric_respects_size_truncation():

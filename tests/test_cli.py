@@ -124,7 +124,53 @@ def test_decompose_subcommands(capsys):
     assert main(["decompose", "gr", "--lam", "1,1,1", "--mu", "2,1", "--d", "8"]) == 0
     out = capsys.readouterr().out
     assert len(out.strip().splitlines()) == 8
+    assert main(["decompose", "a", "--d", "-1"]) == 2
+    assert "error: need d >= 0" in capsys.readouterr().err
+    # gr needs its label cap, and a cap below |lam| would list nothing
+    assert main(["decompose", "gr", "--lam", "1,1,1", "--mu", "2,1"]) == 2
+    assert main(["decompose", "gr", "--lam", "1,1,1", "--mu", "2,1", "--d", "2"]) == 2
+    assert "need a cap of at least |lam| = 3" in capsys.readouterr().err
 
+
+# a value away from the default of every decompose option, and the least
+# argv each mode runs with
+DECOMPOSE_AWAY = {
+    "--d": "3", "--k": "3", "--variant": "permanents", "--lam": "2,1", "--mu": "1,1,1",
+}
+DECOMPOSE_BASE = {"a": [], "wedge": [], "gr": ["--d", "5"]}
+
+
+def _decompose_body(capsys):
+    """stdout of the last decompose run past its header, which echoes the settings."""
+    return capsys.readouterr().out.split(": ", 1)[-1]
+
+
+def test_decompose_options_all_change_the_output(capsys):
+    # each mode's options change its stdout or exit code when set away from
+    # the default, and the options of the other modes are usage errors
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    modes = next(
+        a for a in sub.choices["decompose"]._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices
+    assert set(modes) == set(DECOMPOSE_BASE)
+    options = {
+        mode: [a for a in parser._actions if a.option_strings and a.dest != "help"]
+        for mode, parser in modes.items()
+    }
+    every = {a.option_strings[0] for opts in options.values() for a in opts}
+    assert every == set(DECOMPOSE_AWAY)
+    for mode, opts in options.items():
+        base = ["decompose", mode, *DECOMPOSE_BASE[mode]]
+        before = (main(base), _decompose_body(capsys))
+        assert before[0] == 0
+        for a in opts:
+            flag = a.option_strings[0]
+            assert DECOMPOSE_AWAY[flag] != str(a.default), (mode, flag)
+            after = (main(base + [flag, DECOMPOSE_AWAY[flag]]), _decompose_body(capsys))
+            assert after != before, (mode, flag)
+        for flag in every - {a.option_strings[0] for a in opts}:
+            assert main(base + [flag, DECOMPOSE_AWAY[flag]]) == 2, (mode, flag)
+    capsys.readouterr()
 
 
 # stdout of `decompose a` and `decompose wedge`: the header, then the terms

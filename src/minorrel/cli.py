@@ -3,13 +3,14 @@
 Subcommands: decompose, verify, suite.  Every stated witness runs through
 tasks.run; `verify que-7.1 --a-max A --e-max E` is the Rees-ideal table and
 the fiber-type check, and the json report of `verify thm-3.1` or `thm-3.2`
-lists Koszul H_1 by dominant weight.  Exit codes: 0 all comparisons pass,
-1 any fail, 2 usage or capacity error.  Cached json reports go to
---results-dir, or else to the MINORREL_RESULTS_DIR that tasks.run reads; a
-key=value config file can set the sparse-matrix capacity cap (an integer at
-least 1) and the modular prime list (at least two distinct primes, each at
-least 2^16 and below 2^64).  Any other key, a key given twice, or a line
-without "=", is a usage error.
+lists Koszul H_1 by dominant weight.  verify and suite take the run
+settings, each at most once: --seed; --cap, the nonzero cap of one assembled
+matrix (an integer at least 1); --primes, the modular prime list (at least
+two distinct primes, each at least 2^16 and below 2^64); and --results-dir
+for cached json reports, else the MINORREL_RESULTS_DIR that tasks.run reads.
+decompose reads none of them and takes none.  Exit codes, one rule over the
+verdicts of verify and suite: 2 if any task was skipped for capacity, else 1
+if any failed, else 0; a usage error also exits 2.
 """
 
 import argparse
@@ -21,25 +22,6 @@ from .partitions import parse_partition
 from .report import emit, format_bicharacter
 from .symfunc import wedge_power
 from .tasks import VerificationTask, run, suite_tasks
-
-
-def load_config(path):
-    """Read a key=value config file; the keys are cap and primes (comma list)."""
-    cfg = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, eq, value = line.partition("=")
-            key = key.strip()
-            if not eq or key not in ("cap", "primes"):
-                raise ValueError(f"config line {line!r}: expected cap = N or primes = P1, P2")
-            # a repeated key would silently override the line that set it first
-            if key in cfg:
-                raise ValueError(f"config line {line!r}: {key} is already set")
-            cfg[key] = value.strip()
-    return cfg
 
 
 def _is_prime(n):
@@ -66,21 +48,48 @@ def _is_prime(n):
     return True
 
 
-def apply_config(cfg):
-    if "primes" in cfg:
-        primes = tuple(int(p) for p in cfg["primes"].split(","))
-        if len(primes) < 2 or len(set(primes)) < len(primes):
-            raise ValueError("need at least two distinct primes")
-        for p in primes:
-            if not (2**16 <= p < 2**64 and _is_prime(p)):
-                raise ValueError(f"{p} is not a prime in [2^16, 2^64)")
-        modlinalg.PRIMES = primes
-    if "cap" in cfg:
-        cap = int(cfg["cap"])
-        if cap < 1:
-            raise ValueError(f"cap must be at least 1, not {cap}")
-        modlinalg.NONZERO_CAP = cap
-    return cfg
+def _cap(text):
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"need an integer of at least 1, not {text!r}")
+    return int(text)
+
+
+def _primes(text):
+    if not all(part.strip().isdecimal() for part in text.split(",")):
+        raise argparse.ArgumentTypeError(f"need a comma list of integers, not {text!r}")
+    primes = tuple(map(int, text.split(",")))
+    if len(primes) < 2 or len(set(primes)) < len(primes):
+        raise argparse.ArgumentTypeError("need at least two distinct primes")
+    for p in primes:
+        if not (2**16 <= p < 2**64 and _is_prime(p)):
+            raise argparse.ArgumentTypeError(f"{p} is not a prime in [2^16, 2^64)")
+    return primes
+
+
+class _Once(argparse.Action):
+    """Store a setting; a second occurrence would override the first, so refuse it."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        given = vars(namespace).setdefault("given", set())
+        if self.dest in given:
+            parser.error(f"{option_string} is already set")
+        given.add(self.dest)
+        setattr(namespace, self.dest, values)
+
+
+def _run_all(args, tasks):
+    """Run tasks under the settings; every witness reads the primes and cap when it runs."""
+    if args.primes:
+        modlinalg.PRIMES = args.primes
+    if args.cap:
+        modlinalg.NONZERO_CAP = args.cap
+    return [run(task, args.results_dir) for task in tasks]
+
+
+def _exit_code(reports):
+    """2 if any task was skipped for capacity, else 1 if any failed, else 0."""
+    verdicts = {report.verdict for report in reports}
+    return 2 if "skipped-capacity" in verdicts else 1 if "fail" in verdicts else 0
 
 
 def cmd_decompose(args):
@@ -102,33 +111,19 @@ def cmd_decompose(args):
 def cmd_verify(args):
     keys = ("m", "n", "d_max", "r", "a_max", "e_max")
     params = {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
-    task = VerificationTask(args.statement, params, seed=args.seed)
-    report = run(task, results_dir=args.results_dir)
-    print(emit(report, args.format), end="")
-    if report.verdict == "pass":
-        return 0
-    if report.verdict == "skipped-capacity":
-        return 2
-    return 1
+    reports = _run_all(args, [VerificationTask(args.statement, params, seed=args.seed)])
+    print(emit(reports[0], args.format), end="")
+    return _exit_code(reports)
 
 
 def cmd_suite(args):
-    tasks = suite_tasks(args.profile, seed=args.seed)
-    reports = [run(task, args.results_dir) for task in tasks]
-    failed = 0
-    skipped = 0
+    reports = _run_all(args, suite_tasks(args.profile, seed=args.seed))
+    verdicts = [report.verdict for report in reports]
     for report in reports:
-        stmt = report.task["statement"]
-        params = report.task["params"]
-        print(f"{stmt} {params}: {report.verdict}")
-        if report.verdict == "fail":
-            failed += 1
-        elif report.verdict == "skipped-capacity":
-            skipped += 1
+        print(f"{report.task['statement']} {report.task['params']}: {report.verdict}")
+    failed, skipped = verdicts.count("fail"), verdicts.count("skipped-capacity")
     print(f"{len(reports)} tasks, {failed} failed, {skipped} skipped")
-    if skipped:
-        return 2
-    return 1 if failed else 0
+    return _exit_code(reports)
 
 
 def build_parser():
@@ -136,10 +131,12 @@ def build_parser():
         prog="minorrel",
         description="verify character predictions for 2x2 minor and permanent ideals",
     )
-    parser.add_argument("--config", help="key=value config file (cap, primes)")
-    parser.add_argument(
-        "--results-dir", help="directory for cached json reports (default $MINORREL_RESULTS_DIR)"
-    )
+    # the run settings, read by verify and suite only
+    settings = argparse.ArgumentParser(add_help=False)
+    settings.add_argument("--seed", type=int, default=0, action=_Once)
+    settings.add_argument("--cap", type=_cap, action=_Once, help="most nonzeros in one matrix")
+    settings.add_argument("--primes", type=_primes, action=_Once, help="P1,P2,... to draw from")
+    settings.add_argument("--results-dir", action=_Once, help="default $MINORREL_RESULTS_DIR")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("decompose", help="print characters and filtration labels")
@@ -157,7 +154,7 @@ def build_parser():
     q.add_argument("--mu", default="2,1")
     q.add_argument("--d", type=int, required=True, help="largest label size")
 
-    p = sub.add_parser("verify", help="run one named verification task")
+    p = sub.add_parser("verify", parents=[settings], help="run one named verification task")
     p.add_argument("statement")
     p.add_argument("--m", type=int)
     p.add_argument("--n", type=int)
@@ -165,13 +162,11 @@ def build_parser():
     p.add_argument("--r", type=int)
     p.add_argument("--a-max", dest="a_max", type=int)
     p.add_argument("--e-max", dest="e_max", type=int)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=["table", "json"], default="table")
     p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("suite", help="run the default verification suite")
+    p = sub.add_parser("suite", parents=[settings], help="run the default verification suite")
     p.add_argument("--profile", choices=["quick", "full", "long"], default="quick")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_suite)
 
     return parser
@@ -184,12 +179,7 @@ def main(argv=None):
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:
-        if args.config:
-            apply_config(load_config(args.config))
         return args.fn(args)
-    except modlinalg.CapacityError as exc:
-        print(f"capacity exceeded: {exc}", file=sys.stderr)
-        return 2
     except (KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

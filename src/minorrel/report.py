@@ -51,6 +51,11 @@ class VerificationReport:
         }
 
 
+def matches(predicted, witnessed, key):
+    """The match rule: a predicted key needs an equal witness; a witness-only key is extra."""
+    return key not in predicted or (key in witnessed and predicted[key] == witnessed[key])
+
+
 def emit(report, format="table"):
     if format == "json":
         return json.dumps(report.as_dict(), sort_keys=True, indent=2) + "\n"
@@ -65,7 +70,7 @@ def emit(report, format="table"):
     for k in keys:
         p = report.predicted.get(k, "-")
         w = report.witnessed.get(k, "-")
-        mark = "ok" if p == w or k not in report.predicted or k not in report.witnessed else "MISMATCH"
+        mark = "ok" if matches(report.predicted, report.witnessed, k) else "MISMATCH"
         lines.append(f"  {k:<24} predicted={p!r}  witnessed={w!r}  {mark}")
     lines.append(f"  verdict: {report.verdict}")
     return "\n".join(lines) + "\n"

@@ -23,7 +23,7 @@ from . import bott, modlinalg
 from .birep import dim_at, predicted_character
 from .polyring import RingContext
 from .rees import fiber_type_check, orbit_size, orbit_total
-from .report import VerificationReport, format_bicharacter, parse_report, emit
+from .report import VerificationReport, emit, format_bicharacter, matches, parse_report
 from .witness import (
     koszul_h1_blocks,
     relation_dims,
@@ -202,12 +202,13 @@ def _run_fiber_type(p, seed):
 
 # statement -> (runner, feasibility envelope max (m, n, degree-like bound),
 # {param: (least value that checks anything, default)}).  A default of None
-# marks a required param; a callable default reads the params before it.
+# marks a required param; a callable least or default reads the params before it.
 # sec-6-Tbar (Section 6's functor T-bar, the transpose dual of Theorem 1.1)
-# is Theorem 1.2 on a smaller envelope; sec-6-U is Theorem 5.1.
+# is Theorem 1.2 on a smaller envelope; sec-6-U is Theorem 5.1.  A degree window
+# must reach the stated degree: r + 1 for thm-4.1's relations, m for sec-6-U's.
 _M_N = {"m": (2, None), "n": (2, None)}
 _THM_1_2 = _by_degree("thm-1.2", "permanents")
-_SUBSPACE = (_run_subspace, (3, 4, 4), {**_M_N, "d_max": (1, lambda p: p["m"] + 1)})
+_SUBSPACE = (_run_subspace, (3, 4, 4), {**_M_N, "d_max": (lambda p: p["m"], lambda p: p["m"] + 1)})
 _STATEMENTS = {
     "thm-1.1": (_by_degree("thm-1.1", "minors"), (5, 5, 6), {**_M_N, "d_max": (2, 4)}),
     "thm-1.2": (_THM_1_2, (4, 5, 6), {**_M_N, "d_max": (2, 4)}),
@@ -217,7 +218,9 @@ _STATEMENTS = {
     "lem-4.3": (_run_lem_4_3, (5, 5, 6), {"r_max": (1, 3), "d_max": (0, 4), "size": (2, 5)}),
     "lem-4.4": (_run_lem_4_4, (5, 5, 6), {"j_max": (1, 4), "r_max": (1, 2), "size": (2, 5)}),
     "thm-4.1": (
-        _run_thm_4_1, (3, 4, 4), {**_M_N, "r": (1, 1), "d_max": (2, lambda p: p["r"] + 1)}
+        _run_thm_4_1,
+        (3, 4, 4),
+        {**_M_N, "r": (1, 1), "d_max": (lambda p: p["r"] + 1, lambda p: p["r"] + 1)},
     ),
     "eq-tor1-Nr": (_run_eq_tor1, (5, 5, 3), {**_M_N, "r": (1, 1)}),
     "thm-5.1": _SUBSPACE,
@@ -231,8 +234,9 @@ def validate(task):
 
     Rejects an unknown statement, a param its runner does not read, a missing
     size, and a value, given or defaulted, off its window.  A value below its
-    least (a size without 2x2 minors, or a degree window that checks nothing)
-    is as much a usage error as one past the envelope.
+    least (a size without 2x2 minors, or a degree window that checks nothing
+    or stops below the stated degree) is as much a usage error as one past
+    the envelope.
     """
     if task.statement not in _STATEMENTS:
         raise ValueError(f"unknown statement id {task.statement!r}")
@@ -259,6 +263,7 @@ def validate(task):
         if key in ("m", "n"):
             continue
         least = window[key][0]
+        least = least(p) if callable(least) else least
         top = min(m_cap, n_cap) if key == "size" else d_cap
         if not least <= value <= top:
             raise ValueError(
@@ -282,7 +287,7 @@ def run(task, results_dir=None):
     t0 = time.perf_counter()
     try:
         predicted, witnessed, certificates = _STATEMENTS[task.statement][0](p, task.seed)
-        verdict = "pass" if predicted == {k: witnessed.get(k) for k in predicted} else "fail"
+        verdict = "pass" if all(matches(predicted, witnessed, k) for k in predicted) else "fail"
     except modlinalg.CapacityError as exc:
         predicted, witnessed, certificates = {}, {"capacity": str(exc)}, ()
         verdict = "skipped-capacity"

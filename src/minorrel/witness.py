@@ -339,14 +339,12 @@ def subspace_engine(m, n):
     return GradedKernel(images, weights, (m, n), nvars, _subspace_moves(m, n))
 
 
-def subspace_variety_gens(m, n, d_max=None, seed=0):
+def subspace_variety_gens(m, n, d_max, seed=0):
     """Minimal generator counts, by degree, of the ideal of the subspace variety.
 
     The graded-kernel engine applied to the parameterization pullback: the
     kernel degree by degree, minus the span of shifted lower-degree kernel
     elements.
     """
-    if d_max is None:
-        d_max = m + 1
     dims = presentation_dims(subspace_engine(m, n), d_max, seed)
     return {d: min_gens for d, (_, min_gens) in dims.items()}

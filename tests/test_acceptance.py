@@ -193,8 +193,8 @@ def test_criterion_09_filtration_layer_character_identity():
 
 def test_criterion_10_subspace_variety_generators():
     with timed(300):
-        assert subspace_variety_gens(2, 2) == {1: 0, 2: 15, 3: 0}
-        assert subspace_variety_gens(2, 3) == {1: 0, 2: 66, 3: 0}
+        assert subspace_variety_gens(2, 2, d_max=3) == {1: 0, 2: 15, 3: 0}
+        assert subspace_variety_gens(2, 3, d_max=3) == {1: 0, 2: 66, 3: 0}
 
 
 def test_criterion_11_fiber_type_small_sizes():

@@ -8,10 +8,23 @@ from pathlib import Path
 
 import pytest
 
-from minorrel.cli import apply_config, build_parser, load_config, main
+from minorrel.cli import build_parser, main
 from minorrel.report import VerificationReport, emit, format_bicharacter, parse_report
 from minorrel.tasks import _STATEMENTS, VerificationTask, run, suite_tasks, validate
 from minorrel import cli, modlinalg
+
+VERIFY = ["verify", "thm-1.1", "--m", "2", "--n", "4", "--dmax", "2"]
+# the run settings that verify and suite take, each with a valid value
+SETTINGS = {
+    "--seed": "1", "--cap": "500000", "--primes": "1000003,999983", "--results-dir": "unused",
+}
+
+
+@pytest.fixture
+def restore_config(monkeypatch):
+    # --cap and --primes rewrite these module settings; put them back afterwards
+    monkeypatch.setattr(modlinalg, "PRIMES", modlinalg.PRIMES)
+    monkeypatch.setattr(modlinalg, "NONZERO_CAP", modlinalg.NONZERO_CAP)
 
 
 def test_character_rendering():
@@ -107,7 +120,7 @@ def test_results_dir_from_the_environment(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().out == first
     assert len(os.listdir(env_dir)) == 1
     # --results-dir takes precedence over the environment
-    assert main(["--results-dir", str(flag_dir)] + verify) == 0
+    assert main(verify + ["--results-dir", str(flag_dir)]) == 0
     capsys.readouterr()
     assert len(os.listdir(flag_dir)) == 1
     assert len(os.listdir(env_dir)) == 1
@@ -366,27 +379,28 @@ def test_verify_que_7_1_takes_the_bidegree_window(capsys):
     assert "outside envelope" in capsys.readouterr().err
 
 
-def test_verify_options_are_statement_params(capsys, monkeypatch):
-    # every settable verify value other than the seed and the format is a key
-    # of some statement's window and reaches the task; every key of que-7.1's
-    # window can be set
+def _options(command):
+    """The optional arguments of a subcommand, help left out."""
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    options = [
-        a
-        for a in sub.choices["verify"]._actions
-        if a.option_strings and a.dest not in ("help", "seed", "format")
-    ]
+    return [a for a in sub.choices[command]._actions if a.option_strings and a.dest != "help"]
+
+
+def test_verify_options_are_statement_params(capsys, monkeypatch):
+    # every settable verify value other than the run settings and the format
+    # is a key of some statement's window and reaches the task; every key of
+    # que-7.1's window can be set.  The run settings are the options suite
+    # has besides its profile, and each is shown to take effect by its own
+    # test: test_seed_reaches_every_task, test_config_cap_applies_to_verify_and_suite,
+    # test_cache_key_covers_primes and test_results_dir_from_the_environment
+    settings = {a.dest for a in _options("suite")} - {"profile"}
+    assert settings == {"seed", "cap", "primes", "results_dir"}
+    assert settings <= {a.dest for a in _options("verify")}
+    options = [a for a in _options("verify") if a.dest not in settings | {"format"}]
     windows = {key for _, _, window in _STATEMENTS.values() for key in window}
     dests = {a.dest for a in options}
     assert dests <= windows
     assert set(_STATEMENTS["que-7.1"][2]) <= dests
-    seen = []
-
-    def fake_run(task, results_dir):
-        seen.append(task)
-        return VerificationReport(task=task.as_dict(), predicted={}, witnessed={}, verdict="pass")
-
-    monkeypatch.setattr(cli, "run", fake_run)
+    seen = _fake_runs(monkeypatch, ["pass"])
     argv = [arg for a in options for arg in (a.option_strings[0], "1")]
     assert main(["verify", "que-7.1", *argv]) == 0
     capsys.readouterr()
@@ -399,102 +413,170 @@ def test_suite_quick_profile(capsys):
     assert "0 failed" in out
 
 
-def test_config_file(tmp_path):
-    cfg_file = tmp_path / "cfg"
-    cfg_file.write_text("# comment\ncap = 500000\nprimes = 1000003, 999983\n")
-    cfg = load_config(str(cfg_file))
-    assert cfg == {"cap": "500000", "primes": "1000003, 999983"}
-    old_primes = modlinalg.PRIMES
-    old_cap = modlinalg.NONZERO_CAP
-    try:
-        apply_config(cfg)
-        assert modlinalg.PRIMES == (1000003, 999983)
-        assert modlinalg.NONZERO_CAP == 500000
-    finally:
-        modlinalg.PRIMES = old_primes
-        modlinalg.NONZERO_CAP = old_cap
+def test_run_settings_set_the_primes_and_cap(capsys, restore_config):
+    assert main(VERIFY + ["--cap", "500000", "--primes", "1000003, 999983"]) == 0
+    capsys.readouterr()
+    assert modlinalg.PRIMES == (1000003, 999983)
+    assert modlinalg.NONZERO_CAP == 500000
 
 
-def test_config_requires_two_primes():
-    with pytest.raises(ValueError):
-        apply_config({"primes": "7"})
+def test_config_requires_two_primes(capsys, restore_config):
+    assert main(VERIFY + ["--primes", "1000003"]) == 2
+    assert "need at least two distinct primes" in capsys.readouterr().err
 
 
-def _config(tmp_path, text):
-    path = tmp_path / "cfg"
-    path.write_text(text)
-    return str(path)
-
-
-@pytest.fixture
-def restore_config(monkeypatch):
-    # apply_config rewrites these module settings; put them back afterwards
-    monkeypatch.setattr(modlinalg, "PRIMES", modlinalg.PRIMES)
-    monkeypatch.setattr(modlinalg, "NONZERO_CAP", modlinalg.NONZERO_CAP)
-
-
-def test_config_cap_applies_to_verify_and_suite(tmp_path, capsys, restore_config):
-    cfg = _config(tmp_path, "cap = 10\n")
-    verify = ["verify", "thm-1.1", "--m", "2", "--n", "4", "--dmax", "2"]
-    assert main(["--config", cfg] + verify) == 2
+def test_config_cap_applies_to_verify_and_suite(capsys, restore_config):
+    default = modlinalg.NONZERO_CAP
+    assert main(VERIFY + ["--cap", "10"]) == 2
     assert "skipped-capacity" in capsys.readouterr().out
-    assert main(["--config", cfg, "suite", "--profile", "quick"]) == 2
+    # the cap stays set in this process; put it back so that suite must set it
+    modlinalg.NONZERO_CAP = default
+    assert main(["suite", "--profile", "quick", "--cap", "10"]) == 2
+    assert capsys.readouterr().out.endswith("9 tasks, 0 failed, 4 skipped\n")
+
+
+def test_config_rejects_bad_primes(capsys, restore_config):
+    default = modlinalg.PRIMES
+    for primes in (
+        "7,7", "4,6", "1000003,1000003", "65521,1000003", "1000003,1000001", "1000003,",
+        "a,b", "1000003;999983", "18446744073709551557,18446744073709551629",
+    ):
+        assert main(VERIFY + ["--primes", primes]) == 2, primes
+        assert "error: argument --primes" in capsys.readouterr().err, primes
+    assert modlinalg.PRIMES == default
+    assert main(VERIFY + ["--primes", "1000003,999983"]) == 0
     capsys.readouterr()
 
 
-def test_config_rejects_bad_primes(tmp_path, capsys, restore_config):
-    verify = ["verify", "thm-1.1", "--m", "2", "--n", "4", "--dmax", "2"]
-    for primes in ("7, 7", "4, 6", "1000003, 1000003", "65521, 1000003", "1000003, 1000001"):
-        cfg = _config(tmp_path, f"primes = {primes}\n")
-        assert main(["--config", cfg] + verify) == 2, primes
-        assert "error:" in capsys.readouterr().err
-    assert main(["--config", _config(tmp_path, "primes = 1000003, 999983\n")] + verify) == 0
-    capsys.readouterr()
-
-
-def test_configured_primes_give_the_default_witnesses(restore_config):
+def test_configured_primes_give_the_default_witnesses(capsys, restore_config):
     # a configured pair is run as one modulus, their product: small primes,
     # and the largest below 2^64, whose product is near 2^128
-    tasks = [
-        VerificationTask("thm-1.2", {"m": 3, "n": 3, "d_max": 3}),
-        VerificationTask("que-7.1", {"m": 3, "n": 3, "a_max": 2, "e_max": 2}),
+    argvs = [
+        ["thm-1.2", "--m", "3", "--n", "3", "--dmax", "3"],
+        ["que-7.1", "--m", "3", "--n", "3", "--a-max", "2", "--e-max", "2"],
     ]
-    default = [run(task).witnessed for task in tasks]
-    for primes in ("1000003, 999983", "18446744073709551557, 18446744073709551533"):
-        apply_config({"primes": primes})
-        assert [run(task).witnessed for task in tasks] == default, primes
+    default = [_verify_json(argv, capsys)["witnessed"] for argv in argvs]
+    for primes in ("1000003,999983", "18446744073709551557,18446744073709551533"):
+        witnessed = [
+            _verify_json(argv + ["--primes", primes], capsys)["witnessed"] for argv in argvs
+        ]
+        assert modlinalg.PRIMES == tuple(map(int, primes.split(",")))
+        assert witnessed == default, primes
 
 
-def test_config_rejects_unknown_keys_and_lines_without_equals(tmp_path, capsys, restore_config):
-    # either line would otherwise leave the cap at its default and the run would pass
-    verify = ["verify", "thm-1.1", "--m", "2", "--n", "4", "--dmax", "2"]
-    for text in ("caps = 1\n", "cap 1\n", "caps = 1\ncap 1\n"):
-        assert main(["--config", _config(tmp_path, text)] + verify) == 2, text
+def test_settings_that_set_nothing_are_usage_errors(capsys):
+    # decompose reads no run setting, and a setting before the subcommand
+    # or a misspelt one would leave its value at the default
+    argvs = [VERIFY + ["--caps", "1"]]
+    for flag, value in SETTINGS.items():
+        for mode in (["a"], ["wedge"], ["gr", "--d", "5"]):
+            argvs += [["decompose", *mode, flag, value], ["decompose", flag, value, *mode]]
+        argvs += [[flag, value, *VERIFY], [flag, value, "decompose", "a"]]
+    for argv in argvs:
+        assert main(argv) == 2, argv
         captured = capsys.readouterr()
-        assert captured.out == "" and captured.err.startswith("error: config line"), text
+        assert captured.out == "" and "error:" in captured.err, argv
 
 
-def test_config_rejects_a_repeated_key(tmp_path, capsys, restore_config):
-    # the first line would set nothing: the second would override it
-    verify = ["verify", "thm-1.1", "--m", "2", "--n", "4", "--dmax", "2"]
-    primes = "primes = 1000003, 999983\n"
-    for text in ("cap = 5\ncap = 2000000\n", primes + primes):
-        assert main(["--config", _config(tmp_path, text)] + verify) == 2, text
-        captured = capsys.readouterr()
-        assert captured.out == "" and "is already set" in captured.err, text
-    with pytest.raises(ValueError, match="cap is already set"):
-        load_config(_config(tmp_path, "cap = 5\n# comment\ncap = 5\n"))
+def test_a_run_setting_given_twice_is_a_usage_error(tmp_path, capsys, restore_config):
+    # the first value would set nothing: the second would override it
+    for argv in (VERIFY, ["suite"]):
+        for flag, value in dict(SETTINGS, **{"--results-dir": str(tmp_path)}).items():
+            for twice in ([flag, value, flag, value], [f"{flag}={value}", flag, value]):
+                assert main(argv + twice) == 2, (argv, twice)
+                captured = capsys.readouterr()
+                assert captured.out == "" and f"{flag} is already set" in captured.err, twice
+    assert os.listdir(tmp_path) == []
 
 
-def test_config_rejects_bad_cap(tmp_path, capsys, restore_config):
-    verify = ["verify", "thm-1.1", "--m", "2", "--n", "4", "--dmax", "2"]
-    for cap in ("0", "-5", "1.5", "ten"):
-        assert main(["--config", _config(tmp_path, f"cap = {cap}\n")] + verify) == 2, cap
-        assert "error:" in capsys.readouterr().err
-    assert main(["--config", _config(tmp_path, "cap = 1\n")] + verify) == 2
+def test_config_rejects_bad_cap(capsys, restore_config):
+    for cap in ("0", "-5", "1.5", "ten", ""):
+        assert main(VERIFY + ["--cap", cap]) == 2, cap
+        assert "error: argument --cap" in capsys.readouterr().err, cap
+    assert main(VERIFY + ["--cap", "1"]) == 2
     assert "skipped-capacity" in capsys.readouterr().out
-    assert main(["--config", _config(tmp_path, "cap = 1000000\n")] + verify) == 0
+    assert main(VERIFY + ["--cap", "1000000"]) == 0
     capsys.readouterr()
+
+
+def _fake_runs(monkeypatch, verdicts):
+    """Make the CLI's tasks.run record each task and return the next of verdicts."""
+    seen = []
+
+    def fake_run(task, results_dir):
+        seen.append(task)
+        verdict = verdicts[(len(seen) - 1) % len(verdicts)]
+        return VerificationReport(task=task.as_dict(), predicted={}, witnessed={}, verdict=verdict)
+
+    monkeypatch.setattr(cli, "run", fake_run)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "verdicts, code",
+    [
+        (["pass"], 0),
+        (["pass", "fail"], 1),
+        (["pass", "skipped-capacity"], 2),
+        (["fail", "skipped-capacity"], 2),
+    ],
+)
+def test_verify_and_suite_share_one_exit_code_rule(verdicts, code, capsys, monkeypatch):
+    # 2 if any verdict is a capacity skip, else 1 if any is a fail, else 0
+    _fake_runs(monkeypatch, verdicts)
+    assert main(["suite"]) == code
+    capsys.readouterr()
+    for verdict in verdicts:
+        _fake_runs(monkeypatch, [verdict])
+        assert main(VERIFY) == {"pass": 0, "fail": 1, "skipped-capacity": 2}[verdict]
+    capsys.readouterr()
+
+
+def test_seed_reaches_every_task(capsys, monkeypatch):
+    seen = _fake_runs(monkeypatch, ["pass"])
+    assert main(VERIFY + ["--seed", "7"]) == 0
+    assert main(["suite", "--profile", "full", "--seed", "7"]) == 0
+    capsys.readouterr()
+    assert len(seen) == 1 + len(suite_tasks("full"))
+    assert {task.seed for task in seen} == {7}
+
+
+def test_a_predicted_key_the_witness_lacks_is_a_mismatch(monkeypatch):
+    # tasks.run and the table share one match rule: a predicted key must be
+    # witnessed with an equal value, and a key only the witness has is extra
+    cases = [
+        ({"a": 1, "b": 2}, {"a": 1}, "fail", ["a ok", "b MISMATCH"]),
+        ({"a": 1}, {"a": 1, "b": 2}, "pass", ["a ok", "b ok"]),
+        ({"a": 1}, {"a": 2}, "fail", ["a MISMATCH"]),
+    ]
+    _, envelope, window = _STATEMENTS["lem-4.4"]
+    for predicted, witnessed, verdict, marks in cases:
+        fake = (lambda p, seed, out=(predicted, witnessed, ()): out, envelope, window)
+        monkeypatch.setitem(_STATEMENTS, "lem-4.4", fake)
+        report = run(VerificationTask("lem-4.4"))
+        assert report.verdict == verdict
+        lines = emit(report).splitlines()[1:-1]
+        assert [f"{line.split()[0]} {line.split()[-1]}" for line in lines] == marks
+    # the table line of a predicted key that the witness lacks
+    report = VerificationReport(task={}, predicted={"degree_3": 816}, witnessed={})
+    line = "  degree_3                 predicted=816  witnessed='-'  MISMATCH"
+    assert emit(report).splitlines()[1] == line
+
+
+def test_cache_key_covers_primes(tmp_path, capsys, restore_config):
+    verify = VERIFY + ["--results-dir", str(tmp_path)]
+    first = _verify_json(verify[1:], capsys)
+    second = _verify_json(verify[1:] + ["--primes", "1000003,999983"], capsys)
+    assert len(os.listdir(tmp_path)) == 2
+    assert second["task"] == first["task"] == VerificationTask(
+        "thm-1.1", {"m": 2, "n": 4, "d_max": 2}
+    ).as_dict()
+
+
+def test_capacity_skip_is_not_cached(tmp_path, capsys, restore_config):
+    assert main(VERIFY + ["--cap", "10", "--results-dir", str(tmp_path)]) == 2
+    assert "verdict: skipped-capacity" in capsys.readouterr().out
+    assert os.listdir(tmp_path) == []
 
 
 def test_removed_flags_are_usage_errors(capsys):
@@ -502,6 +584,9 @@ def test_removed_flags_are_usage_errors(capsys):
     assert main(verify + ["--rank", "exact"]) == 2
     assert main(verify + ["--variant", "minors"]) == 2
     assert main(["suite", "--workers", "2"]) == 2
+    # the run settings are flags of verify and suite; there is no config file
+    assert main(VERIFY + ["--config", "cfg"]) == 2
+    assert main(["--config", "cfg"] + VERIFY) == 2
     # the Rees table and the fiber-type check are `verify que-7.1`
     assert main(["rees", "--m", "3", "--n", "3"]) == 2
     assert main(["fiber-type", "--m", "2", "--n", "3"]) == 2
@@ -518,22 +603,6 @@ def test_envelope_degree_bound_applies(capsys):
     # the eq-tor1-Nr envelope allows r <= 3
     assert main(["verify", "eq-tor1-Nr", "--m", "3", "--n", "3", "--r", "4"]) == 2
     assert "outside envelope" in capsys.readouterr().err
-
-
-def test_cache_key_covers_primes(tmp_path, restore_config):
-    task = VerificationTask("thm-1.1", {"m": 2, "n": 4, "d_max": 2})
-    first = run(task, results_dir=str(tmp_path))
-    apply_config({"primes": "1000003, 999983"})
-    second = run(task, results_dir=str(tmp_path))
-    assert len(os.listdir(tmp_path)) == 2
-    assert second.task == first.task == task.as_dict()
-
-
-def test_capacity_skip_is_not_cached(tmp_path, restore_config):
-    apply_config({"cap": "10"})
-    report = run(VerificationTask("thm-1.1", {"m": 2, "n": 4, "d_max": 2}), str(tmp_path))
-    assert report.verdict == "skipped-capacity"
-    assert os.listdir(tmp_path) == []
 
 
 def test_cache_key_covers_source(monkeypatch):
@@ -583,6 +652,10 @@ def test_verify_rejects_params_the_statement_ignores(argv, key, capsys):
         # defaults are checked too: d_max = r + 1 = 5 and d_max = m + 1 = 5
         ("thm-4.1", {"m": 3, "n": 3, "r": 4}),
         ("thm-5.1", {"m": 4, "n": 3}),
+        # a window below the stated degree: relations in r + 1, generators in m
+        ("thm-4.1", {"m": 3, "n": 3, "r": 2, "d_max": 2}),
+        ("thm-5.1", {"m": 3, "n": 3, "d_max": 2}),
+        ("sec-6-U", {"m": 2, "n": 2, "d_max": 1}),
     ],
 )
 def test_validate_rejects_empty_or_oversized_windows(statement, params):

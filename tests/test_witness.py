@@ -182,19 +182,19 @@ def test_subspace_parameterization_shapes():
 
 
 def test_subspace_variety_generator_counts():
-    assert subspace_variety_gens(2, 2) == {1: 0, 2: 15, 3: 0}
-    assert subspace_variety_gens(2, 3) == {1: 0, 2: 66, 3: 0}
+    assert subspace_variety_gens(2, 2, 3) == {1: 0, 2: 15, 3: 0}
+    assert subspace_variety_gens(2, 3, 3) == {1: 0, 2: 66, 3: 0}
 
 
 def test_subspace_generators_match_wedge_character():
     for m, n in [(2, 2), (2, 3)]:
-        counts = subspace_variety_gens(m, n)
+        counts = subspace_variety_gens(m, n, m + 1)
         assert counts[m] == dim_at(predicted_character("sec-6-U", m), m, n)
 
 
 def test_subspace_degenerate_single_row():
     # with one row every parameterized tensor vanishes, so all of degree one dies
-    assert subspace_variety_gens(1, 3) == {1: 6, 2: 0}
+    assert subspace_variety_gens(1, 3, 2) == {1: 6, 2: 0}
 
 
 def test_two_primes_requires_agreement():
@@ -216,13 +216,13 @@ def test_two_primes_requires_agreement():
 
 
 def test_configured_cap_reaches_every_guard(monkeypatch):
-    # the guards read modlinalg.NONZERO_CAP when they run, as a config file sets it
+    # the guards read modlinalg.NONZERO_CAP when they run, as --cap sets it
     monkeypatch.setattr(modlinalg, "NONZERO_CAP", 10)
     witnesses = [
         (lambda: relation_dims(RingContext(2, 4), "minors", 2), "kernel block"),
         (lambda: koszul_h1_blocks(RingContext(3, 3), "minors", 3), "Koszul"),
         (lambda: veronese_presentation_dims(RingContext(2, 3), 1, 2), "kernel block"),
-        (lambda: subspace_variety_gens(2, 3), "kernel block"),
+        (lambda: subspace_variety_gens(2, 3, 3), "kernel block"),
         (lambda: rees_ideal(RingContext(2, 3)), "kernel block"),
     ]
     for witness, guard in witnesses:

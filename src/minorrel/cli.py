@@ -3,20 +3,20 @@
 Subcommands: decompose, verify, suite.  Every stated witness runs through
 tasks.run; `verify que-7.1 --a-max A --e-max E` is the Rees-ideal table and
 the fiber-type check, and the json report of `verify thm-3.1` or `thm-3.2`
-lists Koszul H_1 by dominant weight.  verify and suite take the run
-settings, each at most once: --seed; --cap, the nonzero cap of one assembled
-matrix (an integer at least 1); --primes, the modular prime list (at least
-two distinct primes, each at least 2^16 and below 2^64); and --results-dir
-for cached json reports, else the MINORREL_RESULTS_DIR that tasks.run reads.
-decompose reads none of them and takes none.  Exit codes, one rule over the
-verdicts of verify and suite: 2 if any task was skipped for capacity, else 1
-if any failed, else 0; a usage error also exits 2.
+lists Koszul H_1 by dominant weight.  verify and suite take the run settings,
+each at most once, for every task they build: --seed; --cap, the nonzero cap
+of one assembled matrix (at least 1); --primes, the modular prime list (two
+or more distinct primes in [2^16, 2^64)); and --results-dir for cached json
+reports, else the MINORREL_RESULTS_DIR that tasks.run reads.  decompose takes
+none of them.  Exit codes, one rule over the verdicts of verify and suite: 2
+if any task was skipped for capacity, else 1 if any failed, else 0; a usage
+error, an unusable results directory among them, also exits 2.
 """
 
 import argparse
 import sys
+from dataclasses import replace
 
-from . import modlinalg
 from .birep import character_A, gr_components_bivariate
 from .partitions import parse_partition
 from .report import emit, format_bicharacter
@@ -77,15 +77,6 @@ class _Once(argparse.Action):
         setattr(namespace, self.dest, values)
 
 
-def _run_all(args, tasks):
-    """Run tasks under the settings; every witness reads the primes and cap when it runs."""
-    if args.primes:
-        modlinalg.PRIMES = args.primes
-    if args.cap:
-        modlinalg.NONZERO_CAP = args.cap
-    return [run(task, args.results_dir) for task in tasks]
-
-
 def _exit_code(reports):
     """2 if any task was skipped for capacity, else 1 if any failed, else 0."""
     verdicts = {report.verdict for report in reports}
@@ -111,13 +102,15 @@ def cmd_decompose(args):
 def cmd_verify(args):
     keys = ("m", "n", "d_max", "r", "a_max", "e_max")
     params = {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
-    reports = _run_all(args, [VerificationTask(args.statement, params, seed=args.seed)])
-    print(emit(reports[0], args.format), end="")
-    return _exit_code(reports)
+    task = VerificationTask(args.statement, params, args.seed, args.primes, args.cap)
+    report = run(task, args.results_dir)
+    print(emit(report, args.format), end="")
+    return _exit_code([report])
 
 
 def cmd_suite(args):
-    reports = _run_all(args, suite_tasks(args.profile, seed=args.seed))
+    tasks = suite_tasks(args.profile, seed=args.seed)
+    reports = [run(replace(t, primes=args.primes, cap=args.cap), args.results_dir) for t in tasks]
     verdicts = [report.verdict for report in reports]
     for report in reports:
         print(f"{report.task['statement']} {report.task['params']}: {report.verdict}")
@@ -137,6 +130,7 @@ def build_parser():
     settings.add_argument("--cap", type=_cap, action=_Once, help="most nonzeros in one matrix")
     settings.add_argument("--primes", type=_primes, action=_Once, help="P1,P2,... to draw from")
     settings.add_argument("--results-dir", action=_Once, help="default $MINORREL_RESULTS_DIR")
+    settings.set_defaults(primes=VerificationTask.primes, cap=VerificationTask.cap)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("decompose", help="print characters and filtration labels")
@@ -180,6 +174,6 @@ def main(argv=None):
         return 2 if exc.code else 0
     try:
         return args.fn(args)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

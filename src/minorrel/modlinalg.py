@@ -61,7 +61,7 @@ def two_primes(seed, compute):
 
 
 def guard_nonzeros(count, what):
-    """Raise CapacityError if count exceeds NONZERO_CAP as configured now."""
+    """Raise CapacityError if count exceeds NONZERO_CAP, the running task's cap."""
     if count > NONZERO_CAP:
         raise CapacityError(f"{what}: {count} nonzeros exceeds cap {NONZERO_CAP}")
 

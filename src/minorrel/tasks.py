@@ -4,11 +4,11 @@ Each statement id resolves to a runner that computes a prediction through the
 character engine and a witness through linear algebra, Bott cohomology, or
 elimination, then compares the two exactly.  A runner returns (predicted,
 witnessed, certificates); the certificates are json-native and in a fixed
-order, and only the Koszul runners have any.  Capacity overruns surface as the
-verdict "skipped-capacity", never as a silent pass.  Reports can be cached in
-a results directory under filenames hashed from the task, the configured
-primes and nonzero cap, and the package source; a capacity skip is never
-cached.
+order, and only the Koszul runners have any.  run puts a task's primes and
+nonzero cap in force for its runner only.  Capacity overruns surface as the
+verdict "skipped-capacity", never as a silent pass.  Reports can be cached
+whole in a results directory under filenames hashed from the task (its primes
+and cap too) and the package source; a capacity skip is never cached.
 """
 
 import hashlib
@@ -48,6 +48,8 @@ class VerificationTask:
     statement: str
     params: dict = field(default_factory=dict)
     seed: int = 0
+    primes: tuple = modlinalg.PRIMES
+    cap: int = modlinalg.NONZERO_CAP
 
     def as_dict(self):
         return {
@@ -57,11 +59,11 @@ class VerificationTask:
         }
 
     def cache_name(self):
-        """File name from the task, the configured primes and cap, and the code."""
+        """File name from the task, its primes and cap, and the code."""
         key = dict(
             self.as_dict(),
-            primes=list(modlinalg.PRIMES),
-            cap=modlinalg.NONZERO_CAP,
+            primes=list(self.primes),
+            cap=self.cap,
             source=source_digest(),
         )
         blob = json.dumps(key, sort_keys=True).encode()
@@ -273,7 +275,7 @@ def validate(task):
 
 
 def run(task, results_dir=None):
-    """Execute one verification task, returning (and possibly caching) a report."""
+    """Run one task under its primes and cap, returning (and possibly caching) a report."""
     p = validate(task)
     if results_dir is None:
         results_dir = os.environ.get(RESULTS_DIR_ENV)
@@ -285,12 +287,16 @@ def run(task, results_dir=None):
             with open(cache_path) as fh:
                 return parse_report(fh.read())
     t0 = time.perf_counter()
+    saved = modlinalg.PRIMES, modlinalg.NONZERO_CAP
+    modlinalg.PRIMES, modlinalg.NONZERO_CAP = task.primes, task.cap
     try:
         predicted, witnessed, certificates = _STATEMENTS[task.statement][0](p, task.seed)
         verdict = "pass" if all(matches(predicted, witnessed, k) for k in predicted) else "fail"
     except modlinalg.CapacityError as exc:
         predicted, witnessed, certificates = {}, {"capacity": str(exc)}, ()
         verdict = "skipped-capacity"
+    finally:
+        modlinalg.PRIMES, modlinalg.NONZERO_CAP = saved
     elapsed = time.perf_counter() - t0
     report = VerificationReport(
         task=task.as_dict(),
@@ -301,8 +307,8 @@ def run(task, results_dir=None):
         timings={"total_s": round(elapsed, 3)},
     )
     if cache_path and verdict != "skipped-capacity":
-        with open(cache_path, "w") as fh:
-            fh.write(emit(report, "json"))
+        Path(cache_path + ".part").write_text(emit(report, "json"))
+        os.replace(cache_path + ".part", cache_path)
     return report
 
 

@@ -11,20 +11,13 @@ import pytest
 from minorrel.cli import build_parser, main
 from minorrel.report import VerificationReport, emit, format_bicharacter, parse_report
 from minorrel.tasks import _STATEMENTS, VerificationTask, run, suite_tasks, validate
-from minorrel import cli, modlinalg
+from minorrel import cli, modlinalg, rees, tasks, witness
 
 VERIFY = ["verify", "thm-1.1", "--m", "2", "--n", "4", "--dmax", "2"]
 # the run settings that verify and suite take, each with a valid value
 SETTINGS = {
     "--seed": "1", "--cap": "500000", "--primes": "1000003,999983", "--results-dir": "unused",
 }
-
-
-@pytest.fixture
-def restore_config(monkeypatch):
-    # --cap and --primes rewrite these module settings; put them back afterwards
-    monkeypatch.setattr(modlinalg, "PRIMES", modlinalg.PRIMES)
-    monkeypatch.setattr(modlinalg, "NONZERO_CAP", modlinalg.NONZERO_CAP)
 
 
 def test_character_rendering():
@@ -413,29 +406,72 @@ def test_suite_quick_profile(capsys):
     assert "0 failed" in out
 
 
-def test_run_settings_set_the_primes_and_cap(capsys, restore_config):
-    assert main(VERIFY + ["--cap", "500000", "--primes", "1000003, 999983"]) == 0
+def _in_force_runs(monkeypatch, error=None):
+    """Make lem-4.4's runner record the primes and cap in force, then raise error if given."""
+    seen = []
+
+    def runner(p, seed):
+        seen.append((modlinalg.PRIMES, modlinalg.NONZERO_CAP))
+        if error:
+            raise error
+        return {}, {}, ()
+
+    _, envelope, window = _STATEMENTS["lem-4.4"]
+    monkeypatch.setitem(_STATEMENTS, "lem-4.4", (runner, envelope, window))
+    return seen
+
+
+def test_run_settings_set_the_primes_and_cap(capsys, monkeypatch):
+    # the flags are in force while the task runs, and only then
+    default = (modlinalg.PRIMES, modlinalg.NONZERO_CAP)
+    seen = _in_force_runs(monkeypatch)
+    settings = ["--cap", "500000", "--primes", "1000003, 999983"]
+    assert main(["verify", "lem-4.4", *settings]) == 0
     capsys.readouterr()
-    assert modlinalg.PRIMES == (1000003, 999983)
-    assert modlinalg.NONZERO_CAP == 500000
+    assert seen == [((1000003, 999983), 500000)]
+    assert (modlinalg.PRIMES, modlinalg.NONZERO_CAP) == default
+    # restored too when the runner raises, a capacity skip included
+    task = VerificationTask("lem-4.4", primes=(65537, 65539), cap=7)
+    seen = _in_force_runs(monkeypatch, modlinalg.CapacityError("over"))
+    assert run(task).verdict == "skipped-capacity"
+    assert seen == [((65537, 65539), 7)]
+    assert (modlinalg.PRIMES, modlinalg.NONZERO_CAP) == default
+    seen = _in_force_runs(monkeypatch, RuntimeError("cut short"))
+    with pytest.raises(RuntimeError, match="cut short"):
+        run(task)
+    assert seen == [((65537, 65539), 7)]
+    assert (modlinalg.PRIMES, modlinalg.NONZERO_CAP) == default
+    # suite gives the flags to every task it builds
+    seen = _fake_runs(monkeypatch, ["pass"])
+    assert main(["suite", "--profile", "full", *settings]) == 0
+    capsys.readouterr()
+    assert {(task.primes, task.cap) for task in seen} == {((1000003, 999983), 500000)}
 
 
-def test_config_requires_two_primes(capsys, restore_config):
+def test_run_settings_apply_to_their_own_call_only(capsys):
+    # a second main() in the same process runs under the defaults again
+    default = (modlinalg.PRIMES, modlinalg.NONZERO_CAP)
+    assert main(VERIFY + ["--cap", "10", "--primes", "1000003,999983"]) == 2
+    assert "skipped-capacity" in capsys.readouterr().out
+    assert (modlinalg.PRIMES, modlinalg.NONZERO_CAP) == default
+    assert main(VERIFY) == 0
+    assert "verdict: pass" in capsys.readouterr().out
+    assert (modlinalg.PRIMES, modlinalg.NONZERO_CAP) == default
+
+
+def test_config_requires_two_primes(capsys):
     assert main(VERIFY + ["--primes", "1000003"]) == 2
     assert "need at least two distinct primes" in capsys.readouterr().err
 
 
-def test_config_cap_applies_to_verify_and_suite(capsys, restore_config):
-    default = modlinalg.NONZERO_CAP
+def test_config_cap_applies_to_verify_and_suite(capsys):
     assert main(VERIFY + ["--cap", "10"]) == 2
     assert "skipped-capacity" in capsys.readouterr().out
-    # the cap stays set in this process; put it back so that suite must set it
-    modlinalg.NONZERO_CAP = default
     assert main(["suite", "--profile", "quick", "--cap", "10"]) == 2
     assert capsys.readouterr().out.endswith("9 tasks, 0 failed, 4 skipped\n")
 
 
-def test_config_rejects_bad_primes(capsys, restore_config):
+def test_config_rejects_bad_primes(capsys):
     default = modlinalg.PRIMES
     for primes in (
         "7,7", "4,6", "1000003,1000003", "65521,1000003", "1000003,1000001", "1000003,",
@@ -448,20 +484,30 @@ def test_config_rejects_bad_primes(capsys, restore_config):
     capsys.readouterr()
 
 
-def test_configured_primes_give_the_default_witnesses(capsys, restore_config):
+def test_configured_primes_give_the_default_witnesses(capsys, monkeypatch):
     # a configured pair is run as one modulus, their product: small primes,
-    # and the largest below 2^64, whose product is near 2^128
+    # and the largest below 2^64, whose product is near 2^128.  thm-1.2's
+    # witness draws its primes in witness, que-7.1's in rees
+    in_force = []
+    for module in (witness, rees):
+        def spy(seed, compute, drawn=module.two_primes):
+            in_force.append(modlinalg.PRIMES)
+            return drawn(seed, compute)
+        monkeypatch.setattr(module, "two_primes", spy)
     argvs = [
         ["thm-1.2", "--m", "3", "--n", "3", "--dmax", "3"],
         ["que-7.1", "--m", "3", "--n", "3", "--a-max", "2", "--e-max", "2"],
     ]
-    default = [_verify_json(argv, capsys)["witnessed"] for argv in argvs]
+    default = modlinalg.PRIMES
+    witnessed = [_verify_json(argv, capsys)["witnessed"] for argv in argvs]
+    assert in_force and set(in_force) == {default}
     for primes in ("1000003,999983", "18446744073709551557,18446744073709551533"):
-        witnessed = [
+        in_force.clear()
+        assert [
             _verify_json(argv + ["--primes", primes], capsys)["witnessed"] for argv in argvs
-        ]
-        assert modlinalg.PRIMES == tuple(map(int, primes.split(",")))
-        assert witnessed == default, primes
+        ] == witnessed, primes
+        assert in_force and set(in_force) == {tuple(map(int, primes.split(",")))}
+        assert modlinalg.PRIMES == default
 
 
 def test_settings_that_set_nothing_are_usage_errors(capsys):
@@ -478,7 +524,7 @@ def test_settings_that_set_nothing_are_usage_errors(capsys):
         assert captured.out == "" and "error:" in captured.err, argv
 
 
-def test_a_run_setting_given_twice_is_a_usage_error(tmp_path, capsys, restore_config):
+def test_a_run_setting_given_twice_is_a_usage_error(tmp_path, capsys):
     # the first value would set nothing: the second would override it
     for argv in (VERIFY, ["suite"]):
         for flag, value in dict(SETTINGS, **{"--results-dir": str(tmp_path)}).items():
@@ -489,7 +535,7 @@ def test_a_run_setting_given_twice_is_a_usage_error(tmp_path, capsys, restore_co
     assert os.listdir(tmp_path) == []
 
 
-def test_config_rejects_bad_cap(capsys, restore_config):
+def test_config_rejects_bad_cap(capsys):
     for cap in ("0", "-5", "1.5", "ten", ""):
         assert main(VERIFY + ["--cap", cap]) == 2, cap
         assert "error: argument --cap" in capsys.readouterr().err, cap
@@ -563,7 +609,7 @@ def test_a_predicted_key_the_witness_lacks_is_a_mismatch(monkeypatch):
     assert emit(report).splitlines()[1] == line
 
 
-def test_cache_key_covers_primes(tmp_path, capsys, restore_config):
+def test_cache_key_covers_primes(tmp_path, capsys):
     verify = VERIFY + ["--results-dir", str(tmp_path)]
     first = _verify_json(verify[1:], capsys)
     second = _verify_json(verify[1:] + ["--primes", "1000003,999983"], capsys)
@@ -573,10 +619,42 @@ def test_cache_key_covers_primes(tmp_path, capsys, restore_config):
     ).as_dict()
 
 
-def test_capacity_skip_is_not_cached(tmp_path, capsys, restore_config):
+def test_capacity_skip_is_not_cached(tmp_path, capsys):
     assert main(VERIFY + ["--cap", "10", "--results-dir", str(tmp_path)]) == 2
     assert "verdict: skipped-capacity" in capsys.readouterr().out
     assert os.listdir(tmp_path) == []
+
+
+def test_a_results_dir_that_is_a_file_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    # the directory cannot be made: no task ran, so this is not a failed task
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    for argv in (VERIFY, ["suite"]):
+        assert main(argv + ["--results-dir", str(taken)]) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: "), argv
+        with monkeypatch.context() as env:
+            env.setenv("MINORREL_RESULTS_DIR", str(taken))
+            assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: "), argv
+    assert taken.read_text() == ""
+
+
+def test_an_interrupted_cache_write_leaves_no_report(tmp_path, monkeypatch):
+    task = VerificationTask("thm-1.1", {"m": 2, "n": 4, "d_max": 2})
+
+    def cut_short(*args):
+        raise KeyboardInterrupt
+
+    with monkeypatch.context() as patch:
+        patch.setattr(tasks, "emit", cut_short)
+        with pytest.raises(KeyboardInterrupt):
+            run(task, results_dir=str(tmp_path))
+    assert os.listdir(tmp_path) == []
+    # the next run computes the task afresh and caches it
+    assert run(task, results_dir=str(tmp_path)).verdict == "pass"
+    assert os.listdir(tmp_path) == [task.cache_name()]
 
 
 def test_removed_flags_are_usage_errors(capsys):

@@ -216,7 +216,7 @@ def test_two_primes_requires_agreement():
 
 
 def test_configured_cap_reaches_every_guard(monkeypatch):
-    # the guards read modlinalg.NONZERO_CAP when they run, as --cap sets it
+    # the guards read modlinalg.NONZERO_CAP when they run, as tasks.run sets it
     monkeypatch.setattr(modlinalg, "NONZERO_CAP", 10)
     witnesses = [
         (lambda: relation_dims(RingContext(2, 4), "minors", 2), "kernel block"),

@@ -3,11 +3,12 @@
 Matrices are lists of sparse rows (dict column -> integer coefficient).
 Ranks and kernels are taken modulo q, which is a prime or a product of
 distinct primes; each new pivot is inverted mod q, and a pivot that is not
-a unit raises NonUnitPivot.  two_primes runs a computation at two primes
-drawn from PRIMES and requires agreement: it first runs it once at their
-product, which by the Chinese remainder theorem is the run at each prime
-when every pivot is a unit.  Elimination takes the rows sparsest first and
-pivots on each row's leftmost nonzero column.  The rank, the pivot columns
+a unit raises NonUnitPivot.  two_primes runs a computation (in tasks.run,
+a task's whole runner) at two primes drawn from a list and requires
+agreement: it first runs it once at their product, which by the Chinese
+remainder theorem is the run at each prime when every pivot is a unit.
+Elimination takes the rows sparsest first and pivots on each row's
+leftmost nonzero column.  The rank, the pivot columns
 and the reduced echelon form of a row space do not depend on the order of
 its rows, so neither does any result here; the order changes only the
 fill-in, and with it the time.
@@ -15,7 +16,7 @@ fill-in, and with it the time.
 
 import random
 
-# fixed public list of 31-bit primes for the two-prime rank checks
+# fixed public list of 31-bit primes: a task's default list to draw its two from
 PRIMES = (
     2147483647,
     2147483629,
@@ -38,8 +39,8 @@ class NonUnitPivot(ArithmeticError):
     """A pivot is zero modulo one prime factor of the modulus."""
 
 
-def two_primes(seed, compute):
-    """compute at the two primes p1, p2 the seed draws; the results must agree.
+def two_primes(seed, primes, compute):
+    """compute at the two primes p1, p2 the seed draws from primes; the results must agree.
 
     compute(q) may use q only through ring operations, zero tests and this
     module's inversions.  It runs once at q = p1 * p2: Z/p1p2 is Z/p1 x Z/p2,
@@ -49,7 +50,7 @@ def two_primes(seed, compute):
     between the primes; NonUnitPivot then falls back to compute(p1) and
     compute(p2), which must agree.
     """
-    p1, p2 = random.Random(seed).sample(PRIMES, 2)
+    p1, p2 = random.Random(seed).sample(primes, 2)
     try:
         return compute(p1 * p2)
     except NonUnitPivot:

@@ -21,9 +21,9 @@ elsewhere is carried across from it by a move, with no elimination and no
 source basis there.  One engine object serves an instance: it is built
 once over the integers, where its source bases and generator products live,
 and `at(q)` runs it modulo q, dropping the kernels of any previous modulus.
-q is a prime or, under `modlinalg.two_primes`, the product of two: the
-engine uses q only through ring operations, zero tests and `modlinalg`'s
-eliminations, so one run at p1 * p2 is the run at each prime.
+q is a prime or, in a task's run through `modlinalg.two_primes`, the product
+of two: the engine uses q only through ring operations, zero tests and
+`modlinalg`'s eliminations, so one run at p1 * p2 is the run at each prime.
 
 The Rees algebra is presented by T-variables (one per quadric generator)
 over the matrix-entry ring; the defining ideal J is the bigraded kernel of
@@ -37,7 +37,7 @@ from functools import cache
 from itertools import combinations_with_replacement
 from math import factorial
 
-from .modlinalg import guard_nonzeros, nullspace_mod, rank_mod, two_primes
+from .modlinalg import guard_nonzeros, nullspace_mod, rank_mod
 from .partitions import partitions_of
 from .polyring import generators_for, guard_degree, pack, poly_mul, unpack, x_weight
 from .polyring import pack_weight, unpack_weight, weight_guards, weight_sub
@@ -484,33 +484,28 @@ class ReesEngine(GradedKernel):
         return out
 
 
-def rees_ideal(ctx, a_max=3, e_max=3, seed=0):
-    """Minimal generators of the Rees ideal J by bidegree.
+def rees_ideal(ctx, a_max, e_max, q):
+    """Minimal generators of the Rees ideal J by bidegree, modulo q.
 
     Returns a sorted list of ((a, 2e), count) with count > 0, over the window
     a <= a_max, e <= e_max (e >= 1; the component (a, 0) is zero since the
     x-variables are algebraically independent).
     """
-    engine = ReesEngine(ctx)
-
-    def compute(q):
-        engine.at(q)
-        counts = [
-            ((a, 2 * e), engine.min_gens((a, e)))
-            for a in range(a_max + 1)
-            for e in range(1, e_max + 1)
-        ]
-        return [(bideg, c) for bideg, c in counts if c]
-
-    return two_primes(seed, compute)
+    engine = ReesEngine(ctx).at(q)
+    counts = [
+        ((a, 2 * e), engine.min_gens((a, e)))
+        for a in range(a_max + 1)
+        for e in range(1, e_max + 1)
+    ]
+    return [(bideg, c) for bideg, c in counts if c]
 
 
-def fiber_type_check(ctx, a_max=3, e_max=3, seed=0):
+def fiber_type_check(ctx, a_max, e_max, q):
     """Decide fiber type on a bidegree window.
 
     Fiber type: every minimal generator of J lies in bidegree (0, 2d) (a fiber
     relation, i.e. a defining relation of the minor variety) or (d, 2) (a
     syzygy of the quadrics).  Returns (fiber, {(a, 2e): count}).
     """
-    table = dict(rees_ideal(ctx, a_max, e_max, seed))
+    table = dict(rees_ideal(ctx, a_max, e_max, q))
     return not any(a >= 1 and b >= 4 for a, b in table), table

@@ -2,13 +2,15 @@
 
 Each statement id resolves to a runner that computes a prediction through the
 character engine and a witness through linear algebra, Bott cohomology, or
-elimination, then compares the two exactly.  A runner returns (predicted,
-witnessed, certificates); the certificates are json-native and in a fixed
-order, and only the Koszul runners have any.  run puts a task's primes and
-nonzero cap in force for its runner only.  Capacity overruns surface as the
-verdict "skipped-capacity", never as a silent pass.  Reports can be cached
-whole in a results directory under filenames hashed from the task (its primes
-and cap too) and the package source; a capacity skip is never cached.
+elimination, then compares the two exactly.  A runner maps (params, modulus
+q) to (predicted, witnessed, certificates); the certificates are json-native
+and in a fixed order, and only the Koszul runners have any.  run gives the
+runner to `modlinalg.two_primes` at the task's seed and primes (the runners
+that only predict ignore q), and puts the task's nonzero cap in force for it
+only.  Capacity overruns surface as the verdict "skipped-capacity", never as
+a silent pass.  Reports can be cached whole in a results directory under
+filenames hashed from the task (its primes and cap too) and the package
+source; a capacity skip is never cached.
 """
 
 import hashlib
@@ -80,11 +82,11 @@ def _by_degree(statement, variant, koszul=False):
     degree and weight order.
     """
 
-    def runner(p, seed):
+    def runner(p, q):
         m, n, d_max = p["m"], p["n"], p["d_max"]
         ctx, degrees = RingContext(m, n), range(2, d_max + 1)
         if koszul:
-            blocks = {d: koszul_h1_blocks(ctx, variant, d, seed) for d in degrees}
+            blocks = {d: koszul_h1_blocks(ctx, variant, d, q) for d in degrees}
             dims = {d: orbit_total(blocks[d]) for d in degrees}
             certificates = tuple(
                 {"degree": d, "weight": [list(w[0]), list(w[1])], "dim": dim,
@@ -93,7 +95,7 @@ def _by_degree(statement, variant, koszul=False):
                 for w, dim in sorted(blocks[d].items())
             )
         else:
-            dims = {d: mins for d, (_, mins) in relation_dims(ctx, variant, d_max, seed).items()}
+            dims = {d: mins for d, (_, mins) in relation_dims(ctx, variant, d_max, q).items()}
             certificates = ()
         predicted = {
             f"degree_{d}": dim_at(predicted_character(statement, d), m, n) for d in degrees
@@ -109,16 +111,15 @@ def _within(terms, m, n):
     return {(lam, mu): c for (lam, mu), c in terms.items() if len(lam) <= m and len(mu) <= n}
 
 
-def _run_lem_4_3(p, seed):
-    """Filtration-layer character identity against the Bott-cohomology route."""
-    size = p["size"]
+def _run_lem_4_3(p, q):
+    """Filtration-layer character identity against the Bott route: r <= 3, sizes 2..5."""
     predicted = {}
     witnessed = {}
-    for r in range(1, p["r_max"] + 1):
+    for r in range(1, 4):
         for d in range(0, p["d_max"] + 1):
             full = predicted_character("lem-4.3", d, r=r).terms
-            for m in range(2, size + 1):
-                for n in range(m, size + 1):
+            for m in range(2, 6):
+                for n in range(m, 6):
                     key = f"r{r}_d{d}_{m}x{n}"
                     geo = bott.lemma_4_3_character(r, d, m, n)
                     predicted[key] = format_bicharacter(_within(full, m, n))
@@ -126,17 +127,16 @@ def _run_lem_4_3(p, seed):
     return predicted, witnessed, ()
 
 
-def _run_lem_4_4(p, seed):
-    """Exhaustive vanishing sweep of the twisted wedge-power cohomology."""
-    size = p["size"]
+def _run_lem_4_4(p, q):
+    """Vanishing sweep of the twisted wedge-power cohomology: j <= 4, r <= 2, sizes 2..5."""
     nonzero = []
     checked = 0
-    for j in range(1, p["j_max"] + 1):
+    for j in range(1, 5):
         for u in range(0, j + 3):
             for v in range(0, j + 3 - u):
-                for r in range(1, p["r_max"] + 1):
-                    for m in range(2, size + 1):
-                        for n in range(2, size + 1):
+                for r in range(1, 3):
+                    for m in range(2, 6):
+                        for n in range(2, 6):
                             checked += 1
                             if not bott.verify_lemma_4_4(u, v, j, r, m, n):
                                 nonzero.append((u, v, j, r, m, n))
@@ -145,10 +145,10 @@ def _run_lem_4_4(p, seed):
     return predicted, witnessed, ()
 
 
-def _run_thm_4_1(p, seed):
+def _run_thm_4_1(p, q):
     """Veronese-quotient presentation degrees and the Tor bound character."""
     m, n, r = p["m"], p["n"], p["r"]
-    out = veronese_presentation_dims(RingContext(m, n), r, p["d_max"], seed=seed)
+    out = veronese_presentation_dims(RingContext(m, n), r, p["d_max"], q)
     gen_degrees = sorted(d for d, v in out["generators"].items() if v)
     rel_degrees = sorted(d for d, v in out["relations"].items() if v)
     bound = dim_at(predicted_character("eq-tor1-Nr", r), m, n)
@@ -168,7 +168,7 @@ def _run_thm_4_1(p, seed):
     return predicted, witnessed, ()
 
 
-def _run_eq_tor1(p, seed):
+def _run_eq_tor1(p, q):
     """Closed-form Tor character of the Veronese quotient vs Bott cohomology."""
     m, n, r = p["m"], p["n"], p["r"]
     stated = predicted_character("eq-tor1-Nr", r)
@@ -181,21 +181,21 @@ def _run_eq_tor1(p, seed):
     return predicted, witnessed, ()
 
 
-def _run_subspace(p, seed):
+def _run_subspace(p, q):
     """Subspace-variety generator count vs the wedge-power character."""
     m, n, d_max = p["m"], p["n"], p["d_max"]
     ch = predicted_character("sec-6-U", m)
     predicted = {f"degree_{d}": 0 for d in range(1, d_max + 1)}
     predicted[f"degree_{m}"] = dim_at(ch, m, n)
-    counts = subspace_variety_gens(m, n, d_max=d_max, seed=seed)
+    counts = subspace_variety_gens(m, n, d_max, q)
     witnessed = {f"degree_{d}": counts.get(d, 0) for d in range(1, d_max + 1)}
     return predicted, witnessed, ()
 
 
-def _run_fiber_type(p, seed):
+def _run_fiber_type(p, q):
     """Rees-ideal generator bidegrees against the fiber-type pattern."""
     ctx = RingContext(p["m"], p["n"])
-    fiber, table = fiber_type_check(ctx, a_max=p["a_max"], e_max=p["e_max"], seed=seed)
+    fiber, table = fiber_type_check(ctx, p["a_max"], p["e_max"], q)
     predicted = {"fiber_type": True}
     witnessed = {"fiber_type": fiber}
     witnessed["bidegrees"] = {f"({a},{b})": c for (a, b), c in sorted(table.items())}
@@ -205,10 +205,11 @@ def _run_fiber_type(p, seed):
 # statement -> (runner, feasibility envelope max (m, n, degree-like bound),
 # {param: (least value that checks anything, default)}).  A default of None
 # marks a required param; a callable least or default reads the params before it.
+# m and n have no least of their own: validate needs both to be at least 2.
 # sec-6-Tbar (Section 6's functor T-bar, the transpose dual of Theorem 1.1)
 # is Theorem 1.2 on a smaller envelope; sec-6-U is Theorem 5.1.  A degree window
 # must reach the stated degree: r + 1 for thm-4.1's relations, m for sec-6-U's.
-_M_N = {"m": (2, None), "n": (2, None)}
+_M_N = {"m": (None, None), "n": (None, None)}
 _THM_1_2 = _by_degree("thm-1.2", "permanents")
 _SUBSPACE = (_run_subspace, (3, 4, 4), {**_M_N, "d_max": (lambda p: p["m"], lambda p: p["m"] + 1)})
 _STATEMENTS = {
@@ -217,8 +218,8 @@ _STATEMENTS = {
     "sec-6-Tbar": (_THM_1_2, (3, 3, 3), {**_M_N, "d_max": (2, 3)}),
     "thm-3.1": (_by_degree("thm-3.1", "minors", True), (4, 5, 9), {**_M_N, "d_max": (2, 5)}),
     "thm-3.2": (_by_degree("thm-3.2", "permanents", True), (4, 5, 9), {**_M_N, "d_max": (2, 5)}),
-    "lem-4.3": (_run_lem_4_3, (5, 5, 6), {"r_max": (1, 3), "d_max": (0, 4), "size": (2, 5)}),
-    "lem-4.4": (_run_lem_4_4, (5, 5, 6), {"j_max": (1, 4), "r_max": (1, 2), "size": (2, 5)}),
+    "lem-4.3": (_run_lem_4_3, (5, 5, 6), {"d_max": (0, 4)}),
+    "lem-4.4": (_run_lem_4_4, (5, 5, 6), {}),
     "thm-4.1": (
         _run_thm_4_1,
         (3, 4, 4),
@@ -245,7 +246,8 @@ def validate(task):
     _, (m_cap, n_cap, d_cap), window = _STATEMENTS[task.statement]
     for key in task.params:
         if key not in window:
-            raise ValueError(f"{task.statement}: takes no {key} (it reads {', '.join(window)})")
+            reads = ", ".join(window) or "nothing"
+            raise ValueError(f"{task.statement}: takes no {key} (it reads {reads})")
     p = {}
     for key, (_, default) in window.items():
         if key in task.params:
@@ -266,16 +268,15 @@ def validate(task):
             continue
         least = window[key][0]
         least = least(p) if callable(least) else least
-        top = min(m_cap, n_cap) if key == "size" else d_cap
-        if not least <= value <= top:
+        if not least <= value <= d_cap:
             raise ValueError(
-                f"{task.statement}: {key}={value} outside envelope [{least}, {top}]"
+                f"{task.statement}: {key}={value} outside envelope [{least}, {d_cap}]"
             )
     return p
 
 
 def run(task, results_dir=None):
-    """Run one task under its primes and cap, returning (and possibly caching) a report."""
+    """Run one task at two of its primes and under its cap; return (and maybe cache) a report."""
     p = validate(task)
     if results_dir is None:
         results_dir = os.environ.get(RESULTS_DIR_ENV)
@@ -287,16 +288,18 @@ def run(task, results_dir=None):
             with open(cache_path) as fh:
                 return parse_report(fh.read())
     t0 = time.perf_counter()
-    saved = modlinalg.PRIMES, modlinalg.NONZERO_CAP
-    modlinalg.PRIMES, modlinalg.NONZERO_CAP = task.primes, task.cap
+    runner = _STATEMENTS[task.statement][0]
+    saved, modlinalg.NONZERO_CAP = modlinalg.NONZERO_CAP, task.cap
     try:
-        predicted, witnessed, certificates = _STATEMENTS[task.statement][0](p, task.seed)
+        predicted, witnessed, certificates = modlinalg.two_primes(
+            task.seed, task.primes, lambda q: runner(p, q)
+        )
         verdict = "pass" if all(matches(predicted, witnessed, k) for k in predicted) else "fail"
     except modlinalg.CapacityError as exc:
         predicted, witnessed, certificates = {}, {"capacity": str(exc)}, ()
         verdict = "skipped-capacity"
     finally:
-        modlinalg.PRIMES, modlinalg.NONZERO_CAP = saved
+        modlinalg.NONZERO_CAP = saved
     elapsed = time.perf_counter() - t0
     report = VerificationReport(
         task=task.as_dict(),

@@ -12,32 +12,26 @@ built once over the integers and run modulo q by `engine.at(q)`.  Koszul
 homology is a pair of ranks per block, keyed by dominant weights: each
 per-weight dimension is constant on S_m x S_n orbits, and
 `rees.orbit_total` gives the total; at m = n only one block of each
-transposed pair is built.  Products and matrices are built once over the
-integers; kernels and ranks run through `two_primes`, which draws two
-seeded primes, runs once modulo their product and falls back to one run per
-prime, which must agree, only when a pivot is zero at one of them.  Every
-`compute(q)` below uses q only through ring operations, zero tests and
-`modlinalg`'s eliminations.
+transposed pair is built.  Each witness takes the modulus q last; it builds
+products and matrices over the integers and takes kernels and ranks mod q,
+using q only through ring operations, zero tests and `modlinalg`'s
+eliminations, so a run at p1 * p2 (`tasks.run`) is the run at each prime.
 """
 
 from itertools import combinations, product
 from math import factorial
 
-from .modlinalg import guard_nonzeros, rank_mod, two_primes
+from .modlinalg import guard_nonzeros, rank_mod
 from .polyring import generators_for, guard_degree, pack, poly_mul, unpack
 from .polyring import pack_weight, weight_guards, weight_sub
 from .rees import GradedKernel, _by_mirror, _monomials_of_degree, _padded_partitions, _weights_of
 from .rees import matrix_moves
 
 
-def presentation_dims(engine, d_max, seed=0):
-    """{d: (kernel_dim, min_gen_dim)} for 1 <= d <= d_max, from the engine at two primes."""
-
-    def compute(q):
-        engine.at(q)
-        return {d: (engine.kernel_dim(d), engine.min_gens(d)) for d in range(1, d_max + 1)}
-
-    return two_primes(seed, compute)
+def presentation_dims(engine, d_max, q):
+    """{d: (kernel_dim, min_gen_dim)} for 1 <= d <= d_max, from the engine mod q."""
+    engine.at(q)
+    return {d: (engine.kernel_dim(d), engine.min_gens(d)) for d in range(1, d_max + 1)}
 
 
 def relation_engine(ctx, variant):
@@ -47,7 +41,7 @@ def relation_engine(ctx, variant):
     return GradedKernel(gens, weights, (ctx.m, ctx.n), ctx.num_vars, matrix_moves(ctx))
 
 
-def relation_dims(ctx, variant, d_max, seed=0):
+def relation_dims(ctx, variant, d_max, q):
     """Relations between the 2x2 minors (or permanents) of the generic matrix.
 
     For each degree d: the kernel dimension of Sym^d(W) -> S_{2d} and the
@@ -55,7 +49,7 @@ def relation_dims(ctx, variant, d_max, seed=0):
     """
     if d_max < 2:
         raise ValueError("d_max must be >= 2")
-    return presentation_dims(relation_engine(ctx, variant), d_max, seed)
+    return presentation_dims(relation_engine(ctx, variant), d_max, q)
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +72,7 @@ def _fits(w, groups, guards):
             yield rest, members
 
 
-def koszul_h1_blocks(ctx, variant, d, seed=0):
+def koszul_h1_blocks(ctx, variant, d, q):
     """H_1 of the Koszul complex of W in total degree d, at dominant weights.
 
     Returns {weight: dim} over the dominant weights (row sums and column sums
@@ -91,8 +85,7 @@ def koszul_h1_blocks(ctx, variant, d, seed=0):
     side `rees._by_mirror` keeps is built.  The dominant weights are
     enumerated directly, as the pairs of partitions of d padded to m and n
     parts, and one whose W (x) S_{d-2} basis is empty is skipped.  Only these
-    blocks are built: their boundary matrices once over the integers, ranked
-    mod two seeded primes.
+    blocks are built: their boundary matrices over the integers, ranked mod q.
     """
     if d < 2:
         raise ValueError("degree must be >= 2")
@@ -145,16 +138,12 @@ def koszul_h1_blocks(ctx, variant, d, seed=0):
         guard_nonzeros(nnz1, "Koszul d1 matrix")
         guard_nonzeros(nnz2, "Koszul d2 matrix")
         blocks.append((dom, len(basis), d1, d2))
-
-    def compute(q):
-        h1 = {}
-        for w, size, d1, d2 in blocks:
-            h1[w] = size - rank_mod(d1, q)
-            if d2:
-                h1[w] -= rank_mod(d2, q)
-        return {dom: h1[rep[dom]] for dom in doms if h1.get(rep[dom])}
-
-    return two_primes(seed, compute)
+    h1 = {}
+    for w, size, d1, d2 in blocks:
+        h1[w] = size - rank_mod(d1, q)
+        if d2:
+            h1[w] -= rank_mod(d2, q)
+    return {dom: h1[rep[dom]] for dom in doms if h1.get(rep[dom])}
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +216,7 @@ class VeroneseEngine(GradedKernel):
         return out
 
 
-def veronese_presentation_dims(ctx, r, d_max, seed=0):
+def veronese_presentation_dims(ctx, r, d_max, q):
     """Generator and first-relation dimensions of M_r/M_{r-1} by degree, for the minors.
 
     Returns {"generators": {D: dim}, "relations": {D: dim}} for D <= d_max.
@@ -236,19 +225,14 @@ def veronese_presentation_dims(ctx, r, d_max, seed=0):
     """
     if r < 1:
         raise ValueError("need r >= 1")
-    engine = VeroneseEngine(ctx, r)
-
-    def compute(q):
-        engine.at(q)
-        # M_{r,D} = M_{r-1,D} + G_r*R_{D-r}: for D > r that lies in
-        # M_{r-1,D} + W*M_{r,D-1}, and for D < r M_{r,D} = M_{r-1,D}, so the
-        # generators sit in degree r, where they are the image of G_r in N_r
-        return {
-            "generators": {D: engine.image_dim(r) if D == r else 0 for D in range(d_max + 1)},
-            "relations": {D: engine.min_gens(D) for D in range(r, d_max + 1)},
-        }
-
-    return two_primes(seed, compute)
+    engine = VeroneseEngine(ctx, r).at(q)
+    # M_{r,D} = M_{r-1,D} + G_r*R_{D-r}: for D > r that lies in
+    # M_{r-1,D} + W*M_{r,D-1}, and for D < r M_{r,D} = M_{r-1,D}, so the
+    # generators sit in degree r, where they are the image of G_r in N_r
+    return {
+        "generators": {D: engine.image_dim(r) if D == r else 0 for D in range(d_max + 1)},
+        "relations": {D: engine.min_gens(D) for D in range(r, d_max + 1)},
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -339,12 +323,12 @@ def subspace_engine(m, n):
     return GradedKernel(images, weights, (m, n), nvars, _subspace_moves(m, n))
 
 
-def subspace_variety_gens(m, n, d_max, seed=0):
+def subspace_variety_gens(m, n, d_max, q):
     """Minimal generator counts, by degree, of the ideal of the subspace variety.
 
     The graded-kernel engine applied to the parameterization pullback: the
     kernel degree by degree, minus the span of shifted lower-degree kernel
     elements.
     """
-    dims = presentation_dims(subspace_engine(m, n), d_max, seed)
+    dims = presentation_dims(subspace_engine(m, n), d_max, q)
     return {d: min_gens for d, (_, min_gens) in dims.items()}

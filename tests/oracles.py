@@ -28,6 +28,10 @@ from the package's unbounded `partitions_of`.
 
 Symmetric functions are dicts mapping a partition to its coefficient, in
 the Schur basis unless a name says power sums.
+
+One helper is not an oracle: `at_two_primes` runs a witness under the
+package's two-prime protocol, as a task does at seed 0 and the default
+primes, for the tests that pin a witness's counts.
 """
 
 from collections import Counter
@@ -38,12 +42,17 @@ from math import factorial
 from operator import add, sub
 
 from minorrel.bott import bott_projective
-from minorrel.modlinalg import nullspace_mod, rank_mod
+from minorrel.modlinalg import PRIMES, nullspace_mod, rank_mod, two_primes
 from minorrel.partitions import canon, conjugate, partitions_of
 from minorrel.polyring import generators_for, pack, pack_weight, poly_mul, unpack, unpack_weight
 from minorrel.rees import _monomials_of_degree, _shifted_rows
 from minorrel.symfunc import plethysm_schur, schur_multiply
 from minorrel.witness import VeroneseEngine, filtration_generator_space
+
+
+def at_two_primes(witness, *args, **kwargs):
+    """witness(*args, **kwargs, q=q) through two_primes at seed 0 and PRIMES."""
+    return two_primes(0, PRIMES, lambda q: witness(*args, **kwargs, q=q))
 
 
 def wadd(w, delta):

@@ -35,7 +35,7 @@ from minorrel.witness import (
     subspace_variety_gens,
     veronese_presentation_dims,
 )
-from oracles import plethysm_power_sum, weyl_dim_weight
+from oracles import at_two_primes, plethysm_power_sum, weyl_dim_weight
 
 
 def timed(limit_s):
@@ -86,25 +86,25 @@ def _koszul_3x3_by_euler_characteristic(d):
 
 def test_criterion_01_minor_relations_2x4():
     with timed(5):
-        dims = relation_dims(RingContext(2, 4), "minors", 4)
+        dims = at_two_primes(relation_dims, RingContext(2, 4), "minors", 4)
     assert {d: dims[d][1] for d in (2, 3, 4)} == {2: 1, 3: 0, 4: 0}
 
 
 def test_criterion_02_minor_relations_3x4():
     with timed(600):
-        dims = relation_dims(RingContext(3, 4), "minors", 4)
+        dims = at_two_primes(relation_dims, RingContext(3, 4), "minors", 4)
     assert {d: dims[d][1] for d in (2, 3, 4)} == {2: 6, 3: 10, 4: 0}
 
 
 def test_criterion_03_minor_relations_3x3_vanish():
     with timed(120):
-        dims = relation_dims(RingContext(3, 3), "minors", 4)
+        dims = at_two_primes(relation_dims, RingContext(3, 3), "minors", 4)
     assert {d: dims[d][1] for d in (2, 3, 4)} == {2: 0, 3: 0, 4: 0}
 
 
 def test_criterion_04_permanent_relations_3x3():
     with timed(600):
-        dims = relation_dims(RingContext(3, 3), "permanents", 3)
+        dims = at_two_primes(relation_dims, RingContext(3, 3), "permanents", 3)
     # the quotient in degree 2: dim Sym^2 of the 36 permanent span is 666
     assert dim_at(character_A(2, "permanents"), 3, 3) == 666 - dims[2][1]
     assert {d: dims[d][1] for d in (2, 3)} == {2: 180, 3: 200}
@@ -122,7 +122,7 @@ def test_criterion_04_permanent_relations_3x3():
 def test_criterion_05_koszul_homology_3x3():
     with timed(900):
         witnessed = {
-            d: orbit_total(koszul_h1_blocks(RingContext(3, 3), "minors", d))
+            d: orbit_total(at_two_primes(koszul_h1_blocks, RingContext(3, 3), "minors", d))
             for d in (2, 3, 4, 5)
         }
     assert witnessed == {2: 0, 3: 16, 4: 99, 5: 324}
@@ -131,7 +131,7 @@ def test_criterion_05_koszul_homology_3x3():
     assert {d: h1 for d, (h1, _) in euler.items()} == witnessed
     # the degree-5 homology is the stated thm-3.1 character, not only its dimension
     recovered = character_from_weight_dims(
-        koszul_h1_blocks(RingContext(3, 3), "minors", 5), 3, 3
+        at_two_primes(koszul_h1_blocks, RingContext(3, 3), "minors", 5), 3, 3
     )
     stated = {
         pair: mult
@@ -143,7 +143,7 @@ def test_criterion_05_koszul_homology_3x3():
 
 def test_criterion_06_permanent_koszul_vanishing_3x3():
     with timed(900):
-        witnessed = orbit_total(koszul_h1_blocks(RingContext(3, 3), "permanents", 6))
+        witnessed = orbit_total(at_two_primes(koszul_h1_blocks, RingContext(3, 3), "permanents", 6))
     assert witnessed == 0
 
 
@@ -167,7 +167,7 @@ def test_criterion_07_cohomology_vanishing_sweep():
 
 def test_criterion_08_veronese_layer_presentation_3x3():
     with timed(600):
-        out = veronese_presentation_dims(RingContext(3, 3), 1, 2)
+        out = at_two_primes(veronese_presentation_dims, RingContext(3, 3), 1, 2)
     assert [d for d, v in out["generators"].items() if v] == [1]
     assert [d for d, v in out["relations"].items() if v] == [2]
     bound = dim_at(predicted_character("eq-tor1-Nr", 1), 3, 3)
@@ -193,13 +193,13 @@ def test_criterion_09_filtration_layer_character_identity():
 
 def test_criterion_10_subspace_variety_generators():
     with timed(300):
-        assert subspace_variety_gens(2, 2, d_max=3) == {1: 0, 2: 15, 3: 0}
-        assert subspace_variety_gens(2, 3, d_max=3) == {1: 0, 2: 66, 3: 0}
+        assert at_two_primes(subspace_variety_gens, 2, 2, d_max=3) == {1: 0, 2: 15, 3: 0}
+        assert at_two_primes(subspace_variety_gens, 2, 3, d_max=3) == {1: 0, 2: 66, 3: 0}
 
 
 def test_criterion_11_fiber_type_small_sizes():
     for m, n in [(2, 2), (2, 3), (2, 4), (3, 3)]:
-        fiber, table = fiber_type_check(RingContext(m, n))
+        fiber, table = at_two_primes(fiber_type_check, RingContext(m, n), 3, 3)
         assert fiber, (m, n, table)
 
 
@@ -208,7 +208,7 @@ def test_criterion_11_fiber_type_small_sizes():
     reason="long-running case; set MINORREL_PROFILE=long to enable",
 )
 def test_criterion_11_fiber_type_5x3_long_profile():
-    fiber, table = fiber_type_check(RingContext(5, 3), a_max=3, e_max=3)
+    fiber, table = at_two_primes(fiber_type_check, RingContext(5, 3), a_max=3, e_max=3)
     assert fiber, table
 
 

@@ -2,8 +2,10 @@ import argparse
 import importlib.util
 import json
 import os
+import random
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -11,7 +13,7 @@ import pytest
 from minorrel.cli import build_parser, main
 from minorrel.report import VerificationReport, emit, format_bicharacter, parse_report
 from minorrel.tasks import _STATEMENTS, VerificationTask, run, suite_tasks, validate
-from minorrel import cli, modlinalg, rees, tasks, witness
+from minorrel import cli, modlinalg, tasks
 
 VERIFY = ["verify", "thm-1.1", "--m", "2", "--n", "4", "--dmax", "2"]
 # the run settings that verify and suite take, each with a valid value
@@ -407,11 +409,14 @@ def test_suite_quick_profile(capsys):
 
 
 def _in_force_runs(monkeypatch, error=None):
-    """Make lem-4.4's runner record the primes and cap in force, then raise error if given."""
+    """Make lem-4.4's runner record its modulus, the prime list and the cap in force.
+
+    The runner then raises error if given.
+    """
     seen = []
 
-    def runner(p, seed):
-        seen.append((modlinalg.PRIMES, modlinalg.NONZERO_CAP))
+    def runner(p, q):
+        seen.append((q, modlinalg.PRIMES, modlinalg.NONZERO_CAP))
         if error:
             raise error
         return {}, {}, ()
@@ -422,24 +427,25 @@ def _in_force_runs(monkeypatch, error=None):
 
 
 def test_run_settings_set_the_primes_and_cap(capsys, monkeypatch):
-    # the flags are in force while the task runs, and only then
+    # the runner runs modulo the product of the configured pair, the module
+    # prime list untouched, and the cap is in force while the task runs only
     default = (modlinalg.PRIMES, modlinalg.NONZERO_CAP)
     seen = _in_force_runs(monkeypatch)
     settings = ["--cap", "500000", "--primes", "1000003, 999983"]
     assert main(["verify", "lem-4.4", *settings]) == 0
     capsys.readouterr()
-    assert seen == [((1000003, 999983), 500000)]
+    assert seen == [(1000003 * 999983, default[0], 500000)]
     assert (modlinalg.PRIMES, modlinalg.NONZERO_CAP) == default
     # restored too when the runner raises, a capacity skip included
     task = VerificationTask("lem-4.4", primes=(65537, 65539), cap=7)
     seen = _in_force_runs(monkeypatch, modlinalg.CapacityError("over"))
     assert run(task).verdict == "skipped-capacity"
-    assert seen == [((65537, 65539), 7)]
+    assert seen == [(65537 * 65539, default[0], 7)]
     assert (modlinalg.PRIMES, modlinalg.NONZERO_CAP) == default
     seen = _in_force_runs(monkeypatch, RuntimeError("cut short"))
     with pytest.raises(RuntimeError, match="cut short"):
         run(task)
-    assert seen == [((65537, 65539), 7)]
+    assert seen == [(65537 * 65539, default[0], 7)]
     assert (modlinalg.PRIMES, modlinalg.NONZERO_CAP) == default
     # suite gives the flags to every task it builds
     seen = _fake_runs(monkeypatch, ["pass"])
@@ -486,28 +492,70 @@ def test_config_rejects_bad_primes(capsys):
 
 def test_configured_primes_give_the_default_witnesses(capsys, monkeypatch):
     # a configured pair is run as one modulus, their product: small primes,
-    # and the largest below 2^64, whose product is near 2^128.  thm-1.2's
-    # witness draws its primes in witness, que-7.1's in rees
-    in_force = []
-    for module in (witness, rees):
-        def spy(seed, compute, drawn=module.two_primes):
-            in_force.append(modlinalg.PRIMES)
-            return drawn(seed, compute)
-        monkeypatch.setattr(module, "two_primes", spy)
+    # and the largest below 2^64, whose product is near 2^128.  The runners
+    # of thm-1.2 (witness's engine) and que-7.1 (rees's) record their modulus
+    seen = []
+    for sid in ("thm-1.2", "que-7.1"):
+        runner, envelope, window = _STATEMENTS[sid]
+
+        def spy(p, q, runner=runner):
+            seen.append((q, modlinalg.PRIMES))
+            return runner(p, q)
+
+        monkeypatch.setitem(_STATEMENTS, sid, (spy, envelope, window))
     argvs = [
         ["thm-1.2", "--m", "3", "--n", "3", "--dmax", "3"],
         ["que-7.1", "--m", "3", "--n", "3", "--a-max", "2", "--e-max", "2"],
     ]
     default = modlinalg.PRIMES
     witnessed = [_verify_json(argv, capsys)["witnessed"] for argv in argvs]
-    assert in_force and set(in_force) == {default}
+    p1, p2 = random.Random(0).sample(default, 2)
+    assert seen == [(p1 * p2, default)] * 2
     for primes in ("1000003,999983", "18446744073709551557,18446744073709551533"):
-        in_force.clear()
+        seen.clear()
         assert [
             _verify_json(argv + ["--primes", primes], capsys)["witnessed"] for argv in argvs
         ] == witnessed, primes
-        assert in_force and set(in_force) == {tuple(map(int, primes.split(",")))}
+        p1, p2 = map(int, primes.split(","))
+        assert seen == [(p1 * p2, default)] * 2, primes
         assert modlinalg.PRIMES == default
+
+
+def _fallback_runs(monkeypatch, at_prime):
+    """Make lem-4.4's runner record its modulus, fail at a composite one, else give at_prime(q)."""
+    seen = []
+
+    def runner(p, q):
+        seen.append(q)
+        if q not in modlinalg.PRIMES:
+            raise modlinalg.NonUnitPivot(f"pivot not a unit mod {q}")
+        return {"rank": 1}, {"rank": at_prime(q)}, ()
+
+    _, envelope, window = _STATEMENTS["lem-4.4"]
+    monkeypatch.setitem(_STATEMENTS, "lem-4.4", (runner, envelope, window))
+    return seen
+
+
+def test_a_non_unit_pivot_reruns_the_task_at_each_prime(monkeypatch):
+    # the whole runner reruns at p1 and at p2, the pair the task's seed draws
+    task = VerificationTask("lem-4.4", seed=5)
+    p1, p2 = random.Random(5).sample(task.primes, 2)
+    seen = _fallback_runs(monkeypatch, lambda q: 1)
+    assert run(task).verdict == "pass"
+    assert seen == [p1 * p2, p1, p2]
+
+
+def test_task_runs_that_disagree_at_the_two_primes_are_an_error(monkeypatch):
+    # a result that differs at p1 and p2 raises, and the task's cap is restored
+    task = VerificationTask("lem-4.4", seed=5)
+    p1, p2 = random.Random(5).sample(task.primes, 2)
+    cap = modlinalg.NONZERO_CAP
+    seen = _fallback_runs(monkeypatch, lambda q: int(q == p1))
+    with pytest.raises(ArithmeticError, match="results disagree") as exc:
+        run(replace(task, cap=7))
+    assert not isinstance(exc.value, modlinalg.NonUnitPivot)
+    assert seen == [p1 * p2, p1, p2]
+    assert modlinalg.NONZERO_CAP == cap
 
 
 def test_settings_that_set_nothing_are_usage_errors(capsys):
@@ -597,7 +645,7 @@ def test_a_predicted_key_the_witness_lacks_is_a_mismatch(monkeypatch):
     ]
     _, envelope, window = _STATEMENTS["lem-4.4"]
     for predicted, witnessed, verdict, marks in cases:
-        fake = (lambda p, seed, out=(predicted, witnessed, ()): out, envelope, window)
+        fake = (lambda p, q, out=(predicted, witnessed, ()): out, envelope, window)
         monkeypatch.setitem(_STATEMENTS, "lem-4.4", fake)
         report = run(VerificationTask("lem-4.4"))
         assert report.verdict == verdict
@@ -716,12 +764,13 @@ def test_verify_rejects_params_the_statement_ignores(argv, key, capsys):
 @pytest.mark.parametrize(
     "statement, params",
     [
-        ("lem-4.4", {"size": 1}),
-        ("lem-4.4", {"j_max": 0}),
-        ("lem-4.4", {"r_max": 0}),
-        ("lem-4.4", {"size": 40, "j_max": 30}),
-        ("lem-4.3", {"size": 1}),
-        ("lem-4.3", {"r_max": 0}),
+        ("thm-1.1", {"m": 2, "n": 4, "d_max": 1}),
+        ("thm-1.2", {"m": 3, "n": 3, "d_max": 7}),
+        # sec-6-Tbar is thm-1.2's runner on a smaller envelope
+        ("sec-6-Tbar", {"m": 3, "n": 3, "d_max": 4}),
+        ("eq-tor1-Nr", {"m": 3, "n": 3, "r": 0}),
+        ("lem-4.3", {"d_max": 7}),
+        ("que-7.1", {"m": 2, "n": 3, "a_max": 5}),
         ("lem-4.3", {"d_max": -1}),
         ("thm-3.1", {"m": 3, "n": 3, "d_max": 1}),
         ("thm-3.2", {"m": 3, "n": 3, "d_max": 0}),
@@ -757,11 +806,10 @@ def test_validate_fills_defaults_and_the_report_keeps_the_task():
         "d_max": 3,
     }
     assert validate(VerificationTask("thm-5.1", {"m": 2, "n": 3})) == {"m": 2, "n": 3, "d_max": 3}
-    assert validate(VerificationTask("lem-4.4", {"size": 3})) == {
-        "j_max": 4,
-        "r_max": 2,
-        "size": 3,
-    }
+    assert validate(VerificationTask("lem-4.3")) == {"d_max": 4}
+    assert validate(VerificationTask("lem-4.4")) == {}
+    with pytest.raises(ValueError, match="takes no size"):
+        validate(VerificationTask("lem-4.4", {"size": 3}))
     task = VerificationTask("sec-6-Tbar", {"m": 2, "n": 3})
     report = run(task)
     assert report.task == task.as_dict()

@@ -16,7 +16,7 @@ from groebner import (
     s_poly,
 )
 from minorrel.polyring import RingContext, generators_for
-from oracles import unpacked
+from oracles import at_two_primes, unpacked
 from minorrel.witness import relation_dims
 
 
@@ -78,7 +78,7 @@ def test_plucker_elimination_matches_linear_algebra():
     assert len(quadrics) == 1
     (q,) = quadrics
     assert all(sum(e[8:]) == 2 for e in q)
-    dims = relation_dims(RingContext(2, 4), "minors", 2)
+    dims = at_two_primes(relation_dims, RingContext(2, 4), "minors", 2)
     assert dims[2][1] == len(quadrics)
     for g in gens:
         assert normal_form(g, basis_polys(gb), key) == {}

@@ -11,10 +11,11 @@ from minorrel.modlinalg import (
     guard_nonzeros,
     nullspace_mod,
     rank_mod,
+    two_primes,
 )
 from minorrel.polyring import RingContext, pack_weight
 from minorrel.rees import ReesEngine
-from minorrel.witness import relation_engine, two_primes
+from minorrel.witness import relation_engine
 from oracles import nullspace_exact, rank_exact
 
 
@@ -132,7 +133,7 @@ def _ranks_with_primes(rows, seed):
         used.append(p)
         return rank_mod(rows, p)
 
-    return two_primes(seed, rank_at), used
+    return two_primes(seed, PRIMES, rank_at), used
 
 
 def test_two_prime_rank_certificate():

@@ -2,7 +2,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from minorrel import rees, witness
+from minorrel import modlinalg, rees
 from minorrel.modlinalg import PRIMES, rank_mod
 from minorrel.polyring import RingContext, generators_for, pack, pack_weight, unpack, unpack_weight
 from minorrel.rees import (
@@ -23,6 +23,7 @@ from minorrel.witness import (
     veronese_presentation_dims,
 )
 from oracles import (
+    at_two_primes,
     coefficient_rows,
     is_dominant,
     kernel_block_direct,
@@ -35,32 +36,33 @@ from oracles import (
 
 def test_principal_ideal_has_no_relations():
     # one minor: the Rees ideal of a principal ideal is zero
-    assert rees_ideal(RingContext(2, 2)) == []
+    assert at_two_primes(rees_ideal, RingContext(2, 2), 3, 3) == []
 
 
 def test_2x3_linear_syzygies():
-    assert rees_ideal(RingContext(2, 3)) == [((1, 2), 2)]
+    assert at_two_primes(rees_ideal, RingContext(2, 3), 3, 3) == [((1, 2), 2)]
 
 
 def test_2x4_fiber_and_syzygy_generators():
-    table = rees_ideal(RingContext(2, 4), a_max=2, e_max=2)
+    table = at_two_primes(rees_ideal, RingContext(2, 4), a_max=2, e_max=2)
     assert table == [((0, 4), 1), ((1, 2), 8)]
     # the pure-T bidegree reproduces the defining relations of the image
-    dims = relation_dims(RingContext(2, 4), "minors", 2)
+    dims = at_two_primes(relation_dims, RingContext(2, 4), "minors", 2)
     assert dict(table)[(0, 4)] == dims[2][1]
 
 
 def test_3x3_fiber_type_with_sixteen_syzygies():
-    fiber, table = fiber_type_check(RingContext(3, 3))
+    fiber, table = at_two_primes(fiber_type_check, RingContext(3, 3), 3, 3)
     assert fiber
     assert table == {(1, 2): 16}
     # the linear syzygies agree with the first Koszul homology in degree 3
-    assert table[(1, 2)] == orbit_total(koszul_h1_blocks(RingContext(3, 3), "minors", 3))
+    h1 = at_two_primes(koszul_h1_blocks, RingContext(3, 3), "minors", 3)
+    assert table[(1, 2)] == orbit_total(h1)
 
 
 def test_fiber_type_small_cases():
     for m, n in [(2, 2), (2, 3)]:
-        fiber, _ = fiber_type_check(RingContext(m, n))
+        fiber, _ = at_two_primes(fiber_type_check, RingContext(m, n), 3, 3)
         assert fiber
 
 
@@ -188,22 +190,33 @@ def test_transported_kernels_match_direct_elimination():
 
 
 def test_one_run_modulo_two_primes_counts_as_each_prime(monkeypatch):
-    # the computation each witness hands to two_primes gives the same counts
-    # modulo p1 * p2 as at p1 and at p2, on the instances above
-    for module in (rees, witness):
-        monkeypatch.setattr(module, "two_primes", lambda seed, compute: compute)
-    ctx = RingContext(3, 3)
+    # each witness eliminates modulo the q it is given, and no other, and
+    # gives the same counts modulo p1 * p2 as at p1 and at p2, on the
+    # instances above
+    moduli = set()
+
+    def eliminate(rows, q, stop=None, run=modlinalg._eliminate_mod):
+        moduli.add(q)
+        return run(rows, q, stop)
+
+    monkeypatch.setattr(modlinalg, "_eliminate_mod", eliminate)
+    ctx, ctx34 = RingContext(3, 3), RingContext(3, 4)
     computes = [
-        ("rees 3x3", rees_ideal(ctx, 2, 3)),
-        ("minors 3x4", presentation_dims(relation_engine(RingContext(3, 4), "minors"), 3)),
-        ("permanents 3x3", presentation_dims(relation_engine(ctx, "permanents"), 3)),
-        ("veronese 3x3 r=1", veronese_presentation_dims(ctx, 1, 3)),
-        ("subspace 3x3", presentation_dims(subspace_engine(3, 3), 3)),
-        ("koszul 3x3 d=6", koszul_h1_blocks(ctx, "minors", 6)),
+        ("rees 3x3", lambda q: rees_ideal(ctx, 2, 3, q)),
+        ("minors 3x4", lambda q: presentation_dims(relation_engine(ctx34, "minors"), 3, q)),
+        ("permanents 3x3", lambda q: presentation_dims(relation_engine(ctx, "permanents"), 3, q)),
+        ("veronese 3x3 r=1", lambda q: veronese_presentation_dims(ctx, 1, 3, q)),
+        ("subspace 3x3", lambda q: presentation_dims(subspace_engine(3, 3), 3, q)),
+        ("koszul 3x3 d=6", lambda q: koszul_h1_blocks(ctx, "minors", 6, q)),
     ]
     p1, p2 = PRIMES[2], PRIMES[5]
     for name, compute in computes:
-        assert compute(p1 * p2) == compute(p1) == compute(p2), name
+        counts = []
+        for q in (p1 * p2, p1, p2):
+            moduli.clear()
+            counts.append(compute(q))
+            assert moduli == {q}, (name, q)
+        assert counts[0] == counts[1] == counts[2], name
 
 
 def test_buckets_match_the_all_weights_enumeration():
@@ -392,5 +405,5 @@ def test_koszul_h1_is_the_rees_kernel_modulo_koszul_rows(m, n, variant, d_max):
     # bidegree (d - 2, 1) modulo the images of the Koszul rows
     ctx = RingContext(m, n)
     for d in range(2, d_max + 1):
-        expected = koszul_h1_blocks(ctx, variant, d)
+        expected = at_two_primes(koszul_h1_blocks, ctx, variant, d)
         assert _koszul_h1_from_rees(ctx, variant, d, PRIMES[0]) == expected, d

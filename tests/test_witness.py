@@ -5,7 +5,7 @@ import pytest
 
 from minorrel.birep import dim_at, predicted_character
 from minorrel import modlinalg
-from minorrel.modlinalg import PRIMES, CapacityError, NonUnitPivot, rank_mod
+from minorrel.modlinalg import PRIMES, CapacityError, NonUnitPivot, rank_mod, two_primes
 from minorrel.polyring import RingContext, pack_weight, x_weight
 from minorrel.rees import orbit_total, rees_ideal
 from minorrel.witness import (
@@ -15,10 +15,10 @@ from minorrel.witness import (
     relation_dims,
     subspace_parameterization,
     subspace_variety_gens,
-    two_primes,
     veronese_presentation_dims,
 )
 from oracles import (
+    at_two_primes,
     coefficient_rows,
     is_dominant,
     koszul_h1_full_weight,
@@ -30,25 +30,25 @@ from oracles import (
 
 
 def test_relation_dims_2x4_minors():
-    dims = relation_dims(RingContext(2, 4), "minors", 3)
+    dims = at_two_primes(relation_dims, RingContext(2, 4), "minors", 3)
     assert dims[2] == (1, 1)
     assert dims[3] == (6, 0)
 
 
 def test_relation_dims_3x3_minors_vanish():
-    dims = relation_dims(RingContext(3, 3), "minors", 4)
+    dims = at_two_primes(relation_dims, RingContext(3, 3), "minors", 4)
     assert all(dims[d][1] == 0 for d in range(2, 5))
 
 
 def test_relation_dims_match_character_predictions():
     for m, n in [(2, 4), (3, 4)]:
-        dims = relation_dims(RingContext(m, n), "minors", 3)
+        dims = at_two_primes(relation_dims, RingContext(m, n), "minors", 3)
         for d in (2, 3):
             assert dims[d][1] == dim_at(predicted_character("thm-1.1", d), m, n)
 
 
 def test_relation_dims_3x3_permanents():
-    dims = relation_dims(RingContext(3, 3), "permanents", 3)
+    dims = at_two_primes(relation_dims, RingContext(3, 3), "permanents", 3)
     for d in (2, 3):
         assert dims[d][1] == dim_at(predicted_character("thm-1.2", d), m=3, n=3)
     assert dims[2][1] == 180
@@ -57,17 +57,17 @@ def test_relation_dims_3x3_permanents():
 
 def test_relation_dims_requires_degree_two():
     with pytest.raises(ValueError):
-        relation_dims(RingContext(2, 2), "minors", 1)
+        at_two_primes(relation_dims, RingContext(2, 2), "minors", 1)
 
 
 def test_koszul_h1_matches_character_predictions():
     for d in (2, 3, 4, 5):
-        witnessed = orbit_total(koszul_h1_blocks(RingContext(3, 3), "minors", d))
+        witnessed = orbit_total(at_two_primes(koszul_h1_blocks, RingContext(3, 3), "minors", d))
         assert witnessed == dim_at(predicted_character("thm-3.1", d), 3, 3)
 
 
 def test_koszul_h1_blocks_are_weight_graded():
-    blocks = koszul_h1_blocks(RingContext(3, 3), "minors", 3)
+    blocks = at_two_primes(koszul_h1_blocks, RingContext(3, 3), "minors", 3)
     assert orbit_total(blocks) == 16
     for (roww, colw), dim in blocks.items():
         assert sum(roww) == sum(colw) == 3
@@ -76,7 +76,7 @@ def test_koszul_h1_blocks_are_weight_graded():
 
 def test_koszul_h1_permanents_vanishing_bound():
     # the permanent variant vanishes from degree n + 3 on
-    assert orbit_total(koszul_h1_blocks(RingContext(3, 3), "permanents", 6)) == 0
+    assert orbit_total(at_two_primes(koszul_h1_blocks, RingContext(3, 3), "permanents", 6)) == 0
 
 
 def test_koszul_h1_dominant_weights_match_full_weight_oracle():
@@ -92,7 +92,7 @@ def test_koszul_h1_dominant_weights_match_full_weight_oracle():
         ctx = RingContext(m, n)
         for d in range(2, d_max + 1):
             full = koszul_h1_full_weight(ctx, variant, d, PRIMES[0])
-            blocks = koszul_h1_blocks(ctx, variant, d)
+            blocks = at_two_primes(koszul_h1_blocks, ctx, variant, d)
             orbits = {
                 (rows, cols): dim
                 for (roww, colw), dim in blocks.items()
@@ -113,7 +113,7 @@ def test_filtration_generator_space_dimensions():
 
 
 def test_veronese_presentation_r1_3x3():
-    out = veronese_presentation_dims(RingContext(3, 3), 1, 2)
+    out = at_two_primes(veronese_presentation_dims, RingContext(3, 3), 1, 2)
     assert out["generators"] == {0: 0, 1: 36, 2: 0}
     assert out["relations"] == {1: 0, 2: 99}
     bound = dim_at(predicted_character("eq-tor1-Nr", 1), 3, 3)
@@ -121,7 +121,7 @@ def test_veronese_presentation_r1_3x3():
 
 
 def test_veronese_presentation_r1_2x3():
-    out = veronese_presentation_dims(RingContext(2, 3), 1, 2)
+    out = at_two_primes(veronese_presentation_dims, RingContext(2, 3), 1, 2)
     gen_degrees = [d for d, v in out["generators"].items() if v]
     assert gen_degrees == [1]
     bound = dim_at(predicted_character("eq-tor1-Nr", 1), 2, 3)
@@ -133,7 +133,7 @@ def test_veronese_generators_match_span_oracle():
     # which also checks the zeros off degree r
     for m, n, r, d_max in [(2, 3, 1, 3), (3, 3, 1, 3), (2, 4, 2, 3)]:
         ctx = RingContext(m, n)
-        out = veronese_presentation_dims(ctx, r, d_max)
+        out = at_two_primes(veronese_presentation_dims, ctx, r, d_max)
         assert out["generators"] == veronese_generators_by_span(ctx, r, d_max, PRIMES[0])
 
 
@@ -182,26 +182,26 @@ def test_subspace_parameterization_shapes():
 
 
 def test_subspace_variety_generator_counts():
-    assert subspace_variety_gens(2, 2, 3) == {1: 0, 2: 15, 3: 0}
-    assert subspace_variety_gens(2, 3, 3) == {1: 0, 2: 66, 3: 0}
+    assert at_two_primes(subspace_variety_gens, 2, 2, 3) == {1: 0, 2: 15, 3: 0}
+    assert at_two_primes(subspace_variety_gens, 2, 3, 3) == {1: 0, 2: 66, 3: 0}
 
 
 def test_subspace_generators_match_wedge_character():
     for m, n in [(2, 2), (2, 3)]:
-        counts = subspace_variety_gens(m, n, m + 1)
+        counts = at_two_primes(subspace_variety_gens, m, n, m + 1)
         assert counts[m] == dim_at(predicted_character("sec-6-U", m), m, n)
 
 
 def test_subspace_degenerate_single_row():
     # with one row every parameterized tensor vanishes, so all of degree one dies
-    assert subspace_variety_gens(1, 3, 2) == {1: 6, 2: 0}
+    assert at_two_primes(subspace_variety_gens, 1, 3, 2) == {1: 6, 2: 0}
 
 
 def test_two_primes_requires_agreement():
     # the pivot p1 is not a unit mod p1 * p2, so the combined run falls
     # back to one run per prime, where the rank is 0 at p1 and 1 at p2
     p1, p2 = random.Random(3).sample(PRIMES, 2)
-    assert two_primes(3, lambda p: p % 2) == 1
+    assert two_primes(3, PRIMES, lambda p: p % 2) == 1
     used = []
 
     def rank(q):
@@ -209,7 +209,7 @@ def test_two_primes_requires_agreement():
         return rank_mod([{0: p1}], q)
 
     with pytest.raises(ArithmeticError) as exc:
-        two_primes(3, rank)
+        two_primes(3, PRIMES, rank)
     assert not isinstance(exc.value, NonUnitPivot)
     assert used == [p1 * p2, p1, p2]
     assert str(p1) in str(exc.value) and str(p2) in str(exc.value)
@@ -219,11 +219,12 @@ def test_configured_cap_reaches_every_guard(monkeypatch):
     # the guards read modlinalg.NONZERO_CAP when they run, as tasks.run sets it
     monkeypatch.setattr(modlinalg, "NONZERO_CAP", 10)
     witnesses = [
-        (lambda: relation_dims(RingContext(2, 4), "minors", 2), "kernel block"),
-        (lambda: koszul_h1_blocks(RingContext(3, 3), "minors", 3), "Koszul"),
-        (lambda: veronese_presentation_dims(RingContext(2, 3), 1, 2), "kernel block"),
-        (lambda: subspace_variety_gens(2, 3, 3), "kernel block"),
-        (lambda: rees_ideal(RingContext(2, 3)), "kernel block"),
+        (lambda: at_two_primes(relation_dims, RingContext(2, 4), "minors", 2), "kernel block"),
+        (lambda: at_two_primes(koszul_h1_blocks, RingContext(3, 3), "minors", 3), "Koszul"),
+        (lambda: at_two_primes(veronese_presentation_dims, RingContext(2, 3), 1, 2),
+         "kernel block"),
+        (lambda: at_two_primes(subspace_variety_gens, 2, 3, 3), "kernel block"),
+        (lambda: at_two_primes(rees_ideal, RingContext(2, 3), 3, 3), "kernel block"),
     ]
     for witness, guard in witnesses:
         with pytest.raises(CapacityError, match=guard):

@@ -137,13 +137,11 @@ def nullspace_mod(rows, ncols, p):
                         row[c2] = v
                     else:
                         row.pop(c2, None)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = {f: 1}
-        for c, row in pivots.items():
-            v = row.get(f, 0)
-            if v:
-                vec[c] = (-v) % p
-        basis.append(vec)
-    return basis
+    # a reduced pivot row c holds c and free columns only; its entry v at a
+    # free column f is -v at c in f's vector
+    basis = {f: {f: 1} for f in range(ncols) if f not in pivots}
+    for c, row in pivots.items():
+        for f, v in row.items():
+            if f != c:
+                basis[f][c] = -v % p
+    return list(basis.values())

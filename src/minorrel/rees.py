@@ -12,15 +12,17 @@ variety (the base class, one unit factor), the Veronese presentation (in
 
 Everything is computed per torus-weight block; a weight is the pair (row
 sums, column sums), packed into one int (`polyring.pack_weight`) and
-unpacked only to move it or to count its orbit.  Permuting rows and
-columns maps each source basis to itself up to sign, over the integers, and
-so does the transpose at m = n where the instance has it (sign +1 on each
-minor and permanent).  So each per-weight count is constant on orbits, and
-only one representative weight of each is eliminated (`_orbit`); a kernel
-elsewhere is carried across from it by a move, with no elimination and no
-source basis there.  One engine object serves an instance: it is built
-once over the integers, where its source bases and generator products live,
-and `at(q)` runs it modulo q, dropping the kernels of any previous modulus.
+unpacked only to find its orbit's representative or to count its orbit; a
+move shifts a weight's fields and a monomial's variables within the key
+(`_move_shifts`).  Permuting rows and columns maps each source basis to
+itself up to sign, over the integers, and so does the transpose at m = n
+where the instance has it (sign +1 on each minor and permanent).  So each
+per-weight count is constant on orbits, and only one representative weight
+of each is eliminated (`_orbit`); a kernel elsewhere is carried across from
+it by a move, with no elimination and no source basis there.  One engine
+object serves an instance: it is built once over the integers, where its
+source bases and generator products live, and `at(q)` runs it modulo q,
+dropping the kernels of any previous modulus.
 q is a prime or, in a task's run through `modlinalg.two_primes`, the product
 of two: the engine uses q only through ring operations, zero tests and
 `modlinalg`'s eliminations, so one run at p1 * p2 is the run at each prime.
@@ -39,7 +41,7 @@ from math import factorial
 
 from .modlinalg import guard_nonzeros, nullspace_mod, rank_mod
 from .partitions import partitions_of
-from .polyring import generators_for, guard_degree, pack, poly_mul, unpack, x_weight
+from .polyring import WEIGHT_BITS, generators_for, guard_degree, poly_mul, unpack, x_weight
 from .polyring import pack_weight, unpack_weight, weight_guards, weight_sub
 
 
@@ -79,21 +81,9 @@ def _by_mirror(lam, mu, transpose):
     return transpose and mu > lam
 
 
-def _permute(part, perm):
-    """The tuple whose entry perm[i] is part[i]."""
-    out = [0] * len(part)
-    for i, x in zip(perm, part):
-        out[i] = x
-    return tuple(out)
-
-
-def _sign_between(f, g):
-    """The sign c with f == c * g, for polynomials f and g."""
-    if f == g:
-        return 1
-    if f == {exp: -c for exp, c in g.items()}:
-        return -1
-    raise ValueError("permuting rows and columns must carry each generator to +- a generator")
+def _positions(counts):
+    """Each index of counts, as often as its count: a monomial's variables, a weight's fields."""
+    return [i for i, c in enumerate(counts) for _ in range(c)]
 
 
 def orbit_size(w):
@@ -172,6 +162,11 @@ class GradedKernel:
         self._by_weight = {w: k for k, w in enumerate(weights)}
         if len(self._by_weight) != len(weights):
             raise ValueError("generator weights must be distinct")
+        # for `_table`: each generator's terms as (variables, coefficient),
+        # its negation, and the fields of its weight, each as `_positions`
+        self._terms = [[(_positions(unpack(x, nvars)), c) for x, c in g.items()] for g in gens]
+        self._negs = [{exp: -c for exp, c in g.items()} for g in gens]
+        self._wfields = [_positions(sum(unpack_weight(w, *shape), ())) for w in weights]
         # `count` finds a grade's weights from its total, so every multiset
         # of a size must have the same one
         totals = {tuple(map(sum, unpack_weight(w, *shape))) for w in weights}
@@ -179,7 +174,7 @@ class GradedKernel:
             raise ValueError("generators must share one total weight")
         (self._gen_total,) = totals
         self.nvars = nvars
-        self._gen_degree = max((sum(unpack(exp, nvars)) for g in gens for exp in g), default=0)
+        self._gen_degree = max((len(vs) for terms in self._terms for vs, _ in terms), default=0)
         self._orbits = {}  # weight -> (representative of its orbit, move to it)
         self._tables = {}  # move -> transport table
         self._grades = {}  # grade -> (factors, multiset size, distinct factor weights)
@@ -255,14 +250,6 @@ class GradedKernel:
             rep = (mu, lam) if transposed else (lam, mu)
             self._orbits[w] = pack_weight(rep), (rows, cols, transposed)
         return self._orbits[w]
-
-    def _permuted(self, w, move):
-        """The weight w moved by (rows, cols, transposed): swapped if transposed, then permuted."""
-        rows, cols, transposed = move
-        lam, mu = unpack_weight(w, *self.shape)
-        if transposed:
-            lam, mu = mu, lam
-        return pack_weight((_permute(lam, rows), _permute(mu, cols)))
 
     def multisets(self, e, w):
         """The multisets (sorted tuples) of e generators of weight w, in sorted order, memoised.
@@ -353,22 +340,44 @@ class GradedKernel:
                     vectors.append({members[i - skip]: c for i, c in vec.items() if i >= skip})
         return vectors
 
+    def _move_shifts(self, move):
+        """(variable shifts, weight-field shifts) of a move (rows, cols, transposed).
+
+        A key moves to the sum of the shifts of its `_positions`: variable v
+        goes to moves(move)[v]; row i goes to rows[i] and column j to
+        cols[j], or if transposed row i to column cols[i] and column j to
+        row rows[j].
+        """
+        rows, cols, transposed = move
+        cols = [self.shape[0] + c for c in cols]
+        to = [*cols, *rows] if transposed else [*rows, *cols]
+        return [1 << 8 * t for t in self.moves(move)], [1 << WEIGHT_BITS * t for t in to]
+
     def _table(self, move):
         """(generator map, generator signs, factor map) of a move (rows, cols, transposed).
 
-        Each generator goes to the one of the moved weight, and its sign is
-        found by moving its variables: -1 for a 2x2 minor whose rows or
-        columns swap, +1 for a permanent, a subspace coordinate or a
-        transposed minor.
+        Each generator goes to the one of its moved weight, and its sign is
+        +1 or -1 as its moved terms equal that generator or its negation:
+        -1 for a 2x2 minor whose rows or columns swap, +1 for a permanent, a
+        subspace coordinate or a transposed minor.  Both are read off the
+        shifts of the move and the terms and fields kept at __init__, so no
+        key is unpacked here.
         """
         if move not in self._tables:
-            moves = self.moves(move)
+            vshift, fshift = (s.__getitem__ for s in self._move_shifts(move))
+            by_weight, gens, negs = self._by_weight, self.gens, self._negs
             gmap, signs = [], []
-            for g, gw in zip(self.gens, self.weights):
-                k = self._by_weight[self._permuted(gw, move)]
-                moved = {pack(_permute(unpack(exp, self.nvars), moves)): c for exp, c in g.items()}
+            for terms, fields in zip(self._terms, self._wfields):
+                k = by_weight[sum(map(fshift, fields))]
+                moved = {sum(map(vshift, vs)): c for vs, c in terms}
+                if moved == gens[k]:
+                    sign = 1
+                elif moved == negs[k]:
+                    sign = -1
+                else:
+                    raise ValueError("a move must carry each generator to +- a generator")
                 gmap.append(k)
-                signs.append(_sign_between(moved, self.gens[k]))
+                signs.append(sign)
             self._tables[move] = gmap, signs, self.factor_map(move)
         return self._tables[move]
 
@@ -466,8 +475,8 @@ class ReesEngine(GradedKernel):
         return list(_monomials_of_degree(self.ctx, a)), e
 
     def factor_map(self, move):
-        moves, nvars = self.moves(move), self.nvars
-        return cache(lambda x: pack(_permute(unpack(x, nvars), moves)))
+        vshift, nvars = self._move_shifts(move)[0], self.nvars
+        return cache(lambda x: sum(e * s for e, s in zip(unpack(x, nvars), vshift)))
 
     def image(self, source):
         x, ms = source

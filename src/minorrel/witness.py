@@ -23,9 +23,9 @@ from math import factorial
 
 from .modlinalg import guard_nonzeros, rank_mod
 from .polyring import generators_for, guard_degree, pack, poly_mul, unpack
-from .polyring import pack_weight, weight_guards, weight_sub
-from .rees import GradedKernel, _by_mirror, _monomials_of_degree, _padded_partitions, _weights_of
-from .rees import matrix_moves
+from .polyring import pack_weight, unpack_weight, weight_guards, weight_sub
+from .rees import GradedKernel, _by_mirror, _monomials_of_degree, _padded_partitions, _positions
+from .rees import _weights_of, matrix_moves
 
 
 def presentation_dims(engine, d_max, q):
@@ -185,6 +185,8 @@ class VeroneseEngine(GradedKernel):
         self.ctx, self.r = ctx, r
         self.gspace = filtration_generator_space(ctx, r)
         self.gweights = _weights_of(ctx, self.gspace)
+        self.gindex = {w: gi for gi, w in enumerate(self.gweights)}
+        self.gfields = [_positions(sum(unpack_weight(w, *self.shape), ())) for w in self.gweights]
         # (g, weight) of each G_c, c < r
         spaces = [filtration_generator_space(ctx, c) for c in range(r)]
         self.lower_spaces = [list(zip(g, _weights_of(ctx, g))) for g in spaces]
@@ -195,8 +197,8 @@ class VeroneseEngine(GradedKernel):
     def factor_map(self, move):
         # the generator space has one polynomial per weight, and a move
         # carries it to the one of the moved weight with sign +1
-        index = {w: gi for gi, w in enumerate(self.gweights)}
-        return lambda gi: index[self._permuted(self.gweights[gi], move)]
+        fshift = self._move_shifts(move)[1].__getitem__
+        return lambda gi: self.gindex[sum(map(fshift, self.gfields[gi]))]
 
     def image(self, source):
         gi, ms = source

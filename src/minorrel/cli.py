@@ -4,13 +4,13 @@ Subcommands: decompose, verify, suite.  Every stated witness runs through
 tasks.run; `verify que-7.1 --a-max A --e-max E` is the Rees-ideal table and
 the fiber-type check, and the json report of `verify thm-3.1` or `thm-3.2`
 lists Koszul H_1 by dominant weight.  verify and suite take the run settings,
-each at most once, for every task they build: --seed; --cap, the nonzero cap
-of one assembled matrix (at least 1); --primes, the modular prime list (two
-or more distinct primes in [2^16, 2^64)); and --results-dir for cached json
-reports, else the MINORREL_RESULTS_DIR that tasks.run reads.  decompose takes
-none of them.  Exit codes, one rule over the verdicts of verify and suite: 2
-if any task was skipped for capacity, else 1 if any failed, else 0; a usage
-error, an unusable results directory among them, also exits 2.
+each at most once, for every task they build: --seed; --primes, the modular
+prime list (two or more distinct primes in [2^16, 2^64)); and --results-dir
+for cached json reports, else the MINORREL_RESULTS_DIR that tasks.run reads.
+decompose takes none of them.  Exit codes, one rule over the verdicts of
+verify and suite: 1 if any task failed, else 0; a usage error, a window
+outside its statement's envelope or an unusable results directory among
+them, exits 2.
 """
 
 import argparse
@@ -48,12 +48,6 @@ def _is_prime(n):
     return True
 
 
-def _cap(text):
-    if not text.strip().isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"need an integer of at least 1, not {text!r}")
-    return int(text)
-
-
 def _primes(text):
     if not all(part.strip().isdecimal() for part in text.split(",")):
         raise argparse.ArgumentTypeError(f"need a comma list of integers, not {text!r}")
@@ -78,9 +72,8 @@ class _Once(argparse.Action):
 
 
 def _exit_code(reports):
-    """2 if any task was skipped for capacity, else 1 if any failed, else 0."""
-    verdicts = {report.verdict for report in reports}
-    return 2 if "skipped-capacity" in verdicts else 1 if "fail" in verdicts else 0
+    """1 if any task failed, else 0."""
+    return int(any(report.verdict == "fail" for report in reports))
 
 
 def cmd_decompose(args):
@@ -102,7 +95,7 @@ def cmd_decompose(args):
 def cmd_verify(args):
     keys = ("m", "n", "d_max", "r", "a_max", "e_max")
     params = {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
-    task = VerificationTask(args.statement, params, args.seed, args.primes, args.cap)
+    task = VerificationTask(args.statement, params, args.seed, args.primes)
     report = run(task, args.results_dir)
     print(emit(report, args.format), end="")
     return _exit_code([report])
@@ -110,12 +103,11 @@ def cmd_verify(args):
 
 def cmd_suite(args):
     tasks = suite_tasks(args.profile, seed=args.seed)
-    reports = [run(replace(t, primes=args.primes, cap=args.cap), args.results_dir) for t in tasks]
-    verdicts = [report.verdict for report in reports]
+    reports = [run(replace(t, primes=args.primes), args.results_dir) for t in tasks]
     for report in reports:
         print(f"{report.task['statement']} {report.task['params']}: {report.verdict}")
-    failed, skipped = verdicts.count("fail"), verdicts.count("skipped-capacity")
-    print(f"{len(reports)} tasks, {failed} failed, {skipped} skipped")
+    failed = sum(report.verdict == "fail" for report in reports)
+    print(f"{len(reports)} tasks, {failed} failed")
     return _exit_code(reports)
 
 
@@ -127,10 +119,9 @@ def build_parser():
     # the run settings, read by verify and suite only
     settings = argparse.ArgumentParser(add_help=False)
     settings.add_argument("--seed", type=int, default=0, action=_Once)
-    settings.add_argument("--cap", type=_cap, action=_Once, help="most nonzeros in one matrix")
     settings.add_argument("--primes", type=_primes, action=_Once, help="P1,P2,... to draw from")
     settings.add_argument("--results-dir", action=_Once, help="default $MINORREL_RESULTS_DIR")
-    settings.set_defaults(primes=VerificationTask.primes, cap=VerificationTask.cap)
+    settings.set_defaults(primes=VerificationTask.primes)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("decompose", help="print characters and filtration labels")

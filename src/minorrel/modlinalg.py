@@ -1,4 +1,4 @@
-"""Sparse linear algebra modulo an integer, and the feasibility guard.
+"""Sparse linear algebra modulo an integer.
 
 Matrices are lists of sparse rows (dict column -> integer coefficient).
 Ranks and kernels are taken modulo q, which is a prime or a product of
@@ -28,13 +28,6 @@ PRIMES = (
     2147483497,
 )
 
-NONZERO_CAP = 2_000_000
-
-
-class CapacityError(Exception):
-    """A computation would exceed the configured feasibility guard."""
-
-
 class NonUnitPivot(ArithmeticError):
     """A pivot is zero modulo one prime factor of the modulus."""
 
@@ -59,12 +52,6 @@ def two_primes(seed, primes, compute):
     if r1 != r2:
         raise ArithmeticError(f"results disagree at primes {p1} and {p2}: {r1} vs {r2}")
     return r1
-
-
-def guard_nonzeros(count, what):
-    """Raise CapacityError if count exceeds NONZERO_CAP, the running task's cap."""
-    if count > NONZERO_CAP:
-        raise CapacityError(f"{what}: {count} nonzeros exceeds cap {NONZERO_CAP}")
 
 
 def _eliminate_mod(rows, q, stop=None):

@@ -39,7 +39,7 @@ from functools import cache
 from itertools import combinations_with_replacement
 from math import factorial
 
-from .modlinalg import guard_nonzeros, nullspace_mod, rank_mod
+from .modlinalg import nullspace_mod, rank_mod
 from .partitions import partitions_of
 from .polyring import WEIGHT_BITS, generators_for, guard_degree, poly_mul, unpack, x_weight
 from .polyring import pack_weight, unpack_weight, weight_guards, weight_sub
@@ -329,12 +329,9 @@ class GradedKernel:
             polys = self.modulo(grade, w) + [self.image(s) for s in members]
             skip = len(polys) - len(members)
             rows = {}
-            nnz = 0
             for i, f in enumerate(polys):
-                nnz += len(f)
                 for exp, c in f.items():
                     rows.setdefault(exp, {})[i] = c
-            guard_nonzeros(nnz, f"kernel block {grade} at weight {unpack_weight(w, *self.shape)}")
             for vec in nullspace_mod(list(rows.values()), len(polys), self.p):
                 if next(iter(vec)) >= skip:  # the free column is a source
                     vectors.append({members[i - skip]: c for i, c in vec.items() if i >= skip})

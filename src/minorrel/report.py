@@ -37,7 +37,7 @@ class VerificationReport:
     predicted: dict
     witnessed: dict
     certificates: tuple = ()
-    verdict: str = "fail"  # pass | fail | skipped-capacity
+    verdict: str = "fail"  # pass | fail
     timings: dict = field(default_factory=dict)
 
     def as_dict(self):

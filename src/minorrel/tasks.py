@@ -6,11 +6,10 @@ elimination, then compares the two exactly.  A runner maps (params, modulus
 q) to (predicted, witnessed, certificates); the certificates are json-native
 and in a fixed order, and only the Koszul runners have any.  run gives the
 runner to `modlinalg.two_primes` at the task's seed and primes (the runners
-that only predict ignore q), and puts the task's nonzero cap in force for it
-only.  Capacity overruns surface as the verdict "skipped-capacity", never as
-a silent pass.  Reports can be cached whole in a results directory under
-filenames hashed from the task (its primes and cap too) and the package
-source; a capacity skip is never cached.
+that only predict ignore q).  The one resource bound is each statement's
+envelope, checked before the run: boxes measured to finish within a fixed
+time and memory budget.  Reports can be cached whole in a results directory
+under filenames hashed from the task (its primes too) and the package source.
 """
 
 import hashlib
@@ -51,7 +50,6 @@ class VerificationTask:
     params: dict = field(default_factory=dict)
     seed: int = 0
     primes: tuple = modlinalg.PRIMES
-    cap: int = modlinalg.NONZERO_CAP
 
     def as_dict(self):
         return {
@@ -61,13 +59,8 @@ class VerificationTask:
         }
 
     def cache_name(self):
-        """File name from the task, its primes and cap, and the code."""
-        key = dict(
-            self.as_dict(),
-            primes=list(self.primes),
-            cap=self.cap,
-            source=source_digest(),
-        )
+        """File name from the task, its primes, and the code."""
+        key = dict(self.as_dict(), primes=list(self.primes), source=source_digest())
         blob = json.dumps(key, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:24] + ".json"
 
@@ -182,7 +175,11 @@ def _run_eq_tor1(p, q):
 
 
 def _run_subspace(p, q):
-    """Subspace-variety generator count vs the wedge-power character."""
+    """Subspace-variety generator count vs the wedge-power character.
+
+    This is also Section 6's functor U, whose character is the wedge power
+    that `predicted_character("sec-6-U", m)` returns.
+    """
     m, n, d_max = p["m"], p["n"], p["d_max"]
     ch = predicted_character("sec-6-U", m)
     predicted = {f"degree_{d}": 0 for d in range(1, d_max + 1)}
@@ -202,33 +199,56 @@ def _run_fiber_type(p, q):
     return predicted, witnessed, ()
 
 
-# statement -> (runner, feasibility envelope max (m, n, degree-like bound),
-# {param: (least value that checks anything, default)}).  A default of None
-# marks a required param; a callable least or default reads the params before it.
-# m and n have no least of their own: validate needs both to be at least 2.
-# sec-6-Tbar (Section 6's functor T-bar, the transpose dual of Theorem 1.1)
-# is Theorem 1.2 on a smaller envelope; sec-6-U is Theorem 5.1.  A degree window
-# must reach the stated degree: r + 1 for thm-4.1's relations, m for sec-6-U's.
+# statement -> (runner, envelope, {param: (least value that checks anything,
+# default)}).  The envelope is a tuple of boxes (m_cap, n_cap, bound), and a
+# window is inside if one box holds it: m <= m_cap, n <= n_cap and every
+# other param at most bound.  A box holds one orientation only, since
+# thm-5.1 is not symmetric in m and n.  Each box's corner (every param at the
+# largest value validate accepts there) finishes with a verdict within 60 s
+# and 1 GB in a fresh process on a 2-core host; see the README.  A default of
+# None marks a required param; a callable least or default reads the params
+# before it.  m and n have no least of their own: validate needs both to be
+# at least 2.  sec-6-Tbar (Section 6's functor T-bar, the transpose dual of
+# Theorem 1.1) is Theorem 1.2 on a smaller envelope.  A degree window must
+# reach the stated degree: r + 1 for thm-4.1's relations, m for thm-5.1's.
 _M_N = {"m": (None, None), "n": (None, None)}
 _THM_1_2 = _by_degree("thm-1.2", "permanents")
-_SUBSPACE = (_run_subspace, (3, 4, 4), {**_M_N, "d_max": (lambda p: p["m"], lambda p: p["m"] + 1)})
 _STATEMENTS = {
-    "thm-1.1": (_by_degree("thm-1.1", "minors"), (5, 5, 6), {**_M_N, "d_max": (2, 4)}),
-    "thm-1.2": (_THM_1_2, (4, 5, 6), {**_M_N, "d_max": (2, 4)}),
-    "sec-6-Tbar": (_THM_1_2, (3, 3, 3), {**_M_N, "d_max": (2, 3)}),
-    "thm-3.1": (_by_degree("thm-3.1", "minors", True), (4, 5, 9), {**_M_N, "d_max": (2, 5)}),
-    "thm-3.2": (_by_degree("thm-3.2", "permanents", True), (4, 5, 9), {**_M_N, "d_max": (2, 5)}),
-    "lem-4.3": (_run_lem_4_3, (5, 5, 6), {"d_max": (0, 4)}),
-    "lem-4.4": (_run_lem_4_4, (5, 5, 6), {}),
+    "thm-1.1": (
+        _by_degree("thm-1.1", "minors"),
+        ((5, 5, 4), (4, 4, 5), (3, 5, 6), (5, 3, 6)),
+        {**_M_N, "d_max": (2, 4)},
+    ),
+    "thm-1.2": (_THM_1_2, ((4, 4, 4), (3, 4, 5), (4, 3, 5)), {**_M_N, "d_max": (2, 4)}),
+    "sec-6-Tbar": (_THM_1_2, ((3, 3, 3),), {**_M_N, "d_max": (2, 3)}),
+    "thm-3.1": (
+        _by_degree("thm-3.1", "minors", True),
+        ((4, 5, 7), (5, 4, 7), (3, 5, 9), (5, 3, 9)),
+        {**_M_N, "d_max": (2, 5)},
+    ),
+    "thm-3.2": (
+        _by_degree("thm-3.2", "permanents", True),
+        ((4, 5, 8), (5, 4, 8), (3, 5, 9), (5, 3, 9)),
+        {**_M_N, "d_max": (2, 5)},
+    ),
+    "lem-4.3": (_run_lem_4_3, ((5, 5, 6),), {"d_max": (0, 4)}),
+    "lem-4.4": (_run_lem_4_4, ((5, 5, 6),), {}),
     "thm-4.1": (
         _run_thm_4_1,
-        (3, 4, 4),
+        ((3, 4, 4), (4, 3, 4)),
         {**_M_N, "r": (1, 1), "d_max": (lambda p: p["r"] + 1, lambda p: p["r"] + 1)},
     ),
-    "eq-tor1-Nr": (_run_eq_tor1, (5, 5, 3), {**_M_N, "r": (1, 1)}),
-    "thm-5.1": _SUBSPACE,
-    "sec-6-U": _SUBSPACE,
-    "que-7.1": (_run_fiber_type, (5, 4, 4), {**_M_N, "a_max": (0, 3), "e_max": (1, 3)}),
+    "eq-tor1-Nr": (_run_eq_tor1, ((5, 5, 3),), {**_M_N, "r": (1, 1)}),
+    "thm-5.1": (
+        _run_subspace,
+        ((3, 4, 4),),
+        {**_M_N, "d_max": (lambda p: p["m"], lambda p: p["m"] + 1)},
+    ),
+    "que-7.1": (
+        _run_fiber_type,
+        ((5, 3, 3), (3, 5, 3), (4, 4, 3)),
+        {**_M_N, "a_max": (0, 3), "e_max": (1, 3)},
+    ),
 }
 
 
@@ -243,7 +263,7 @@ def validate(task):
     """
     if task.statement not in _STATEMENTS:
         raise ValueError(f"unknown statement id {task.statement!r}")
-    _, (m_cap, n_cap, d_cap), window = _STATEMENTS[task.statement]
+    _, boxes, window = _STATEMENTS[task.statement]
     for key in task.params:
         if key not in window:
             reads = ", ".join(window) or "nothing"
@@ -259,24 +279,25 @@ def validate(task):
     m, n = p.get("m", 2), p.get("n", 2)
     if min(m, n) < 2:
         raise ValueError(f"{task.statement}: size ({m},{n}) has no 2x2 minors")
-    if min(m, n) > min(m_cap, n_cap) or max(m, n) > max(m_cap, n_cap):
-        raise ValueError(
-            f"{task.statement}: size ({m},{n}) outside envelope ({m_cap},{n_cap})"
-        )
+    # the largest bound of the boxes that hold the size: that box holds the
+    # window if any does
+    bound = max((b for mc, nc, b in boxes if m <= mc and n <= nc), default=None)
+    if bound is None:
+        raise ValueError(f"{task.statement}: size ({m},{n}) outside envelope {boxes}")
     for key, value in p.items():
         if key in ("m", "n"):
             continue
         least = window[key][0]
         least = least(p) if callable(least) else least
-        if not least <= value <= d_cap:
+        if not least <= value <= bound:
             raise ValueError(
-                f"{task.statement}: {key}={value} outside envelope [{least}, {d_cap}]"
+                f"{task.statement}: {key}={value} outside envelope [{least}, {bound}]"
             )
     return p
 
 
 def run(task, results_dir=None):
-    """Run one task at two of its primes and under its cap; return (and maybe cache) a report."""
+    """Run one task at two of its primes; return (and maybe cache) a report."""
     p = validate(task)
     if results_dir is None:
         results_dir = os.environ.get(RESULTS_DIR_ENV)
@@ -289,17 +310,10 @@ def run(task, results_dir=None):
                 return parse_report(fh.read())
     t0 = time.perf_counter()
     runner = _STATEMENTS[task.statement][0]
-    saved, modlinalg.NONZERO_CAP = modlinalg.NONZERO_CAP, task.cap
-    try:
-        predicted, witnessed, certificates = modlinalg.two_primes(
-            task.seed, task.primes, lambda q: runner(p, q)
-        )
-        verdict = "pass" if all(matches(predicted, witnessed, k) for k in predicted) else "fail"
-    except modlinalg.CapacityError as exc:
-        predicted, witnessed, certificates = {}, {"capacity": str(exc)}, ()
-        verdict = "skipped-capacity"
-    finally:
-        modlinalg.NONZERO_CAP = saved
+    predicted, witnessed, certificates = modlinalg.two_primes(
+        task.seed, task.primes, lambda q: runner(p, q)
+    )
+    verdict = "pass" if all(matches(predicted, witnessed, k) for k in predicted) else "fail"
     elapsed = time.perf_counter() - t0
     report = VerificationReport(
         task=task.as_dict(),
@@ -309,7 +323,7 @@ def run(task, results_dir=None):
         verdict=verdict,
         timings={"total_s": round(elapsed, 3)},
     )
-    if cache_path and verdict != "skipped-capacity":
+    if cache_path:
         Path(cache_path + ".part").write_text(emit(report, "json"))
         os.replace(cache_path + ".part", cache_path)
     return report

@@ -21,7 +21,7 @@ eliminations, so a run at p1 * p2 (`tasks.run`) is the run at each prime.
 from itertools import combinations, product
 from math import factorial
 
-from .modlinalg import guard_nonzeros, rank_mod
+from .modlinalg import rank_mod
 from .polyring import generators_for, guard_degree, pack, poly_mul, unpack
 from .polyring import pack_weight, unpack_weight, weight_guards, weight_sub
 from .rees import GradedKernel, _by_mirror, _monomials_of_degree, _padded_partitions, _positions
@@ -102,7 +102,6 @@ def koszul_h1_blocks(ctx, variant, d, q):
     doms = sorted(product(_padded_partitions(d, ctx.m), _padded_partitions(d, ctx.n)))
     rep = {dom: dom[::-1] if _by_mirror(*dom, ctx.m == ctx.n) else dom for dom in doms}
     blocks = []
-    nnz1 = nnz2 = 0
     for dom in doms:
         if rep[dom] != dom:
             continue
@@ -133,10 +132,6 @@ def koszul_h1_blocks(ctx, variant, d, q):
                     for e2, c in gens[k].items():
                         row[col[(l, e2 + mexp)]] = -c
                     d2.append(row)
-        nnz1 += sum(map(len, d1))
-        nnz2 += sum(map(len, d2))
-        guard_nonzeros(nnz1, "Koszul d1 matrix")
-        guard_nonzeros(nnz2, "Koszul d2 matrix")
         blocks.append((dom, len(basis), d1, d2))
     h1 = {}
     for w, size, d1, d2 in blocks:

@@ -3,9 +3,11 @@ import importlib.util
 import json
 import os
 import random
+import resource
 import subprocess
 import sys
-from dataclasses import replace
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -17,9 +19,7 @@ from minorrel import cli, modlinalg, tasks
 
 VERIFY = ["verify", "thm-1.1", "--m", "2", "--n", "4", "--dmax", "2"]
 # the run settings that verify and suite take, each with a valid value
-SETTINGS = {
-    "--seed": "1", "--cap": "500000", "--primes": "1000003,999983", "--results-dir": "unused",
-}
+SETTINGS = {"--seed": "1", "--primes": "1000003,999983", "--results-dir": "unused"}
 
 
 def test_character_rendering():
@@ -53,6 +53,9 @@ def test_unknown_statement_is_a_usage_error(capsys):
     # printed like every other usage error, without the quotes str(KeyError) adds
     assert main(["verify", "nope"]) == 2
     assert capsys.readouterr().err == "error: unknown statement id 'nope'\n"
+    # Section 6's U has no id of its own: its generators are thm-5.1's check
+    assert main(["verify", "sec-6-U", "--m", "2", "--n", "3"]) == 2
+    assert capsys.readouterr().err == "error: unknown statement id 'sec-6-U'\n"
 
 
 def test_verify_rejects_size_without_minors(capsys):
@@ -304,7 +307,7 @@ def test_verify_thm_3_1_lists_h1_by_dominant_weight(capsys):
     for d, table in KOSZUL_3X3.items():
         assert by_degree[d] == table, d
     assert len(by_degree[4]) == 5
-    # sizes past the Koszul envelope (4x5, degree 9) are usage errors
+    # sizes past the Koszul envelope (no box holds 5x5 or 3x6) are usage errors
     for size in (["--m", "5", "--n", "5"], ["--m", "3", "--n", "6"]):
         assert main(["verify", "thm-3.1", *size, "--dmax", "3"]) == 2
         assert "outside envelope" in capsys.readouterr().err
@@ -385,10 +388,10 @@ def test_verify_options_are_statement_params(capsys, monkeypatch):
     # is a key of some statement's window and reaches the task; every key of
     # que-7.1's window can be set.  The run settings are the options suite
     # has besides its profile, and each is shown to take effect by its own
-    # test: test_seed_reaches_every_task, test_config_cap_applies_to_verify_and_suite,
-    # test_cache_key_covers_primes and test_results_dir_from_the_environment
+    # test: test_seed_reaches_every_task, test_cache_key_covers_primes and
+    # test_results_dir_from_the_environment
     settings = {a.dest for a in _options("suite")} - {"profile"}
-    assert settings == {"seed", "cap", "primes", "results_dir"}
+    assert settings == {"seed", "primes", "results_dir"}
     assert settings <= {a.dest for a in _options("verify")}
     options = [a for a in _options("verify") if a.dest not in settings | {"format"}]
     windows = {key for _, _, window in _STATEMENTS.values() for key in window}
@@ -409,14 +412,14 @@ def test_suite_quick_profile(capsys):
 
 
 def _in_force_runs(monkeypatch, error=None):
-    """Make lem-4.4's runner record its modulus, the prime list and the cap in force.
+    """Make lem-4.4's runner record its modulus and the module prime list.
 
     The runner then raises error if given.
     """
     seen = []
 
     def runner(p, q):
-        seen.append((q, modlinalg.PRIMES, modlinalg.NONZERO_CAP))
+        seen.append((q, modlinalg.PRIMES))
         if error:
             raise error
         return {}, {}, ()
@@ -426,55 +429,45 @@ def _in_force_runs(monkeypatch, error=None):
     return seen
 
 
-def test_run_settings_set_the_primes_and_cap(capsys, monkeypatch):
-    # the runner runs modulo the product of the configured pair, the module
-    # prime list untouched, and the cap is in force while the task runs only
-    default = (modlinalg.PRIMES, modlinalg.NONZERO_CAP)
+def test_run_settings_set_the_primes(capsys, monkeypatch):
+    # the runner runs modulo the product of the configured pair, and the
+    # module prime list is untouched
+    default = modlinalg.PRIMES
     seen = _in_force_runs(monkeypatch)
-    settings = ["--cap", "500000", "--primes", "1000003, 999983"]
+    settings = ["--primes", "1000003, 999983"]
     assert main(["verify", "lem-4.4", *settings]) == 0
     capsys.readouterr()
-    assert seen == [(1000003 * 999983, default[0], 500000)]
-    assert (modlinalg.PRIMES, modlinalg.NONZERO_CAP) == default
-    # restored too when the runner raises, a capacity skip included
-    task = VerificationTask("lem-4.4", primes=(65537, 65539), cap=7)
-    seen = _in_force_runs(monkeypatch, modlinalg.CapacityError("over"))
-    assert run(task).verdict == "skipped-capacity"
-    assert seen == [(65537 * 65539, default[0], 7)]
-    assert (modlinalg.PRIMES, modlinalg.NONZERO_CAP) == default
+    assert seen == [(1000003 * 999983, default)]
+    assert modlinalg.PRIMES == default
+    # untouched too when the runner raises
+    task = VerificationTask("lem-4.4", primes=(65537, 65539))
     seen = _in_force_runs(monkeypatch, RuntimeError("cut short"))
     with pytest.raises(RuntimeError, match="cut short"):
         run(task)
-    assert seen == [(65537 * 65539, default[0], 7)]
-    assert (modlinalg.PRIMES, modlinalg.NONZERO_CAP) == default
+    assert seen == [(65537 * 65539, default)]
+    assert modlinalg.PRIMES == default
     # suite gives the flags to every task it builds
     seen = _fake_runs(monkeypatch, ["pass"])
     assert main(["suite", "--profile", "full", *settings]) == 0
     capsys.readouterr()
-    assert {(task.primes, task.cap) for task in seen} == {((1000003, 999983), 500000)}
+    assert {task.primes for task in seen} == {(1000003, 999983)}
 
 
-def test_run_settings_apply_to_their_own_call_only(capsys):
+def test_run_settings_apply_to_their_own_call_only(capsys, monkeypatch):
     # a second main() in the same process runs under the defaults again
-    default = (modlinalg.PRIMES, modlinalg.NONZERO_CAP)
-    assert main(VERIFY + ["--cap", "10", "--primes", "1000003,999983"]) == 2
-    assert "skipped-capacity" in capsys.readouterr().out
-    assert (modlinalg.PRIMES, modlinalg.NONZERO_CAP) == default
-    assert main(VERIFY) == 0
-    assert "verdict: pass" in capsys.readouterr().out
-    assert (modlinalg.PRIMES, modlinalg.NONZERO_CAP) == default
+    default = modlinalg.PRIMES
+    seen = _in_force_runs(monkeypatch)
+    assert main(["verify", "lem-4.4", "--primes", "1000003,999983"]) == 0
+    assert main(["verify", "lem-4.4"]) == 0
+    capsys.readouterr()
+    p1, p2 = random.Random(0).sample(default, 2)
+    assert seen == [(1000003 * 999983, default), (p1 * p2, default)]
+    assert modlinalg.PRIMES == default
 
 
 def test_config_requires_two_primes(capsys):
     assert main(VERIFY + ["--primes", "1000003"]) == 2
     assert "need at least two distinct primes" in capsys.readouterr().err
-
-
-def test_config_cap_applies_to_verify_and_suite(capsys):
-    assert main(VERIFY + ["--cap", "10"]) == 2
-    assert "skipped-capacity" in capsys.readouterr().out
-    assert main(["suite", "--profile", "quick", "--cap", "10"]) == 2
-    assert capsys.readouterr().out.endswith("9 tasks, 0 failed, 4 skipped\n")
 
 
 def test_config_rejects_bad_primes(capsys):
@@ -546,22 +539,20 @@ def test_a_non_unit_pivot_reruns_the_task_at_each_prime(monkeypatch):
 
 
 def test_task_runs_that_disagree_at_the_two_primes_are_an_error(monkeypatch):
-    # a result that differs at p1 and p2 raises, and the task's cap is restored
+    # a result that differs at p1 and p2 raises
     task = VerificationTask("lem-4.4", seed=5)
     p1, p2 = random.Random(5).sample(task.primes, 2)
-    cap = modlinalg.NONZERO_CAP
     seen = _fallback_runs(monkeypatch, lambda q: int(q == p1))
     with pytest.raises(ArithmeticError, match="results disagree") as exc:
-        run(replace(task, cap=7))
+        run(task)
     assert not isinstance(exc.value, modlinalg.NonUnitPivot)
     assert seen == [p1 * p2, p1, p2]
-    assert modlinalg.NONZERO_CAP == cap
 
 
 def test_settings_that_set_nothing_are_usage_errors(capsys):
     # decompose reads no run setting, and a setting before the subcommand
     # or a misspelt one would leave its value at the default
-    argvs = [VERIFY + ["--caps", "1"]]
+    argvs = [VERIFY + ["--seeds", "1"]]
     for flag, value in SETTINGS.items():
         for mode in (["a"], ["wedge"], ["gr", "--d", "5"]):
             argvs += [["decompose", *mode, flag, value], ["decompose", flag, value, *mode]]
@@ -583,16 +574,6 @@ def test_a_run_setting_given_twice_is_a_usage_error(tmp_path, capsys):
     assert os.listdir(tmp_path) == []
 
 
-def test_config_rejects_bad_cap(capsys):
-    for cap in ("0", "-5", "1.5", "ten", ""):
-        assert main(VERIFY + ["--cap", cap]) == 2, cap
-        assert "error: argument --cap" in capsys.readouterr().err, cap
-    assert main(VERIFY + ["--cap", "1"]) == 2
-    assert "skipped-capacity" in capsys.readouterr().out
-    assert main(VERIFY + ["--cap", "1000000"]) == 0
-    capsys.readouterr()
-
-
 def _fake_runs(monkeypatch, verdicts):
     """Make the CLI's tasks.run record each task and return the next of verdicts."""
     seen = []
@@ -611,18 +592,16 @@ def _fake_runs(monkeypatch, verdicts):
     [
         (["pass"], 0),
         (["pass", "fail"], 1),
-        (["pass", "skipped-capacity"], 2),
-        (["fail", "skipped-capacity"], 2),
     ],
 )
 def test_verify_and_suite_share_one_exit_code_rule(verdicts, code, capsys, monkeypatch):
-    # 2 if any verdict is a capacity skip, else 1 if any is a fail, else 0
+    # 1 if any verdict is a fail, else 0
     _fake_runs(monkeypatch, verdicts)
     assert main(["suite"]) == code
     capsys.readouterr()
     for verdict in verdicts:
         _fake_runs(monkeypatch, [verdict])
-        assert main(VERIFY) == {"pass": 0, "fail": 1, "skipped-capacity": 2}[verdict]
+        assert main(VERIFY) == {"pass": 0, "fail": 1}[verdict]
     capsys.readouterr()
 
 
@@ -665,12 +644,6 @@ def test_cache_key_covers_primes(tmp_path, capsys):
     assert second["task"] == first["task"] == VerificationTask(
         "thm-1.1", {"m": 2, "n": 4, "d_max": 2}
     ).as_dict()
-
-
-def test_capacity_skip_is_not_cached(tmp_path, capsys):
-    assert main(VERIFY + ["--cap", "10", "--results-dir", str(tmp_path)]) == 2
-    assert "verdict: skipped-capacity" in capsys.readouterr().out
-    assert os.listdir(tmp_path) == []
 
 
 def test_a_results_dir_that_is_a_file_is_a_usage_error(tmp_path, capsys, monkeypatch):
@@ -716,6 +689,9 @@ def test_removed_flags_are_usage_errors(capsys):
     # the Rees table and the fiber-type check are `verify que-7.1`
     assert main(["rees", "--m", "3", "--n", "3"]) == 2
     assert main(["fiber-type", "--m", "2", "--n", "3"]) == 2
+    # the envelope is the one resource bound; there is no nonzero cap
+    assert main(VERIFY + ["--cap", "10"]) == 2
+    assert main(["suite", "--cap", "10"]) == 2
     capsys.readouterr()
 
 
@@ -776,17 +752,30 @@ def test_verify_rejects_params_the_statement_ignores(argv, key, capsys):
         ("thm-3.2", {"m": 3, "n": 3, "d_max": 0}),
         ("que-7.1", {"m": 2, "n": 3, "e_max": 0}),
         ("que-7.1", {"m": 2, "n": 3, "a_max": -1}),
-        # defaults are checked too: d_max = r + 1 = 5 and d_max = m + 1 = 5
+        # defaults are checked too: d_max = r + 1 = 5; and a box holds one
+        # orientation: thm-5.1's is 3x4, so 4x3 is outside
         ("thm-4.1", {"m": 3, "n": 3, "r": 4}),
         ("thm-5.1", {"m": 4, "n": 3}),
         # a window below the stated degree: relations in r + 1, generators in m
         ("thm-4.1", {"m": 3, "n": 3, "r": 2, "d_max": 2}),
         ("thm-5.1", {"m": 3, "n": 3, "d_max": 2}),
-        ("sec-6-U", {"m": 2, "n": 2, "d_max": 1}),
+        ("thm-5.1", {"m": 2, "n": 2, "d_max": 1}),
+        # windows just past the boxes: all but thm-3.2's ran past 60 s with
+        # no verdict in a fresh process on a 2-core host
+        ("thm-1.1", {"m": 5, "n": 5, "d_max": 5}),
+        ("thm-1.1", {"m": 4, "n": 5, "d_max": 5}),
+        ("thm-1.1", {"m": 4, "n": 4, "d_max": 6}),
+        ("thm-1.2", {"m": 4, "n": 5, "d_max": 4}),
+        ("thm-1.2", {"m": 4, "n": 5, "d_max": 6}),
+        ("thm-3.1", {"m": 4, "n": 5, "d_max": 8}),
+        ("thm-3.2", {"m": 4, "n": 5, "d_max": 9}),
+        ("thm-5.1", {"m": 4, "n": 3, "d_max": 4}),
+        ("que-7.1", {"m": 5, "n": 4, "a_max": 3, "e_max": 3}),
     ],
 )
 def test_validate_rejects_empty_or_oversized_windows(statement, params):
-    # an empty window checks nothing and would read as a pass
+    # an empty window checks nothing and would read as a pass, and an
+    # oversized one would run past the budget with no verdict
     with pytest.raises(ValueError, match="outside envelope"):
         validate(VerificationTask(statement, params))
 
@@ -848,3 +837,58 @@ def test_every_profile_and_benchmark_task_validates():
     ]
     for task in tasks:
         validate(task)
+
+
+def _accepts(statement, params):
+    try:
+        validate(VerificationTask(statement, params))
+    except ValueError:
+        return False
+    return True
+
+
+def _corners():
+    """[(statement, params)] at the corner of each box of each statement's envelope.
+
+    The size is the box's and every other param starts at the bound; each in
+    window order is lowered until validate accepts (for thm-4.1 that gives
+    r = bound - 1 and d_max = bound).
+    """
+    corners = []
+    for sid, (_, boxes, window) in _STATEMENTS.items():
+        for m, n, bound in boxes:
+            params = {key: {"m": m, "n": n}.get(key, bound) for key in window}
+            for key in window:
+                while key not in ("m", "n") and params[key] > 0 and not _accepts(sid, params):
+                    params[key] -= 1
+            validate(VerificationTask(sid, params))
+            corners.append((sid, params))
+    return corners
+
+
+@pytest.mark.skipif(
+    os.environ.get("MINORREL_PROFILE") != "long",
+    reason="long-running check; set MINORREL_PROFILE=long to enable",
+)
+def test_every_envelope_corner_finishes_within_the_budget():
+    # each box corner in a fresh process, one at a time, must give its
+    # verdict within 60 s and under 1 GB peak RSS; the address space is
+    # capped at 2 GB so that a corner far over the budget stops early
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    env.pop("MINORREL_RESULTS_DIR", None)
+    flags = {a.dest: a.option_strings[0] for a in _options("verify")}
+    limit = lambda: resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+    runs = []
+    for sid, params in _corners():
+        argv = [sys.executable, "-m", "minorrel", "verify", sid]
+        argv += [arg for key, v in params.items() for arg in (flags[key], str(v))]
+        start = time.perf_counter()
+        proc = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL, preexec_fn=limit)
+        timer = threading.Timer(60, proc.kill)
+        timer.start()
+        _, status, usage = os.wait4(proc.pid, 0)
+        timer.cancel()
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        runs.append((sid, params, round(time.perf_counter() - start, 1),
+                     usage.ru_maxrss // 1024, proc.returncode))
+    assert [run for run in runs if run[-1] != 0 or run[-2] >= 1024] == [], runs

@@ -4,15 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from minorrel.modlinalg import (
-    CapacityError,
-    NonUnitPivot,
-    PRIMES,
-    guard_nonzeros,
-    nullspace_mod,
-    rank_mod,
-    two_primes,
-)
+from minorrel.modlinalg import NonUnitPivot, PRIMES, nullspace_mod, rank_mod, two_primes
 from minorrel.polyring import RingContext, pack_weight
 from minorrel.rees import ReesEngine
 from minorrel.witness import relation_engine
@@ -213,9 +205,3 @@ def test_deterministic_given_seed():
     rng = random.Random(1)
     rows = random_sparse_rows(rng, 5, 5)
     assert _ranks_with_primes(rows, 42) == _ranks_with_primes(rows, 42)
-
-
-def test_capacity_guard():
-    with pytest.raises(CapacityError):
-        guard_nonzeros(10**9, "stress test")
-    guard_nonzeros(10, "small")

@@ -2,7 +2,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from minorrel import modlinalg, rees
+from minorrel import modlinalg, rees, witness
 from minorrel.modlinalg import PRIMES, rank_mod
 from minorrel.polyring import RingContext, generators_for, pack, pack_weight, unpack, unpack_weight
 from minorrel.rees import (
@@ -13,6 +13,7 @@ from minorrel.rees import (
     orbit_total,
     rees_ideal,
 )
+from minorrel.tasks import RESULTS_DIR_ENV, VerificationTask, run
 from minorrel.witness import (
     VeroneseEngine,
     koszul_h1_blocks,
@@ -220,6 +221,42 @@ def test_transport_with_every_sign_plus_one_is_caught(monkeypatch):
     engine = ReesEngine(RingContext(3, 3)).at(PRIMES[2])
     blocks, wrong = _transport_mismatches(engine, [(1, 1), (2, 1)])
     assert 0 < len(wrong) < blocks
+
+
+THM_1_2_3X3 = VerificationTask("thm-1.2", {"m": 3, "n": 3, "d_max": 3})
+
+
+def test_min_gens_rank_one_pivot_short_is_caught(monkeypatch):
+    # a standing fault: the minimal-generator rank stops one pivot before
+    # the kernel's dimension, so a block that the shifted lower kernels
+    # span counts a generator; the thm-1.2 3x3 verdict must catch it
+    monkeypatch.delenv(RESULTS_DIR_ENV, raising=False)
+    assert run(THM_1_2_3X3).verdict == "pass"
+    rank = rees.rank_mod
+    monkeypatch.setattr(rees, "rank_mod", lambda rows, q, stop: rank(rows, q, stop - 1))
+    assert run(THM_1_2_3X3).verdict == "fail"
+
+
+def test_transpose_without_the_swap_is_caught(monkeypatch):
+    # a standing fault: the moves that the relation engine binds read a
+    # transposed move as the plain one, x[i, j] to x[rows[i], cols[j]];
+    # the thm-1.2 3x3 task must not pass.  It fails, or the transport table
+    # refuses the move (it does so today: a minor moved without the swap is
+    # not +- the generator of its transposed weight)
+    monkeypatch.delenv(RESULTS_DIR_ENV, raising=False)
+    assert run(THM_1_2_3X3).verdict == "pass"
+    moves = witness.matrix_moves
+
+    def no_swap(ctx):
+        plain = moves(ctx)
+        return lambda move: plain((move[0], move[1], False))
+
+    monkeypatch.setattr(witness, "matrix_moves", no_swap)
+    try:
+        verdict = run(THM_1_2_3X3).verdict
+    except ValueError as exc:
+        verdict = str(exc)
+    assert verdict != "pass"
 
 
 def test_one_run_modulo_two_primes_counts_as_each_prime(monkeypatch):

@@ -4,10 +4,9 @@ from itertools import permutations, product
 import pytest
 
 from minorrel.birep import dim_at, predicted_character
-from minorrel import modlinalg
-from minorrel.modlinalg import PRIMES, CapacityError, NonUnitPivot, rank_mod, two_primes
+from minorrel.modlinalg import PRIMES, NonUnitPivot, rank_mod, two_primes
 from minorrel.polyring import RingContext, pack_weight, x_weight
-from minorrel.rees import orbit_total, rees_ideal
+from minorrel.rees import orbit_total
 from minorrel.witness import (
     VeroneseEngine,
     filtration_generator_space,
@@ -214,18 +213,3 @@ def test_two_primes_requires_agreement():
     assert used == [p1 * p2, p1, p2]
     assert str(p1) in str(exc.value) and str(p2) in str(exc.value)
 
-
-def test_configured_cap_reaches_every_guard(monkeypatch):
-    # the guards read modlinalg.NONZERO_CAP when they run, as tasks.run sets it
-    monkeypatch.setattr(modlinalg, "NONZERO_CAP", 10)
-    witnesses = [
-        (lambda: at_two_primes(relation_dims, RingContext(2, 4), "minors", 2), "kernel block"),
-        (lambda: at_two_primes(koszul_h1_blocks, RingContext(3, 3), "minors", 3), "Koszul"),
-        (lambda: at_two_primes(veronese_presentation_dims, RingContext(2, 3), 1, 2),
-         "kernel block"),
-        (lambda: at_two_primes(subspace_variety_gens, 2, 3, 3), "kernel block"),
-        (lambda: at_two_primes(rees_ideal, RingContext(2, 3), 3, 3), "kernel block"),
-    ]
-    for witness, guard in witnesses:
-        with pytest.raises(CapacityError, match=guard):
-            witness()

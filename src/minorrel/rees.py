@@ -12,17 +12,19 @@ variety (the base class, one unit factor), the Veronese presentation (in
 
 Everything is computed per torus-weight block; a weight is the pair (row
 sums, column sums), packed into one int (`polyring.pack_weight`) and
-unpacked only to find its orbit's representative or to count its orbit; a
-move shifts a weight's fields and a monomial's variables within the key
-(`_move_shifts`).  Permuting rows and columns maps each source basis to
-itself up to sign, over the integers, and so does the transpose at m = n
-where the instance has it (sign +1 on each minor and permanent).  So each
-per-weight count is constant on orbits, and only one representative weight
-of each is eliminated (`_orbit`); a kernel elsewhere is carried across from
-it by a move, with no elimination and no source basis there.  One engine
-object serves an instance: it is built once over the integers, where its
-source bases and generator products live, and `at(q)` runs it modulo q,
-dropping the kernels of any previous modulus.
+unpacked only to find its orbit's representative; a move shifts a weight's
+fields and a monomial's variables within the key (`_move_shifts`).
+Permuting rows and columns maps each source basis to itself up to sign,
+over the integers, and so does the transpose at m = n where the instance
+has it (sign +1 on each minor and permanent).  So each per-weight count is
+constant on orbits, and only one representative weight of each is
+eliminated (`_orbit`); a kernel elsewhere is carried across from it by a
+move, with no elimination and no source basis there.  A grade's count is
+the sum over its representatives, each weighted by the number of weights
+it stands for (`_reps`).  One engine object serves an instance: it is
+built once over the integers, where its source bases and generator
+products live, and `at(q)` runs it modulo q, dropping the kernels of any
+previous modulus.
 q is a prime or, in a task's run through `modlinalg.two_primes`, the product
 of two: the engine uses q only through ring operations, zero tests and
 `modlinalg`'s eliminations, so one run at p1 * p2 is the run at each prime.
@@ -180,6 +182,7 @@ class GradedKernel:
         self._grades = {}  # grade -> (factors, multiset size, distinct factor weights)
         self._multisets = {}  # (size, weight) -> [multiset]
         self._buckets = {}  # (grade, weight) -> [source]
+        self._rep_tables = {}  # grade -> [(representative weight, orbit weight)]
         self.products = {(): {0: 1}}  # multiset -> product of its generators
 
     def at(self, q):
@@ -239,38 +242,46 @@ class GradedKernel:
         return self._grades[grade]
 
     def _orbit(self, w):
-        """The representative of w's orbit (sums sorted, then `_by_mirror`), and the move to w."""
+        """The representative of w's orbit (sums sorted, then `_sorted_rep`), and the move to w."""
         if w not in self._orbits:
             parts = unpack_weight(w, *self.shape)
             rows, cols = (
                 tuple(sorted(range(len(p)), key=p.__getitem__, reverse=True)) for p in parts
             )
             lam, mu = ([part[i] for i in perm] for part, perm in zip(parts, (rows, cols)))
-            transposed = _by_mirror(lam, mu, self._transpose)
-            rep = (mu, lam) if transposed else (lam, mu)
-            self._orbits[w] = pack_weight(rep), (rows, cols, transposed)
+            rep, transposed = self._sorted_rep(lam, mu)
+            self._orbits[w] = rep, (rows, cols, transposed)
         return self._orbits[w]
+
+    def _sorted_rep(self, lam, mu):
+        """The representative of the sorted weight (lam, mu)'s orbit, and whether it is the mirror."""
+        mirror = _by_mirror(lam, mu, self._transpose)
+        return pack_weight((mu, lam) if mirror else (lam, mu)), mirror
 
     def multisets(self, e, w):
         """The multisets (sorted tuples) of e generators of weight w, in sorted order, memoised.
 
-        Each is its largest entry k appended to a multiset of size e - 1 and
-        weight w - wt(g_k) whose entries are at most k.
+        At e = 1 it is the generator of weight w, if any (the weights are
+        distinct).  Above, each is its largest entry k appended to a multiset
+        of size e - 1 and weight w - wt(g_k) whose entries are at most k.
         """
-        key = (e, w)
-        if key not in self._multisets:
+        out = self._multisets.get((e, w))
+        if out is None:
             if e == 0:
                 out = [()] if w == 0 else []
+            elif e == 1:
+                k = self._by_weight.get(w)
+                out = [] if k is None else [(k,)]
             else:
                 out = []
                 for k, gw in enumerate(self.weights):
                     rest = weight_sub(w, gw, self._guards)
                     if rest is not None:
                         lower = self.multisets(e - 1, rest)
-                        out += [ms + (k,) for ms in lower if not ms or ms[-1] <= k]
+                        out += [ms + (k,) for ms in lower if ms[-1] <= k]
                 out.sort()
-            self._multisets[key] = out
-        return self._multisets[key]
+            self._multisets[(e, w)] = out
+        return out
 
     def bucket(self, grade, w):
         """The sources (f, ms) of weight w in the grade, memoised.
@@ -291,16 +302,6 @@ class GradedKernel:
                 for ms in self.multisets(e, rest[fw])
             ]
         return self._buckets[key]
-
-    def _dominant_weights(self, grade):
-        """The dominant weights of the grade's total: partitions padded to m and n parts."""
-        _, e, fweights = self._grade(grade)
-        m, n = self.shape
-        rows, cols = self._gen_total
-        for frows, fcols in {tuple(map(sum, unpack_weight(fw, m, n))) for fw in fweights}:
-            for lam in _padded_partitions(frows + e * rows, m):
-                for mu in _padded_partitions(fcols + e * cols, n):
-                    yield pack_weight((lam, mu))
 
     def kernel_block(self, grade, w):
         """Kernel vectors of the block of weight w in the grade, modulo `modulo`.
@@ -426,15 +427,34 @@ class GradedKernel:
         # the shifted rows lie in the kernel, so their rank stops at len(kw)
         return len(kw) - rank_mod(shifted, self.p, stop=len(kw))
 
+    def _reps(self, grade):
+        """[(representative, orbit weight)] of the grade's representatives with sources, memoised.
+
+        The dominant weights of the grade's total are the partitions padded
+        to m and n parts; each stands for its S_m x S_n orbit, of the size of
+        lam's orbit times mu's, and `_sorted_rep`, the rule `_orbit` applies
+        after sorting, gives its representative.  A representative's weight
+        is the number of weights it stands for.  They come in the order of
+        their first dominant weight, so every elimination runs in that order.
+        """
+        if grade not in self._rep_tables:
+            _, e, fweights = self._grade(grade)
+            m, n = self.shape
+            rows, cols = self._gen_total
+            reps = {}
+            for frows, fcols in {tuple(map(sum, unpack_weight(fw, m, n))) for fw in fweights}:
+                mus = [(mu, orbit_size((mu,))) for mu in _padded_partitions(fcols + e * cols, n)]
+                for lam in _padded_partitions(frows + e * rows, m):
+                    size = orbit_size((lam,))
+                    for mu, mu_size in mus:
+                        w = self._sorted_rep(lam, mu)[0]
+                        reps[w] = reps.get(w, 0) + size * mu_size
+            self._rep_tables[grade] = [(w, k) for w, k in reps.items() if self.bucket(grade, w)]
+        return self._rep_tables[grade]
+
     def count(self, grade, at):
         """Sum of at(grade, w) over all weights; at runs once per representative with sources."""
-        at_rep, dims = {}, {}
-        for w in self._dominant_weights(grade):
-            rep = self._orbit(w)[0]
-            if rep not in at_rep:
-                at_rep[rep] = at(grade, rep) if self.bucket(grade, rep) else 0
-            dims[unpack_weight(w, *self.shape)] = at_rep[rep]
-        return orbit_total(dims)
+        return sum(k * at(grade, w) for w, k in self._reps(grade))
 
     def min_gens(self, grade):
         """Minimal generator count in the grade."""

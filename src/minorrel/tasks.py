@@ -228,7 +228,7 @@ _STATEMENTS = {
     ),
     "thm-3.2": (
         _by_degree("thm-3.2", "permanents", True),
-        ((4, 5, 8), (5, 4, 8), (3, 5, 9), (5, 3, 9)),
+        ((4, 5, 9), (5, 4, 9)),
         {**_M_N, "d_max": (2, 5)},
     ),
     "lem-4.3": (_run_lem_4_3, ((5, 5, 6),), {"d_max": (0, 4)}),

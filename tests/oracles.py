@@ -45,7 +45,7 @@ from minorrel.bott import bott_projective
 from minorrel.modlinalg import PRIMES, nullspace_mod, rank_mod, two_primes
 from minorrel.partitions import canon, conjugate, partitions_of
 from minorrel.polyring import generators_for, pack, pack_weight, poly_mul, unpack, unpack_weight
-from minorrel.rees import _monomials_of_degree, _shifted_rows
+from minorrel.rees import _monomials_of_degree
 from minorrel.symfunc import plethysm_schur, schur_multiply
 from minorrel.witness import VeroneseEngine, filtration_generator_space
 
@@ -654,13 +654,21 @@ def min_gens_full_columns(engine, grade, w, kernel):
     kernel(grade, w) gives the kernel vectors of a block, for the block at w
     and the lower ones.  The rows keep every source column of the block and
     are ranked in full, with no early stop; the engine ranks them on the
-    kernel's free sources and stops at the kernel dimension.
+    kernel's free sources and stops at the kernel dimension.  Each entry is
+    shifted on its own, with none of the engine's row building.
     """
     col = {s: i for i, s in enumerate(sources_all_weights(engine, grade)[w])}
     shifted = []
     pair = unpack_weight(w, *engine.shape)
     for lower, delta, shift in engine.shifts(grade):
         w2 = wsub(pair, unpack_weight(delta, *engine.shape))
-        if w2 is not None:
-            shifted += _shifted_rows(kernel(lower, pack_weight(w2)), shift, col)
+        if w2 is None:
+            continue
+        for vec in kernel(lower, pack_weight(w2)):
+            row = {}
+            for s, c in vec.items():
+                i = col.get(shift(s))
+                if i is not None:
+                    row[i] = row.get(i, 0) + c
+            shifted.append(row)
     return len(kernel(grade, w)) - rank_mod(shifted, engine.p)

@@ -761,14 +761,16 @@ def test_verify_rejects_params_the_statement_ignores(argv, key, capsys):
         ("thm-5.1", {"m": 3, "n": 3, "d_max": 2}),
         ("thm-5.1", {"m": 2, "n": 2, "d_max": 1}),
         # windows just past the boxes: all but thm-3.2's ran past 60 s with
-        # no verdict in a fresh process on a 2-core host
+        # no verdict in a fresh process on a 2-core host; thm-3.2's box stops
+        # at the largest degree measured, where 4x5 and 5x4 took 24-29 s and
+        # 556-557 MB
         ("thm-1.1", {"m": 5, "n": 5, "d_max": 5}),
         ("thm-1.1", {"m": 4, "n": 5, "d_max": 5}),
         ("thm-1.1", {"m": 4, "n": 4, "d_max": 6}),
         ("thm-1.2", {"m": 4, "n": 5, "d_max": 4}),
         ("thm-1.2", {"m": 4, "n": 5, "d_max": 6}),
         ("thm-3.1", {"m": 4, "n": 5, "d_max": 8}),
-        ("thm-3.2", {"m": 4, "n": 5, "d_max": 9}),
+        ("thm-3.2", {"m": 4, "n": 5, "d_max": 10}),
         ("thm-5.1", {"m": 4, "n": 3, "d_max": 4}),
         ("que-7.1", {"m": 5, "n": 4, "a_max": 3, "e_max": 3}),
     ],

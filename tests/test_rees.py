@@ -319,6 +319,52 @@ def test_buckets_match_the_all_weights_enumeration():
             assert found == multisets_all_weights(engine, e).get(w, []), (name, e, w)
 
 
+def test_orbit_table_weights_every_weight_with_sources_once(monkeypatch):
+    # each grade's table lists each representative with sources once, and
+    # its orbit weights add up to the number of weights with sources; it is
+    # built once per grade, and kernel_dim, min_gens and image_dim share it
+    builds = []
+    padded = rees._padded_partitions
+
+    def counted(total, parts):
+        builds.append((total, parts))
+        return padded(total, parts)
+
+    monkeypatch.setattr(rees, "_padded_partitions", counted)
+    for name, engine, grades in _instances():
+        for grade in grades:
+            engine.kernel_dim(grade)
+            table, made = engine._rep_tables[grade], len(builds)
+            engine.min_gens(grade)
+            engine.image_dim(grade)
+            assert engine._rep_tables[grade] is table and len(builds) == made, (name, grade)
+            reps = [w for w, _ in table]
+            assert len(set(reps)) == len(reps), (name, grade)
+            assert all(_is_representative(engine, w) for w in reps), (name, grade)
+            total = sum(k for _, k in table)
+            assert total == len(sources_all_weights(engine, grade)), (name, grade)
+
+
+def test_orbit_table_without_the_mirrored_weight_is_caught(monkeypatch):
+    # a standing fault: at m = n a representative (lam, mu) with lam != mu
+    # also stands for its mirror's orbit; a table that drops the mirror's
+    # weight must change the Rees 3x3 count and fail the thm-1.2 3x3 verdict
+    monkeypatch.delenv(RESULTS_DIR_ENV, raising=False)
+    reps = GradedKernel._reps
+
+    def one_side(self, grade):
+        out = []
+        for w, k in reps(self, grade):
+            lam, mu = unpack_weight(w, *self.shape)
+            out.append((w, k // 2 if self._transpose and lam != mu else k))
+        return out
+
+    monkeypatch.setattr(GradedKernel, "_reps", one_side)
+    _, table = at_two_primes(fiber_type_check, RingContext(3, 3), 3, 3)
+    assert table != {(1, 2): 16}
+    assert run(THM_1_2_3X3).verdict == "fail"
+
+
 def test_free_column_rank_matches_full_column_rank():
     # the engine ranks the shifted lower kernels on K_w's free sources only;
     # ranking them on every source column gives the same count, also for the

@@ -8,25 +8,24 @@ verifier checks against witness computations, and the seed labels of the
 bi-filtration of F_{lam,mu} list the components of its associated graded.
 """
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .partitions import canon, conjugate, dim_schur, in_M_r, partitions_of
 from .symfunc import kostka, plethysm_schur, schur_multiply
 
 
-@dataclass(frozen=True)
-class BiRep:
-    terms: dict = field(default_factory=dict)
+class BiRep(namedtuple("BiRep", "terms")):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, terms=None):
         clean = {}
-        for (lam, mu), m in self.terms.items():
+        for (lam, mu), m in (terms or {}).items():
             m = int(m)
             if m < 0:
                 raise ValueError(f"negative multiplicity at {(lam, mu)}")
             if m:
                 clean[(canon(lam), canon(mu))] = m
-        object.__setattr__(self, "terms", clean)
+        return super().__new__(cls, clean)
 
 
 def transpose_duality(P):

@@ -66,7 +66,10 @@ def _wedge_xi_summands(u, v, m, n):
     so by Cauchy each alpha |- u and beta |- v contribute
     S_alpha(S_11 V1) (x) S_beta(S_11 R_1) (x) S_alpha'(S_11 R_2) S_beta'(R_2) (x) Q_2^v.
     Returns a list of (trivial V1 character dict, R_1 partition dict, R_2
-    partition dict), without the summands that are zero on R_1 or on R_2.
+    partition dict), without the summands that are zero on the trivial
+    factor, on R_1 or on R_2: a zero factor makes the whole summand zero, so
+    it must list no cohomology degree (S_alpha(S_11 V1) is zero once alpha
+    has more than C(m,2) rows, as for every alpha when u > rank xi_1).
     The trivial factor is a genuine GL(V1) representation not affected by
     cohomology.  Each part is truncated to the rows it is read on: the
     trivial factor to m (the fold in tor_geometric keeps at most m rows, and
@@ -79,6 +82,8 @@ def _wedge_xi_summands(u, v, m, n):
     out = []
     for alpha in partitions_of(u):
         triv = plethysm_schur(alpha, (1, 1), rows=m)
+        if not triv:
+            continue
         a_right = plethysm_schur(conjugate(alpha), (1, 1), rows=n - 1)
         for beta_c, r1 in r1s:
             if not r1:

@@ -15,9 +15,9 @@ them, exits 2.
 
 import argparse
 import sys
-from dataclasses import replace
 
 from .birep import character_A, gr_components_bivariate
+from .modlinalg import PRIMES
 from .partitions import parse_partition
 from .report import emit, format_bicharacter
 from .symfunc import wedge_power
@@ -103,7 +103,7 @@ def cmd_verify(args):
 
 def cmd_suite(args):
     tasks = suite_tasks(args.profile, seed=args.seed)
-    reports = [run(replace(t, primes=args.primes), args.results_dir) for t in tasks]
+    reports = [run(t._replace(primes=args.primes), args.results_dir) for t in tasks]
     for report in reports:
         print(f"{report.task['statement']} {report.task['params']}: {report.verdict}")
     failed = sum(report.verdict == "fail" for report in reports)
@@ -121,7 +121,7 @@ def build_parser():
     settings.add_argument("--seed", type=int, default=0, action=_Once)
     settings.add_argument("--primes", type=_primes, action=_Once, help="P1,P2,... to draw from")
     settings.add_argument("--results-dir", action=_Once, help="default $MINORREL_RESULTS_DIR")
-    settings.set_defaults(primes=VerificationTask.primes)
+    settings.set_defaults(primes=PRIMES)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("decompose", help="print characters and filtration labels")

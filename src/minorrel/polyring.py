@@ -27,7 +27,7 @@ a degree that `guard_degree` checks first, so it stays far below its guard.
 """
 
 import struct
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations, combinations_with_replacement
 
 
@@ -80,14 +80,13 @@ def guard_degree(degree, what):
         raise OverflowError(f"{what}: degree {degree} exceeds the packed exponent bound {MAX_EXP}")
 
 
-@dataclass(frozen=True)
-class RingContext:
-    m: int
-    n: int
+class RingContext(namedtuple("RingContext", "m n")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.m < 1 or self.n < 1:
+    def __new__(cls, m, n):
+        if m < 1 or n < 1:
             raise ValueError("need m, n >= 1")
+        return super().__new__(cls, m, n)
 
     @property
     def num_vars(self):

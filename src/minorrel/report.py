@@ -7,7 +7,7 @@ through parse_report.
 """
 
 import json
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .partitions import canon
 
@@ -31,14 +31,15 @@ def format_bicharacter(terms):
     return " + ".join(parts)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    task: dict
-    predicted: dict
-    witnessed: dict
-    certificates: tuple = ()
-    verdict: str = "fail"  # pass | fail
-    timings: dict = field(default_factory=dict)
+class VerificationReport(
+    namedtuple("VerificationReport", "task predicted witnessed certificates verdict timings")
+):
+    __slots__ = ()
+
+    def __new__(cls, task, predicted, witnessed, certificates=(), verdict="fail", timings=None):
+        # verdict: pass | fail
+        timings = {} if timings is None else timings
+        return super().__new__(cls, task, predicted, witnessed, certificates, verdict, timings)
 
     def as_dict(self):
         return {

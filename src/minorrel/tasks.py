@@ -12,11 +12,10 @@ time and memory budget.  Reports can be cached whole in a results directory
 under filenames hashed from the task (its primes too) and the package source.
 """
 
-import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import lru_cache
 from pathlib import Path
 
@@ -38,18 +37,20 @@ RESULTS_DIR_ENV = "MINORREL_RESULTS_DIR"
 @lru_cache(maxsize=None)
 def source_digest():
     """sha256 over the package's modules, names and bytes in name order."""
+    # hashlib loads OpenSSL; only the results cache needs it
+    import hashlib
+
     h = hashlib.sha256()
     for path in sorted(Path(__file__).parent.glob("*.py")):
         h.update(path.name.encode() + b"\0" + path.read_bytes())
     return h.hexdigest()
 
 
-@dataclass(frozen=True)
-class VerificationTask:
-    statement: str
-    params: dict = field(default_factory=dict)
-    seed: int = 0
-    primes: tuple = modlinalg.PRIMES
+class VerificationTask(namedtuple("VerificationTask", "statement params seed primes")):
+    __slots__ = ()
+
+    def __new__(cls, statement, params=None, seed=0, primes=modlinalg.PRIMES):
+        return super().__new__(cls, statement, {} if params is None else params, seed, primes)
 
     def as_dict(self):
         return {
@@ -60,6 +61,9 @@ class VerificationTask:
 
     def cache_name(self):
         """File name from the task, its primes, and the code."""
+        # hashlib loads OpenSSL; only the results cache needs it
+        import hashlib
+
         key = dict(self.as_dict(), primes=list(self.primes), source=source_digest())
         blob = json.dumps(key, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:24] + ".json"

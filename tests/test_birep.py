@@ -19,6 +19,17 @@ def test_transpose_duality_involution():
     assert transpose_duality(transpose_duality(P)).terms == P.terms
 
 
+def test_birep_drops_zero_and_refuses_negative_multiplicities():
+    P = BiRep({((2, 1, 0), (3,)): 2, ((1, 1), (2,)): 0})
+    assert P.terms == {((2, 1), (3,)): 2} and P == BiRep(terms={((2, 1), (3,)): 2})
+    with pytest.raises(ValueError):
+        BiRep({((1,), (1,)): -1})
+    with pytest.raises(AttributeError):
+        P.terms = {}
+    empty = BiRep()
+    assert empty.terms == {} and empty.terms is not BiRep().terms
+
+
 def test_dim_at_transpose_symmetry():
     # swapping the two tensor factors mirrors the evaluation sizes
     P = predicted_character("thm-1.1", 3)

@@ -42,6 +42,19 @@ def test_json_round_trip():
     assert parse_report(emit(report, "json")) == report
 
 
+def test_records_are_immutable_and_share_no_default():
+    first, second = VerificationTask("lem-4.4"), VerificationTask("lem-4.4")
+    assert first == second and first.params is not second.params
+    assert repr(first).startswith("VerificationTask(statement='lem-4.4', params={}, seed=0,")
+    first = VerificationReport(task={}, predicted={}, witnessed={})
+    second = VerificationReport(task={}, predicted={}, witnessed={})
+    assert (first.certificates, first.verdict) == ((), "fail")
+    assert first == second and first.timings is not second.timings
+    for record, field in ((VerificationTask("lem-4.4"), "seed"), (first, "verdict")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+
+
 def test_verify_exit_codes(capsys):
     assert main(["verify", "thm-1.1", "--m", "2", "--n", "4", "--dmax", "4"]) == 0
     capsys.readouterr()

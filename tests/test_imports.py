@@ -2,6 +2,9 @@
 
 import ast
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "minorrel"
@@ -140,3 +143,17 @@ def test_every_package_definition_is_reached_from_the_package():
     # nothing may be added to it.
     sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert unreached_definitions(sources) == {"character_from_weight_dims"}
+
+
+def test_a_fresh_process_loads_no_dataclasses_or_openssl():
+    # dataclasses pulls in inspect, ast, dis and tokenize, and hashlib loads
+    # OpenSSL; only the results cache hashes, so neither belongs in a cold start
+    code = (
+        "import sys, minorrel.tasks, minorrel.cli\n"
+        "print(sorted({'dataclasses', 'inspect', 'hashlib', '_hashlib'} & set(sys.modules)))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout == "[]\n"

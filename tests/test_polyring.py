@@ -26,6 +26,12 @@ from oracles import quadrics_by_products, span_dimension, unpacked, wadd, wsub
 def test_ring_context_indexing():
     ctx = RingContext(2, 3)
     assert ctx.num_vars == 6
+    assert ctx == RingContext(m=2, n=3) and repr(ctx) == "RingContext(m=2, n=3)"
+    with pytest.raises(AttributeError):
+        ctx.m = 3
+    for m, n in ((0, 2), (2, 0)):
+        with pytest.raises(ValueError):
+            RingContext(m, n)
 
 
 def test_generators_match_products_of_variables():

@@ -12,10 +12,12 @@ for lam with at most rank R rows.  So every plethysm and Littlewood-
 Richardson product on the way is computed truncated to the rows it is read
 on (see symfunc): truncation to k rows is restriction to k variables, a
 ring homomorphism, so nothing that is read changes.  Each distinct Bott
-result is computed once per process.
+result, and each projective factor's table of them, is computed once per
+process.
 """
 
 from functools import lru_cache
+from math import comb
 
 from .birep import BiRep
 from .partitions import canon, conjugate, partitions_of
@@ -58,45 +60,6 @@ def _bott(n, a, lam):
     return bott_projective(n, a, lam)
 
 
-@lru_cache(maxsize=None)
-def _wedge_xi_summands(u, v, m, n):
-    """Composition factors of L^0 (x) wedge^u(xi_1) (x) wedge^v(xi_2), on the rows read.
-
-    xi_1 = wedge^2(V1) (x) wedge^2(R_2) and xi_2 = wedge^2(R_1) (x) (R_2 (x) Q_2),
-    so by Cauchy each alpha |- u and beta |- v contribute
-    S_alpha(S_11 V1) (x) S_beta(S_11 R_1) (x) S_alpha'(S_11 R_2) S_beta'(R_2) (x) Q_2^v.
-    Returns a list of (trivial V1 character dict, R_1 partition dict, R_2
-    partition dict), without the summands that are zero on the trivial
-    factor, on R_1 or on R_2: a zero factor makes the whole summand zero, so
-    it must list no cohomology degree (S_alpha(S_11 V1) is zero once alpha
-    has more than C(m,2) rows, as for every alpha when u > rank xi_1).
-    The trivial factor is a genuine GL(V1) representation not affected by
-    cohomology.  Each part is truncated to the rows it is read on: the
-    trivial factor to m (the fold in tor_geometric keeps at most m rows, and
-    an LR coefficient with at most m rows in the product needs at most m in
-    each factor), the R_1 part to rank R_1 = m - 1 and the R_2 part to
-    n - 1.  Truncation is restriction to that many variables, a ring
-    homomorphism, so each part is exactly the full one restricted.
-    """
-    r1s = [(conjugate(b), plethysm_schur(b, (1, 1), rows=m - 1)) for b in partitions_of(v)]
-    out = []
-    for alpha in partitions_of(u):
-        triv = plethysm_schur(alpha, (1, 1), rows=m)
-        if not triv:
-            continue
-        a_right = plethysm_schur(conjugate(alpha), (1, 1), rows=n - 1)
-        for beta_c, r1 in r1s:
-            if not r1:
-                continue
-            r2 = {}
-            for lam, c in a_right.items():
-                for mu, c_mu in schur_multiply(lam, beta_c, rows=n - 1).items():
-                    r2[mu] = r2.get(mu, 0) + c * c_mu
-            if r2:
-                out.append((triv, r1, r2))
-    return out
-
-
 def _by_degree(n, a, terms):
     """{j: [(weight, multiplicity)]} of Bott on P^{n-1} for Q^a (x) S_lam(R), lam in terms."""
     out = {}
@@ -109,27 +72,47 @@ def _by_degree(n, a, terms):
 
 
 @lru_cache(maxsize=None)
+def _left(beta, m, r):
+    """Bott on P(V1) of Q_1^{2r} (x) S_beta(S_11 R_1) by degree, on rank R_1 rows."""
+    return _by_degree(m, 2 * r, plethysm_schur(beta, (1, 1), rows=m - 1))
+
+
+@lru_cache(maxsize=None)
+def _right(alpha, beta_conj, n, a):
+    """Bott on P(V2) of Q_2^a (x) S_alpha'(S_11 R_2) S_beta'(R_2) by degree, on rank R_2 rows."""
+    terms = {}
+    for lam, c in plethysm_schur(conjugate(alpha), (1, 1), rows=n - 1).items():
+        for mu, c_mu in schur_multiply(lam, beta_conj, rows=n - 1).items():
+            terms[mu] = terms.get(mu, 0) + c * c_mu
+    return _by_degree(n, a, terms)
+
+
+@lru_cache(maxsize=None)
 def _cohomology(u, v, r, m, n):
     """H^* of L^{2r} (x) wedge^u(xi_1) (x) wedge^v(xi_2) on X = P(V1) x P(V2).
 
-    Bott on each projective factor, combined by Kunneth: per summand each
-    factor's table is built once and grouped by degree, and the degree
-    j = a + b pairs the V1 side in degree a with the V2 side in degree b.
-    Returns {j: [(trivial V1 character, V1 weight, V2 weight, multiplicity)]}
-    with a key only for the degrees j that carry cohomology.
+    xi_1 = wedge^2(V1) (x) wedge^2(R_2) and xi_2 = wedge^2(R_1) (x) (R_2 (x) Q_2),
+    so by Cauchy each alpha |- u and beta |- v contribute
+    S_alpha(S_11 V1) (x) S_beta(S_11 R_1) (x) S_alpha'(S_11 R_2) S_beta'(R_2) (x) Q_2^v.
+    The first factor is trivial on X, and zero by rank, as is the summand,
+    when alpha has more than dim wedge^2 V1 = C(m,2) parts.  Kunneth pairs
+    the V1 side (`_left`) in degree a with the V2 side (`_right`) in degree
+    b.  Returns {j: [(alpha, V1 side, V2 side)]}, each side a list of
+    (weight, multiplicity), keyed only by the degrees with cohomology;
+    tor_geometric folds in the trivial factor.
     """
     out = {}
-    for triv, r1_terms, r2_terms in _wedge_xi_summands(u, v, m, n):
-        left = _by_degree(m, 2 * r, r1_terms)
-        if not left:
+    for alpha in partitions_of(u):
+        if len(alpha) > comb(m, 2):
             continue
-        right = _by_degree(n, 2 * r + v, r2_terms)
-        for a, ws1 in left.items():
-            for b, ws2 in right.items():
-                tgt = out.setdefault(a + b, [])
-                for w1, c_lam in ws1:
-                    for w2, c_mu in ws2:
-                        tgt.append((triv, w1, w2, c_lam * c_mu))
+        for beta in partitions_of(v):
+            left = _left(beta, m, r)
+            if not left:
+                continue
+            right = _right(alpha, conjugate(beta), n, 2 * r + v)
+            for a, ws1 in left.items():
+                for b, ws2 in right.items():
+                    out.setdefault(a + b, []).append((alpha, ws1, ws2))
     return out
 
 
@@ -158,12 +141,15 @@ def tor_geometric(i, r, m, n):
     for j in range(m + n - 1):  # dim X = (m - 1) + (n - 1)
         acc = {}
         for u in range(i + j + 1):
-            for triv, w1, w2, c in _cohomology(u, i + j - u, r, m, n).get(j, ()):
-                # fold in the trivial GL(V1) factor S_triv(wedge^2 V1)
-                for gam, c_gam in triv.items():
-                    for w1f, c_f in schur_multiply(gam, w1, rows=m).items():
-                        key = (w1f, canon(w2))
-                        acc[key] = acc.get(key, 0) + c * c_gam * c_f
+            for alpha, ws1, ws2 in _cohomology(u, i + j - u, r, m, n).get(j, ()):
+                # fold in the trivial factor S_alpha(wedge^2 V1) on the m rows read
+                triv = plethysm_schur(alpha, (1, 1), rows=m)
+                for w1, c_lam in ws1:
+                    for gam, c_gam in triv.items():
+                        for w1f, c_f in schur_multiply(gam, w1, rows=m).items():
+                            for w2, c_mu in ws2:
+                                key = (w1f, canon(w2))
+                                acc[key] = acc.get(key, 0) + c_lam * c_gam * c_f * c_mu
         if acc:
             out[r + i + j] = BiRep(acc)
     return out

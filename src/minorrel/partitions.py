@@ -2,6 +2,7 @@
 
 Partitions are plain tuples of weakly decreasing positive integers, in
 canonical form (no trailing zeros).  The empty partition is ``()``.
+``partitions_of`` (one shared tuple per n) and ``conjugate`` are memoised.
 Products of Schur functions, Kostka numbers among them, are in symfunc.
 """
 
@@ -34,15 +35,17 @@ def parse_partition(text):
     return canon(int(p) for p in text.split(","))
 
 
+@lru_cache(maxsize=None)
 def conjugate(lam):
-    """Transpose of the Young diagram."""
+    """Transpose of the Young diagram, memoised."""
     if not lam:
         return ()
     return tuple(sum(1 for p in lam if p > i) for i in range(lam[0]))
 
 
+@lru_cache(maxsize=None)
 def partitions_of(n):
-    """Yield all partitions of n, in reverse lexicographic order."""
+    """All partitions of n as a tuple, in reverse lexicographic order, memoised."""
 
     def rec(remaining, largest):
         if remaining == 0:
@@ -52,7 +55,7 @@ def partitions_of(n):
             for rest in rec(remaining - first, first):
                 yield (first,) + rest
 
-    yield from rec(n, n)
+    return tuple(rec(n, n))
 
 
 def hook_lengths(lam):

@@ -26,6 +26,7 @@ lives in the birep module.
 """
 
 from functools import lru_cache
+from math import comb
 
 from .partitions import canon, conjugate, partitions_of
 
@@ -124,11 +125,15 @@ def plethysm_schur(outer, inner, rows=None):
     determinant is expanded by Laplace along its rows, memoised on the set
     of columns still free.  Only inner (2) and (1, 1) are supported.  With
     `rows`, only the terms with at most that many rows: each h_k[g] keeps
-    the terms that fit and every product is bounded the same way.
+    the terms that fit and every product is bounded the same way; an outer
+    longer than dim S_inner(C^rows) gives {} without Jacobi-Trudi.
     """
     outer, inner = canon(outer), canon(inner)
     if inner not in ((2,), (1, 1)):
         raise ValueError(f"plethysm needs inner (2) or (1, 1), got {inner}")
+    # zero by rank: S_inner(C^rows) has dimension C(rows+1, 2) or C(rows, 2)
+    if rows is not None and len(outer) > comb(rows + (inner == (2,)), 2):
+        return {}
 
     @lru_cache(maxsize=None)
     def minor(cols):

@@ -136,8 +136,9 @@ def koszul_h1_blocks(ctx, variant, d, q):
     h1 = {}
     for w, size, d1, d2 in blocks:
         h1[w] = size - rank_mod(d1, q)
-        if d2:
-            h1[w] -= rank_mod(d2, q)
+        # d1 d2 = 0, so rank d2 stops at dim ker d1 = h1[w]
+        if d2 and h1[w]:
+            h1[w] -= rank_mod(d2, q, stop=h1[w])
     return {dom: h1[rep[dom]] for dom in doms if h1.get(rep[dom])}
 
 

@@ -10,7 +10,9 @@ Littlewood-Richardson coefficients by tableau count, one nu at a time
 (against the strip-built product), plethysm through the power-sum basis
 (against Jacobi-Trudi), the geometric Tor bound with every plethysm and
 Littlewood-Richardson product expanded in full and truncated only at the
-end (against the products bounded to the rows Bott reads), span
+end (against the products bounded to the rows Bott reads), the degrees of the
+Lemma 4.4 cohomology from the same full expansions (against the sweep that
+skips trivial factors zero by rank and reads per-side tables), span
 dimensions of explicit polynomials, the 2x2
 quadrics as sums of products of variables (against the one-formula
 builder), Koszul homology at every torus weight (against the dominant
@@ -453,6 +455,37 @@ def tor_geometric_untruncated(i, r, m, n):
         if acc:
             out[r + i + j] = acc
     return out
+
+
+def cohomology_degrees_untruncated(u, v, r, m, n):
+    """The degrees j with H^j(X, L^{2r} (x) wedge^u(xi_1) (x) wedge^v(xi_2)) nonzero.
+
+    The Cauchy summands of tor_geometric_untruncated, from full expansions
+    and without the fold: a summand counts when its trivial factor, the
+    full S_alpha(S_11) restricted to m rows, is nonzero, and contributes
+    degree a + b for every Bott degree a of its V1 side and b of its V2
+    side.  Every multiplicity is positive, so no two summands cancel.
+    """
+    degrees = set()
+    for alpha in partitions_of(u):
+        if not any(len(gam) <= m for gam in plethysm_schur(alpha, (1, 1))):
+            continue
+        a_right = plethysm_schur(conjugate(alpha), (1, 1))
+        for beta in partitions_of(v):
+            r2 = Counter()
+            for lam, c in a_right.items():
+                for mu, c_mu in schur_multiply(lam, conjugate(beta)).items():
+                    r2[mu] += c * c_mu
+            left = {
+                bott_projective(m, 2 * r, lam)
+                for lam in plethysm_schur(beta, (1, 1))
+                if len(lam) <= m - 1
+            }
+            right = {bott_projective(n, 2 * r + v, mu) for mu in r2 if len(mu) <= n - 1}
+            degrees |= {
+                a[0] + b[0] for a in left if a is not None for b in right if b is not None
+            }
+    return degrees
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,8 @@ from minorrel.bott import (
     verify_lemma_4_4,
 )
 from minorrel.partitions import dim_schur, partitions_of
-from oracles import tor_geometric_untruncated, weyl_dim_weight
+from minorrel.symfunc import plethysm_schur
+from oracles import cohomology_degrees_untruncated, tor_geometric_untruncated, weyl_dim_weight
 
 
 def test_bott_weight_dichotomy_and_euler_characteristic():
@@ -114,6 +115,37 @@ def test_lemma_4_4_vanishes_on_bundles_that_are_zero_by_rank():
     assert [case for case in zero if not verify_lemma_4_4(*case)] == []
 
 
+def test_lemma_4_4_sweep_matches_untruncated_expansion():
+    # every case of the lem-4.4 task against the Cauchy summands expanded in
+    # full, a trivial factor zero only when it has no term on m rows
+    cases = [
+        (u, v, j, r, m, n)
+        for j in range(1, 5)
+        for u in range(j + 3)
+        for v in range(j + 3 - u)
+        for r in (1, 2)
+        for m in range(2, 6)
+        for n in range(2, 6)
+    ]
+    assert len(cases) == 2368
+    degrees = {}
+    for u, v, j, r, m, n in cases:
+        if (u, v, r, m, n) not in degrees:
+            degrees[u, v, r, m, n] = cohomology_degrees_untruncated(u, v, r, m, n)
+        assert verify_lemma_4_4(u, v, j, r, m, n) == (j not in degrees[u, v, r, m, n]), (
+            u, v, j, r, m, n,
+        )
+
+
+def test_wedge2_factor_is_zero_exactly_by_rank():
+    # the sweep skips alpha with more than C(m,2) parts without building
+    # S_alpha(wedge^2 C^m): that plethysm is zero exactly then
+    for d in range(9):
+        for alpha in partitions_of(d):
+            for m in range(2, 6):
+                assert (len(alpha) > comb(m, 2)) == (not plethysm_schur(alpha, (1, 1), rows=m))
+
+
 def test_tor_geometric_degree_zero_is_veronese_layer():
     out = tor_geometric(0, 1, 3, 3)
     # degree r slice matches the filtration-layer character with no strip
@@ -150,11 +182,14 @@ def test_tor_geometric_first_tor_matches_closed_form_on_its_rows(r, m, n):
     }
 
 
-@pytest.mark.parametrize("m, n", [(3, 3), (3, 4), (4, 3), (4, 4)])
+@pytest.mark.parametrize(
+    "m, n", [(3, 3), (3, 4), (4, 3), (4, 4), (2, 3), (2, 5), (5, 2), (3, 5)]
+)
 def test_tor_geometric_matches_untruncated_expansion(m, n):
-    # Tor_0 and Tor_2 against the same route with every plethysm and
-    # Littlewood-Richardson product expanded in full (tests/oracles.py)
-    for i in (0, 2):
+    # Tor_0, Tor_1 and Tor_2 against the same route with every plethysm and
+    # Littlewood-Richardson product expanded in full (tests/oracles.py); at
+    # m = 2 every S_beta(S_11 R_1) with beta nonempty is zero by rank
+    for i in (0, 1, 2):
         for r in (1, 2, 3):
             out = {d: ch.terms for d, ch in tor_geometric(i, r, m, n).items()}
             assert out == tor_geometric_untruncated(i, r, m, n), (i, r)

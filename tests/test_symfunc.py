@@ -114,13 +114,16 @@ def test_schur_multiply_row_bound_is_the_truncated_product():
 
 
 def test_plethysm_row_bound_is_the_truncated_plethysm():
-    # Jacobi-Trudi with every factor and product truncated: the full
-    # plethysm restricted to k variables
-    for d in range(7):
+    # Jacobi-Trudi with every factor and product truncated, or {} at once
+    # when alpha has more parts than s_inner has dimensions on k variables
+    # (C(k+1, 2) for (2), C(k, 2) for (1, 1)): the full plethysm restricted
+    # to k variables.  k = 0..6 puts outers of every length up to 7 on both
+    # sides of each bound
+    for d in range(8):
         for alpha in partitions_of(d):
             for inner in [(2,), (1, 1)]:
                 full = plethysm_schur(alpha, inner)
-                for k in range(5):
+                for k in range(7):
                     assert plethysm_schur(alpha, inner, rows=k) == _within(full, k), (
                         alpha,
                         inner,

@@ -21,7 +21,7 @@ from math import comb
 
 from .birep import BiRep
 from .partitions import canon, conjugate, partitions_of
-from .symfunc import plethysm_schur, schur_multiply
+from .symfunc import _schur_multiply_cached, plethysm_schur, schur_multiply
 
 
 def bott_weight(w):
@@ -82,7 +82,9 @@ def _right(alpha, beta_conj, n, a):
     """Bott on P(V2) of Q_2^a (x) S_alpha'(S_11 R_2) S_beta'(R_2) by degree, on rank R_2 rows."""
     terms = {}
     for lam, c in plethysm_schur(conjugate(alpha), (1, 1), rows=n - 1).items():
-        for mu, c_mu in schur_multiply(lam, beta_conj, rows=n - 1).items():
+        # both factors are canonical and the product is only read: the
+        # cached product, called positionally as plethysm_schur calls it
+        for mu, c_mu in _schur_multiply_cached(lam, beta_conj, n - 1).items():
             terms[mu] = terms.get(mu, 0) + c * c_mu
     return _by_degree(n, a, terms)
 

@@ -83,7 +83,7 @@ def _by_degree(statement, variant, koszul=False):
         m, n, d_max = p["m"], p["n"], p["d_max"]
         ctx, degrees = RingContext(m, n), range(2, d_max + 1)
         if koszul:
-            blocks = {d: koszul_h1_blocks(ctx, variant, d, q) for d in degrees}
+            blocks = koszul_h1_blocks(ctx, variant, d_max, q)
             dims = {d: orbit_total(blocks[d]) for d in degrees}
             certificates = tuple(
                 {"degree": d, "weight": [list(w[0]), list(w[1])], "dim": dim,
@@ -227,7 +227,7 @@ _STATEMENTS = {
     "sec-6-Tbar": (_THM_1_2, ((3, 3, 3),), {**_M_N, "d_max": (2, 3)}),
     "thm-3.1": (
         _by_degree("thm-3.1", "minors", True),
-        ((4, 5, 7), (5, 4, 7), (3, 5, 9), (5, 3, 9)),
+        ((4, 4, 10), (4, 5, 8), (5, 4, 8), (3, 5, 9), (5, 3, 9), (5, 5, 7)),
         {**_M_N, "d_max": (2, 5)},
     ),
     "thm-3.2": (
@@ -377,7 +377,7 @@ def suite_tasks(profile="quick", seed=0):
             mk("thm-1.2", m=4, n=4, d_max=4),
             mk("thm-5.1", m=3, n=3),
             mk("thm-5.1", m=3, n=4),
-            mk("thm-3.1", m=4, n=4, d_max=7),
+            mk("thm-3.1", m=4, n=4, d_max=8),
             mk("thm-3.2", m=4, n=4, d_max=7),
             mk("thm-3.1", m=4, n=5, d_max=6),
             mk("thm-3.1", m=3, n=4, d_max=9),

@@ -12,10 +12,12 @@ built once over the integers and run modulo q by `engine.at(q)`.  Koszul
 homology is a pair of ranks per block, keyed by dominant weights: each
 per-weight dimension is constant on S_m x S_n orbits, and
 `rees.orbit_total` gives the total; at m = n only one block of each
-transposed pair is built.  Each witness takes the modulus q last; it builds
-products and matrices over the integers and takes kernels and ranks mod q,
-using q only through ring operations, zero tests and `modlinalg`'s
-eliminations, so a run at p1 * p2 (`tasks.run`) is the run at each prime.
+transposed pair is built; one `koszul_h1_blocks` call serves every degree
+of a task from one set of weight tables.  Each witness takes the modulus q
+last; it builds products and matrices over the integers and takes kernels
+and ranks mod q, using q only through ring operations, zero tests and
+`modlinalg`'s eliminations, so a run at p1 * p2 (`tasks.run`) is the run at
+each prime.
 """
 
 from itertools import combinations, product
@@ -72,74 +74,136 @@ def _fits(w, groups, guards):
             yield rest, members
 
 
-def koszul_h1_blocks(ctx, variant, d, q):
-    """H_1 of the Koszul complex of W in total degree d, at dominant weights.
+def _monomials_by_weight(ctx, top):
+    """[{weight: [key, ...]}] of the monomials of each degree 0..top.
 
-    Returns {weight: dim} over the dominant weights (row sums and column sums
-    both non-increasing) where H_1 is nonzero, each weight the pair (row
-    sums, column sums).  Permuting rows and columns maps the bases of
-    W (x) S_{d-2} and W^W (x) S_{d-4} to themselves up to sign, so H_1 at
-    any weight equals H_1 at the dominant weight of its orbit, and
-    `rees.orbit_total` of the result is the total dimension.  At m = n so
-    does the transpose, so H_1 at (lam, mu) is H_1 at (mu, lam): only the
-    side `rees._by_mirror` keeps is built.  The dominant weights are
-    enumerated directly, as the pairs of partitions of d padded to m and n
-    parts, and one whose W (x) S_{d-2} basis is empty is skipped.  Only these
-    blocks are built: their boundary matrices over the integers, ranked mod q.
+    Degree e + 1 extends each monomial of degree e by each variable from its
+    last one on, so each degree lists its monomials in the order of
+    `rees._monomials_of_degree`, with no sum per monomial.
     """
-    if d < 2:
-        raise ValueError("degree must be >= 2")
-    guard_degree(d, "Koszul complex")
+    var = list(_monomials_of_degree(ctx, 1))
+    level = [(0, 0, 0)]  # (key, weight, last variable): the unit monomial
+    out = [{0: [0]}]
+    for e in range(1, top + 1):
+        grown = (
+            (key + vkey, w + vw, v)
+            for key, w, last in level
+            for v, (vkey, vw) in enumerate(var[last:], last)
+        )
+        # the top degree, the largest, is grouped as it is made
+        level = list(grown) if e < top else grown
+        out.append(_group((key, w) for key, w, _ in level))
+    return out
+
+
+def _koszul_basis(w, gens_at, monos, guards):
+    """The basis of W (x) S_{d-2} at w: (x^a, k) with wt(a) + wt(k) = w, sorted.
+
+    gens_at and monos group the generators and the monomials of degree
+    d - 2 by weight.  The (monomial, generator) order numbers d2's columns,
+    and keeps the fill-in of its elimination small.
+    """
+    return sorted(
+        (exp, k)
+        for rest, ks in _fits(w, gens_at, guards)
+        for k in ks
+        for exp in monos.get(rest, ())
+    )
+
+
+def _koszul_d2(gens, col, found):
+    """The rows of d2: e_k ^ e_l (x) x^b -> w_l x^b e_k - w_k x^b e_l, for k < l.
+
+    found lists (monomials x^b, pairs (k, l)), one entry per weight of the
+    pairs, in the order of the rows; col numbers the basis of
+    W (x) S_{d-2}, (x^a, k) for x^a e_k.
+    """
+    rows = []
+    for mexps, kls in found:
+        for mexp in mexps:
+            for k, l in kls:
+                row = {}
+                for e2, c in gens[l].items():
+                    row[col[e2 + mexp, k]] = c
+                for e2, c in gens[k].items():
+                    row[col[e2 + mexp, l]] = -c
+                rows.append(row)
+    return rows
+
+
+def koszul_h1_blocks(ctx, variant, d_max, q):
+    """H_1 of the Koszul complex of W in each degree 2 <= d <= d_max, at dominant weights.
+
+    Returns {d: {weight: dim}}, each inner dict over the dominant weights
+    (row sums and column sums both non-increasing) where H_1 is nonzero in
+    degree d, each weight the pair (row sums, column sums).  Permuting rows
+    and columns maps the bases of W (x) S_{d-2} and W^W (x) S_{d-4} to
+    themselves up to sign, so H_1 at any weight equals H_1 at the dominant
+    weight of its orbit, and `rees.orbit_total` of a degree's dict is the
+    total dimension.  At m = n so does the transpose, so H_1 at (lam, mu) is
+    H_1 at (mu, lam): only the side `rees._by_mirror` keeps is built.  The
+    dominant weights are enumerated directly, as the pairs of partitions of
+    d padded to m and n parts, and one whose W (x) S_{d-2} basis is empty is
+    skipped.
+
+    One call serves a task: the generators, the pairs k < l and the
+    monomials of each degree up to d_max - 2 are grouped by weight once, for
+    all degrees.  Each block is then built over the integers and ranked mod
+    q in turn, so only one block is held at a time: d1 first, and d2 only
+    where ker d1 is not zero.
+    """
+    if d_max < 2:
+        raise ValueError("d_max must be >= 2")
+    guard_degree(d_max, "Koszul complex")
     gens = generators_for(ctx, variant)
     gw = _weights_of(ctx, gens)
-    # monomials of degree d-2 and d-4, generators and pairs k < l, by weight
-    mono2 = _group(_monomials_of_degree(ctx, d - 2))
-    mono4 = _group(_monomials_of_degree(ctx, d - 4)) if d >= 4 else {}
     gens_at = _group(enumerate(gw))
     pairs_at = _group((kl, gw[kl[0]] + gw[kl[1]]) for kl in combinations(range(len(gens)), 2))
+    pair_pos = {delta: i for i, delta in enumerate(pairs_at)}
+    pair_groups = list(pairs_at.values())
+    monos = _monomials_by_weight(ctx, d_max - 2)
     guards = weight_guards(ctx.m, ctx.n)
-    # the block built for each dominant weight: itself, or at m = n maybe its mirror
-    doms = sorted(product(_padded_partitions(d, ctx.m), _padded_partitions(d, ctx.n)))
-    rep = {dom: dom[::-1] if _by_mirror(*dom, ctx.m == ctx.n) else dom for dom in doms}
-    blocks = []
-    for dom in doms:
-        if rep[dom] != dom:
-            continue
-        w = pack_weight(dom)
-        # basis of W (x) S_{d-2} at w: (k, x^a) with wt(k) + wt(a) = w
-        fits = _fits(w, gens_at, guards)
-        basis = [(k, exp) for rest, ks in fits for k in ks for exp in mono2.get(rest, ())]
-        if not basis:
-            continue
-        # d1: (k, x^a) -> w_k x^a, one column per monomial of degree d
-        mono_col = {}
-        d1 = [
-            {
-                mono_col.setdefault(e2 + exp, len(mono_col)): c
-                for e2, c in gens[k].items()
-            }
-            for k, exp in basis
-        ]
-        # d2: e_k ^ e_l (x) x^b -> (k, w_l x^b) - (l, w_k x^b), for k < l
-        col = {kx: i for i, kx in enumerate(basis)}
-        d2 = []
-        for rest, kls in _fits(w, pairs_at, guards):
-            for mexp in mono4.get(rest, ()):
-                for k, l in kls:
-                    row = {}
-                    for e2, c in gens[l].items():
-                        row[col[(k, e2 + mexp)]] = c
-                    for e2, c in gens[k].items():
-                        row[col[(l, e2 + mexp)]] = -c
-                    d2.append(row)
-        blocks.append((dom, len(basis), d1, d2))
-    h1 = {}
-    for w, size, d1, d2 in blocks:
-        h1[w] = size - rank_mod(d1, q)
-        # d1 d2 = 0, so rank d2 stops at dim ker d1 = h1[w]
-        if d2 and h1[w]:
-            h1[w] -= rank_mod(d2, q, stop=h1[w])
-    return {dom: h1[rep[dom]] for dom in doms if h1.get(rep[dom])}
+    out = {}
+    for d in range(2, d_max + 1):
+        mono2 = monos[d - 2]
+        mono4 = monos[d - 4] if d >= 4 else {}
+        # the block built for each dominant weight: itself, or at m = n maybe its mirror
+        doms = sorted(product(_padded_partitions(d, ctx.m), _padded_partitions(d, ctx.n)))
+        rep = {dom: dom[::-1] if _by_mirror(*dom, ctx.m == ctx.n) else dom for dom in doms}
+        h1 = {}
+        for dom in doms:
+            if rep[dom] != dom:
+                continue
+            w = pack_weight(dom)
+            basis = _koszul_basis(w, gens_at, mono2, guards)
+            if not basis:
+                continue
+            # d1: (x^a, k) -> w_k x^a, one column per monomial of degree d,
+            # so its rank is at most the number of monomials
+            mono_col = {}
+            d1 = []
+            for exp, k in basis:
+                row = {}
+                for e2, c in gens[k].items():
+                    row[mono_col.setdefault(e2 + exp, len(mono_col))] = c
+                d1.append(row)
+            h1[dom] = len(basis) - rank_mod(d1, q, stop=len(mono_col))
+            # d1 d2 = 0, so rank d2 stops at dim ker d1 = h1[dom], and d2 is
+            # built only where that is not 0; its rows come in pair-table
+            # order, then monomial, then pair
+            if not h1[dom]:
+                continue
+            found = sorted(
+                (pair_pos[rest], mexps)
+                for bw, mexps in mono4.items()
+                if (rest := weight_sub(w, bw, guards)) in pair_pos
+            )
+            if found:
+                col = {kx: i for i, kx in enumerate(basis)}
+                d2 = _koszul_d2(gens, col, [(mexps, pair_groups[i]) for i, mexps in found])
+                h1[dom] -= rank_mod(d2, q, stop=h1[dom])
+        out[d] = {dom: h1[rep[dom]] for dom in doms if h1.get(rep[dom])}
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from math import comb
 
 import pytest
 
+from minorrel import witness
 from minorrel.birep import (
     character_A,
     character_from_weight_dims,
@@ -121,18 +122,14 @@ def test_criterion_04_permanent_relations_3x3():
 
 def test_criterion_05_koszul_homology_3x3():
     with timed(900):
-        witnessed = {
-            d: orbit_total(at_two_primes(koszul_h1_blocks, RingContext(3, 3), "minors", d))
-            for d in (2, 3, 4, 5)
-        }
+        h1 = at_two_primes(koszul_h1_blocks, RingContext(3, 3), "minors", 5)
+        witnessed = {d: orbit_total(h1[d]) for d in (2, 3, 4, 5)}
     assert witnessed == {2: 0, 3: 16, 4: 99, 5: 324}
     euler = {d: _koszul_3x3_by_euler_characteristic(d) for d in (2, 3, 4, 5)}
     assert {d: h2 for d, (_, h2) in euler.items()} == {2: 0, 3: 0, 4: 0, 5: 9}
     assert {d: h1 for d, (h1, _) in euler.items()} == witnessed
     # the degree-5 homology is the stated thm-3.1 character, not only its dimension
-    recovered = character_from_weight_dims(
-        at_two_primes(koszul_h1_blocks, RingContext(3, 3), "minors", 5), 3, 3
-    )
+    recovered = character_from_weight_dims(h1[5], 3, 3)
     stated = {
         pair: mult
         for pair, mult in predicted_character("thm-3.1", 5).terms.items()
@@ -141,9 +138,19 @@ def test_criterion_05_koszul_homology_3x3():
     assert recovered.terms == stated
 
 
+def test_criterion_05_catches_h1_read_as_the_kernel_of_d1(monkeypatch):
+    # a standing fault: a builder that skips d2 reports dim ker d1 as H_1;
+    # criterion 05's Euler-characteristic count must tell the two apart
+    monkeypatch.setattr(witness, "_koszul_d2", lambda *args: [])
+    h1 = at_two_primes(koszul_h1_blocks, RingContext(3, 3), "minors", 5)
+    euler = {d: _koszul_3x3_by_euler_characteristic(d)[0] for d in (2, 3, 4, 5)}
+    assert {d: orbit_total(h1[d]) for d in euler} != euler
+
+
 def test_criterion_06_permanent_koszul_vanishing_3x3():
     with timed(900):
-        witnessed = orbit_total(at_two_primes(koszul_h1_blocks, RingContext(3, 3), "permanents", 6))
+        h1 = at_two_primes(koszul_h1_blocks, RingContext(3, 3), "permanents", 6)
+        witnessed = orbit_total(h1[6])
     assert witnessed == 0
 
 

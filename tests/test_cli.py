@@ -320,8 +320,8 @@ def test_verify_thm_3_1_lists_h1_by_dominant_weight(capsys):
     for d, table in KOSZUL_3X3.items():
         assert by_degree[d] == table, d
     assert len(by_degree[4]) == 5
-    # sizes past the Koszul envelope (no box holds 5x5 or 3x6) are usage errors
-    for size in (["--m", "5", "--n", "5"], ["--m", "3", "--n", "6"]):
+    # sizes past the Koszul envelope (no box holds 6x6 or 3x6) are usage errors
+    for size in (["--m", "6", "--n", "6"], ["--m", "3", "--n", "6"]):
         assert main(["verify", "thm-3.1", *size, "--dmax", "3"]) == 2
         assert "outside envelope" in capsys.readouterr().err
     assert main(["verify", "thm-3.2", "--m", "3", "--n", "3", "--dmax", "10"]) == 2
@@ -775,17 +775,19 @@ def test_verify_rejects_params_the_statement_ignores(argv, key, capsys):
         ("thm-5.1", {"m": 2, "n": 2, "d_max": 1}),
         # windows just past the boxes: all but thm-3.2's ran past 60 s with
         # no verdict in a fresh process on a 2-core host; thm-3.2's box stops
-        # at the largest degree measured, where 4x5 and 5x4 took 24-29 s and
-        # 556-557 MB
+        # at the largest degree measured, where 4x5 and 5x4 took 8-9 s and
+        # 126-127 MB
         ("thm-1.1", {"m": 5, "n": 5, "d_max": 5}),
         ("thm-1.1", {"m": 4, "n": 5, "d_max": 5}),
         ("thm-1.1", {"m": 4, "n": 4, "d_max": 6}),
         ("thm-1.2", {"m": 4, "n": 5, "d_max": 4}),
         ("thm-1.2", {"m": 4, "n": 5, "d_max": 6}),
-        ("thm-3.1", {"m": 4, "n": 5, "d_max": 8}),
+        ("thm-3.1", {"m": 4, "n": 5, "d_max": 9}),
         ("thm-3.2", {"m": 4, "n": 5, "d_max": 10}),
         ("thm-5.1", {"m": 4, "n": 3, "d_max": 4}),
         ("que-7.1", {"m": 5, "n": 4, "a_max": 3, "e_max": 3}),
+        ("thm-3.1", {"m": 4, "n": 4, "d_max": 11}),
+        ("thm-3.1", {"m": 5, "n": 5, "d_max": 8}),
     ],
 )
 def test_validate_rejects_empty_or_oversized_windows(statement, params):

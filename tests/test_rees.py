@@ -57,7 +57,7 @@ def test_3x3_fiber_type_with_sixteen_syzygies():
     assert fiber
     assert table == {(1, 2): 16}
     # the linear syzygies agree with the first Koszul homology in degree 3
-    h1 = at_two_primes(koszul_h1_blocks, RingContext(3, 3), "minors", 3)
+    h1 = at_two_primes(koszul_h1_blocks, RingContext(3, 3), "minors", 3)[3]
     assert table[(1, 2)] == orbit_total(h1)
 
 
@@ -277,7 +277,7 @@ def test_one_run_modulo_two_primes_counts_as_each_prime(monkeypatch):
         ("permanents 3x3", lambda q: presentation_dims(relation_engine(ctx, "permanents"), 3, q)),
         ("veronese 3x3 r=1", lambda q: veronese_presentation_dims(ctx, 1, 3, q)),
         ("subspace 3x3", lambda q: presentation_dims(subspace_engine(3, 3), 3, q)),
-        ("koszul 3x3 d=6", lambda q: koszul_h1_blocks(ctx, "minors", 6, q)),
+        ("koszul 3x3 d=6", lambda q: koszul_h1_blocks(ctx, "minors", 6, q)[6]),
     ]
     p1, p2 = PRIMES[2], PRIMES[5]
     for name, compute in computes:
@@ -537,6 +537,6 @@ def test_koszul_h1_is_the_rees_kernel_modulo_koszul_rows(m, n, variant, d_max):
     # boundary blocks built by hand, and the Rees engine's kernel in
     # bidegree (d - 2, 1) modulo the images of the Koszul rows
     ctx = RingContext(m, n)
+    h1 = at_two_primes(koszul_h1_blocks, ctx, variant, d_max)
     for d in range(2, d_max + 1):
-        expected = at_two_primes(koszul_h1_blocks, ctx, variant, d)
-        assert _koszul_h1_from_rees(ctx, variant, d, PRIMES[0]) == expected, d
+        assert _koszul_h1_from_rees(ctx, variant, d, PRIMES[0]) == h1[d], d

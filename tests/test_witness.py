@@ -3,6 +3,7 @@ from itertools import permutations, product
 
 import pytest
 
+from minorrel import witness
 from minorrel.birep import dim_at, predicted_character
 from minorrel.modlinalg import PRIMES, NonUnitPivot, rank_mod, two_primes
 from minorrel.polyring import RingContext, pack_weight, x_weight
@@ -60,13 +61,14 @@ def test_relation_dims_requires_degree_two():
 
 
 def test_koszul_h1_matches_character_predictions():
+    h1 = at_two_primes(koszul_h1_blocks, RingContext(3, 3), "minors", 5)
     for d in (2, 3, 4, 5):
-        witnessed = orbit_total(at_two_primes(koszul_h1_blocks, RingContext(3, 3), "minors", d))
+        witnessed = orbit_total(h1[d])
         assert witnessed == dim_at(predicted_character("thm-3.1", d), 3, 3)
 
 
 def test_koszul_h1_blocks_are_weight_graded():
-    blocks = at_two_primes(koszul_h1_blocks, RingContext(3, 3), "minors", 3)
+    blocks = at_two_primes(koszul_h1_blocks, RingContext(3, 3), "minors", 3)[3]
     assert orbit_total(blocks) == 16
     for (roww, colw), dim in blocks.items():
         assert sum(roww) == sum(colw) == 3
@@ -75,7 +77,28 @@ def test_koszul_h1_blocks_are_weight_graded():
 
 def test_koszul_h1_permanents_vanishing_bound():
     # the permanent variant vanishes from degree n + 3 on
-    assert orbit_total(at_two_primes(koszul_h1_blocks, RingContext(3, 3), "permanents", 6)) == 0
+    assert orbit_total(at_two_primes(koszul_h1_blocks, RingContext(3, 3), "permanents", 6)[6]) == 0
+
+
+def test_koszul_h1_blocks_requires_degree_two():
+    with pytest.raises(ValueError):
+        at_two_primes(koszul_h1_blocks, RingContext(2, 2), "minors", 1)
+
+
+def test_koszul_h1_does_not_depend_on_the_basis_order(monkeypatch):
+    # the (monomial, generator) order of the W (x) S_{d-2} basis numbers d1's
+    # rows and d2's columns; it changes the fill-in and nothing else
+    cases = [(RingContext(m, n), v) for m, n in ((3, 3), (3, 4)) for v in ("minors", "permanents")]
+    expected = [at_two_primes(koszul_h1_blocks, ctx, v, 6) for ctx, v in cases]
+    basis, calls = witness._koszul_basis, []
+
+    def reversed_basis(*args):
+        calls.append(args)
+        return basis(*args)[::-1]
+
+    monkeypatch.setattr(witness, "_koszul_basis", reversed_basis)
+    assert [at_two_primes(koszul_h1_blocks, ctx, v, 6) for ctx, v in cases] == expected
+    assert calls
 
 
 def test_koszul_h1_dominant_weights_match_full_weight_oracle():
@@ -86,12 +109,16 @@ def test_koszul_h1_dominant_weights_match_full_weight_oracle():
         (3, 3, "permanents", 5),
         (2, 4, "minors", 4),
         (3, 4, "minors", 4),
+        (4, 2, "permanents", 5),
     ]
     for m, n, variant, d_max in cases:
         ctx = RingContext(m, n)
+        # one call serves every degree up to d_max, and each is checked
+        h1 = at_two_primes(koszul_h1_blocks, ctx, variant, d_max)
+        assert sorted(h1) == list(range(2, d_max + 1)), (m, n, variant)
         for d in range(2, d_max + 1):
             full = koszul_h1_full_weight(ctx, variant, d, PRIMES[0])
-            blocks = at_two_primes(koszul_h1_blocks, ctx, variant, d)
+            blocks = h1[d]
             orbits = {
                 (rows, cols): dim
                 for (roww, colw), dim in blocks.items()

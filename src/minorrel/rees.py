@@ -21,13 +21,12 @@ constant on orbits, and only one representative weight of each is
 eliminated (`_orbit`); a kernel elsewhere is carried across from it by a
 move, with no elimination and no source basis there.  A grade's count is
 the sum over its representatives, each weighted by the number of weights
-it stands for (`_reps`).  One engine object serves an instance: it is
-built once over the integers, where its source bases and generator
-products live, and `at(q)` runs it modulo q, dropping the kernels of any
-previous modulus.
-q is a prime or, in a task's run through `modlinalg.two_primes`, the product
-of two: the engine uses q only through ring operations, zero tests and
-`modlinalg`'s eliminations, so one run at p1 * p2 is the run at each prime.
+it stands for (`_reps`).  An engine is built for one modulus q: its source
+bases and generator products live over the integers, and its kernels and
+ranks are taken mod q.  q is a prime or, in a task's run through
+`modlinalg.two_primes`, the product of two: the engine uses q only through
+ring operations, zero tests and `modlinalg`'s eliminations, so one run at
+p1 * p2 is the run at each prime.
 
 The Rees algebra is presented by T-variables (one per quadric generator)
 over the matrix-entry ring; the defining ideal J is the bigraded kernel of
@@ -38,7 +37,6 @@ fiber-type condition reads: minimal generators only in (0, 2d) and (d, 2).
 
 from collections import Counter
 from functools import cache
-from itertools import combinations_with_replacement
 from math import factorial
 
 from .modlinalg import nullspace_mod, rank_mod
@@ -112,12 +110,26 @@ def orbit_total(dims):
     return sum(orbit_size(w) * c for w, c in dims.items())
 
 
-def _monomials_of_degree(ctx, d):
-    """(key, weight) of the monomials of degree d, in the order of combinations_with_replacement."""
-    guard_degree(d, "monomials")
-    var_weights = [x_weight(ctx, 1 << 8 * v) for v in range(ctx.num_vars)]
-    for split in combinations_with_replacement(range(ctx.num_vars), d):
-        yield sum(1 << 8 * i for i in split), sum(var_weights[i] for i in split)
+def _monomials(ctx, top):
+    """The (key, weight) pairs of the monomials of each degree 0..top, one iterator per degree.
+
+    Degree e + 1 extends each monomial of degree e by each variable from its
+    last one on, so each degree comes in the order of
+    combinations_with_replacement, with no sum per monomial.  The degrees
+    below top are held as lists; top, the largest, is made as it is read.
+    """
+    guard_degree(top, "monomials")
+    var = [(1 << 8 * v, x_weight(ctx, 1 << 8 * v)) for v in range(ctx.num_vars)]
+    level = [(0, 0, 0)]  # (key, weight, last variable): the unit monomial
+    for e in range(top + 1):
+        if e:
+            grown = (
+                (key + vkey, w + vw, v)
+                for key, w, last in level
+                for v, (vkey, vw) in enumerate(var[last:], last)
+            )
+            level = list(grown) if e < top else grown
+        yield ((key, w) for key, w, _ in level)
 
 
 def _shifted_rows(vectors, shift, col):
@@ -152,11 +164,14 @@ class GradedKernel:
     the sign each generator takes is read off the generators themselves.
     The source bases (`bucket`, `multisets`) follow one rule at every
     weight, and the engine reads them only at the representative weights
-    (`_orbit`).  Call `at(q)` before asking for a kernel.
+    (`_orbit`).  Kernels and ranks are taken modulo q, a prime or a
+    product of distinct primes (see the module docstring), kept as `p`, the
+    name perfbench's tracer reads.
     """
 
-    def __init__(self, gens, weights, shape, nvars, moves):
+    def __init__(self, gens, weights, shape, nvars, moves, q):
         self.gens, self.weights, self.shape, self.moves = gens, weights, shape, moves
+        self.p = q
         self._guards = weight_guards(*shape)
         self._transpose = shape[0] == shape[1] and _has_transpose(moves, shape[0])
         # a move of rows and columns takes each generator to the one of the
@@ -183,17 +198,8 @@ class GradedKernel:
         self._multisets = {}  # (size, weight) -> [multiset]
         self._buckets = {}  # (grade, weight) -> [source]
         self._rep_tables = {}  # grade -> [(representative weight, orbit weight)]
-        self.products = {(): {0: 1}}  # multiset -> product of its generators
-
-    def at(self, q):
-        """This engine modulo q; the kernels of the previous modulus are dropped.
-
-        q is a prime or a product of distinct primes (see the module
-        docstring); it is kept as `p`, the name perfbench's tracer reads.
-        """
-        self.p = q
         self._kernels = {}  # (grade, weight) -> kernel vectors {source: coeff}
-        return self
+        self.products = {(): {0: 1}}  # multiset -> product of its generators
 
     def product(self, ms):
         """Product of the generators indexed by the sorted tuple ms, memoised.
@@ -480,16 +486,18 @@ class ReesEngine(GradedKernel):
     kernel_block = GradedKernel.kernel_block
     min_gens = GradedKernel.min_gens
 
-    def __init__(self, ctx, variant="minors"):
+    def __init__(self, ctx, variant, q):
         gens = generators_for(ctx, variant)
         weights = _weights_of(ctx, gens)
-        super().__init__(gens, weights, (ctx.m, ctx.n), ctx.num_vars, matrix_moves(ctx))
+        super().__init__(gens, weights, (ctx.m, ctx.n), ctx.num_vars, matrix_moves(ctx), q)
         self.ctx = ctx
-        self.var_weights = [w for _, w in _monomials_of_degree(ctx, 1)]
+        *_, var = _monomials(ctx, 1)
+        self.var_weights = [w for _, w in var]
 
     def factors(self, grade):
         a, e = grade
-        return list(_monomials_of_degree(self.ctx, a)), e
+        *_, top = _monomials(self.ctx, a)
+        return list(top), e
 
     def factor_map(self, move):
         vshift, nvars = self._move_shifts(move)[0], self.nvars
@@ -517,7 +525,7 @@ def rees_ideal(ctx, a_max, e_max, q):
     a <= a_max, e <= e_max (e >= 1; the component (a, 0) is zero since the
     x-variables are algebraically independent).
     """
-    engine = ReesEngine(ctx).at(q)
+    engine = ReesEngine(ctx, "minors", q)
     counts = [
         ((a, 2 * e), engine.min_gens((a, e)))
         for a in range(a_max + 1)

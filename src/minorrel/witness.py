@@ -7,17 +7,16 @@ so kernel and rank computations split into many small independent blocks.
 A weight is the pair (row sums, column sums), packed into one int
 (`polyring.pack_weight`); `koszul_h1_blocks` keys its result by the pairs.
 The relation ideals, the subspace variety and the Veronese relations are
-instances of the graded kernel engine in `rees`: one engine per instance,
-built once over the integers and run modulo q by `engine.at(q)`.  Koszul
-homology is a pair of ranks per block, keyed by dominant weights: each
-per-weight dimension is constant on S_m x S_n orbits, and
-`rees.orbit_total` gives the total; at m = n only one block of each
-transposed pair is built; one `koszul_h1_blocks` call serves every degree
-of a task from one set of weight tables.  Each witness takes the modulus q
-last; it builds products and matrices over the integers and takes kernels
-and ranks mod q, using q only through ring operations, zero tests and
-`modlinalg`'s eliminations, so a run at p1 * p2 (`tasks.run`) is the run at
-each prime.
+instances of the graded kernel engine in `rees`, each engine built for one
+modulus q.  Koszul homology is a pair of ranks per block, keyed by
+dominant weights: each per-weight dimension is constant on S_m x S_n
+orbits, and `rees.orbit_total` gives the total; at m = n only one block of
+each transposed pair is built; one `koszul_h1_blocks` call serves every
+degree of a task from one set of weight tables.  Each witness takes the
+modulus q last; it builds products and matrices over the integers and
+takes kernels and ranks mod q, using q only through ring operations, zero
+tests and `modlinalg`'s eliminations, so a run at p1 * p2 (`tasks.run`) is
+the run at each prime.
 """
 
 from itertools import combinations, product
@@ -26,21 +25,20 @@ from math import factorial
 from .modlinalg import rank_mod
 from .polyring import generators_for, guard_degree, pack, poly_mul, unpack
 from .polyring import pack_weight, unpack_weight, weight_guards, weight_sub
-from .rees import GradedKernel, _by_mirror, _monomials_of_degree, _padded_partitions, _positions
+from .rees import GradedKernel, _by_mirror, _monomials, _padded_partitions, _positions
 from .rees import _weights_of, matrix_moves
 
 
-def presentation_dims(engine, d_max, q):
-    """{d: (kernel_dim, min_gen_dim)} for 1 <= d <= d_max, from the engine mod q."""
-    engine.at(q)
+def presentation_dims(engine, d_max):
+    """{d: (kernel_dim, min_gen_dim)} for 1 <= d <= d_max, from the engine."""
     return {d: (engine.kernel_dim(d), engine.min_gens(d)) for d in range(1, d_max + 1)}
 
 
-def relation_engine(ctx, variant):
-    """The engine of Sym(W) -> polynomials, W the minors or permanents."""
+def relation_engine(ctx, variant, q):
+    """The engine of Sym(W) -> polynomials mod q, W the minors or permanents."""
     gens = generators_for(ctx, variant)
     weights = _weights_of(ctx, gens)
-    return GradedKernel(gens, weights, (ctx.m, ctx.n), ctx.num_vars, matrix_moves(ctx))
+    return GradedKernel(gens, weights, (ctx.m, ctx.n), ctx.num_vars, matrix_moves(ctx), q)
 
 
 def relation_dims(ctx, variant, d_max, q):
@@ -51,7 +49,7 @@ def relation_dims(ctx, variant, d_max, q):
     """
     if d_max < 2:
         raise ValueError("d_max must be >= 2")
-    return presentation_dims(relation_engine(ctx, variant), d_max, q)
+    return presentation_dims(relation_engine(ctx, variant, q), d_max)
 
 
 # ---------------------------------------------------------------------------
@@ -72,28 +70,6 @@ def _fits(w, groups, guards):
         rest = weight_sub(w, delta, guards)
         if rest is not None:
             yield rest, members
-
-
-def _monomials_by_weight(ctx, top):
-    """[{weight: [key, ...]}] of the monomials of each degree 0..top.
-
-    Degree e + 1 extends each monomial of degree e by each variable from its
-    last one on, so each degree lists its monomials in the order of
-    `rees._monomials_of_degree`, with no sum per monomial.
-    """
-    var = list(_monomials_of_degree(ctx, 1))
-    level = [(0, 0, 0)]  # (key, weight, last variable): the unit monomial
-    out = [{0: [0]}]
-    for e in range(1, top + 1):
-        grown = (
-            (key + vkey, w + vw, v)
-            for key, w, last in level
-            for v, (vkey, vw) in enumerate(var[last:], last)
-        )
-        # the top degree, the largest, is grouped as it is made
-        level = list(grown) if e < top else grown
-        out.append(_group((key, w) for key, w, _ in level))
-    return out
 
 
 def _koszul_basis(w, gens_at, monos, guards):
@@ -161,7 +137,8 @@ def koszul_h1_blocks(ctx, variant, d_max, q):
     pairs_at = _group((kl, gw[kl[0]] + gw[kl[1]]) for kl in combinations(range(len(gens)), 2))
     pair_pos = {delta: i for i, delta in enumerate(pairs_at)}
     pair_groups = list(pairs_at.values())
-    monos = _monomials_by_weight(ctx, d_max - 2)
+    # the top degree, the largest, is grouped as it is made
+    monos = [_group(level) for level in _monomials(ctx, d_max - 2)]
     guards = weight_guards(ctx.m, ctx.n)
     out = {}
     for d in range(2, d_max + 1):
@@ -219,7 +196,8 @@ def filtration_generator_space(ctx, c):
     """
     D = 2 * c
     out = {}
-    for key, w in _monomials_of_degree(ctx, D):
+    *_, top = _monomials(ctx, D)
+    for key, w in top:
         coeff = factorial(D)
         for e in unpack(key, ctx.num_vars):
             coeff //= factorial(e)
@@ -238,10 +216,10 @@ class VeroneseEngine(GradedKernel):
     dim (M_r/M_{r-1})_D.
     """
 
-    def __init__(self, ctx, r):
+    def __init__(self, ctx, r, q):
         gens = generators_for(ctx, "minors")
         weights = _weights_of(ctx, gens)
-        super().__init__(gens, weights, (ctx.m, ctx.n), ctx.num_vars, matrix_moves(ctx))
+        super().__init__(gens, weights, (ctx.m, ctx.n), ctx.num_vars, matrix_moves(ctx), q)
         self.ctx, self.r = ctx, r
         self.gspace = filtration_generator_space(ctx, r)
         self.gweights = _weights_of(ctx, self.gspace)
@@ -287,7 +265,7 @@ def veronese_presentation_dims(ctx, r, d_max, q):
     """
     if r < 1:
         raise ValueError("need r >= 1")
-    engine = VeroneseEngine(ctx, r).at(q)
+    engine = VeroneseEngine(ctx, r, q)
     # M_{r,D} = M_{r-1,D} + G_r*R_{D-r}: for D > r that lies in
     # M_{r-1,D} + W*M_{r,D-1}, and for D < r M_{r,D} = M_{r-1,D}, so the
     # generators sit in degree r, where they are the image of G_r in N_r
@@ -379,10 +357,10 @@ def subspace_parameterization(m, n):
     return images, weights, nvars
 
 
-def subspace_engine(m, n):
-    """The engine of the pullback along the parameterization."""
+def subspace_engine(m, n, q):
+    """The engine of the pullback along the parameterization, mod q."""
     images, weights, nvars = subspace_parameterization(m, n)
-    return GradedKernel(images, weights, (m, n), nvars, _subspace_moves(m, n))
+    return GradedKernel(images, weights, (m, n), nvars, _subspace_moves(m, n), q)
 
 
 def subspace_variety_gens(m, n, d_max, q):
@@ -392,5 +370,5 @@ def subspace_variety_gens(m, n, d_max, q):
     kernel degree by degree, minus the span of shifted lower-degree kernel
     elements.
     """
-    dims = presentation_dims(subspace_engine(m, n), d_max, q)
+    dims = presentation_dims(subspace_engine(m, n, q), d_max)
     return {d: min_gens for d, (_, min_gens) in dims.items()}

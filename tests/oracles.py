@@ -47,7 +47,6 @@ from minorrel.bott import bott_projective
 from minorrel.modlinalg import PRIMES, nullspace_mod, rank_mod, two_primes
 from minorrel.partitions import canon, conjugate, partitions_of
 from minorrel.polyring import generators_for, pack, pack_weight, poly_mul, unpack, unpack_weight
-from minorrel.rees import _monomials_of_degree
 from minorrel.symfunc import plethysm_schur, schur_multiply
 from minorrel.witness import VeroneseEngine, filtration_generator_space
 
@@ -507,7 +506,10 @@ def koszul_h1_full_weight(ctx, variant, d, p):
     gens = [unpacked(f, nvars) for f in generators_for(ctx, variant)]
     gw = [weight(next(iter(g))) for g in gens]
     N = len(gens)
-    monos = lambda deg: [unpack(key, nvars) for key, _ in _monomials_of_degree(ctx, deg)]
+    monos = lambda deg: [
+        tuple(split.count(v) for v in range(nvars))
+        for split in combinations_with_replacement(range(nvars), deg)
+    ]
     # basis of W (x) S_{d-2}: (k, monomial); group by weight
     blocks = {}
     for k in range(N):
@@ -574,7 +576,7 @@ def veronese_generators_by_span(ctx, r, d_max, p):
     the explicit spanning polynomials of each whole degree, one matrix each,
     without weight blocks.
     """
-    engine = VeroneseEngine(ctx, r)
+    engine = VeroneseEngine(ctx, r, p)
     out = {}
     prev = []
     for D in range(d_max + 1):

@@ -83,11 +83,12 @@ def _random_and_engine_blocks(rng):
         (random_sparse_rows(rng, nrows, ncols, density), ncols)
         for nrows, ncols, density in [(6, 9, 0.3), (12, 10, 0.2), (9, 14, 0.15), (20, 12, 0.5)]
     ]
-    ctx = RingContext(3, 3)
+    # the blocks are built over the integers, so the modulus is not read
+    ctx, p = RingContext(3, 3), PRIMES[0]
     for engine, grade, w in [
-        (relation_engine(ctx, "minors"), 2, ((2, 1, 1), (2, 1, 1))),
-        (relation_engine(ctx, "permanents"), 3, ((3, 2, 1), (2, 2, 2))),
-        (ReesEngine(ctx), (1, 2), ((2, 2, 1), (2, 2, 1))),
+        (relation_engine(ctx, "minors", p), 2, ((2, 1, 1), (2, 1, 1))),
+        (relation_engine(ctx, "permanents", p), 3, ((3, 2, 1), (2, 2, 2))),
+        (ReesEngine(ctx, "minors", p), (1, 2), ((2, 2, 1), (2, 2, 1))),
     ]:
         blocks.append(_engine_block(engine, grade, pack_weight(w)))
     return blocks

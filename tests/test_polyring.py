@@ -1,4 +1,5 @@
 import random
+from itertools import combinations_with_replacement
 from math import comb
 
 import pytest
@@ -18,7 +19,8 @@ from minorrel.polyring import (
     weight_sub,
     x_weight,
 )
-from minorrel.rees import ReesEngine, _monomials_of_degree
+from minorrel.modlinalg import PRIMES
+from minorrel.rees import ReesEngine, _monomials
 from minorrel.witness import relation_engine
 from oracles import quadrics_by_products, span_dimension, unpacked, wadd, wsub
 
@@ -83,13 +85,25 @@ def test_x_weight():
 
 
 def test_monomial_weights_match_x_weight():
-    # _monomials_of_degree sums the packed weights of a monomial's variables
+    # _monomials grows each degree from the one below, adding the packed
+    # weight of one variable; every degree of a call, the listed lower ones
+    # and the streamed top one, comes in the order of
+    # combinations_with_replacement (the Rees source order follows it),
+    # with the weights x_weight gives
     ctx = RingContext(3, 4)
-    for d in range(5):
-        monomials = list(_monomials_of_degree(ctx, d))
-        assert len(monomials) == comb(ctx.num_vars + d - 1, d)
-        for key, w in monomials:
-            assert w == x_weight(ctx, key), (d, unpack(key, ctx.num_vars))
+    nvars = ctx.num_vars
+    for top in range(5):
+        levels = [list(level) for level in _monomials(ctx, top)]
+        assert len(levels) == top + 1
+        for d, monomials in enumerate(levels):
+            assert len(monomials) == comb(nvars + d - 1, d)
+            order = [
+                pack(tuple(split.count(v) for v in range(nvars)))
+                for split in combinations_with_replacement(range(nvars), d)
+            ]
+            assert [key for key, _ in monomials] == order, (top, d)
+            for key, w in monomials:
+                assert w == x_weight(ctx, key), (top, d, unpack(key, nvars))
 
 
 def test_span_dimension_of_minors_and_permanents():
@@ -132,13 +146,14 @@ def test_packing_guard_raises_before_a_carry():
         guard_degree(MAX_EXP + 1, "too high")
     # the engine guards each grade before it forms a product: 128 quadrics
     # have degree 256
-    engine = relation_engine(RingContext(2, 2), "minors")
+    engine = relation_engine(RingContext(2, 2), "minors", PRIMES[0])
     with pytest.raises(OverflowError):
         engine.bucket(128, pack_weight(((128, 128), (128, 128))))
     assert engine.products == {(): {0: 1}}  # no product was formed
     assert engine.bucket(127, pack_weight(((127, 127), (127, 127))))
+    rees = ReesEngine(RingContext(2, 2), "minors", PRIMES[0])
     with pytest.raises(OverflowError):
-        ReesEngine(RingContext(2, 2)).bucket((2, 127), pack_weight(((128, 128), (128, 128))))
+        rees.bucket((2, 127), pack_weight(((128, 128), (128, 128))))
 
 
 def _random_weight(rng, m, n, top):

@@ -105,25 +105,25 @@ def test_orbit_weighted_count_matches_full_weight_sum():
         (3, 3, "permanents", 1, 2, {(0, 2): 180, (1, 1): 160}),
     ]
     for m, n, variant, a_max, e_max, expected in cases:
-        engine = ReesEngine(RingContext(m, n), variant).at(p)
+        engine = ReesEngine(RingContext(m, n), variant, p)
         grades = [(a, e) for a in range(a_max + 1) for e in range(1, e_max + 1)]
         assert _full_weight_counts(engine, grades) == expected, (m, n, variant)
     # the other instances of the engine: relations, subspace variety, Veronese
     others = [
-        (relation_engine(RingContext(2, 4), "minors"), [2, 3], {2: 1}),
-        (relation_engine(RingContext(3, 3), "minors"), [2, 3], {}),
-        (relation_engine(RingContext(2, 3), "permanents"), [2, 3], {2: 45, 3: 10}),
-        (subspace_engine(2, 3), [1, 2, 3], {2: 66}),
-        (VeroneseEngine(RingContext(2, 3), 1), [1, 2, 3], {2: 9}),
-        (VeroneseEngine(RingContext(3, 3), 1), [1, 2], {2: 99}),
+        (relation_engine(RingContext(2, 4), "minors", p), [2, 3], {2: 1}),
+        (relation_engine(RingContext(3, 3), "minors", p), [2, 3], {}),
+        (relation_engine(RingContext(2, 3), "permanents", p), [2, 3], {2: 45, 3: 10}),
+        (subspace_engine(2, 3, p), [1, 2, 3], {2: 66}),
+        (VeroneseEngine(RingContext(2, 3), 1, p), [1, 2, 3], {2: 9}),
+        (VeroneseEngine(RingContext(3, 3), 1, p), [1, 2], {2: 99}),
     ]
     for engine, grades, expected in others:
-        assert _full_weight_counts(engine.at(p), grades) == expected, expected
+        assert _full_weight_counts(engine, grades) == expected, expected
 
 
 def test_syzygy_bidegrees_match_koszul_shift():
     # J in bidegree (d, 2) consists of syzygies of the quadrics in degree d + 2
-    engine = ReesEngine(RingContext(2, 4)).at(PRIMES[1])
+    engine = ReesEngine(RingContext(2, 4), "minors", PRIMES[1])
     # total kernel dimension at (a, 1) equals the syzygy space dimension
     total = sum(len(engine.kernel_block((1, 1), w)) for w in sources_all_weights(engine, (1, 1)))
     assert total == 8  # all syzygies here are minimal (none in lower bidegree)
@@ -134,12 +134,12 @@ def _instances():
     p = PRIMES[2]
     rees = [(a, e) for a in range(3) for e in range(1, 4)]
     return [
-        ("rees 3x3", ReesEngine(RingContext(3, 3)).at(p), rees),
-        ("minors 3x4", relation_engine(RingContext(3, 4), "minors").at(p), [1, 2, 3]),
-        ("permanents 3x3", relation_engine(RingContext(3, 3), "permanents").at(p), [1, 2, 3]),
-        ("veronese 3x3 r=1", VeroneseEngine(RingContext(3, 3), 1).at(p), [1, 2, 3]),
-        ("veronese 3x3 r=2", VeroneseEngine(RingContext(3, 3), 2).at(p), [2, 3]),
-        ("subspace 3x3", subspace_engine(3, 3).at(p), [1, 2, 3]),
+        ("rees 3x3", ReesEngine(RingContext(3, 3), "minors", p), rees),
+        ("minors 3x4", relation_engine(RingContext(3, 4), "minors", p), [1, 2, 3]),
+        ("permanents 3x3", relation_engine(RingContext(3, 3), "permanents", p), [1, 2, 3]),
+        ("veronese 3x3 r=1", VeroneseEngine(RingContext(3, 3), 1, p), [1, 2, 3]),
+        ("veronese 3x3 r=2", VeroneseEngine(RingContext(3, 3), 2, p), [2, 3]),
+        ("subspace 3x3", subspace_engine(3, 3, p), [1, 2, 3]),
     ]
 
 
@@ -218,7 +218,7 @@ def test_transport_with_every_sign_plus_one_is_caught(monkeypatch):
         return gmap, [1] * len(signs), fmap
 
     monkeypatch.setattr(GradedKernel, "_table", all_plus)
-    engine = ReesEngine(RingContext(3, 3)).at(PRIMES[2])
+    engine = ReesEngine(RingContext(3, 3), "minors", PRIMES[2])
     blocks, wrong = _transport_mismatches(engine, [(1, 1), (2, 1)])
     assert 0 < len(wrong) < blocks
 
@@ -259,10 +259,12 @@ def test_transpose_without_the_swap_is_caught(monkeypatch):
     assert verdict != "pass"
 
 
-def test_one_run_modulo_two_primes_counts_as_each_prime(monkeypatch):
-    # each witness eliminates modulo the q it is given, and no other, and
-    # gives the same counts modulo p1 * p2 as at p1 and at p2, on the
-    # instances above
+def _modulus_mismatches(monkeypatch):
+    """[(name, q)] of the witnesses below that eliminate modulo other than their q.
+
+    A witness whose counts modulo p1 * p2 differ from those at p1 or at p2
+    is listed as (name, "counts").
+    """
     moduli = set()
 
     def eliminate(rows, q, stop=None, run=modlinalg._eliminate_mod):
@@ -273,20 +275,45 @@ def test_one_run_modulo_two_primes_counts_as_each_prime(monkeypatch):
     ctx, ctx34 = RingContext(3, 3), RingContext(3, 4)
     computes = [
         ("rees 3x3", lambda q: rees_ideal(ctx, 2, 3, q)),
-        ("minors 3x4", lambda q: presentation_dims(relation_engine(ctx34, "minors"), 3, q)),
-        ("permanents 3x3", lambda q: presentation_dims(relation_engine(ctx, "permanents"), 3, q)),
+        ("minors 3x4", lambda q: presentation_dims(relation_engine(ctx34, "minors", q), 3)),
+        ("permanents 3x3", lambda q: presentation_dims(relation_engine(ctx, "permanents", q), 3)),
         ("veronese 3x3 r=1", lambda q: veronese_presentation_dims(ctx, 1, 3, q)),
-        ("subspace 3x3", lambda q: presentation_dims(subspace_engine(3, 3), 3, q)),
+        ("subspace 3x3", lambda q: presentation_dims(subspace_engine(3, 3, q), 3)),
         ("koszul 3x3 d=6", lambda q: koszul_h1_blocks(ctx, "minors", 6, q)[6]),
     ]
     p1, p2 = PRIMES[2], PRIMES[5]
+    wrong = []
     for name, compute in computes:
         counts = []
         for q in (p1 * p2, p1, p2):
             moduli.clear()
             counts.append(compute(q))
-            assert moduli == {q}, (name, q)
-        assert counts[0] == counts[1] == counts[2], name
+            if moduli != {q}:
+                wrong.append((name, q))
+        if not counts[0] == counts[1] == counts[2]:
+            wrong.append((name, "counts"))
+    return wrong
+
+
+def test_one_run_modulo_two_primes_counts_as_each_prime(monkeypatch):
+    # each witness eliminates modulo the q it is given, and no other, and
+    # gives the same counts modulo p1 * p2 as at p1 and at p2
+    assert _modulus_mismatches(monkeypatch) == []
+
+
+def test_engine_that_ignores_its_modulus_is_caught(monkeypatch):
+    # a standing fault: every engine eliminates at PRIMES[0], whatever q it
+    # is built with.  A fixed prime gives the same counts, so the thm-1.2
+    # 3x3 verdict still passes; only the spy on the moduli above catches it
+    init = GradedKernel.__init__
+    monkeypatch.setattr(
+        GradedKernel, "__init__", lambda self, *args: init(self, *args[:-1], PRIMES[0])
+    )
+    monkeypatch.delenv(RESULTS_DIR_ENV, raising=False)
+    assert run(THM_1_2_3X3).verdict == "pass"
+    wrong = {name for name, _ in _modulus_mismatches(monkeypatch)}
+    engines = {"rees 3x3", "minors 3x4", "permanents 3x3", "veronese 3x3 r=1", "subspace 3x3"}
+    assert wrong == engines
 
 
 def test_buckets_match_the_all_weights_enumeration():
@@ -416,10 +443,10 @@ def test_generator_table_permutes_minors_and_permanents():
     cases = []
     for ctx, flips in [(RingContext(3, 4), (False,)), (RingContext(3, 3), (False, True))]:
         for variant in ("minors", "permanents"):
-            engine = relation_engine(ctx, variant)
+            engine = relation_engine(ctx, variant, PRIMES[0])
             assert engine._transpose == (ctx.m == ctx.n), (ctx, variant)
             cases.append((f"{variant} {ctx.m}x{ctx.n}", engine, flips, _matrix_to(ctx.m, ctx.n)))
-    subspace = subspace_engine(3, 3)
+    subspace = subspace_engine(3, 3, PRIMES[0])
     cases.append(("subspace 3x3", subspace, (False,), subspace.moves))
     for name, engine, flips, to in cases:
         m, n = engine.shape
@@ -443,7 +470,8 @@ def test_moves_that_do_not_permute_the_generators_are_refused():
     ctx = RingContext(2, 3)
     gens = generators_for(ctx, "minors")
     moves = lambda move: list(range(6))
-    engine = GradedKernel(gens, _weights_of(ctx, gens), (ctx.m, ctx.n), ctx.num_vars, moves)
+    shape, p = (ctx.m, ctx.n), PRIMES[0]
+    engine = GradedKernel(gens, _weights_of(ctx, gens), shape, ctx.num_vars, moves, p)
     with pytest.raises(ValueError):
         engine._table(((0, 1), (1, 0, 2), False))
     # a "transpose" that swaps the weights' row and column sums but leaves
@@ -451,7 +479,8 @@ def test_moves_that_do_not_permute_the_generators_are_refused():
     ctx = RingContext(3, 3)
     gens = generators_for(ctx, "minors")
     moves = lambda move: list(range(9))
-    engine = GradedKernel(gens, _weights_of(ctx, gens), (ctx.m, ctx.n), ctx.num_vars, moves)
+    shape, p = (ctx.m, ctx.n), PRIMES[0]
+    engine = GradedKernel(gens, _weights_of(ctx, gens), shape, ctx.num_vars, moves, p)
     assert engine._transpose
     with pytest.raises(ValueError):
         engine._table(((0, 1, 2), (0, 1, 2), True))
@@ -461,7 +490,7 @@ def test_subspace_engine_has_no_transpose():
     # h acts on the rows only, so the subspace moves refuse the transpose,
     # and at 3x3 the engine's representatives are the dominant weights; the
     # relation engine at 3x3 has the transpose, and fewer representatives
-    engine = subspace_engine(3, 3)
+    engine = subspace_engine(3, 3, PRIMES[0])
     with pytest.raises(ValueError):
         engine.moves(((0, 1, 2), (0, 1, 2), True))
     assert not engine._transpose
@@ -469,7 +498,7 @@ def test_subspace_engine_has_no_transpose():
         for w in sources_all_weights(engine, grade):
             dominant = is_dominant(unpack_weight(w, 3, 3))
             assert _is_representative(engine, w) == dominant, (grade, w)
-    minors = relation_engine(RingContext(3, 3), "minors")
+    minors = relation_engine(RingContext(3, 3), "minors", PRIMES[0])
     weights = [w for w in sources_all_weights(minors, 2) if is_dominant(unpack_weight(w, 3, 3))]
     reps = [w for w in weights if _is_representative(minors, w)]
     assert 0 < len(reps) < len(weights)
@@ -481,7 +510,7 @@ def test_veronese_factor_map_transposes_the_generator_space():
     # +1 times the polynomial the factor map names
     ctx = RingContext(3, 3)
     for r in (1, 2):
-        engine = VeroneseEngine(ctx, r)
+        engine = VeroneseEngine(ctx, r, PRIMES[0])
         for pi in permutations(range(3)):
             for tau in permutations(range(3)):
                 for transposed in (False, True):
@@ -500,10 +529,10 @@ def _koszul_h1_from_rees(ctx, variant, d, q):
     e_k ^ e_l (x) x^b -> (x^b w_l, T_k) - (x^b w_k, T_l).  Those rows lie in
     K_w, so they are ranked on K_w's free columns alone.
     """
-    engine = ReesEngine(ctx, variant).at(q)
+    engine = ReesEngine(ctx, variant, q)
     gens, gw = engine.gens, engine.weights
     pairs = [(k, l, gw[k] + gw[l]) for k, l in combinations(range(len(gens)), 2)]
-    monos = list(rees._monomials_of_degree(ctx, d - 4)) if d >= 4 else []
+    monos = list(list(rees._monomials(ctx, d - 4))[-1]) if d >= 4 else []
     out = {}
     for lam in rees._padded_partitions(d, ctx.m):
         for mu in rees._padded_partitions(d, ctx.n):

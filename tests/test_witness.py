@@ -174,7 +174,7 @@ def test_veronese_modulo_spans_the_lower_module_at_each_weight():
     p = PRIMES[0]
     rank = lambda polys: rank_mod(coefficient_rows(polys), p) if polys else 0
     for r in (1, 2):
-        engine = VeroneseEngine(ctx, r)
+        engine = VeroneseEngine(ctx, r, p)
         for D in (2, 3):
             whole = {}
             for f in module_component(engine, r - 1, D):
@@ -195,7 +195,7 @@ def test_veronese_image_matches_lemma_4_3():
         (2, 4, 2, {2: 175, 3: 700}),
     ]
     for m, n, r, expected in cases:
-        engine = VeroneseEngine(RingContext(m, n), r).at(PRIMES[0])
+        engine = VeroneseEngine(RingContext(m, n), r, PRIMES[0])
         image = {D: engine.image_dim(D) for D in expected}
         assert image == expected, (m, n, r)
         for D, dim in image.items():
